@@ -1,5 +1,6 @@
 """Grid route planning: a deterministic shortest-path problem over
-non-obstacle nodes solved by value iteration under a weather slope bound.
+non-obstacle nodes under a weather slope bound, solved exactly by dynamic
+programming.
 
 Actions 1..8 move to the adjacent node East, Northeast, North, Northwest,
 West, Southwest, South, Southeast; action 9 is Stay.  A move is admissible
@@ -11,6 +12,15 @@ does not exceed the active weather's limit.  Hop cost is
 with the scaling weights solved from the mean slope and mean distance over
 all admissible moves.  Stay costs 0 at the goal and is inadmissible anywhere
 else, which makes the goal absorbing with value 0.
+
+Every hop cost is positive, so the fixed point of the Bellman equation
+
+    V(s) = min_a [cost(s, a) + V(s + a)],    V(goal) = 0
+
+is the shortest-path cost to the goal.  ``value_iteration`` reaches it in one
+label-setting (Dijkstra) pass from the goal over the reversed admissible
+graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming and
+Optimal Control*, Vol. 1, label-setting methods).
 """
 
 from __future__ import annotations
@@ -19,10 +29,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
-from .terrain import ElevationGrid, ObstacleMask, WeatherCondition
+from .terrain import (
+    ElevationGrid,
+    ObstacleMask,
+    WeatherCondition,
+    neighbor_slices,
+    neighbor_slopes,
+)
 
 # Action id -> (drow, dcol); row 0 is the northern edge so North is -1 row.
+# Ids 1..8 follow terrain.NEIGHBOR_OFFSETS, so slope axis a - 1 is action a.
 MOVES = {
     1: (0, 1),    # East
     2: (-1, 1),   # Northeast
@@ -54,7 +73,6 @@ class DpProblem:
     valid: np.ndarray                 # bool (n_rows, n_cols); True = state
     move_admissible: dict[int, np.ndarray] = field(repr=False)
     move_cost: dict[int, np.ndarray] = field(repr=False)  # +inf where inadmissible
-    move_slope: dict[int, np.ndarray] = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -67,8 +85,8 @@ class ValueFunction:
 
     values: np.ndarray  # float (n_rows, n_cols); inf = unreachable / non-state
     policy: np.ndarray  # int action ids; 0 where no action applies
-    converged: bool
-    sweeps: int
+    converged: bool     # Bellman residual is exactly 0 on every reachable state
+    sweeps: int         # Bellman passes over the grid
 
     def reachable(self, node: tuple[int, int]) -> bool:
         return math.isfinite(self.values[node])
@@ -95,30 +113,39 @@ class PlannedRoute:
 def _hop_slopes_and_admissibility(
     grid: ElevationGrid, mask: ObstacleMask, slope_limit: float
 ):
-    """Per-action slope and admissibility arrays over the whole grid.
+    """Per-action hop slopes and admissibility over the whole grid.
 
-    slope[a][r, c] is the hop slope from (r, c) along action a; admissible
-    additionally requires both endpoints to be valid states and the slope to
-    respect the limit.
+    slopes[a - 1][r, c] is the hop slope from (r, c) along action a (NaN
+    off-grid); admissible[a] additionally requires both endpoints to be valid
+    states and the slope to respect the limit.
     """
-    h = grid.heights
+    slopes = neighbor_slopes(grid)
     valid = ~mask.blocked
-    slopes: dict[int, np.ndarray] = {}
     admissible: dict[int, np.ndarray] = {}
     for a, (dr, dc) in MOVES.items():
-        slope = np.full(h.shape, np.nan)
-        ok = np.zeros(h.shape, dtype=bool)
-        run = grid.cell_size * math.hypot(dr, dc)
-        src_r = slice(max(0, -dr), grid.n_rows - max(0, dr))
-        src_c = slice(max(0, -dc), grid.n_cols - max(0, dc))
-        dst_r = slice(max(0, dr), grid.n_rows + min(0, dr))
-        dst_c = slice(max(0, dc), grid.n_cols + min(0, dc))
-        s = np.abs(h[dst_r, dst_c] - h[src_r, src_c]) / run
-        slope[src_r, src_c] = s
-        ok[src_r, src_c] = valid[src_r, src_c] & valid[dst_r, dst_c] & (s <= slope_limit)
-        slopes[a] = slope
+        src, dst = neighbor_slices(valid.shape, dr, dc)
+        ok = np.zeros(valid.shape, dtype=bool)
+        ok[src] = valid[src] & valid[dst] & (slopes[a - 1][src] <= slope_limit)
         admissible[a] = ok
     return slopes, admissible, valid
+
+
+def _scaling_from_tables(
+    slopes: np.ndarray, admissible: dict[int, np.ndarray], cell_size: float
+) -> tuple[float, float]:
+    counts = [int(admissible[a].sum()) for a in MOVES]
+    if not any(counts):
+        raise ValueError("no admissible transition exists")
+    mean_m = float(np.concatenate([slopes[a - 1][admissible[a]] for a in MOVES]).mean())
+    dists = [cell_size * math.hypot(dr, dc) for dr, dc in MOVES.values()]
+    mean_d = float(np.repeat(dists, counts).mean())
+    if abs(mean_m - mean_d) < 1e-12:
+        raise ScalingError(
+            f"mean slope equals mean distance ({mean_m}); the weight system is "
+            "singular, supply alpha_m and alpha_d manually"
+        )
+    alpha = np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]), np.array([1.0, 1.0]))
+    return float(alpha[0]), float(alpha[1])
 
 
 def compute_scaling_factors(
@@ -132,25 +159,7 @@ def compute_scaling_factors(
         [[mean_m, mean_d], [1, 1]] @ [alpha_m, alpha_d] = [1, 1]
     """
     slopes, admissible, _ = _hop_slopes_and_admissibility(grid, mask, weather.slope_limit)
-    all_slopes = []
-    all_dists = []
-    for a in MOVES:
-        ok = admissible[a]
-        if ok.any():
-            all_slopes.append(slopes[a][ok])
-            dr, dc = MOVES[a]
-            all_dists.append(np.full(ok.sum(), grid.cell_size * math.hypot(dr, dc)))
-    if not all_slopes:
-        raise ValueError("no admissible transition exists")
-    mean_m = float(np.concatenate(all_slopes).mean())
-    mean_d = float(np.concatenate(all_dists).mean())
-    if abs(mean_m - mean_d) < 1e-12:
-        raise ScalingError(
-            f"mean slope equals mean distance ({mean_m}); the weight system is "
-            "singular, supply alpha_m and alpha_d manually"
-        )
-    alpha = np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]), np.array([1.0, 1.0]))
-    return float(alpha[0]), float(alpha[1])
+    return _scaling_from_tables(slopes, admissible, grid.cell_size)
 
 
 def build_dp_problem(
@@ -160,25 +169,24 @@ def build_dp_problem(
     goal: tuple[int, int],
     alpha: tuple[float, float] | None = None,
 ) -> DpProblem:
-    """Assemble admissibility and cost tables for value iteration."""
+    """Assemble admissibility and cost tables for the route solver."""
     if not grid.in_bounds(*goal):
         raise ValueError(f"goal {goal} is outside the grid")
     if mask.blocked[goal]:
         raise ValueError(f"goal {goal} is an obstacle node")
 
+    slopes, admissible, valid = _hop_slopes_and_admissibility(grid, mask, weather.slope_limit)
     if alpha is None:
-        alpha_m, alpha_d = compute_scaling_factors(grid, mask, weather)
+        alpha_m, alpha_d = _scaling_from_tables(slopes, admissible, grid.cell_size)
     else:
         alpha_m, alpha_d = alpha
 
-    slopes, admissible, valid = _hop_slopes_and_admissibility(grid, mask, weather.slope_limit)
     costs: dict[int, np.ndarray] = {}
-    for a in MOVES:
-        dr, dc = MOVES[a]
+    for a, (dr, dc) in MOVES.items():
         dist = grid.cell_size * math.hypot(dr, dc)
         cost = np.full(grid.heights.shape, np.inf)
         ok = admissible[a]
-        cost[ok] = alpha_m * slopes[a][ok] + alpha_d * dist
+        cost[ok] = alpha_m * slopes[a - 1][ok] + alpha_d * dist
         if np.any(cost[ok] <= 0):
             raise ValueError("non-positive hop cost; check alpha weights and cell size")
         costs[a] = cost
@@ -186,65 +194,64 @@ def build_dp_problem(
     return DpProblem(
         grid=grid, goal=goal, alpha_m=alpha_m, alpha_d=alpha_d,
         slope_limit=weather.slope_limit, valid=valid,
-        move_admissible=admissible, move_cost=costs, move_slope=slopes,
+        move_admissible=admissible, move_cost=costs,
     )
 
 
-def _shifted(values: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """values at the action target for every node; +inf where off-grid."""
-    out = np.full_like(values, np.inf)
-    src_r = slice(max(0, -dr), values.shape[0] - max(0, dr))
-    src_c = slice(max(0, -dc), values.shape[1] - max(0, dc))
-    dst_r = slice(max(0, dr), values.shape[0] + min(0, dr))
-    dst_c = slice(max(0, dc), values.shape[1] + min(0, dc))
-    out[src_r, src_c] = values[dst_r, dst_c]
-    return out
+def _reversed_graph(problem: DpProblem) -> csr_array:
+    """CSR matrix of the reversed admissible graph over flat node indices.
+
+    Row t lists every node s with an admissible hop s -> t, weighted by that
+    hop's cost.  Built as (n_rows, n_cols, 8) weight/source tables whose
+    finite entries are the edges, so no COO triplets are materialized.
+    """
+    shape = problem.shape
+    n = shape[0] * shape[1]
+    node = np.arange(n, dtype=np.int32).reshape(shape)
+    weight = np.full(shape + (len(MOVES),), np.inf)
+    source = np.zeros(shape + (len(MOVES),), dtype=np.int32)
+    # sources in ascending flat order, so every row's indices come sorted
+    for k, a in enumerate(sorted(MOVES, key=MOVES.get, reverse=True)):
+        src, dst = neighbor_slices(shape, *MOVES[a])
+        weight[dst + (k,)] = problem.move_cost[a][src]
+        source[dst + (k,)] = node[src]
+    edge = np.isfinite(weight)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(edge.sum(axis=2, dtype=np.int32), out=indptr[1:])
+    data = weight[edge]
+    del weight
+    indices = source[edge]
+    return csr_array((data, indices, indptr), shape=(n, n))
 
 
-def value_iteration(
-    problem: DpProblem, tolerance: float = 1e-9, max_sweeps: int | None = None
-) -> ValueFunction:
-    """Synchronous Bellman sweeps until the max per-state change drops below
-    tolerance.  States still at +inf on convergence are unreachable."""
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    grid = problem.grid
-    if max_sweeps is None:
-        max_sweeps = 4 * (grid.n_rows + grid.n_cols)
+def value_iteration(problem: DpProblem) -> ValueFunction:
+    """Solve the Bellman equation exactly by label setting.
 
-    values = np.full(problem.shape, np.inf)
-    values[problem.goal] = 0.0
+    One Dijkstra pass from the goal over the reversed admissible graph gives
+    every state's cost-to-goal; states left at +inf are unreachable.  A single
+    Bellman pass over ``MOVES`` then picks the policy (ties keep the lowest
+    action id) and checks that the residual is exactly 0 on every reachable
+    state, which sets ``converged``.
+    """
+    shape = problem.shape
+    goal_index = problem.goal[0] * shape[1] + problem.goal[1]
+    values = dijkstra(_reversed_graph(problem), indices=goal_index).reshape(shape)
 
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        best = np.full(problem.shape, np.inf)
-        for a in sorted(MOVES):
-            dr, dc = MOVES[a]
-            candidate = problem.move_cost[a] + _shifted(values, dr, dc)
-            np.minimum(best, candidate, out=best)
-        best[problem.goal] = 0.0  # Stay at the goal, cost 0
-        finite = np.isfinite(best) | np.isfinite(values)
-        with np.errstate(invalid="ignore"):
-            delta = np.abs(best - values)
-        change = float(delta[finite].max()) if finite.any() else 0.0
-        values = best
-        if change < tolerance:
-            converged = True
-            break
-
-    policy = np.zeros(problem.shape, dtype=np.int8)
-    best_vals = np.full(problem.shape, np.inf)
+    policy = np.zeros(shape, dtype=np.int8)
+    best = np.full(shape, np.inf)
     for a in sorted(MOVES):  # ascending ids: ties keep the lowest action
-        dr, dc = MOVES[a]
-        candidate = problem.move_cost[a] + _shifted(values, dr, dc)
-        better = candidate < best_vals
-        policy[better] = a
-        best_vals[better] = candidate[better]
-    policy[~np.isfinite(values)] = 0
+        src, dst = neighbor_slices(shape, *MOVES[a])
+        candidate = problem.move_cost[a][src] + values[dst]
+        better = candidate < best[src]
+        policy[src][better] = a
+        best[src][better] = candidate[better]
+    reachable = np.isfinite(values)
+    policy[~reachable] = 0
     policy[problem.goal] = STAY
+    reachable[problem.goal] = False
+    converged = bool(np.array_equal(best[reachable], values[reachable]))
 
-    return ValueFunction(values=values, policy=policy, converged=converged, sweeps=sweeps)
+    return ValueFunction(values=values, policy=policy, converged=converged, sweeps=1)
 
 
 def extract_route(

@@ -300,7 +300,17 @@ def slope_between(grid: ElevationGrid, node_a: tuple[int, int], node_b: tuple[in
     return float(rise / run)
 
 
-def _neighbor_slopes(grid: ElevationGrid) -> np.ndarray:
+def neighbor_slices(shape: tuple[int, int], dr: int, dc: int):
+    """Index pair (src, dst) over an array of ``shape`` such that ``a[dst]``
+    holds the (dr, dc)-neighbor of each node in ``a[src]``; nodes whose
+    neighbor is off-grid are in neither."""
+    n_rows, n_cols = shape
+    src = (slice(max(0, -dr), n_rows - max(0, dr)), slice(max(0, -dc), n_cols - max(0, dc)))
+    dst = (slice(max(0, dr), n_rows + min(0, dr)), slice(max(0, dc), n_cols + min(0, dc)))
+    return src, dst
+
+
+def neighbor_slopes(grid: ElevationGrid) -> np.ndarray:
     """Slope to each 8-neighbor for every node; NaN where the neighbor is off-grid.
 
     Returned shape is (8, n_rows, n_cols), axis 0 ordered like NEIGHBOR_OFFSETS.
@@ -309,11 +319,8 @@ def _neighbor_slopes(grid: ElevationGrid) -> np.ndarray:
     out = np.full((len(NEIGHBOR_OFFSETS), grid.n_rows, grid.n_cols), np.nan)
     for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         run = grid.cell_size * math.hypot(dr, dc)
-        src_r = slice(max(0, -dr), grid.n_rows - max(0, dr))
-        src_c = slice(max(0, -dc), grid.n_cols - max(0, dc))
-        dst_r = slice(max(0, dr), grid.n_rows + min(0, dr))
-        dst_c = slice(max(0, dc), grid.n_cols + min(0, dc))
-        out[k, src_r, src_c] = np.abs(h[dst_r, dst_c] - h[src_r, src_c]) / run
+        src, dst = neighbor_slices(h.shape, dr, dc)
+        out[(k,) + src] = np.abs(h[dst] - h[src]) / run
     return out
 
 
@@ -333,7 +340,7 @@ def build_obstacle_mask(
     shape = (grid.n_rows, grid.n_cols)
     provenance = np.zeros(shape, dtype=np.int8)
 
-    slopes = _neighbor_slopes(grid)
+    slopes = neighbor_slopes(grid)
     with np.errstate(invalid="ignore"):
         min_slope = np.nanmin(slopes, axis=0)
     steep = min_slope > steep_limit
@@ -363,7 +370,7 @@ def build_obstacle_mask(
 #   line 3: cellsize,<meters>
 #   line 4: origin,<x0>,<y0>
 #   then nrows data lines of ncols comma-separated heights, northernmost first.
-# Mask CSVs share the header; data cells are 0 or 1.
+# Mask CSVs repeat the grid's header exactly; data cells are 0 or 1.
 
 
 def _parse_header(lines: list[str], path: str) -> tuple[int, int, float, tuple[float, float]]:
@@ -439,6 +446,11 @@ def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
         raise GridFormatError(
             f"{path}: mask shape {n_rows}x{n_cols} does not match grid "
             f"{grid.n_rows}x{grid.n_cols}"
+        )
+    if (cell, origin) != (grid.cell_size, tuple(grid.origin)):
+        raise GridFormatError(
+            f"{path}: mask cellsize {cell!r} and origin {origin!r} do not match grid "
+            f"cellsize {grid.cell_size!r} and origin {tuple(grid.origin)!r}"
         )
     data = _parse_data_rows(lines, n_cols, n_rows, str(path))
     if not np.all(np.isin(data, (0.0, 1.0))):

@@ -434,3 +434,42 @@ def test_criterion_9_deterministic_outputs(tmp_path):
                           (out_dir / "log.csv").read_bytes()))
     assert sim_bytes[0] == sim_bytes[1]
     report(9, "route and simulate outputs byte-identical across reruns")
+
+
+def rolling_grid(rng, n, cell):
+    """Seeded sum of three long-wavelength sinusoids, roughly 10 m high."""
+    terms = [(rng.uniform(4.0, 8.0), rng.uniform(300.0, 900.0), rng.uniform(0.0, 2 * np.pi),
+              rng.uniform(0.0, np.pi)) for _ in range(3)]
+
+    def height(x, y):
+        z = np.zeros_like(x)
+        for amp, wavelength, phase, heading in terms:
+            along = x * np.cos(heading) + y * np.sin(heading)
+            z += amp * np.sin(2 * np.pi * along / wavelength + phase)
+        return z
+
+    return grid_from_function(height, n_cols=n, n_rows=n, cell=cell)
+
+
+def test_criterion_10_route_800_squared_under_5_s():
+    """Tables, exact solve and route extraction on a seeded rolling 800x800
+    grid in under 5 s; every hop respects the slope limit."""
+    n = 800
+    grid = rolling_grid(np.random.default_rng(800), n, cell=5.0)
+    mask = build_obstacle_mask(grid, steep_limit=DRY.slope_limit)
+    start, goal = (n - 1 - n // 10, n - 1 - n // 10), (n // 10, n // 10)
+    t0 = time.perf_counter()
+    problem = build_dp_problem(grid, mask, DRY, goal=goal)
+    vf = value_iteration(problem)
+    route = extract_route(vf, problem, start)
+    elapsed = time.perf_counter() - t0
+    assert vf.converged
+    assert route.reachable and route.waypoints[0] == start and route.waypoints[-1] == goal
+    for a, b in zip(route.waypoints, route.waypoints[1:]):
+        assert max(abs(b[0] - a[0]), abs(b[1] - a[1])) == 1
+        assert not mask.blocked[b]
+        run = grid.cell_size * math.hypot(b[0] - a[0], b[1] - a[1])
+        assert abs(grid.heights[b] - grid.heights[a]) / run <= DRY.slope_limit
+    assert elapsed < 5.0
+    report(10, f"{n}x{n}: {len(route.waypoints)} waypoints, max slope "
+               f"{route.max_slope_deg:.2f} deg, {elapsed:.2f}s")

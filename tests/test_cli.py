@@ -104,6 +104,22 @@ def test_route_malformed_grid_names_line(tmp_path, capsys):
     assert ":6:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, origin", [(10.0, (5.0, 0.0)), (10.0, (0.0, -10.0)),
+                                          (5.0, (0.0, 0.0))])
+def test_route_mask_with_other_cell_layout_rejected(tmp_path, capsys, cell, origin):
+    grid = ridge_grid()
+    grid_path = write_fixture_grid(tmp_path, grid)
+    mask = ElevationGrid(n_cols=grid.n_cols, n_rows=grid.n_rows, cell_size=cell,
+                         origin=origin, heights=np.zeros(grid.heights.shape))
+    water_path = write_fixture_grid(tmp_path, mask, name="water.csv")
+    out = tmp_path / "route.csv"
+    code = main(["route", "--grid", str(grid_path), "--water", str(water_path),
+                 "--start", "6,3", "--goal", "0,3", "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "water.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_route_csv_byte_identical_across_runs(tmp_path):
     grid_path = write_fixture_grid(tmp_path, ridge_grid())
     outs = []

@@ -15,7 +15,8 @@ from offroad.global_route import (
     value_iteration,
     write_route_csv,
 )
-from offroad.terrain import WeatherCondition, build_obstacle_mask
+from offroad.cli import EXIT_OK, main
+from offroad.terrain import ElevationGrid, WeatherCondition, build_obstacle_mask, write_grid_csv
 
 from conftest import dijkstra_costs_to_goal, flat_grid, grid_from_function, random_problem
 
@@ -136,7 +137,7 @@ def test_goal_must_be_a_state():
 
 
 # ---------------------------------------------------------------------------
-# Value iteration
+# Value function (exact label-setting solve)
 # ---------------------------------------------------------------------------
 
 def test_goal_value_zero_policy_stay():
@@ -158,6 +159,19 @@ def test_single_step_bellman_by_hand():
     vf = value_iteration(problem)
     assert vf.values[0, 0] == pytest.approx(problem.alpha_d * 7.0, abs=1e-12)
     assert vf.policy[0, 0] == 1  # East
+
+
+def test_policy_ties_keep_lowest_action_id():
+    # from (2, 1) to (0, 0) on flat ground, North-then-Northwest and
+    # Northwest-then-North cost the same; the lower id (North = 3) wins
+    grid = flat_grid(n=3, cell=10.0)
+    mask = build_obstacle_mask(grid)
+    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(0, 0))
+    vf = value_iteration(problem)
+    via_north = problem.move_cost[3][2, 1] + vf.values[1, 1]
+    via_northwest = problem.move_cost[4][2, 1] + vf.values[1, 0]
+    assert via_north == via_northwest == vf.values[2, 1]
+    assert vf.policy[2, 1] == 3
 
 
 def test_values_match_dijkstra_on_random_grids():
@@ -182,15 +196,15 @@ def test_values_match_dijkstra_on_random_grids():
 
 
 def test_bellman_fixed_point_residual():
-    # at convergence every reachable state's value equals the best one-hop
-    # cost plus successor value within the sweep tolerance
+    # the solved values are an exact fixed point: every reachable state's
+    # value equals the best one-hop cost plus successor value, bit for bit
     from offroad.global_route import MOVES
     rng = np.random.default_rng(17)
     grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
     problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=goal)
-    tol = 1e-9
-    vf = value_iteration(problem, tolerance=tol)
+    vf = value_iteration(problem)
     assert vf.converged
+    assert vf.sweeps == 1
     for r in range(grid.n_rows):
         for c in range(grid.n_cols):
             if not vf.reachable((r, c)):
@@ -203,7 +217,7 @@ def test_bellman_fixed_point_residual():
                 if problem.move_admissible[a][r, c]:
                     best = min(best, problem.move_cost[a][r, c]
                                + vf.values[r + dr, c + dc])
-            assert abs(vf.values[r, c] - best) < tol
+            assert vf.values[r, c] - best == 0.0
 
 
 def test_tightening_slope_limit_never_helps():
@@ -220,12 +234,65 @@ def test_tightening_slope_limit_never_helps():
     assert not np.any(np.isfinite(vf_tight.values) & ~np.isfinite(vf_loose.values))
 
 
-def test_non_convergence_flag():
-    grid = flat_grid(n=8, cell=10.0)
+def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
+    # the flag comes from the residual check, not from the solver's say-so
+    import offroad.global_route as gr
+    grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(7, 7))
-    vf = value_iteration(problem, max_sweeps=2)
+    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(4, 4))
+    exact = gr.dijkstra
+
+    def off_by_one_state(graph, indices):
+        values = exact(graph, indices=indices)
+        values[0] += 1.0
+        return values
+
+    monkeypatch.setattr(gr, "dijkstra", off_by_one_state)
+    vf = value_iteration(problem)
     assert not vf.converged
+
+
+def serpentine_walls(n):
+    """Water on every odd row, with the gap alternating between the east and
+    west ends: one corridor that winds through every even row."""
+    walls = np.zeros((n, n), dtype=bool)
+    for r in range(1, n - 1, 2):
+        walls[r, :] = True
+        walls[r, n - 1 if (r // 2) % 2 == 0 else 0] = False
+    return walls
+
+
+def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
+    # the optimal route needs more hops than 4 * (rows + cols), so a solver
+    # that sweeps a bounded number of times would call the start unreachable
+    n = 21
+    grid = flat_grid(n=n, cell=5.0)
+    walls = serpentine_walls(n)
+    weather = WeatherCondition.dry()
+    mask = build_obstacle_mask(grid, water_mask=walls, steep_limit=weather.slope_limit)
+    start, goal = (n - 1, n - 1), (0, 0)
+    problem = build_dp_problem(grid, mask, weather, goal=goal)
+    vf = value_iteration(problem)
+    assert vf.converged
+    oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit,
+                                    goal, problem.alpha_m, problem.alpha_d)
+    assert np.isfinite(vf.values).sum() == len(oracle)
+    for node, expect in oracle.items():
+        assert vf.values[node] == pytest.approx(expect, abs=1e-9)
+    route = extract_route(vf, problem, start)
+    assert len(route.waypoints) - 1 > 4 * (n + n)
+
+    grid_path, water_path = tmp_path / "maze.csv", tmp_path / "maze_water.csv"
+    write_grid_csv(grid, str(grid_path))
+    write_grid_csv(ElevationGrid(n_cols=n, n_rows=n, cell_size=grid.cell_size,
+                                 origin=grid.origin, heights=walls.astype(float)),
+                   str(water_path))
+    out = tmp_path / "route.csv"
+    code = main(["route", "--grid", str(grid_path), "--water", str(water_path),
+                 "--start", f"{start[0]},{start[1]}", "--goal", f"{goal[0]},{goal[1]}",
+                 "--weather", "dry", "--out", str(out)])
+    assert code == EXIT_OK
+    assert read_route_csv(str(out)).waypoints == route.waypoints
 
 
 # ---------------------------------------------------------------------------
