@@ -32,6 +32,7 @@ from .terrain import (
     build_obstacle_mask,
     load_elevation_grid,
     load_mask,
+    parse_numeric_rows,
 )
 
 EXIT_OK = 0
@@ -102,7 +103,13 @@ def cmd_simulate(args) -> int:
     surface = SurfaceModel(grid)
 
     waypoints = config.waypoints
-    if waypoints is None:
+    if waypoints is not None:
+        outside = [p for p in waypoints if not surface.contains(*p)]
+        if outside:
+            x_min, x_max, y_min, y_max = surface.bounds
+            return _fail(f"path.waypoints: {outside[0]} lies outside the grid extent "
+                         f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]")
+    else:
         if config.start is None or config.goal is None:
             return _fail("config needs either path.waypoints or route.start and route.goal")
         try:
@@ -142,10 +149,13 @@ def cmd_simulate(args) -> int:
     )
     log = sim.run_simulation(scenario)
     sim.write_log_csv(log, log_path)
-    metrics = sim.tracking_metrics(log)
-    print(f"simulation {log.status}: {len(log)} steps, max error "
-          f"{metrics.max_err:.4f} m at t={metrics.t_max_err:.2f} s, "
-          f"min contact force {metrics.min_normal_force:.1f} N")
+    if len(log) == 0:
+        print(f"simulation {log.status}: stopped before the first step")
+    else:
+        metrics = sim.tracking_metrics(log)
+        print(f"simulation {log.status}: {len(log)} steps, max error "
+              f"{metrics.max_err:.4f} m at t={metrics.t_max_err:.2f} s, "
+              f"min contact force {metrics.min_normal_force:.1f} N")
     print(f"trajectory: {traj_path}\nlog: {log_path}")
     if log.status != sim.STATUS_COMPLETED:
         return EXIT_CONSTRAINT
@@ -173,11 +183,10 @@ def _read_log_csv(path: str) -> sim.TrajectoryLog:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != sim.LOG_COLUMNS:
         raise ValueError(f"{path}: not a simulation log CSV")
-    rows = [ln.split(",") for ln in lines[1:]]
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.size == 0:
+    if len(lines) == 1:
         raise ValueError(f"{path}: empty log")
-    n = len(rows)
+    data = parse_numeric_rows(lines[1:], sim.LOG_COLUMNS.count(",") + 1, path, first_line=2)
+    n = len(data)
     return sim.TrajectoryLog(
         t=data[:, 0], x=data[:, 1], y=data[:, 2], z=data[:, 3], psi=data[:, 4],
         speed=data[:, 5], steer=data[:, 6], xd=data[:, 7], yd=data[:, 8],

@@ -65,8 +65,8 @@ def _float(section: str, key: str, raw: str) -> float:
 
 def _positive(section: str, key: str, raw: str) -> float:
     v = _float(section, key, raw)
-    if not v > 0:
-        raise ConfigError(f"{section}.{key}: must be positive, got {raw}")
+    if not (v > 0 and math.isfinite(v)):
+        raise ConfigError(f"{section}.{key}: must be positive and finite, got {raw}")
     return v
 
 
@@ -95,7 +95,10 @@ def _waypoints(raw: str) -> list[tuple[float, float]]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ConfigError(f"path.waypoints: expected 'x,y' pairs, got {chunk!r}")
-        points.append((float(parts[0]), float(parts[1])))
+        try:
+            points.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ConfigError(f"path.waypoints: expected numbers, got {chunk!r}") from exc
     if len(points) < 2:
         raise ConfigError("path.waypoints: need at least two points")
     return points
@@ -167,6 +170,12 @@ def load_run_config(path: str) -> RunConfig:
         waypoints = _waypoints(parser.get("path", "waypoints"))
 
     initial_speed_raw = get("path", "initial_speed")
+    initial_speed = None
+    if initial_speed_raw is not None:
+        initial_speed = _float("path", "initial_speed", initial_speed_raw)
+        if not 0.0 <= initial_speed < math.inf:
+            raise ConfigError(f"path.initial_speed: must be finite and non-negative, "
+                              f"got {initial_speed_raw}")
     lat_raw = get("path", "max_lateral_accel")
     trajectory = TrajectoryConfig(
         nominal_speed=_positive("path", "nominal_speed",
@@ -175,8 +184,7 @@ def load_run_config(path: str) -> RunConfig:
         max_yaw_rate=_positive("path", "max_yaw_rate", get("path", "max_yaw_rate", "1.0")),
         accel=_positive("path", "accel", get("path", "accel", "1.0")),
         decel=_positive("path", "decel", get("path", "decel", "1.0")),
-        initial_speed=(None if initial_speed_raw is None
-                       else _float("path", "initial_speed", initial_speed_raw)),
+        initial_speed=initial_speed,
         max_lateral_accel=(None if lat_raw is None
                            else _positive("path", "max_lateral_accel", lat_raw)),
     )
@@ -210,9 +218,6 @@ def load_run_config(path: str) -> RunConfig:
     out_dir = get("output", "out_dir", ".") or "."
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base, out_dir)
-
-    if not math.isfinite(dt):
-        raise ConfigError("simulation.dt: must be finite")
 
     return RunConfig(
         grid_path=grid_path, water_mask_path=water, foliage_mask_path=foliage,

@@ -38,7 +38,7 @@ NEIGHBOR_OFFSETS = (
 
 
 class GridFormatError(ValueError):
-    """Raised when an elevation or mask CSV is malformed."""
+    """Raised when an elevation, mask or other numeric CSV is malformed."""
 
 
 class OutOfBoundsError(ValueError):
@@ -397,31 +397,57 @@ def _parse_header(lines: list[str], path: str) -> tuple[int, int, float, tuple[f
     return n_cols, n_rows, cell, (ox, oy)
 
 
+def _loadtxt(lines: list[str], **kwargs) -> np.ndarray:
+    # comments=None: the default '#' would silently cut a data line short
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, **kwargs)
+
+
+def parse_numeric_rows(lines: list[str], n_cols: int, path: str, first_line: int) -> np.ndarray:
+    """Parse comma-separated numeric rows into a (len(lines), n_cols) float array.
+
+    Tokens use numpy's float syntax: what ``float()`` accepts except ``_``
+    digit separators and non-ASCII digits.  ``first_line`` is the file line
+    number of ``lines[0]``; a GridFormatError names the offending line and,
+    for a token that is not a number, its 0-based column.
+    """
+    for r, line in enumerate(lines):
+        n_values = line.count(",") + 1
+        if n_values != n_cols:
+            raise GridFormatError(
+                f"{path}:{first_line + r}: expected {n_cols} values, found {n_values}"
+            )
+    try:
+        return _loadtxt(lines)
+    except ValueError:
+        pass
+    # locate the bad token with the same converter, one row and column at a time
+    for r, line in enumerate(lines):
+        try:
+            _loadtxt([line])
+        except ValueError:
+            for c, token in enumerate(line.split(",")):
+                try:
+                    _loadtxt([line], usecols=[c])
+                except ValueError as exc:
+                    raise GridFormatError(
+                        f"{path}:{first_line + r}: column {c}: not a number: {token.strip()!r}"
+                    ) from exc
+    raise GridFormatError(f"{path}: malformed numeric data")
+
+
 def _parse_data_rows(lines: list[str], n_cols: int, n_rows: int, path: str) -> np.ndarray:
     if len(lines) - 4 != n_rows:
         raise GridFormatError(
             f"{path}: header declares {n_rows} data rows, found {len(lines) - 4}"
         )
-    data = np.empty((n_rows, n_cols))
-    for r in range(n_rows):
-        line_no = 5 + r
-        parts = lines[4 + r].split(",")
-        if len(parts) != n_cols:
-            raise GridFormatError(
-                f"{path}:{line_no}: expected {n_cols} values, found {len(parts)}"
-            )
-        for c, token in enumerate(parts):
-            try:
-                v = float(token)
-            except ValueError as exc:
-                raise GridFormatError(
-                    f"{path}:{line_no}: column {c}: not a number: {token.strip()!r}"
-                ) from exc
-            if not math.isfinite(v):
-                raise GridFormatError(
-                    f"{path}:{line_no}: column {c}: non-finite height {token.strip()!r}"
-                )
-            data[r, c] = v
+    data = parse_numeric_rows(lines[4:], n_cols, path, first_line=5)
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        r, c = bad[0]
+        token = lines[4 + r].split(",")[c]
+        raise GridFormatError(
+            f"{path}:{5 + r}: column {c}: non-finite height {token.strip()!r}"
+        )
     return data
 
 

@@ -12,6 +12,7 @@ from offroad.cli import (
 )
 from offroad.config import ConfigError, load_run_config
 from offroad.global_route import read_route_csv
+from offroad.simulate import LOG_COLUMNS
 from offroad.terrain import ElevationGrid, write_grid_csv
 
 from conftest import flat_grid, grid_from_function
@@ -196,6 +197,34 @@ def test_simulate_zero_dt_rejected(tmp_path, capsys):
     assert "simulation.dt" in capsys.readouterr().err
 
 
+def test_simulate_from_rest_stops_at_step_zero(tmp_path, capsys):
+    # no initial_speed: the car starts from rest, below min_ctrl_speed
+    write_fixture_grid(tmp_path, flat_grid(n=21, cell=2.0))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[terrain]\ngrid = grid.csv\n\n"
+                   "[path]\nwaypoints = 10.0,10.0; 30.0,10.0; 30.0,30.0\n")
+    out_dir = tmp_path / "o"
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == EXIT_CONSTRAINT
+    assert "simulation singular_speed" in capsys.readouterr().out
+    assert (out_dir / "log.csv").read_text() == LOG_COLUMNS + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("mass = 1000.0", "mass = inf"), "vehicle.mass"),
+    (("892.5,411.0", "x,411.0"), "path.waypoints"),
+    (("892.5,411.0", "992.5,411.0"), "outside the grid extent"),
+    (("initial_speed = 2.0", "initial_speed = nan"), "path.initial_speed"),
+    (("initial_speed = 2.0", "initial_speed = -1"), "path.initial_speed"),
+])
+def test_simulate_bad_config_value_exits_4(tmp_path, capsys, edit, message):
+    cfg = write_case_config(tmp_path, CASE_CONFIG.replace(*edit))
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
 def test_simulate_constraint_violation_exit_code(tmp_path):
     grid = grid_from_function(lambda x, y: 6.0 * np.exp(-((x - 30.0) ** 2) / 60.0),
                               n_cols=31, n_rows=31, cell=2.0)
@@ -348,6 +377,17 @@ def test_render_with_log_traces(tmp_path):
     assert "stroke-dasharray" in content       # desired trace dashed
     assert "desired (dashed)" in content
     assert "actual (solid)" in content
+
+
+def test_render_log_with_non_numeric_cell_names_line(tmp_path, capsys):
+    grid_path = write_fixture_grid(tmp_path, ridge_grid())
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(LOG_COLUMNS + "\n" + ",".join(["1.0"] * 14) + ",0\n"
+                        + ",".join(["1.0"] * 4 + ["oops"] + ["1.0"] * 9) + ",0\n")
+    code = main(["render", "--grid", str(grid_path),
+                 "--log", str(log_path), "--out", str(tmp_path / "scene.svg")])
+    assert code == EXIT_INPUT
+    assert "log.csv:3: column 4: not a number: 'oops'" in capsys.readouterr().err
 
 
 def test_render_byte_identical(tmp_path):

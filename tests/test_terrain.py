@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offroad.terrain import (
     CLEAR,
@@ -93,6 +95,87 @@ def test_load_large_grid_accepted(tmp_path):
     p = tmp_path / "big.csv"
     write_grid_csv(grid, str(p))
     assert load_elevation_grid(str(p)).heights.shape == (n, n)
+
+
+def test_load_accepts_crlf_line_endings(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_bytes(b"ncols,2\r\nnrows,2\r\ncellsize,1.0\r\norigin,0,0\r\n"
+                  b"1.5,-2\r\n0, 3e1\r\n")
+    grid = load_elevation_grid(str(p))
+    assert np.array_equal(grid.heights, [[1.5, -2.0], [0.0, 30.0]])
+
+
+def test_load_rejects_comment_marker_in_cell(tmp_path):
+    # read as a comment marker, the '#' would cut the cell to '1' silently
+    p = tmp_path / "g.csv"
+    write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0,0",
+                    "0,0", "0,1#2"])
+    with pytest.raises(GridFormatError, match=r":6: column 1: not a number: '1#2'"):
+        load_elevation_grid(str(p))
+
+
+@pytest.mark.parametrize("cell, ok", [("0.0", True), ("1.0", True), ("2", False)])
+def test_mask_cell_values(tmp_path, cell, ok):
+    p = tmp_path / "m.csv"
+    write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0.0,0.0",
+                    f"0,{cell}", "1,0"])
+    grid = flat_grid(n=2)
+    if ok:
+        mask = load_mask(str(p), grid)
+        assert mask.dtype == bool
+        assert mask.tolist() == [[False, cell == "1.0"], [True, False]]
+    else:
+        with pytest.raises(GridFormatError, match="must be 0 or 1"):
+            load_mask(str(p), grid)
+
+
+small_grids = st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
+    lambda shape: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+    ).map(lambda cells: np.array(cells).reshape(shape)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(heights=small_grids)
+def test_written_grid_loads_back_bit_exactly(tmp_path_factory, heights):
+    n_rows, n_cols = heights.shape
+    grid = ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=0.5,
+                         origin=(-3.0, 7.25), heights=heights)
+    p = tmp_path_factory.mktemp("grid") / "g.csv"
+    write_grid_csv(grid, str(p))
+    back = load_elevation_grid(str(p)).heights
+    assert back.tobytes() == heights.tobytes()
+
+
+DEFECTS = ("zz", "1_0", "", "1.0.0", "nan", "inf", "-Infinity", "short", "long")
+
+
+@settings(max_examples=120, deadline=None)
+@given(heights=small_grids, defect=st.sampled_from(DEFECTS), data=st.data())
+def test_one_defect_is_named_by_line_and_column(tmp_path_factory, heights, defect, data):
+    n_rows, n_cols = heights.shape
+    r = data.draw(st.integers(0, n_rows - 1), label="row")
+    c = data.draw(st.integers(0, n_cols - 1), label="col")
+    rows = [[repr(float(v)) for v in row] for row in heights]
+    if defect == "short":
+        del rows[r][c]
+    elif defect == "long":
+        rows[r].insert(c, "0.0")
+    else:
+        rows[r][c] = defect
+    p = tmp_path_factory.mktemp("grid") / "g.csv"
+    write_lines(p, [f"ncols,{n_cols}", f"nrows,{n_rows}", "cellsize,1.0", "origin,0,0"]
+                + [",".join(row) for row in rows])
+    line = 5 + r
+    if defect in ("short", "long"):
+        expected = rf":{line}: expected {n_cols} values, found {len(rows[r])}$"
+    elif defect in ("nan", "inf", "-Infinity"):
+        expected = rf":{line}: column {c}: non-finite height '{defect}'$"
+    else:
+        expected = rf":{line}: column {c}: not a number: '{defect}'$"
+    with pytest.raises(GridFormatError, match=expected):
+        load_elevation_grid(str(p))
 
 
 def test_mask_shape_mismatch_rejected(tmp_path):
