@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import global_route as gr
 from . import simulate as sim
 from .config import ConfigError, load_run_config
@@ -26,6 +28,7 @@ from .render import RenderError, render_scene
 from .terrain import (
     DRY_SLOPE_LIMIT,
     WET_SLOPE_LIMIT,
+    ElevationGrid,
     GridFormatError,
     SurfaceModel,
     WeatherCondition,
@@ -33,6 +36,7 @@ from .terrain import (
     load_elevation_grid,
     load_mask,
     parse_numeric_rows,
+    read_lines,
 )
 
 EXIT_OK = 0
@@ -53,6 +57,20 @@ def _parse_node(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def plan_route(
+    grid: ElevationGrid, water: np.ndarray | None, foliage: np.ndarray | None,
+    steep_limit: float, weather: WeatherCondition,
+    start: tuple[int, int], goal: tuple[int, int],
+) -> gr.PlannedRoute:
+    """Obstacle mask, route tables, exact solve and route extraction for one
+    start/goal query; raises ValueError on bad nodes or an unsolvable table."""
+    mask = build_obstacle_mask(grid, water_mask=water, foliage_mask=foliage,
+                               steep_limit=steep_limit)
+    problem = gr.build_dp_problem(grid, mask, weather, goal=goal)
+    vf = gr.value_iteration(problem)
+    return gr.extract_route(vf, problem, start)
+
+
 def cmd_route(args) -> int:
     try:
         grid = load_elevation_grid(args.grid)
@@ -70,11 +88,7 @@ def cmd_route(args) -> int:
     steep = args.steep_limit if args.steep_limit is not None else weather.slope_limit
 
     try:
-        mask = build_obstacle_mask(grid, water_mask=water, foliage_mask=foliage,
-                                   steep_limit=steep)
-        problem = gr.build_dp_problem(grid, mask, weather, goal=goal)
-        vf = gr.value_iteration(problem)
-        route = gr.extract_route(vf, problem, start)
+        route = plan_route(grid, water, foliage, steep, weather, start, goal)
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -117,12 +131,9 @@ def cmd_simulate(args) -> int:
                      if config.water_mask_path else None)
             foliage = (load_mask(config.foliage_mask_path, grid)
                        if config.foliage_mask_path else None)
-            mask = build_obstacle_mask(grid, water_mask=water, foliage_mask=foliage,
-                                       steep_limit=config.steep_limit)
-            problem = gr.build_dp_problem(grid, mask, config.weather, goal=config.goal)
-            vf = gr.value_iteration(problem)
-            route = gr.extract_route(vf, problem, config.start)
-        except (GridFormatError, ValueError) as exc:
+            route = plan_route(grid, water, foliage, config.steep_limit, config.weather,
+                               config.start, config.goal)
+        except ValueError as exc:
             return _fail(str(exc))
         if not route.reachable:
             print("UNREACHABLE: route planning found no admissible path")
@@ -174,29 +185,16 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _read_log_csv(path: str) -> sim.TrajectoryLog:
-    import numpy as np
-
-    from .control import GainConfig
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != sim.LOG_COLUMNS:
+def _read_log_csv(path: str) -> dict[str, np.ndarray]:
+    """The numeric columns of a simulation log CSV, keyed by header name."""
+    lines, numbers = read_lines(path)
+    if not lines or lines[0].strip() != sim.LOG_COLUMNS:
         raise ValueError(f"{path}: not a simulation log CSV")
     if len(lines) == 1:
         raise ValueError(f"{path}: empty log")
-    data = parse_numeric_rows(lines[1:], sim.LOG_COLUMNS.count(",") + 1, path, first_line=2)
-    n = len(data)
-    return sim.TrajectoryLog(
-        t=data[:, 0], x=data[:, 1], y=data[:, 2], z=data[:, 3], psi=data[:, 4],
-        speed=data[:, 5], steer=data[:, 6], xd=data[:, 7], yd=data[:, 8],
-        zd=data[:, 9], accel_cmd=data[:, 10], steer_rate_cmd=data[:, 11],
-        fn=data[:, 12], err=data[:, 13],
-        clamped=data[:, 14].astype(bool),
-        seg_kind=np.array(["line"] * n),
-        status="completed", dt=float(data[1, 0] - data[0, 0]) if n > 1 else 0.01,
-        gains=GainConfig(10.0, 20.0),
-    )
+    names = sim.LOG_COLUMNS.split(",")
+    data = parse_numeric_rows(lines[1:], len(names), path, numbers[1:])
+    return dict(zip(names, data.T))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_path import DesiredSample
-from .terrain import SurfaceModel
+from .terrain import SurfaceModel, surface_lift
 from .vehicle import (
     ControlInput,
     VehicleParams,
@@ -46,18 +46,6 @@ class GainConfig:
         return (-self.k1 + root) / 2.0, (-self.k1 - root) / 2.0
 
 
-@dataclass(frozen=True)
-class TrackingError:
-    """Planar position and velocity error, actual minus desired."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.position))
-
-
 def commanded_planar_accel(
     position: np.ndarray, velocity: np.ndarray, desired: DesiredSample,
     gains: GainConfig,
@@ -70,20 +58,6 @@ def commanded_planar_accel(
     ax = desired.acceleration[0] + gains.k1 * evx + gains.k2 * ex
     ay = desired.acceleration[1] + gains.k1 * evy + gains.k2 * ey
     return float(ax), float(ay)
-
-
-def vertical_accel(
-    surface: SurfaceModel, x: float, y: float,
-    x_dot: float, y_dot: float, x_ddot: float, y_ddot: float,
-) -> float:
-    """Vertical acceleration implied by staying on the surface:
-
-        z_ddot = f_x x_ddot + f_xx x_dot^2 + f_yy y_dot^2
-                 + f_y y_ddot + 2 f_xy x_dot y_dot
-    """
-    _, f_x, f_y, f_xx, f_yy, f_xy = surface.eval(x, y)
-    return (f_x * x_ddot + f_xx * x_dot * x_dot + f_yy * y_dot * y_dot
-            + f_y * y_ddot + 2.0 * f_xy * x_dot * y_dot)
 
 
 def control_step(
@@ -103,9 +77,7 @@ def control_step(
     r_dot = ctx.r_dot
     ax, ay = commanded_planar_accel(
         np.array([state.x, state.y]), r_dot[:2], desired, gains)
-    _, f_x, f_y, f_xx, f_yy, f_xy = ctx.surface_eval
-    az = (f_x * ax + f_xx * r_dot[0] ** 2 + f_yy * r_dot[1] ** 2
-          + f_y * ay + 2.0 * f_xy * r_dot[0] * r_dot[1])
+    _, az = surface_lift(ctx.jet, r_dot[0], r_dot[1], ax, ay)
     raw = accel_to_controls(state, ctx.frame, ctx.omega_b,
                             np.array([ax, ay, az]), params)
     return clamp_control(raw, params)

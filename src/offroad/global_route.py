@@ -37,7 +37,6 @@ from .terrain import (
     ObstacleMask,
     WeatherCondition,
     neighbor_slices,
-    neighbor_slopes,
 )
 
 # Action id -> (drow, dcol); row 0 is the northern edge so North is -1 row.
@@ -119,7 +118,7 @@ def _hop_slopes_and_admissibility(
     off-grid); admissible[a] additionally requires both endpoints to be valid
     states and the slope to respect the limit.
     """
-    slopes = neighbor_slopes(grid)
+    slopes = grid.neighbor_slopes
     valid = ~mask.blocked
     admissible: dict[int, np.ndarray] = {}
     for a, (dr, dc) in MOVES.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .terrain import SurfaceModel
+from .terrain import SurfaceModel, surface_lift
 
 COLLINEAR_TOL = 1e-9
 
@@ -529,25 +529,17 @@ class DesiredTrajectory:
         normal = np.array([-tangent[1], tangent[0]])  # left of travel
         acc_planar = v_dot * tangent + v * v * kappa * normal
 
-        f, f_x, f_y, f_xx, f_yy, f_xy = self.surface.eval(p[0], p[1])
-        z_dot = f_x * x_dot + f_y * y_dot
-        z_ddot = (f_x * acc_planar[0] + f_xx * x_dot ** 2 + f_yy * y_dot ** 2
-                  + f_y * acc_planar[1] + 2.0 * f_xy * x_dot * y_dot)
+        jet = self.surface.eval(p[0], p[1])
+        z_dot, z_ddot = surface_lift(jet, x_dot, y_dot, acc_planar[0], acc_planar[1])
 
         return DesiredSample(
-            position=np.array([p[0], p[1], f]),
+            position=np.array([p[0], p[1], jet[0]]),
             velocity=np.array([x_dot, y_dot, z_dot]),
             acceleration=np.array([acc_planar[0], acc_planar[1], z_ddot]),
             arc_length=s,
             segment_index=idx,
             phase=self.profile.phase_at(t),
         )
-
-
-def sample_trajectory(traj: DesiredTrajectory, t: float):
-    """(position, velocity, acceleration) 3-vectors at time t."""
-    s = traj.sample(t)
-    return s.position, s.velocity, s.acceleration
 
 
 TRAJECTORY_COLUMNS = "t_s,xd_m,yd_m,zd_m,vxd,vyd,vzd,axd,ayd,azd,segment_id,phase"

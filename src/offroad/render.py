@@ -7,7 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 from .global_route import PlannedRoute
-from .simulate import TrajectoryLog
 from .terrain import DRY_SLOPE_LIMIT, ElevationGrid, build_obstacle_mask
 
 # light-to-dark terrain ramp, low to high elevation
@@ -127,11 +126,13 @@ def _check_extent(grid: ElevationGrid, xs, ys, layer: str) -> None:
 def render_scene(
     grid: ElevationGrid,
     route: PlannedRoute | None = None,
-    log: TrajectoryLog | None = None,
+    log: dict[str, np.ndarray] | None = None,
     out_path: str = "scene.svg",
 ) -> None:
     """Compose elevation shading, obstacle overlay, and optional route and
-    trajectory layers into one SVG file."""
+    trajectory layers into one SVG file.  ``log`` holds simulation log
+    columns by their CSV header name; the desired (xd, yd) and actual (x, y)
+    traces are drawn."""
     cell = grid.cell_size
     x_min = grid.origin[0] - cell / 2
     x_max = grid.origin[0] + (grid.n_cols - 1) * cell + cell / 2
@@ -154,11 +155,11 @@ def render_scene(
         scene.text(8, legend_y, "route", ROUTE_COLOR)
         legend_y += 16
 
-    if log is not None and len(log) > 0:
-        _check_extent(grid, log.xd, log.yd, "desired trajectory")
-        _check_extent(grid, log.x, log.y, "actual trajectory")
-        scene.polyline(list(zip(log.xd, log.yd)), DESIRED_COLOR, width=1.5, dashed=True)
-        scene.polyline(list(zip(log.x, log.y)), ACTUAL_COLOR, width=1.5)
+    if log is not None and len(log["x"]) > 0:
+        _check_extent(grid, log["xd"], log["yd"], "desired trajectory")
+        _check_extent(grid, log["x"], log["y"], "actual trajectory")
+        scene.polyline(list(zip(log["xd"], log["yd"])), DESIRED_COLOR, width=1.5, dashed=True)
+        scene.polyline(list(zip(log["x"], log["y"])), ACTUAL_COLOR, width=1.5)
         scene.text(8, legend_y, "desired (dashed)", DESIRED_COLOR)
         legend_y += 16
         scene.text(8, legend_y, "actual (solid)", ACTUAL_COLOR)

@@ -16,14 +16,17 @@ import numpy as np
 
 from .control import GainConfig, control_step
 from .local_path import ArcSegment, DesiredTrajectory
-from .terrain import OutOfBoundsError, SurfaceModel
+from .terrain import OutOfBoundsError, SurfaceModel, euler_angles, normal_with_gradient
 from .vehicle import (
     SingularSpeedError,
     VehicleParams,
     VehicleState,
+    body_frame,
     frame_and_motion,
     normal_force,
     realized_acceleration,
+    state_rates,
+    step_dynamics,
 )
 
 STATUS_COMPLETED = "completed"
@@ -74,7 +77,6 @@ class TrajectoryLog:
     seg_kind: np.ndarray            # "line" | "arc" at the desired sample
     status: str
     dt: float
-    gains: GainConfig
 
     def __len__(self) -> int:
         return len(self.t)
@@ -105,9 +107,8 @@ def aligned_initial_state(
     vx, vy = float(sample.velocity[0]), float(sample.velocity[1])
     speed = float(np.linalg.norm(sample.velocity))
 
-    from .vehicle import body_frame  # local import to avoid cycles at module load
-
-    frame = body_frame(surface, x, y, 0.0)
+    n, _, _ = normal_with_gradient(surface.eval(x, y))
+    frame = body_frame(*euler_angles(n), 0.0)
     target = np.array([vx, vy])
     if np.linalg.norm(target) < 1e-12:
         heading = 0.0
@@ -141,16 +142,12 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
     def desired_at(t: float):
         return traj.sample(min(t, traj.duration))
 
-    def rhs(s: VehicleState, t: float):
-        # one surface query per stage, shared by the control law and dynamics
+    def rates(s: VehicleState, h: float):
+        # the closed loop at time t + h of the current step; one surface query
+        # per stage, shared by the control law and the dynamics
         ctx = frame_and_motion(surface, s, params)
-        control, _ = control_step(s, desired_at(t), gains, surface, params, ctx=ctx)
-        return np.array([ctx.r_dot[0], ctx.r_dot[1], ctx.psi_dot,
-                         control.accel, control.steer_rate])
-
-    def as_state(vec) -> VehicleState:
-        return VehicleState(x=float(vec[0]), y=float(vec[1]), psi=float(vec[2]),
-                            speed=float(vec[3]), steer=float(vec[4]))
+        control, _ = control_step(s, desired_at(t + h), gains, surface, params, ctx=ctx)
+        return state_rates(ctx, control)
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -172,7 +169,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
         cols["t"].append(t)
         cols["x"].append(state.x)
         cols["y"].append(state.y)
-        cols["z"].append(ctx.surface_eval[0])
+        cols["z"].append(ctx.jet[0])
         cols["psi"].append(state.psi)
         cols["speed"].append(state.speed)
         cols["steer"].append(state.steer)
@@ -194,22 +191,15 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
         if k == n_steps:
             break
 
-        y0 = np.array([state.x, state.y, state.psi, state.speed, state.steer])
         try:
-            k1 = rhs(state, t)
-            k2 = rhs(as_state(y0 + 0.5 * dt * k1), t + 0.5 * dt)
-            k3 = rhs(as_state(y0 + 0.5 * dt * k2), t + 0.5 * dt)
-            k4 = rhs(as_state(y0 + dt * k3), t + dt)
+            # the step-start evaluation logged above is the first RK4 stage
+            state = step_dynamics(state, rates, params, dt, state_rates(ctx, control))
         except OutOfBoundsError:
             status = STATUS_LEFT_GRID
             break
         except SingularSpeedError:
             status = STATUS_SINGULAR_SPEED
             break
-        state = as_state(y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        if params.max_steer is not None:
-            state = as_state([state.x, state.y, state.psi, state.speed,
-                              min(max(state.steer, -params.max_steer), params.max_steer)])
 
     return TrajectoryLog(
         t=np.array(cols["t"]),
@@ -222,7 +212,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
         fn=np.array(cols["fn"]), err=np.array(cols["err"]),
         clamped=np.array(cols["clamped"], dtype=bool),
         seg_kind=np.array(cols["seg_kind"]),
-        status=status, dt=scenario.dt, gains=scenario.gains,
+        status=status, dt=scenario.dt,
     )
 
 

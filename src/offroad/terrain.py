@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -86,6 +87,26 @@ class ElevationGrid:
 
     def in_bounds(self, row: int, col: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.n_cols
+
+    @cached_property
+    def neighbor_slopes(self) -> np.ndarray:
+        """Slope to each 8-neighbor for every node; NaN where the neighbor is
+        off-grid.
+
+        Shape (8, n_rows, n_cols), axis 0 ordered like NEIGHBOR_OFFSETS.  Built
+        once per grid, so the mask and the route tables share it.  The result
+        is read-only, and so are the heights from then on: a later change
+        would leave it stale.
+        """
+        h = self.heights
+        h.flags.writeable = False
+        out = np.full((len(NEIGHBOR_OFFSETS), self.n_rows, self.n_cols), np.nan)
+        for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+            run = self.cell_size * math.hypot(dr, dc)
+            src, dst = neighbor_slices(h.shape, dr, dc)
+            out[(k,) + src] = np.abs(h[dst] - h[src]) / run
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -202,35 +223,43 @@ class SurfaceModel:
         bv = (1.0, v, v * v, v * v * v)
         return float(bu @ (c @ bv))
 
-    def normal(self, x: float, y: float) -> np.ndarray:
-        """Unit upward surface normal (-f_x, -f_y, 1)/norm."""
-        _, f_x, f_y, _, _, _ = self.eval(x, y)
-        n = np.array([-f_x, -f_y, 1.0])
-        return n / np.linalg.norm(n)
 
-    def normal_with_gradient(self, x: float, y: float):
-        """Unit normal plus its spatial derivatives d(normal)/dx, d(normal)/dy."""
-        _, f_x, f_y, f_xx, f_yy, f_xy = self.eval(x, y)
-        g = np.array([-f_x, -f_y, 1.0])
-        gx = np.array([-f_xx, -f_xy, 0.0])
-        gy = np.array([-f_xy, -f_yy, 0.0])
-        norm = math.sqrt(f_x * f_x + f_y * f_y + 1.0)
-        n = g / norm
-        dn_dx = gx / norm - g * (g @ gx) / norm**3
-        dn_dy = gy / norm - g * (g @ gy) / norm**3
-        return n, dn_dx, dn_dy
+def normal_with_gradient(jet: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit upward normal n = g/|g|, g = (-f_x, -f_y, 1), plus its spatial
+    derivatives dn/dx and dn/dy, from a surface jet (f, f_x, f_y, f_xx, f_yy, f_xy)
+    as returned by SurfaceModel.eval."""
+    _, f_x, f_y, f_xx, f_yy, f_xy = jet
+    g = np.array([-f_x, -f_y, 1.0])
+    gx = np.array([-f_xx, -f_xy, 0.0])
+    gy = np.array([-f_xy, -f_yy, 0.0])
+    norm = math.sqrt(f_x * f_x + f_y * f_y + 1.0)
+    n = g / norm
+    dn_dx = gx / norm - g * (g @ gx) / norm**3
+    dn_dy = gy / norm - g * (g @ gy) / norm**3
+    return n, dn_dx, dn_dy
 
 
-def surface_eval(model: SurfaceModel, x: float, y: float):
-    """Height and partial derivatives of the surface interpolant at (x, y)."""
-    return model.eval(x, y)
+def surface_lift(
+    jet: tuple, x_dot: float, y_dot: float, x_ddot: float, y_ddot: float
+) -> tuple[float, float]:
+    """Vertical velocity and acceleration implied by staying on the surface:
+
+        z_dot  = f_x x_dot + f_y y_dot
+        z_ddot = f_x x_ddot + f_xx x_dot^2 + f_yy y_dot^2
+                 + f_y y_ddot + 2 f_xy x_dot y_dot
+
+    ``jet`` is SurfaceModel.eval at the planar position.
+    """
+    _, f_x, f_y, f_xx, f_yy, f_xy = jet
+    z_dot = f_x * x_dot + f_y * y_dot
+    # f_xx * x_dot ** 2, not f_xx * x_dot * x_dot: the two round differently,
+    # and written outputs (trajectory.csv az) are kept bit for bit
+    z_ddot = (f_x * x_ddot + f_xx * x_dot ** 2 + f_yy * y_dot ** 2
+              + f_y * y_ddot + 2.0 * f_xy * x_dot * y_dot)
+    return z_dot, z_ddot
 
 
-def surface_normal(model: SurfaceModel, x: float, y: float) -> np.ndarray:
-    return model.normal(x, y)
-
-
-def euler_angles(normal: np.ndarray) -> tuple[float, float]:
+def euler_angles(n: np.ndarray) -> tuple[float, float]:
     """Roll and pitch of the surface-aligned frame from a unit upward normal.
 
     roll  = asin(-n_y)
@@ -239,8 +268,7 @@ def euler_angles(normal: np.ndarray) -> tuple[float, float]:
     The third row of the roll-pitch rotation rebuilt from these angles equals
     the input normal.
     """
-    n = np.asarray(normal, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-6:
+    if abs(math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) - 1.0) > 1e-6:
         raise ValueError("normal must be a unit vector")
     if n[2] <= 0:
         raise ValueError("normal must point upward (positive z)")
@@ -264,23 +292,21 @@ def rotation_from_angles(phi: float, theta: float) -> np.ndarray:
     ])
 
 
-def euler_rates(
-    model: SurfaceModel, x: float, y: float, x_dot: float, y_dot: float
-) -> tuple[float, float]:
-    """Time derivatives of the surface-frame roll and pitch along (x_dot, y_dot).
+def euler_rates(n: np.ndarray, n_dot: np.ndarray) -> tuple[float, float]:
+    """Time derivatives of the surface-frame roll and pitch from the unit
+    normal n and its time derivative n_dot.
 
-    Exact chain rule through the normal field:
+    Exact chain rule through euler_angles:
 
         roll_rate  = -n_dot_y / cos(roll)
         pitch_rate = (n_z * n_dot_x - n_x * n_dot_z) / (n_x**2 + n_z**2)
     """
-    n, dn_dx, dn_dy = model.normal_with_gradient(x, y)
-    n_dot = dn_dx * x_dot + dn_dy * y_dot
-    cos_phi = math.sqrt(n[0] ** 2 + n[2] ** 2)  # = cos(asin(-n_y)), always >= n_z > 0
+    xz = n[0] * n[0] + n[2] * n[2]
+    cos_phi = math.sqrt(xz)  # = cos(asin(-n_y)), always >= n_z > 0
     if cos_phi < 1e-9:
         raise ValueError("gimbal condition: cos(roll) is numerically zero")
     phi_dot = -n_dot[1] / cos_phi
-    theta_dot = (n[2] * n_dot[0] - n[0] * n_dot[2]) / (n[0] ** 2 + n[2] ** 2)
+    theta_dot = (n[2] * n_dot[0] - n[0] * n_dot[2]) / xz
     return float(phi_dot), float(theta_dot)
 
 
@@ -310,20 +336,6 @@ def neighbor_slices(shape: tuple[int, int], dr: int, dc: int):
     return src, dst
 
 
-def neighbor_slopes(grid: ElevationGrid) -> np.ndarray:
-    """Slope to each 8-neighbor for every node; NaN where the neighbor is off-grid.
-
-    Returned shape is (8, n_rows, n_cols), axis 0 ordered like NEIGHBOR_OFFSETS.
-    """
-    h = grid.heights
-    out = np.full((len(NEIGHBOR_OFFSETS), grid.n_rows, grid.n_cols), np.nan)
-    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        run = grid.cell_size * math.hypot(dr, dc)
-        src, dst = neighbor_slices(h.shape, dr, dc)
-        out[(k,) + src] = np.abs(h[dst] - h[src]) / run
-    return out
-
-
 def build_obstacle_mask(
     grid: ElevationGrid,
     water_mask: np.ndarray | None = None,
@@ -340,7 +352,7 @@ def build_obstacle_mask(
     shape = (grid.n_rows, grid.n_cols)
     provenance = np.zeros(shape, dtype=np.int8)
 
-    slopes = neighbor_slopes(grid)
+    slopes = grid.neighbor_slopes
     with np.errstate(invalid="ignore"):
         min_slope = np.nanmin(slopes, axis=0)
     steep = min_slope > steep_limit
@@ -373,14 +385,16 @@ def build_obstacle_mask(
 # Mask CSVs repeat the grid's header exactly; data cells are 0 or 1.
 
 
-def _parse_header(lines: list[str], path: str) -> tuple[int, int, float, tuple[float, float]]:
+def _parse_header(
+    lines: list[str], numbers: list[int], path: str
+) -> tuple[int, int, float, tuple[float, float]]:
     if len(lines) < 4:
         raise GridFormatError(f"{path}: expected a 4-line header, got {len(lines)} lines")
 
     def field(idx: int, name: str, n_values: int) -> list[str]:
         parts = [p.strip() for p in lines[idx].split(",")]
         if len(parts) != n_values + 1 or parts[0].lower() != name:
-            raise GridFormatError(f"{path}:{idx + 1}: expected '{name},...' header line")
+            raise GridFormatError(f"{path}:{numbers[idx]}: expected '{name},...' header line")
         return parts[1:]
 
     try:
@@ -393,7 +407,7 @@ def _parse_header(lines: list[str], path: str) -> tuple[int, int, float, tuple[f
     if n_cols < 2 or n_rows < 2:
         raise GridFormatError(f"{path}: grid must be at least 2x2, got {n_rows}x{n_cols}")
     if not cell > 0:
-        raise GridFormatError(f"{path}:3: cellsize must be positive, got {cell}")
+        raise GridFormatError(f"{path}:{numbers[2]}: cellsize must be positive, got {cell}")
     return n_cols, n_rows, cell, (ox, oy)
 
 
@@ -402,26 +416,28 @@ def _loadtxt(lines: list[str], **kwargs) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2, **kwargs)
 
 
-def parse_numeric_rows(lines: list[str], n_cols: int, path: str, first_line: int) -> np.ndarray:
+def parse_numeric_rows(
+    lines: list[str], n_cols: int, path: str, numbers: list[int]
+) -> np.ndarray:
     """Parse comma-separated numeric rows into a (len(lines), n_cols) float array.
 
     Tokens use numpy's float syntax: what ``float()`` accepts except ``_``
-    digit separators and non-ASCII digits.  ``first_line`` is the file line
-    number of ``lines[0]``; a GridFormatError names the offending line and,
+    digit separators and non-ASCII digits.  ``numbers[r]`` is the file line
+    number of ``lines[r]``; a GridFormatError names the offending line and,
     for a token that is not a number, its 0-based column.
     """
-    for r, line in enumerate(lines):
+    for line, number in zip(lines, numbers):
         n_values = line.count(",") + 1
         if n_values != n_cols:
             raise GridFormatError(
-                f"{path}:{first_line + r}: expected {n_cols} values, found {n_values}"
+                f"{path}:{number}: expected {n_cols} values, found {n_values}"
             )
     try:
         return _loadtxt(lines)
     except ValueError:
         pass
     # locate the bad token with the same converter, one row and column at a time
-    for r, line in enumerate(lines):
+    for line, number in zip(lines, numbers):
         try:
             _loadtxt([line])
         except ValueError:
@@ -430,44 +446,53 @@ def parse_numeric_rows(lines: list[str], n_cols: int, path: str, first_line: int
                     _loadtxt([line], usecols=[c])
                 except ValueError as exc:
                     raise GridFormatError(
-                        f"{path}:{first_line + r}: column {c}: not a number: {token.strip()!r}"
+                        f"{path}:{number}: column {c}: not a number: {token.strip()!r}"
                     ) from exc
     raise GridFormatError(f"{path}: malformed numeric data")
 
 
-def _parse_data_rows(lines: list[str], n_cols: int, n_rows: int, path: str) -> np.ndarray:
+def _parse_data_rows(
+    lines: list[str], numbers: list[int], n_cols: int, n_rows: int, path: str
+) -> np.ndarray:
     if len(lines) - 4 != n_rows:
         raise GridFormatError(
             f"{path}: header declares {n_rows} data rows, found {len(lines) - 4}"
         )
-    data = parse_numeric_rows(lines[4:], n_cols, path, first_line=5)
+    data = parse_numeric_rows(lines[4:], n_cols, path, numbers[4:])
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         r, c = bad[0]
         token = lines[4 + r].split(",")[c]
         raise GridFormatError(
-            f"{path}:{5 + r}: column {c}: non-finite height {token.strip()!r}"
+            f"{path}:{numbers[4 + r]}: column {c}: non-finite height {token.strip()!r}"
         )
     return data
 
 
-def _read_lines(path: str) -> list[str]:
+def read_lines(path: str) -> tuple[list[str], list[int]]:
+    """Non-blank lines of a text file (newline stripped) and their 1-based
+    line numbers in the file, blank lines counted."""
+    lines, numbers = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        return [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                lines.append(line.rstrip("\n"))
+                numbers.append(number)
+    return lines, numbers
 
 
 def load_elevation_grid(path: str) -> ElevationGrid:
     """Parse a grid CSV file; raises GridFormatError naming the offending line."""
-    lines = _read_lines(path)
-    n_cols, n_rows, cell, origin = _parse_header(lines, str(path))
-    heights = _parse_data_rows(lines, n_cols, n_rows, str(path))
+    lines, numbers = read_lines(path)
+    n_cols, n_rows, cell, origin = _parse_header(lines, numbers, str(path))
+    heights = _parse_data_rows(lines, numbers, n_cols, n_rows, str(path))
     return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=cell, origin=origin, heights=heights)
 
 
 def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
     """Parse a 0/1 mask CSV; must match the grid's shape and cell layout."""
-    lines = _read_lines(path)
-    n_cols, n_rows, cell, origin = _parse_header(lines, str(path))
+    lines, numbers = read_lines(path)
+    n_cols, n_rows, cell, origin = _parse_header(lines, numbers, str(path))
     if (n_cols, n_rows) != (grid.n_cols, grid.n_rows):
         raise GridFormatError(
             f"{path}: mask shape {n_rows}x{n_cols} does not match grid "
@@ -478,7 +503,7 @@ def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
             f"{path}: mask cellsize {cell!r} and origin {origin!r} do not match grid "
             f"cellsize {grid.cell_size!r} and origin {tuple(grid.origin)!r}"
         )
-    data = _parse_data_rows(lines, n_cols, n_rows, str(path))
+    data = _parse_data_rows(lines, numbers, n_cols, n_rows, str(path))
     if not np.all(np.isin(data, (0.0, 1.0))):
         raise GridFormatError(f"{path}: mask cells must be 0 or 1")
     return data.astype(bool)

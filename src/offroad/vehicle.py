@@ -11,11 +11,18 @@ inputs is exact for speeds above a small guard threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .terrain import SurfaceModel, euler_angles, euler_rates, rotation_from_angles
+from .terrain import (
+    SurfaceModel,
+    euler_angles,
+    euler_rates,
+    normal_with_gradient,
+    rotation_from_angles,
+)
 
 K_GROUND_UP = np.array([0.0, 0.0, 1.0])
 
@@ -81,10 +88,9 @@ class BodyFrame:
     theta: float
 
 
-def body_frame(surface: SurfaceModel, x: float, y: float, psi: float) -> BodyFrame:
-    """Yaw rotation of the surface-aligned frame about the surface normal."""
-    normal = surface.normal(x, y)
-    phi, theta = euler_angles(normal)
+def body_frame(phi: float, theta: float, psi: float) -> BodyFrame:
+    """Surface-aligned frame of roll phi and pitch theta, yawed by psi about
+    its normal to give the body frame."""
     rot = rotation_from_angles(phi, theta)
     i_t, j_t, k_t = rot[0], rot[1], rot[2]
     c, s = math.cos(psi), math.sin(psi)
@@ -104,26 +110,13 @@ def forward_velocity(state: VehicleState, frame: BodyFrame) -> np.ndarray:
     return state.speed * (c * frame.i_b + s * frame.j_b)
 
 
-def terrain_angular_velocity(
-    surface: SurfaceModel, x: float, y: float, x_dot: float, y_dot: float,
-    frame: BodyFrame,
-) -> np.ndarray:
-    """Rotation rate of the surface-aligned frame as the contact point moves."""
-    phi_dot, theta_dot = euler_rates(surface, x, y, x_dot, y_dot)
+def terrain_angular_velocity(phi_dot: float, theta_dot: float, frame: BodyFrame) -> np.ndarray:
+    """Rotation rate of the surface-aligned frame given its roll and pitch
+    rates (see terrain.euler_rates)."""
     cp, sp = math.cos(frame.phi), math.sin(frame.phi)
     return (phi_dot * frame.i_t
             + theta_dot * cp * frame.j_t
             - theta_dot * sp * frame.k_t)
-
-
-def angular_velocity(
-    surface: SurfaceModel, state: VehicleState,
-    x_dot: float, y_dot: float, psi_dot: float,
-) -> np.ndarray:
-    """Body angular velocity: surface-frame rotation plus yaw about the normal."""
-    frame = body_frame(surface, state.x, state.y, state.psi)
-    omega_t = terrain_angular_velocity(surface, state.x, state.y, x_dot, y_dot, frame)
-    return omega_t + psi_dot * frame.k_t
 
 
 def yaw_rate_from_no_slip(
@@ -215,7 +208,7 @@ class MotionContext:
     omega_t: np.ndarray
     omega_b: np.ndarray
     psi_dot: float
-    surface_eval: tuple  # (f, f_x, f_y, f_xx, f_yy, f_xy) at the state position
+    jet: tuple  # SurfaceModel.eval at the state position: (f, f_x, f_y, f_xx, f_yy, f_xy)
 
 
 def frame_and_motion(
@@ -223,84 +216,54 @@ def frame_and_motion(
 ) -> MotionContext:
     """Body frame, ground velocity, frame rotation rates, and no-slip yaw rate
     from a single surface evaluation."""
-    sv = surface.eval(state.x, state.y)
-    _, f_x, f_y, f_xx, f_yy, f_xy = sv
-    g = np.array([-f_x, -f_y, 1.0])
-    gx = np.array([-f_xx, -f_xy, 0.0])
-    gy = np.array([-f_xy, -f_yy, 0.0])
-    norm = math.sqrt(f_x * f_x + f_y * f_y + 1.0)
-    n = g / norm
-    dn_dx = gx / norm - g * (g @ gx) / norm**3
-    dn_dy = gy / norm - g * (g @ gy) / norm**3
-
-    phi = math.asin(-n[1])
-    theta = math.atan2(n[0], n[2])
-    rot = rotation_from_angles(phi, theta)
-    i_t, j_t, k_t = rot[0], rot[1], rot[2]
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    frame = BodyFrame(i_b=c * i_t + s * j_t, j_b=-s * i_t + c * j_t, k_b=k_t,
-                      i_t=i_t, j_t=j_t, k_t=k_t, phi=phi, theta=theta)
-
+    jet = surface.eval(state.x, state.y)
+    n, dn_dx, dn_dy = normal_with_gradient(jet)
+    frame = body_frame(*euler_angles(n), state.psi)
     r_dot = forward_velocity(state, frame)
     n_dot = dn_dx * r_dot[0] + dn_dy * r_dot[1]
-    cos_phi = math.sqrt(n[0] * n[0] + n[2] * n[2])
-    if cos_phi < 1e-9:
-        raise ValueError("gimbal condition: cos(roll) is numerically zero")
-    phi_dot = -n_dot[1] / cos_phi
-    theta_dot = (n[2] * n_dot[0] - n[0] * n_dot[2]) / (n[0] * n[0] + n[2] * n[2])
-    cp, sp = math.cos(phi), math.sin(phi)
-    omega_t = phi_dot * i_t + theta_dot * cp * j_t - theta_dot * sp * k_t
+    omega_t = terrain_angular_velocity(*euler_rates(n, n_dot), frame)
     psi_dot = yaw_rate_from_no_slip(r_dot, omega_t, frame, params)
-    omega_b = omega_t + psi_dot * k_t
+    omega_b = omega_t + psi_dot * frame.k_t
     return MotionContext(frame=frame, r_dot=r_dot, omega_t=omega_t,
-                         omega_b=omega_b, psi_dot=psi_dot, surface_eval=sv)
+                         omega_b=omega_b, psi_dot=psi_dot, jet=jet)
 
 
-def state_derivatives(
-    state: VehicleState, control: ControlInput, surface: SurfaceModel,
-    params: VehicleParams,
-) -> tuple[float, float, float, float, float]:
-    """(x_dot, y_dot, psi_dot, speed_dot, steer_dot) for the coupled ODEs."""
-    ctx = frame_and_motion(surface, state, params)
-    return (float(ctx.r_dot[0]), float(ctx.r_dot[1]), ctx.psi_dot,
-            control.accel, control.steer_rate)
+def state_rates(ctx: MotionContext, control: ControlInput) -> np.ndarray:
+    """(x_dot, y_dot, psi_dot, speed_dot, steer_dot): the time derivative of
+    the state vector (x, y, psi, speed, steer) under the given inputs."""
+    return np.array([ctx.r_dot[0], ctx.r_dot[1], ctx.psi_dot,
+                     control.accel, control.steer_rate])
 
 
-def _apply_state_limits(state: VehicleState, params: VehicleParams) -> VehicleState:
-    steer = state.steer
-    if params.max_steer is not None:
-        steer = min(max(steer, -params.max_steer), params.max_steer)
-    speed = max(state.speed, 0.0)
-    if steer != state.steer or speed != state.speed:
-        return replace(state, steer=steer, speed=speed)
-    return state
+def _state(vec) -> VehicleState:
+    return VehicleState(x=float(vec[0]), y=float(vec[1]), psi=float(vec[2]),
+                        speed=float(vec[3]), steer=float(vec[4]))
 
 
 def step_dynamics(
-    state: VehicleState, control: ControlInput, surface: SurfaceModel,
-    params: VehicleParams, dt: float,
+    state: VehicleState,
+    rates: Callable[[VehicleState, float], np.ndarray],
+    params: VehicleParams, dt: float, k1: np.ndarray | None,
 ) -> VehicleState:
-    """One classical RK4 step with the control held constant.
+    """One classical RK4 step of length dt.
 
-    Steering rate and acceleration are clamped to the actuator bounds before
-    integration; the steering angle is clamped after.  Height never appears
-    in the state: it is re-derived from the surface wherever needed.
+    ``rates(s, h)`` is the state derivative (see state_rates) at state s and
+    time offset h in {0, dt/2, dt} from the step start; ``k1`` is its value
+    at (state, 0) when the caller already has it, else None.  Any actuator
+    clamping of the inputs belongs in ``rates``.  After the step the
+    steering angle is clamped to max_steer and the speed to >= 0.  Height
+    never appears in the state: it is re-derived from the surface wherever
+    needed.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    control, _ = clamp_control(control, params)
-
-    def deriv(s: VehicleState):
-        return np.array(state_derivatives(s, control, surface, params))
-
     y0 = np.array([state.x, state.y, state.psi, state.speed, state.steer])
-
-    def as_state(vec) -> VehicleState:
-        return VehicleState(x=vec[0], y=vec[1], psi=vec[2], speed=vec[3], steer=vec[4])
-
-    k1 = deriv(state)
-    k2 = deriv(as_state(y0 + 0.5 * dt * k1))
-    k3 = deriv(as_state(y0 + 0.5 * dt * k2))
-    k4 = deriv(as_state(y0 + dt * k3))
-    y1 = y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return _apply_state_limits(as_state(y1), params)
+    if k1 is None:
+        k1 = rates(state, 0.0)
+    k2 = rates(_state(y0 + 0.5 * dt * k1), 0.5 * dt)
+    k3 = rates(_state(y0 + 0.5 * dt * k2), 0.5 * dt)
+    k4 = rates(_state(y0 + dt * k3), dt)
+    x, y, psi, speed, steer = (float(v) for v in y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    if params.max_steer is not None:
+        steer = min(max(steer, -params.max_steer), params.max_steer)
+    return VehicleState(x=x, y=y, psi=psi, speed=max(speed, 0.0), steer=steer)

@@ -36,20 +36,16 @@ from offroad.terrain import (
     build_obstacle_mask,
     euler_angles,
     euler_rates,
+    normal_with_gradient,
     rotation_from_angles,
-    surface_eval,
-    surface_normal,
     write_grid_csv,
 )
 from offroad.vehicle import (
     VehicleParams,
     VehicleState,
     accel_to_controls,
-    body_frame,
-    forward_velocity,
+    frame_and_motion,
     realized_acceleration,
-    terrain_angular_velocity,
-    yaw_rate_from_no_slip,
 )
 
 from conftest import (
@@ -192,22 +188,22 @@ def test_criterion_4_frame_and_kinematics_suite():
         for _ in range(400):
             x = rng.uniform(3.0, 36.0)
             y = rng.uniform(3.0, 36.0)
-            n = surface_normal(surf, x, y)
+            n, dn_dx, dn_dy = normal_with_gradient(surf.eval(x, y))
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
             assert n[2] > 0
             phi, theta = euler_angles(n)
             assert np.max(np.abs(rotation_from_angles(phi, theta)[2] - n)) < 1e-12
 
-            f, fx, fy, fxx, fyy, fxy = surface_eval(surf, x, y)
+            f, fx, fy, fxx, fyy, fxy = surf.eval(x, y)
             fd_fx = (surf.height(x + h, y) - surf.height(x - h, y)) / (2 * h)
             fd_fy = (surf.height(x, y + h) - surf.height(x, y - h)) / (2 * h)
             assert abs(fx - fd_fx) < 1e-5
             assert abs(fy - fd_fy) < 1e-5
 
             x_dot, y_dot = rng.normal(size=2)
-            pd, td = euler_rates(surf, x, y, x_dot, y_dot)
-            ang_a = euler_angles(surf.normal(x - h * x_dot, y - h * y_dot))
-            ang_b = euler_angles(surf.normal(x + h * x_dot, y + h * y_dot))
+            pd, td = euler_rates(n, dn_dx * x_dot + dn_dy * y_dot)
+            ang_a = euler_angles(normal_with_gradient(surf.eval(x - h * x_dot, y - h * y_dot))[0])
+            ang_b = euler_angles(normal_with_gradient(surf.eval(x + h * x_dot, y + h * y_dot))[0])
             fd_pd = (ang_b[0] - ang_a[0]) / (2 * h)
             fd_td = (ang_b[1] - ang_a[1]) / (2 * h)
             scale = max(abs(fd_pd), abs(fd_td), 1e-3)
@@ -234,12 +230,8 @@ def test_criterion_5_control_inversion_round_trip():
                              psi=rng.uniform(-math.pi, math.pi),
                              speed=rng.uniform(0.2, 8.0),
                              steer=rng.uniform(-1.2, 1.2))
-        frame = body_frame(surf, state.x, state.y, state.psi)
-        r_dot = forward_velocity(state, frame)
-        omega_t = terrain_angular_velocity(surf, state.x, state.y,
-                                           r_dot[0], r_dot[1], frame)
-        psi_dot = yaw_rate_from_no_slip(r_dot, omega_t, frame, FREE)
-        omega_b = omega_t + psi_dot * frame.k_t
+        ctx = frame_and_motion(surf, state, FREE)
+        frame, omega_b = ctx.frame, ctx.omega_b
         r_ddot = rng.normal(scale=3.0, size=3)
         control = accel_to_controls(state, frame, omega_b, r_ddot, FREE)
         rebuilt = realized_acceleration(state, control, frame, omega_b)

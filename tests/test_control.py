@@ -7,7 +7,6 @@ from offroad.control import (
     GainConfig,
     commanded_planar_accel,
     control_step,
-    vertical_accel,
 )
 from offroad.local_path import (
     DesiredSample,
@@ -16,7 +15,7 @@ from offroad.local_path import (
     build_speed_profile,
     plan_geometry,
 )
-from offroad.terrain import SurfaceModel
+from offroad.terrain import SurfaceModel, surface_lift
 from offroad.vehicle import VehicleParams, VehicleState
 
 from conftest import flat_grid, grid_from_function
@@ -82,12 +81,12 @@ def test_command_includes_feedforward_and_velocity_term():
 # ---------------------------------------------------------------------------
 
 def test_vertical_accel_flat(flat_surface):
-    assert vertical_accel(flat_surface, 5, 5, 3.0, -1.0, 2.0, 4.0) == pytest.approx(0.0, abs=1e-12)
+    assert surface_lift(flat_surface.eval(5, 5), 3.0, -1.0, 2.0, 4.0)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vertical_accel_plane():
     surf = SurfaceModel(grid_from_function(lambda x, y: 0.1 * x, n_cols=12, n_rows=12))
-    assert vertical_accel(surf, 5, 5, 1.0, 0.0, 2.0, 0.0) == pytest.approx(0.2, abs=1e-9)
+    assert surface_lift(surf.eval(5, 5), 1.0, 0.0, 2.0, 0.0)[1] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_vertical_accel_bowl_curvature_term():
@@ -95,7 +94,7 @@ def test_vertical_accel_bowl_curvature_term():
         lambda x, y: (x ** 2 + y ** 2) / 2.0,
         n_cols=25, n_rows=25, origin=(-12.0, -12.0)))
     # at the bowl bottom the slope terms vanish; f_xx * x_dot^2 = 1
-    z_ddot = vertical_accel(surf, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    _, z_ddot = surface_lift(surf.eval(0.0, 0.0), 1.0, 0.0, 0.0, 0.0)
     assert z_ddot == pytest.approx(1.0, abs=1e-9)
 
 
@@ -120,8 +119,8 @@ def test_vertical_accel_matches_logged_second_difference():
     x_dd = (log.x[2:] - 2 * log.x[1:-1] + log.x[:-2]) / dt ** 2
     y_dd = (log.y[2:] - 2 * log.y[1:-1] + log.y[:-2]) / dt ** 2
     for i in range(50, len(z_dd_fd) - 50, 97):
-        za = vertical_accel(surf, log.x[1 + i], log.y[1 + i],
-                            x_d[i], y_d[i], x_dd[i], y_dd[i])
+        _, za = surface_lift(surf.eval(log.x[1 + i], log.y[1 + i]),
+                             x_d[i], y_d[i], x_dd[i], y_dd[i])
         assert za == pytest.approx(z_dd_fd[i], abs=1e-3)
 
 

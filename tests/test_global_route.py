@@ -117,6 +117,7 @@ def test_steep_hop_inadmissible_under_both_weathers():
     assert 0.2 > WeatherCondition.dry().slope_limit
     assert not dry.move_admissible[east][1, 1]
     # a gentler rise passes dry but not wet
+    grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 0.8   # slope 0.08
     mask = build_obstacle_mask(grid, steep_limit=10.0)
     wet = build_dp_problem(grid, mask, WeatherCondition.wet(), goal=(0, 0))

@@ -15,7 +15,6 @@ from offroad.local_path import (
     build_speed_profile,
     plan_geometry,
     run_speed_machine,
-    sample_trajectory,
     segment_slope,
     step_speed_machine,
 )
@@ -319,14 +318,15 @@ def case_study_trajectory():
 
 def test_sample_at_zero_is_first_waypoint():
     traj = case_study_trajectory()
-    pos, vel, _ = sample_trajectory(traj, 0.0)
+    sample = traj.sample(0.0)
+    pos, vel = sample.position, sample.velocity
     assert np.allclose(pos[:2], TURN_WPTS[0], atol=1e-12)
     assert np.linalg.norm(vel[:2]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sample_mid_line_zero_planar_accel():
     traj = case_study_trajectory()
-    _, _, acc = sample_trajectory(traj, 1.0)  # s = 2 m, inside the first leg
+    acc = traj.sample(1.0).acceleration  # s = 2 m, inside the first leg
     assert np.linalg.norm(acc[:2]) < 1e-12
 
 
@@ -370,9 +370,10 @@ def test_sample_derivatives_match_finite_differences():
     for t in rng.uniform(0.05, traj.duration - 0.05, size=60):
         if min(abs(t - b) for b in break_ts) < 5e-3:
             continue
-        p_minus, v_minus, _ = sample_trajectory(traj, t - h)
-        p_plus, v_plus, _ = sample_trajectory(traj, t + h)
-        _, vel, acc = sample_trajectory(traj, t)
+        minus, plus, mid = traj.sample(t - h), traj.sample(t + h), traj.sample(t)
+        p_minus, v_minus = minus.position, minus.velocity
+        p_plus, v_plus = plus.position, plus.velocity
+        vel, acc = mid.velocity, mid.acceleration
         fd_vel = (p_plus - p_minus) / (2 * h)
         fd_acc = (v_plus - v_minus) / (2 * h)
         assert np.max(np.abs(vel - fd_vel)) < 1e-5

@@ -20,7 +20,7 @@ from offroad.simulate import (
     write_log_csv,
 )
 from offroad.terrain import SurfaceModel
-from offroad.vehicle import VehicleParams, VehicleState
+from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
 from conftest import flat_grid, grid_from_function
 
@@ -68,9 +68,7 @@ def test_aligned_initial_state_matches_reference_velocity():
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
     state = aligned_initial_state(traj, surf)
-    from offroad.vehicle import body_frame, forward_velocity
-    frame = body_frame(surf, state.x, state.y, state.psi)
-    v = forward_velocity(state, frame)
+    v = frame_and_motion(surf, state, FREE).r_dot
     ref = traj.sample(0.0).velocity
     assert np.max(np.abs(v - ref)) < 1e-9
 

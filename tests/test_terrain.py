@@ -21,10 +21,9 @@ from offroad.terrain import (
     euler_rates,
     load_elevation_grid,
     load_mask,
+    normal_with_gradient,
     rotation_from_angles,
     slope_between,
-    surface_eval,
-    surface_normal,
     write_grid_csv,
 )
 
@@ -71,6 +70,15 @@ def test_load_rejects_bad_header(tmp_path):
     write_lines(p, ["ncols,2", "cellsize,1.0", "nrows,2", "origin,0,0",
                     "0,0", "0,0"])
     with pytest.raises(GridFormatError, match=r":2"):
+        load_elevation_grid(str(p))
+
+
+def test_error_line_number_counts_blank_lines(tmp_path):
+    # line 5 is blank, so the second data row is line 7 of the file
+    p = tmp_path / "g.csv"
+    write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0,0",
+                    "", "0,0", "0,zz"])
+    with pytest.raises(GridFormatError, match=r"g\.csv:7: column 1: not a number: 'zz'"):
         load_elevation_grid(str(p))
 
 
@@ -192,7 +200,7 @@ def test_mask_shape_mismatch_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_flat_surface_eval(flat_surface):
-    f, fx, fy, fxx, fyy, fxy = surface_eval(flat_surface, 4.3, 6.1)
+    f, fx, fy, fxx, fyy, fxy = flat_surface.eval(4.3, 6.1)
     assert f == pytest.approx(0.0, abs=1e-12)
     for d in (fx, fy, fxx, fyy, fxy):
         assert abs(d) < 1e-12
@@ -267,20 +275,29 @@ def test_surface_interpolates_grid_nodes():
 # Normals and frame angles
 # ---------------------------------------------------------------------------
 
+def normal_at(surf, x, y):
+    return normal_with_gradient(surf.eval(x, y))[0]
+
+
+def angle_rates_along(surf, x, y, x_dot, y_dot):
+    """Roll and pitch rates while moving at (x_dot, y_dot) through (x, y)."""
+    n, dn_dx, dn_dy = normal_with_gradient(surf.eval(x, y))
+    return euler_rates(n, dn_dx * x_dot + dn_dy * y_dot)
+
 def test_flat_normal(flat_surface):
-    n = surface_normal(flat_surface, 5.0, 5.0)
+    n = normal_at(flat_surface, 5.0, 5.0)
     assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_incline_normal(incline_x_surface):
-    n = surface_normal(incline_x_surface, 5.0, 5.0)
+    n = normal_at(incline_x_surface, 5.0, 5.0)
     s = math.sqrt(2) / 2
     assert np.allclose(n, [-s, 0.0, s], atol=1e-9)
 
 
 def test_incline_y_normal():
     surf = SurfaceModel(grid_from_function(lambda x, y: y, n_cols=12, n_rows=12))
-    n = surface_normal(surf, 5.0, 5.0)
+    n = normal_at(surf, 5.0, 5.0)
     s = math.sqrt(2) / 2
     assert np.allclose(n, [0.0, -s, s], atol=1e-9)
 
@@ -291,7 +308,7 @@ def test_normal_unit_and_upward_everywhere():
         n_cols=30, n_rows=30))
     rng = np.random.default_rng(0)
     for _ in range(200):
-        n = surf.normal(rng.uniform(1, 28), rng.uniform(1, 28))
+        n = normal_at(surf, rng.uniform(1, 28), rng.uniform(1, 28))
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
         assert n[2] > 0
 
@@ -340,24 +357,24 @@ def test_euler_angles_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def test_euler_rates_flat(flat_surface):
-    assert euler_rates(flat_surface, 5.0, 5.0, 3.0, -2.0) == (0.0, 0.0)
+    assert angle_rates_along(flat_surface, 5.0, 5.0, 3.0, -2.0) == (0.0, 0.0)
 
 
 def test_euler_rates_fixed_plane(incline_x_surface):
     # constant normal: angles do not change along any motion
-    pd, td = euler_rates(incline_x_surface, 5.0, 5.0, 1.3, 0.7)
+    pd, td = angle_rates_along(incline_x_surface, 5.0, 5.0, 1.3, 0.7)
     assert abs(pd) < 1e-9 and abs(td) < 1e-9
 
 
 def finite_difference_angle_rates(surf, x, y, x_dot, y_dot, h=1e-5):
     """Oracle: central difference of euler_angles along the motion direction."""
-    pa = euler_angles(surf.normal(x - h * x_dot, y - h * y_dot))
-    pb = euler_angles(surf.normal(x + h * x_dot, y + h * y_dot))
+    pa = euler_angles(normal_at(surf, x - h * x_dot, y - h * y_dot))
+    pb = euler_angles(normal_at(surf, x + h * x_dot, y + h * y_dot))
     return (pb[0] - pa[0]) / (2 * h), (pb[1] - pa[1]) / (2 * h)
 
 
 def test_euler_rates_bowl_matches_finite_difference(bowl_surface):
-    pd, td = euler_rates(bowl_surface, 1.0, 0.0, 1.0, 0.0)
+    pd, td = angle_rates_along(bowl_surface, 1.0, 0.0, 1.0, 0.0)
     fd_pd, fd_td = finite_difference_angle_rates(bowl_surface, 1.0, 0.0, 1.0, 0.0)
     assert pd == pytest.approx(fd_pd, abs=1e-6)
     assert td == pytest.approx(fd_td, abs=1e-6)
@@ -372,7 +389,7 @@ def test_euler_rates_random_trajectories():
         x = rng.uniform(4, 35)
         y = rng.uniform(4, 35)
         x_dot, y_dot = rng.normal(size=2)
-        pd, td = euler_rates(surf, x, y, x_dot, y_dot)
+        pd, td = angle_rates_along(surf, x, y, x_dot, y_dot)
         fd_pd, fd_td = finite_difference_angle_rates(surf, x, y, x_dot, y_dot)
         scale = max(abs(fd_pd), abs(fd_td), 1e-3)
         assert abs(pd - fd_pd) / scale < 1e-5
@@ -382,6 +399,19 @@ def test_euler_rates_random_trajectories():
 # ---------------------------------------------------------------------------
 # Inter-node slopes and obstacle masks
 # ---------------------------------------------------------------------------
+
+def test_neighbor_slopes_built_once_and_read_only():
+    grid = flat_grid(n=3, cell=10.0)
+    grid.heights[0, 0] = 1.0
+    slopes = grid.neighbor_slopes
+    assert grid.neighbor_slopes is slopes
+    assert not slopes.flags.writeable
+    assert slopes.shape == (8, 3, 3)
+    assert slopes[0, 0, 0] == pytest.approx(0.1)   # east hop off the raised corner
+    assert np.isnan(slopes[1, 0, 0])               # north-east neighbor is off-grid
+    with pytest.raises(ValueError):                # heights are frozen with it
+        grid.heights[0, 0] = 2.0
+
 
 def test_slope_between_basic():
     grid = flat_grid(n=3, cell=10.0)
