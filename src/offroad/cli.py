@@ -144,20 +144,21 @@ def cmd_simulate(args) -> int:
         geometry = plan_geometry(waypoints, rho=config.trajectory.turn_radius)
         profile = build_speed_profile(geometry, config.trajectory)
         trajectory = DesiredTrajectory(geometry, profile, surface)
+        scenario = sim.Scenario(
+            surface=surface, trajectory=trajectory, gains=config.gains,
+            params=config.vehicle, dt=config.dt, duration=config.duration,
+            fn_policy=config.fn_policy,
+        )
     except (GeometryError, ProfileError) as exc:
         return _fail(str(exc))
+    except ValueError as exc:
+        return _fail(f"simulation: {exc}")
 
     out_dir = args.out_dir if args.out_dir else config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, "trajectory.csv")
     log_path = os.path.join(out_dir, "log.csv")
     write_trajectory_csv(trajectory, config.dt, traj_path)
-
-    scenario = sim.Scenario(
-        surface=surface, trajectory=trajectory, gains=config.gains,
-        params=config.vehicle, dt=config.dt, duration=config.duration,
-        fn_policy=config.fn_policy,
-    )
     log = sim.run_simulation(scenario)
     sim.write_log_csv(log, log_path)
     if len(log) == 0:

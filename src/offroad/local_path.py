@@ -48,11 +48,17 @@ class LineSegment:
         d = self.end - self.start
         return d / np.linalg.norm(d)
 
-    def point_at(self, s: float) -> np.ndarray:
-        return self.start + self.direction * s
+    def point_at(self, s):
+        """Point at local arc length s; an array of n lengths gives (n, 2).
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        return self.direction
+        Points stay in the box of the two endpoints, so rounding never puts
+        one past an endpoint that lies on the grid's edge.
+        """
+        return np.clip(self.start + np.multiply.outer(s, self.direction),
+                       np.minimum(self.start, self.end), np.maximum(self.start, self.end))
+
+    def tangent_at(self, s):
+        return np.broadcast_to(self.direction, np.shape(s) + (2,))
 
     @property
     def curvature(self) -> float:
@@ -70,13 +76,17 @@ class ArcSegment:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
-    def point_at(self, s: float) -> np.ndarray:
-        ang = self.angle_start + math.copysign(s / self.radius, self.sweep)
-        return self.center + self.radius * np.array([math.cos(ang), math.sin(ang)])
+    def _angle(self, s):
+        return self.angle_start + np.copysign(s / self.radius, self.sweep)
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        ang = self.angle_start + math.copysign(s / self.radius, self.sweep)
-        t = np.array([-math.sin(ang), math.cos(ang)])
+    def point_at(self, s):
+        """Point at local arc length s; an array of n lengths gives (n, 2)."""
+        ang = self._angle(s)
+        return self.center + self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+    def tangent_at(self, s):
+        ang = self._angle(s)
+        t = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
         return t if self.sweep > 0 else -t
 
     @property
@@ -90,25 +100,29 @@ class PathGeometry:
     """Tangent-continuous sequence of lines and arcs, arc-length addressable."""
 
     segments: list
+    lengths: np.ndarray = field(init=False)      # per segment, len = n
     breakpoints: np.ndarray = field(init=False)  # cumulative lengths, len = n+1
 
     def __post_init__(self):
-        lengths = [seg.length for seg in self.segments]
-        self.breakpoints = np.concatenate([[0.0], np.cumsum(lengths)])
+        self.lengths = np.array([seg.length for seg in self.segments])
+        self.breakpoints = np.concatenate([[0.0], np.cumsum(self.lengths)])
 
     @property
     def total_length(self) -> float:
         return float(self.breakpoints[-1])
 
-    def locate(self, s: float) -> tuple[int, float]:
+    def locate(self, s):
         """Segment index and local arc length for global s; right-continuous
-        at joins."""
-        if s < -1e-9 or s > self.total_length + 1e-9:
-            raise ValueError(f"arc length {s} outside [0, {self.total_length}]")
-        s = min(max(s, 0.0), self.total_length)
-        idx = int(np.searchsorted(self.breakpoints, s, "right")) - 1
-        idx = min(max(idx, 0), len(self.segments) - 1)
-        return idx, s - self.breakpoints[idx]
+        at joins.  A float gives (int, float), an array gives two arrays."""
+        s = _clip_to_range(s, self.total_length, "arc length")
+        idx = np.clip(np.searchsorted(self.breakpoints, s, "right") - 1,
+                      0, len(self.segments) - 1)
+        # a cumulative sum can overshoot a segment's own length by an ulp,
+        # which would put the path end just past its last point
+        local = np.minimum(s - self.breakpoints[idx], self.lengths[idx])
+        if np.ndim(s) == 0:
+            return int(idx), float(local)
+        return idx, local
 
     def point_at(self, s: float) -> np.ndarray:
         idx, local = self.locate(s)
@@ -121,6 +135,16 @@ class PathGeometry:
     def curvature_at(self, s: float) -> float:
         idx, _ = self.locate(s)
         return self.segments[idx].curvature
+
+
+def _clip_to_range(value, upper: float, what: str):
+    """value (float or array) clipped to [0, upper]; ValueError names the first
+    entry more than 1e-9 outside it."""
+    value = np.asarray(value, dtype=float)
+    outside = (value < -1e-9) | (value > upper + 1e-9)
+    if outside.any():
+        raise ValueError(f"{what} {value.flat[np.argmax(outside)]} outside [0, {upper}]")
+    return np.clip(value, 0.0, upper)
 
 
 def segment_slope(p_a, p_b) -> float:
@@ -370,23 +394,22 @@ class SpeedProfile:
     def total_length(self) -> float:
         return float(self.s_pts[-1])
 
-    def sample(self, t: float) -> tuple[float, float, float]:
-        """(arc length, speed, tangential acceleration) at time t."""
-        if t < -1e-9 or t > self.duration + 1e-9:
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
-        t = min(max(t, 0.0), self.duration)
-        i = int(np.searchsorted(self.t_pts, t, "right")) - 1
-        i = min(max(i, 0), len(self.a_vals) - 1)
+    def sample(self, t):
+        """(arc length, speed, tangential acceleration) at time t; a float
+        gives floats, an array of times gives three arrays."""
+        t = _clip_to_range(t, self.duration, "time")
+        i = np.clip(np.searchsorted(self.t_pts, t, "right") - 1, 0, len(self.a_vals) - 1)
         tau = t - self.t_pts[i]
-        v0, a = float(self.v_pts[i]), float(self.a_vals[i])
-        s = float(self.s_pts[i]) + v0 * tau + 0.5 * a * tau * tau
-        return min(s, self.total_length), v0 + a * tau, a
+        v0, a = self.v_pts[i], self.a_vals[i]
+        s = np.minimum(self.s_pts[i] + v0 * tau + 0.5 * a * tau * tau, self.total_length)
+        v = v0 + a * tau
+        if np.ndim(t) == 0:
+            return float(s), float(v), float(a)
+        return s, v, a
 
     def time_at_s(self, s: float) -> float:
         """Earliest time at which arc length s is reached."""
-        if s < -1e-9 or s > self.total_length + 1e-9:
-            raise ValueError(f"arc length {s} outside [0, {self.total_length}]")
-        s = min(max(s, 0.0), self.total_length)
+        s = float(_clip_to_range(s, self.total_length, "arc length"))
         i = int(np.searchsorted(self.s_pts, s, "right")) - 1
         i = min(max(i, 0), len(self.a_vals) - 1)
         ds = s - self.s_pts[i]
@@ -395,14 +418,6 @@ class SpeedProfile:
             return float(self.t_pts[i]) + ds / v0
         v1 = math.sqrt(max(v0 * v0 + 2 * a * ds, 0.0))
         return float(self.t_pts[i]) + (v1 - v0) / a
-
-    def phase_at(self, t: float) -> str:
-        _, _, a = self.sample(t)
-        if a > 1e-12:
-            return "ACC"
-        if a < -1e-12:
-            return "DEC"
-        return "CV"
 
 
 def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> SpeedProfile:
@@ -488,12 +503,25 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
 
 @dataclass(frozen=True)
 class DesiredSample:
+    """The reference at one time, or at n times with a leading axis of n on
+    every field; ``sample[k]`` is the k-th time's sample."""
+
     position: np.ndarray       # ground frame, z from the surface
     velocity: np.ndarray
     acceleration: np.ndarray
     arc_length: float
     segment_index: int
     phase: str                 # ACC | DEC | CV
+
+    def __getitem__(self, k: int) -> "DesiredSample":
+        return DesiredSample(
+            position=self.position[k],
+            velocity=self.velocity[k],
+            acceleration=self.acceleration[k],
+            arc_length=float(self.arc_length[k]),
+            segment_index=int(self.segment_index[k]),
+            phase=str(self.phase[k]),
+        )
 
 
 class DesiredTrajectory:
@@ -516,43 +544,60 @@ class DesiredTrajectory:
     def duration(self) -> float:
         return self.profile.duration
 
-    def sample(self, t: float) -> DesiredSample:
-        s, v, v_dot = self.profile.sample(t)
+    def sample(self, t) -> DesiredSample:
+        """The reference at time t, a float, or at each time of a 1-D array."""
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1:
+            raise ValueError("times must be a float or a 1-D array")
+        s, v, v_dot = self.profile.sample(np.atleast_1d(ts))
         idx, local = self.geometry.locate(s)
-        seg = self.geometry.segments[idx]
-        p = seg.point_at(local)
-        tangent = seg.tangent_at(local)
-        kappa = seg.curvature
+        p = np.empty((len(s), 2))
+        tangent = np.empty((len(s), 2))
+        kappa = np.empty(len(s))
+        for k in np.unique(idx):
+            seg = self.geometry.segments[k]
+            rows = idx == k
+            p[rows] = seg.point_at(local[rows])
+            tangent[rows] = seg.tangent_at(local[rows])
+            kappa[rows] = seg.curvature
 
-        x_dot, y_dot = v * tangent
+        x_dot, y_dot = v * tangent.T
         # planar acceleration: tangential ramp plus centripetal on arcs
-        normal = np.array([-tangent[1], tangent[0]])  # left of travel
-        acc_planar = v_dot * tangent + v * v * kappa * normal
+        normal = np.stack([-tangent[:, 1], tangent[:, 0]])  # left of travel
+        x_ddot, y_ddot = v_dot * tangent.T + v * v * kappa * normal
 
-        jet = self.surface.eval(p[0], p[1])
-        z_dot, z_ddot = surface_lift(jet, x_dot, y_dot, acc_planar[0], acc_planar[1])
+        jet = self.surface.eval(p[:, 0], p[:, 1])
+        z_dot, z_ddot = surface_lift(jet, x_dot, y_dot, x_ddot, y_ddot)
 
-        return DesiredSample(
-            position=np.array([p[0], p[1], jet[0]]),
-            velocity=np.array([x_dot, y_dot, z_dot]),
-            acceleration=np.array([acc_planar[0], acc_planar[1], z_ddot]),
+        out = DesiredSample(
+            position=np.column_stack([p[:, 0], p[:, 1], jet[0]]),
+            velocity=np.column_stack([x_dot, y_dot, z_dot]),
+            acceleration=np.column_stack([x_ddot, y_ddot, z_ddot]),
             arc_length=s,
             segment_index=idx,
-            phase=self.profile.phase_at(t),
+            phase=np.where(v_dot > 1e-12, "ACC", np.where(v_dot < -1e-12, "DEC", "CV")),
         )
+        return out if ts.ndim else out[0]
 
 
 TRAJECTORY_COLUMNS = "t_s,xd_m,yd_m,zd_m,vxd,vyd,vzd,axd,ayd,azd,segment_id,phase"
 
+# Times per DesiredTrajectory.sample call when a long time grid is sampled in
+# blocks: the batch temporaries take about 0.5 KB per time, so a block holds
+# about 1.5 MB however small the time step.
+SAMPLE_BLOCK = 3072
+
 
 def write_trajectory_csv(traj: DesiredTrajectory, dt: float, path: str) -> None:
-    lines = [TRAJECTORY_COLUMNS]
-    n_steps = int(math.floor(traj.duration / dt + 1e-9))
-    for k in range(n_steps + 1):
-        t = min(k * dt, traj.duration)
-        s = traj.sample(t)
-        vals = [t, *s.position, *s.velocity, *s.acceleration]
-        lines.append(",".join(repr(float(v)) for v in vals)
-                     + f",{s.segment_index},{s.phase}")
+    n_rows = int(math.floor(traj.duration / dt + 1e-9)) + 1
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(TRAJECTORY_COLUMNS + "\n")
+        for k0 in range(0, n_rows, SAMPLE_BLOCK):
+            t = np.minimum(np.arange(k0, min(k0 + SAMPLE_BLOCK, n_rows)) * dt,
+                           traj.duration)
+            s = traj.sample(t)
+            table = np.column_stack([t, s.position, s.velocity, s.acceleration])
+            fh.write("".join(
+                ",".join(map(repr, vals.tolist())) + f",{seg},{phase}\n"
+                for vals, seg, phase in zip(table, s.segment_index.tolist(),
+                                            s.phase.tolist())))

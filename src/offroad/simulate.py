@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import GainConfig, control_step
-from .local_path import ArcSegment, DesiredTrajectory
+from .local_path import SAMPLE_BLOCK, ArcSegment, DesiredSample, DesiredTrajectory
 from .terrain import OutOfBoundsError, SurfaceModel, euler_angles, normal_with_gradient
 from .vehicle import (
     SingularSpeedError,
@@ -33,6 +33,12 @@ STATUS_COMPLETED = "completed"
 STATUS_NORMAL_FORCE = "normal_force_violation"
 STATUS_LEFT_GRID = "left_grid"
 STATUS_SINGULAR_SPEED = "singular_speed"
+
+# Longest run accepted.  The log holds about 1.1 KB per step until it is
+# written (peak RSS growth of a completed case-study run between dt 1e-3 and
+# 2.5e-4 s) and the reference is sampled in blocks of fixed size, so a run
+# at the cap peaks near 1.1 GB.
+MAX_STEPS = 10**6
 
 
 @dataclass
@@ -52,7 +58,12 @@ class Scenario:
         if self.fn_policy not in ("halt", "warn"):
             raise ValueError("fn_policy must be 'halt' or 'warn'")
         if self.duration is not None and self.duration < self.trajectory.duration - 1e-9:
-            raise ValueError("duration must cover the trajectory duration")
+            raise ValueError(f"duration {self.duration} s is shorter than the trajectory's "
+                             f"{self.trajectory.duration:.6g} s")
+        duration = self.trajectory.duration if self.duration is None else self.duration
+        if duration / self.dt > MAX_STEPS:
+            raise ValueError(f"a {duration:.6g} s run at dt {self.dt} s takes more than "
+                             f"{MAX_STEPS} steps")
 
 
 @dataclass
@@ -139,19 +150,35 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
         "accel_cmd", "steer_rate_cmd", "fn", "err", "clamped", "seg_kind")}
     status = STATUS_COMPLETED
 
-    def desired_at(t: float):
-        return traj.sample(min(t, traj.duration))
+    # The reference is open-loop, so it is sampled ahead, one block of steps
+    # per call: rows 3j, 3j+1, 3j+2 of a block hold the step-start, mid-step
+    # and step-end times of its j-th step, clamped to the trajectory end.
+    # From step k_end on, all three times are the end, so later steps reuse
+    # the rows of step k_end.
+    t_end = traj.duration
+    k_end = min(n_steps, int(math.ceil(t_end / dt)) + 1)
+    block_steps = SAMPLE_BLOCK // 3
+    stage = {0.0: 0, 0.5 * dt: 1, dt: 2}   # RK4 offset h -> row offset
+
+    def sample_block(k0: int) -> DesiredSample:
+        start = np.arange(k0, min(k0 + block_steps, k_end + 1)) * dt
+        times = np.column_stack([start, start + 0.5 * dt, start + dt])
+        return traj.sample(np.minimum(times, t_end).ravel())
 
     def rates(s: VehicleState, h: float):
         # the closed loop at time t + h of the current step; one surface query
         # per stage, shared by the control law and the dynamics
         ctx = frame_and_motion(surface, s, params)
-        control, _ = control_step(s, desired_at(t + h), gains, surface, params, ctx=ctx)
+        control, _ = control_step(s, reference[row + stage[h]], gains, surface,
+                                  params, ctx=ctx)
         return state_rates(ctx, control)
 
     for k in range(n_steps + 1):
         t = k * dt
-        desired = desired_at(t)
+        if k <= k_end and k % block_steps == 0:
+            reference = sample_block(k)
+        row = 3 * (min(k, k_end) % block_steps)
+        desired = reference[row]
         try:
             ctx = frame_and_motion(surface, state, params)
             control, clamped = control_step(state, desired, gains, surface,

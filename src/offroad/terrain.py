@@ -151,8 +151,9 @@ class SurfaceModel:
     exactly.  Grids narrower than 4 nodes per axis fall back to the highest
     spline degree the axis supports.
 
-    Construction converts the spline to per-cell bicubic coefficient tensors
-    so a single query returns f and all partials to second order cheaply.
+    Construction converts the spline to one per-cell bicubic coefficient
+    tensor, so a query returns f and all partials to second order by Horner
+    evaluation on its cell's 16 coefficients.
     """
 
     def __init__(self, grid: ElevationGrid):
@@ -171,6 +172,8 @@ class SurfaceModel:
         )
         self._xs = xs
         self._ys = ys
+        self._x_nodes = xs.tolist()
+        self._y_nodes = ys.tolist()
         self._x_min, self._x_max = float(xs[0]), float(xs[-1])
         self._y_min, self._y_max = float(ys[0]), float(ys[-1])
         self._inv_cell = 1.0 / grid.cell_size
@@ -184,44 +187,59 @@ class SurfaceModel:
     def contains(self, x: float, y: float) -> bool:
         return self._x_min <= x <= self._x_max and self._y_min <= y <= self._y_max
 
-    def _cell(self, x: float, y: float) -> tuple[int, int, float, float]:
-        if not self.contains(x, y):
-            raise OutOfBoundsError(
-                f"query ({x:.3f}, {y:.3f}) outside grid extent "
-                f"x=[{self._x_min}, {self._x_max}], y=[{self._y_min}, {self._y_max}]"
-            )
-        # axes are uniform, so the cell index is direct arithmetic
-        i = min(max(int((x - self._x_min) * self._inv_cell), 0), self._nx_cells - 1)
-        j = min(max(int((y - self._y_min) * self._inv_cell), 0), self._ny_cells - 1)
-        return i, j, x - self._xs[i], y - self._ys[j]
+    def eval(self, x, y):
+        """Evaluate the interpolant: returns the jet (f, f_x, f_y, f_xx, f_yy, f_xy).
 
-    def eval(self, x: float, y: float) -> tuple[float, float, float, float, float, float]:
-        """Evaluate the interpolant: returns (f, f_x, f_y, f_xx, f_yy, f_xy)."""
-        i, j, u, v = self._cell(x, y)
-        c = self._coeffs[i, j]
-        bu = (1.0, u, u * u, u * u * u)
-        bv = (1.0, v, v * v, v * v * v)
-        du = (0.0, 1.0, 2.0 * u, 3.0 * u * u)
-        dv = (0.0, 1.0, 2.0 * v, 3.0 * v * v)
-        ddu = (0.0, 0.0, 2.0, 6.0 * u)
-        ddv = (0.0, 0.0, 2.0, 6.0 * v)
+        Floats give Python floats.  Arrays of one shape give arrays of that
+        shape; OutOfBoundsError names the first point outside the grid.
+        """
+        if isinstance(x, (float, int)) and isinstance(y, (float, int)):
+            if not self.contains(x, y):
+                raise self._out_of_bounds(x, y)
+            # axes are uniform, so the cell index is direct arithmetic
+            i = min(max(int((x - self._x_min) * self._inv_cell), 0), self._nx_cells - 1)
+            j = min(max(int((y - self._y_min) * self._inv_cell), 0), self._ny_cells - 1)
+            return _bicubic_jet(self._coeffs[i, j].tolist(),
+                                x - self._x_nodes[i], y - self._y_nodes[j])
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        outside = ~((self._x_min <= x) & (x <= self._x_max)
+                    & (self._y_min <= y) & (y <= self._y_max))
+        if outside.any():
+            k = np.argmax(outside)
+            raise self._out_of_bounds(float(x.flat[k]), float(y.flat[k]))
+        i = np.clip(((x - self._x_min) * self._inv_cell).astype(int), 0, self._nx_cells - 1)
+        j = np.clip(((y - self._y_min) * self._inv_cell).astype(int), 0, self._ny_cells - 1)
+        # (4, 4, ...) so that c[p][q] is the coefficient array of u**p v**q
+        c = np.moveaxis(self._coeffs[i, j], (-2, -1), (0, 1))
+        return _bicubic_jet(c, x - self._xs[i], y - self._ys[j])
 
-        cv = c @ bv
-        cdv = c @ dv
-        f = bu @ cv
-        f_x = du @ cv
-        f_y = bu @ cdv
-        f_xx = ddu @ cv
-        f_yy = bu @ (c @ ddv)
-        f_xy = du @ cdv
-        return float(f), float(f_x), float(f_y), float(f_xx), float(f_yy), float(f_xy)
+    def _out_of_bounds(self, x: float, y: float) -> OutOfBoundsError:
+        return OutOfBoundsError(
+            f"query ({x:.3f}, {y:.3f}) outside grid extent "
+            f"x=[{self._x_min}, {self._x_max}], y=[{self._y_min}, {self._y_max}]"
+        )
 
-    def height(self, x: float, y: float) -> float:
-        i, j, u, v = self._cell(x, y)
-        c = self._coeffs[i, j]
-        bu = (1.0, u, u * u, u * u * u)
-        bv = (1.0, v, v * v, v * v * v)
-        return float(bu @ (c @ bv))
+
+def _bicubic_jet(c, u, v) -> tuple:
+    """(f, f_x, f_y, f_xx, f_yy, f_xy) of sum c[p][q] u**p v**q by Horner's rule.
+
+    ``c`` is a 4x4 nested list of floats or a (4, 4, ...) array; u and v are
+    floats or arrays that broadcast with c[p][q].
+    """
+    # per power of u: the polynomial in v and its first two v-derivatives
+    g, g_v, g_vv = [], [], []
+    for c0, c1, c2, c3 in c:
+        g.append(c0 + v * (c1 + v * (c2 + v * c3)))
+        g_v.append(c1 + v * (2.0 * c2 + v * (3.0 * c3)))
+        g_vv.append(2.0 * c2 + v * (6.0 * c3))
+    f = g[0] + u * (g[1] + u * (g[2] + u * g[3]))
+    f_x = g[1] + u * (2.0 * g[2] + u * (3.0 * g[3]))
+    f_y = g_v[0] + u * (g_v[1] + u * (g_v[2] + u * g_v[3]))
+    f_xx = 2.0 * g[2] + u * (6.0 * g[3])
+    f_yy = g_vv[0] + u * (g_vv[1] + u * (g_vv[2] + u * g_vv[3]))
+    f_xy = g_v[1] + u * (2.0 * g_v[2] + u * (3.0 * g_v[3]))
+    return f, f_x, f_y, f_xx, f_yy, f_xy
 
 
 def normal_with_gradient(jet: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

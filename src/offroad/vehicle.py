@@ -51,8 +51,10 @@ class VehicleParams:
     min_ctrl_speed: float = 0.05         # below this the gamma inversion is rejected
 
     def __post_init__(self):
-        if not (self.wheelbase > 0 and self.mass > 0 and self.gravity > 0):
-            raise ValueError("wheelbase, mass, and gravity must be positive")
+        for name in ("wheelbase", "mass", "gravity", "min_ctrl_speed"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def default(cls) -> "VehicleParams":

@@ -195,8 +195,8 @@ def test_criterion_4_frame_and_kinematics_suite():
             assert np.max(np.abs(rotation_from_angles(phi, theta)[2] - n)) < 1e-12
 
             f, fx, fy, fxx, fyy, fxy = surf.eval(x, y)
-            fd_fx = (surf.height(x + h, y) - surf.height(x - h, y)) / (2 * h)
-            fd_fy = (surf.height(x, y + h) - surf.height(x, y - h)) / (2 * h)
+            fd_fx = (surf.eval(x + h, y)[0] - surf.eval(x - h, y)[0]) / (2 * h)
+            fd_fy = (surf.eval(x, y + h)[0] - surf.eval(x, y - h)[0]) / (2 * h)
             assert abs(fx - fd_fx) < 1e-5
             assert abs(fy - fd_fy) < 1e-5
 

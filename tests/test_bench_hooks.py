@@ -84,3 +84,7 @@ def test_every_span_fires_and_a_step_evaluates_the_loop_four_times(tmp_path):
     # the last logged step is not integrated
     assert calls["vehicle.frame_motion"] == 4 * (steps - 1) + 1
     assert calls["control.step"] == 4 * (steps - 1) + 1
+    # the open-loop reference is sampled in blocks, and a run this short
+    # takes one call per reader: the aligned initial state, the run and
+    # trajectory.csv
+    assert calls["local_path.sample"] == 3

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from offroad import local_path, simulate
 from offroad.cli import (
     EXIT_CONSTRAINT,
     EXIT_INPUT,
@@ -284,6 +287,143 @@ dt = 0.01
     cfg.write_text(cfg_text)
     code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_OK
+
+
+
+def test_routed_run_logs_the_trajectory_rows(tmp_path):
+    # the simulation and trajectory.csv read one reference: at every logged
+    # step, (xd, yd, zd) is the trajectory.csv row of that step, bit for bit
+    grid = grid_from_function(lambda x, y: 0.5 * np.sin(x / 20.0) * np.cos(y / 15.0),
+                              n_cols=9, n_rows=9, cell=8.0)
+    write_fixture_grid(tmp_path, grid)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[terrain]\ngrid = grid.csv\n\n[route]\nstart = 7,1\ngoal = 1,6\n\n"
+                   "[path]\nturn_radius = 3.0\ninitial_speed = 2.0\n\n"
+                   "[vehicle]\nmax_steer = none\nmax_steer_rate = none\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    traj = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+    log = [line.split(",") for line in (out / "log.csv").read_text().splitlines()]
+    assert len(log) == len(traj) > 100
+    assert {row[10] for row in traj[1:]} != {"0"}   # more than one segment
+    for t_row, l_row in zip(traj[1:], log[1:]):
+        assert l_row[7:10] == t_row[1:4]
+
+
+
+def test_block_sampling_leaves_outputs_unchanged(tmp_path, monkeypatch):
+    # simulate and trajectory.csv sample the reference in blocks of times;
+    # blocks of 30 times (10 steps) give the same files byte for byte, also
+    # when the run goes on past the trajectory end
+    write_fixture_grid(tmp_path, flat_grid(n=20, cell=2.0))
+    for duration in ("", "duration = 18.0\n"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[terrain]\ngrid = grid.csv\n\n[path]\n"
+                       "waypoints = 10.0,10.0; 28.0,10.0; 28.0,28.0\nturn_radius = 3.0\n"
+                       "initial_speed = 2.0\n\n[vehicle]\nmax_steer = none\n"
+                       "max_steer_rate = none\n\n[simulation]\ndt = 0.05\n" + duration)
+        outputs = []
+        for block in (local_path.SAMPLE_BLOCK, 30):
+            monkeypatch.setattr(local_path, "SAMPLE_BLOCK", block)
+            monkeypatch.setattr(simulate, "SAMPLE_BLOCK", block)
+            out = tmp_path / f"o{block}"
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) in (
+                EXIT_OK, EXIT_CONSTRAINT)
+            outputs.append([(out / name).read_bytes() for name in ("trajectory.csv",
+                                                                    "log.csv")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") > 300
+
+
+def test_simulate_route_to_grid_corner_runs(tmp_path):
+    # the path ends on the grid's corner node (0, 38); its reference points,
+    # the end included, stay on the grid
+    write_fixture_grid(tmp_path, flat_grid(n=20, cell=2.0))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[terrain]\ngrid = grid.csv\n\n[route]\nstart = 15,3\ngoal = 0,0\n\n"
+                   "[path]\nturn_radius = 3.0\ninitial_speed = 2.0\n")
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code in (EXIT_OK, EXIT_CONSTRAINT)
+    rows = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1,
+                      usecols=(1, 2))
+    assert rows.min() >= 0.0 and rows.max() <= 38.0
+    assert rows[-1] == pytest.approx([0.0, 38.0], abs=0.05)
+    assert (tmp_path / "o" / "log.csv").exists()
+
+
+# A small valid simulate config on a 20x20 flat grid with 2 m cells: each
+# value below, and each waypoint coordinate, is a target of the property
+# test.  Actuator limits are off so the base run completes (exit 0).
+PROPERTY_VALUES = {
+    ("weather", "slope_limit"): "0.12",
+    ("weather", "steep_limit"): "0.12",
+    ("path", "waypoints"): ["10.0", "10.0", "28.0", "10.0", "28.0", "28.0"],
+    ("path", "turn_radius"): "3.0",
+    ("path", "nominal_speed"): "2.0",
+    ("path", "max_yaw_rate"): "1.0",
+    ("path", "accel"): "1.0",
+    ("path", "decel"): "1.0",
+    ("path", "initial_speed"): "2.0",
+    ("path", "max_lateral_accel"): "4.0",
+    ("vehicle", "wheelbase"): "2.0",
+    ("vehicle", "mass"): "1000.0",
+    ("vehicle", "gravity"): "9.81",
+    ("vehicle", "max_steer"): "none",
+    ("vehicle", "max_steer_rate"): "none",
+    ("vehicle", "max_accel"): "5.0",
+    ("vehicle", "min_ctrl_speed"): "0.05",
+    ("controller", "k1"): "10.0",
+    ("controller", "k2"): "20.0",
+    ("simulation", "dt"): "0.05",
+    ("simulation", "duration"): None,   # None: the key is left out
+}
+# (key, index into the waypoint coordinates or None)
+PROPERTY_TARGETS = [(key, None) for key in PROPERTY_VALUES if key[1] != "waypoints"] + [
+    (("path", "waypoints"), i) for i in range(6)]
+BAD_NUMBERS = ["0", "-1", "-0.0", "nan", "-inf", "inf", "1e300", "-1e300", "1e-300",
+               "abc", "", "1,2", "0x10"]
+
+
+def property_config(mutations) -> str:
+    values = dict(PROPERTY_VALUES)
+    values[("path", "waypoints")] = list(values[("path", "waypoints")])
+    for (key, index), raw in mutations:
+        if index is None:
+            values[key] = raw
+        else:
+            values[key][index] = raw
+    coords = values.pop(("path", "waypoints"))
+    values[("path", "waypoints")] = "; ".join(
+        f"{coords[i]},{coords[i + 1]}" for i in range(0, 6, 2))
+    sections = {}
+    for (section, key), raw in values.items():
+        if raw is not None:
+            sections.setdefault(section, []).append(f"{key} = {raw}")
+    return "[terrain]\ngrid = grid.csv\n\n" + "\n".join(
+        f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items())
+
+
+def test_property_base_config_completes(tmp_path):
+    write_fixture_grid(tmp_path, flat_grid(n=20, cell=2.0))
+    (tmp_path / "run.cfg").write_text(property_config([]))
+    assert main(["simulate", "--config", str(tmp_path / "run.cfg"),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mutations=st.lists(
+    st.tuples(st.sampled_from(PROPERTY_TARGETS),
+              st.one_of(st.sampled_from(BAD_NUMBERS),
+                        st.floats(allow_nan=True, allow_infinity=True).map(repr))),
+    min_size=1, max_size=3, unique_by=lambda m: m[0]))
+def test_simulate_exit_code_contract_under_config_mutation(tmp_path_factory, mutations):
+    # whatever the numbers, simulate ends with a contract exit code and
+    # never raises
+    tmp = tmp_path_factory.mktemp("mutated")
+    write_fixture_grid(tmp, flat_grid(n=20, cell=2.0))
+    (tmp / "run.cfg").write_text(property_config(mutations))
+    code = main(["simulate", "--config", str(tmp / "run.cfg"), "--out-dir", str(tmp / "o")])
+    assert code in (EXIT_OK, EXIT_UNREACHABLE, EXIT_CONSTRAINT, EXIT_INPUT)
 
 
 # ---------------------------------------------------------------------------

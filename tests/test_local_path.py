@@ -166,6 +166,29 @@ def test_random_corners_tangent_continuity_and_length():
             assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_line_points_stay_between_the_endpoints():
+    # a path that ends on a grid node ends there exactly: the cumulative
+    # length overshoots the last segment by an ulp, and start + length *
+    # direction misses the end by one, which puts a corner-node end outside
+    # a grid whose extent begins at 0
+    wpts = [(6.0, 8.0), (6.0, 26.0), (4.0, 28.0), (2.0, 30.0), (2.0, 36.0), (0.0, 38.0)]
+    geom = plan_geometry(wpts, rho=3.0)
+    idx, local = geom.locate(geom.total_length)
+    assert idx == len(geom.segments) - 1 and local <= geom.segments[-1].length
+    assert geom.point_at(geom.total_length).tolist() == [0.0, 38.0]
+    # no point of a line between grid nodes rounds past either endpoint
+    rng = np.random.default_rng(12)
+    nodes = np.round(rng.uniform(-30, 30, size=(200, 2, 2)) / 0.7) * 0.7 + 0.1
+    for start, end in nodes:
+        if np.linalg.norm(end - start) < 1e-9:
+            continue
+        line = LineSegment(start=start, end=end)
+        pts = line.point_at(line.length * np.array([0.0, 0.5, 1 - 1e-16, 1.0]))
+        assert pts[0].tolist() == start.tolist()
+        assert (pts >= np.minimum(start, end)).all() and (pts <= np.maximum(start, end)).all()
+        assert pts[-1] == pytest.approx(end, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Speed state machine
 # ---------------------------------------------------------------------------
@@ -387,7 +410,7 @@ def test_sample_z_on_surface():
     for t in np.linspace(0, traj.duration, 13):
         s = traj.sample(t)
         assert s.position[2] == pytest.approx(
-            traj.surface.height(s.position[0], s.position[1]), abs=1e-12)
+            traj.surface.eval(s.position[0], s.position[1])[0], abs=1e-12)
 
 
 def test_sample_out_of_range():
@@ -407,3 +430,58 @@ def test_trajectory_csv_export(tmp_path):
     assert lines[0].startswith("t_s,xd_m,yd_m,zd_m")
     assert len(lines) == 2 + int(traj.duration / 0.5)
     assert lines[1].endswith(",0,CV")
+
+
+def zigzag_trajectory():
+    # a left and a right fillet, accelerating from rest then cruising, on a
+    # surface curved in both axes
+    geom = plan_geometry([(0.0, 0.0), (30.0, 0.0), (30.0, 30.0), (60.0, 30.0)], rho=5.0)
+    prof = build_speed_profile(geom, base_config(nominal_speed=4.0, initial_speed=0.0))
+    surf = SurfaceModel(grid_from_function(
+        lambda x, y: 0.02 * x + 0.3 * np.sin(y / 9.0) * np.cos(x / 13.0),
+        n_cols=40, n_rows=25, cell=2.0, origin=(-5.0, -5.0)))
+    return DesiredTrajectory(geom, prof, surf)
+
+
+def test_batch_sample_rows_equal_scalar_samples_bit_for_bit():
+    traj = zigzag_trajectory()
+    joins = [traj.profile.time_at_s(s) for s in traj.geometry.breakpoints]
+    rng = np.random.default_rng(11)
+    ts = np.concatenate([[0.0, traj.duration], joins, traj.profile.t_pts,
+                         rng.uniform(0.0, traj.duration, size=40)])
+    batch = traj.sample(ts)
+    assert batch.position.shape == batch.velocity.shape == batch.acceleration.shape == (len(ts), 3)
+    for k, t in enumerate(ts):
+        one = traj.sample(float(t))
+        row = batch[k]
+        for name in ("position", "velocity", "acceleration"):
+            assert getattr(row, name).tobytes() == getattr(one, name).tobytes(), (t, name)
+        assert np.float64(row.arc_length).tobytes() == np.float64(one.arc_length).tobytes()
+        assert row.segment_index == one.segment_index
+        assert row.phase == one.phase
+    assert set(batch.phase) == {"ACC", "CV"}
+    assert set(batch.segment_index) == set(range(len(traj.geometry.segments)))
+
+
+def test_batch_sample_derivatives_match_central_differences():
+    # independent oracle: central differences over a fine time grid of the
+    # batch positions and velocities, away from profile breakpoints and joins
+    traj = zigzag_trajectory()
+    h = 1e-4
+    ts = np.arange(0.0, traj.duration, h)
+    batch = traj.sample(ts)
+    fd_vel = (batch.position[2:] - batch.position[:-2]) / (2 * h)
+    fd_acc = (batch.velocity[2:] - batch.velocity[:-2]) / (2 * h)
+    breaks = np.concatenate([traj.profile.t_pts, [traj.profile.time_at_s(s)
+                                                  for s in traj.geometry.breakpoints]])
+    mid = ts[1:-1]
+    away = np.min(np.abs(mid[:, None] - breaks[None, :]), axis=1) > 2 * h
+    assert away.sum() > 0.9 * len(mid)
+    assert np.max(np.abs(batch.velocity[1:-1][away] - fd_vel[away])) < 1e-5
+    assert np.max(np.abs(batch.acceleration[1:-1][away] - fd_acc[away])) < 1e-5
+
+
+def test_batch_sample_out_of_range_time_rejected():
+    traj = case_study_trajectory()
+    with pytest.raises(ValueError, match="time -0.5"):
+        traj.sample(np.array([0.0, 1.0, -0.5, 2.0]))

@@ -234,6 +234,46 @@ def test_surface_eval_out_of_bounds(flat_surface):
         flat_surface.eval(3.0, 99.0)
 
 
+def cubic_jet(x, y):
+    # an analytic bicubic surface and its exact jet (f, f_x, f_y, f_xx, f_yy, f_xy)
+    f = (1.0 + 0.2 * x * y + 0.01 * x ** 3 - 0.02 * x ** 2 * y
+         + 0.003 * x * y ** 2 + 0.5 * y - 0.001 * y ** 3 + 1e-4 * x ** 3 * y ** 3)
+    f_x = 0.2 * y + 0.03 * x ** 2 - 0.04 * x * y + 0.003 * y ** 2 + 3e-4 * x ** 2 * y ** 3
+    f_y = 0.2 * x - 0.02 * x ** 2 + 0.006 * x * y + 0.5 - 0.003 * y ** 2 + 3e-4 * x ** 3 * y ** 2
+    f_xx = 0.06 * x - 0.04 * y + 6e-4 * x * y ** 3
+    f_yy = 0.006 * x - 0.006 * y + 6e-4 * x ** 3 * y
+    f_xy = 0.2 - 0.04 * x + 0.006 * y + 9e-4 * x ** 2 * y ** 2
+    return f, f_x, f_y, f_xx, f_yy, f_xy
+
+
+def test_eval_on_arrays_reproduces_cubic_jet():
+    # a tensor-product cubic spline reproduces a bicubic exactly
+    surf = SurfaceModel(grid_from_function(lambda x, y: cubic_jet(x, y)[0],
+                                           n_cols=12, n_rows=10, cell=1.5, origin=(-3.0, 2.0)))
+    rng = np.random.default_rng(8)
+    x_min, x_max, y_min, y_max = surf.bounds
+    xs = np.concatenate([[x_min, x_max, 1.5], rng.uniform(x_min, x_max, 200)])
+    ys = np.concatenate([[y_min, y_max, 6.5], rng.uniform(y_min, y_max, 200)])
+    jet = surf.eval(xs, ys)
+    for got, want in zip(jet, cubic_jet(xs, ys)):
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - want)) < 1e-9
+    # each entry is the scalar call's value, and a 2-D array keeps its shape
+    for k in range(0, len(xs), 17):
+        assert surf.eval(float(xs[k]), float(ys[k])) == tuple(float(d[k]) for d in jet)
+    grid_jet = surf.eval(xs[:200].reshape(10, 20), ys[:200].reshape(10, 20))
+    assert all(np.array_equal(g, d[:200].reshape(10, 20)) for g, d in zip(grid_jet, jet))
+
+
+def test_eval_array_with_one_point_outside_raises(flat_surface):
+    xs = np.array([1.0, 2.0, 3.0, -0.5, 4.0])
+    ys = np.array([1.0, 2.0, 3.0, 3.0, 4.0])
+    with pytest.raises(OutOfBoundsError, match=r"query \(-0\.500, 3\.000\)"):
+        flat_surface.eval(xs, ys)
+    with pytest.raises(OutOfBoundsError):
+        flat_surface.eval(np.array([1.0, 2.0]), np.array([3.0, np.nan]))
+
+
 def test_surface_derivatives_match_finite_differences():
     # independent oracle: central differences of the interpolant itself
     rng = np.random.default_rng(42)
@@ -247,12 +287,12 @@ def test_surface_derivatives_match_finite_differences():
         x = rng.uniform(3.0, 36.0)
         y = rng.uniform(3.0, 36.0)
         f, fx, fy, fxx, fyy, fxy = surf.eval(x, y)
-        fd_fx = (surf.height(x + h, y) - surf.height(x - h, y)) / (2 * h)
-        fd_fy = (surf.height(x, y + h) - surf.height(x, y - h)) / (2 * h)
-        fd_fxx = (surf.height(x + h, y) - 2 * f + surf.height(x - h, y)) / h ** 2
-        fd_fyy = (surf.height(x, y + h) - 2 * f + surf.height(x, y - h)) / h ** 2
-        fd_fxy = (surf.height(x + h, y + h) - surf.height(x + h, y - h)
-                  - surf.height(x - h, y + h) + surf.height(x - h, y - h)) / (4 * h ** 2)
+        fd_fx = (surf.eval(x + h, y)[0] - surf.eval(x - h, y)[0]) / (2 * h)
+        fd_fy = (surf.eval(x, y + h)[0] - surf.eval(x, y - h)[0]) / (2 * h)
+        fd_fxx = (surf.eval(x + h, y)[0] - 2 * f + surf.eval(x - h, y)[0]) / h ** 2
+        fd_fyy = (surf.eval(x, y + h)[0] - 2 * f + surf.eval(x, y - h)[0]) / h ** 2
+        fd_fxy = (surf.eval(x + h, y + h)[0] - surf.eval(x + h, y - h)[0]
+                  - surf.eval(x - h, y + h)[0] + surf.eval(x - h, y - h)[0]) / (4 * h ** 2)
         assert fx == pytest.approx(fd_fx, abs=1e-5)
         assert fy == pytest.approx(fd_fy, abs=1e-5)
         assert fxx == pytest.approx(fd_fxx, abs=1e-4)
@@ -268,7 +308,7 @@ def test_surface_interpolates_grid_nodes():
     for row in range(grid.n_rows):
         for col in range(grid.n_cols):
             x, y = grid.node_position(row, col)
-            assert surf.height(x, y) == pytest.approx(grid.node_height(row, col), abs=1e-10)
+            assert surf.eval(x, y)[0] == pytest.approx(grid.node_height(row, col), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

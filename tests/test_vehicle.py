@@ -237,6 +237,26 @@ def test_inversion_singular_speed(flat_surface):
         accel_to_controls(state, frame, np.zeros(3), np.zeros(3), PARAMS)
 
 
+
+@pytest.mark.parametrize("guard", [PARAMS.min_ctrl_speed, math.ulp(0.0)])
+def test_inversion_at_rest_is_singular_not_division_by_zero(flat_surface, guard):
+    # speed 0 is where the RK4 step's speed clamp leaves a hard brake; even
+    # the smallest guard the parameters accept keeps the inversion from
+    # dividing by it
+    params = VehicleParams(wheelbase=2.0, mass=1000.0, min_ctrl_speed=guard)
+    state = VehicleState(x=5, y=5, psi=0.0, speed=0.0, steer=0.0)
+    frame = frame_at(flat_surface, 5, 5, 0.0)
+    with pytest.raises(SingularSpeedError):
+        accel_to_controls(state, frame, np.zeros(3), np.zeros(3), params)
+
+
+@pytest.mark.parametrize("field", ["min_ctrl_speed", "wheelbase", "mass", "gravity"])
+@pytest.mark.parametrize("value", [0.0, -0.05, math.nan, math.inf])
+def test_params_reject_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        VehicleParams(**{"wheelbase": 2.0, "mass": 1000.0, field: value})
+
+
 # ---------------------------------------------------------------------------
 # Normal force
 # ---------------------------------------------------------------------------
