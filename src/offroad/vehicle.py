@@ -126,11 +126,11 @@ def yaw_rate_from_no_slip(
 ) -> float:
     """Yaw rate that zeroes the rear-contact lateral velocity:
 
-        psi_dot = -(1/l) * (r_dot - l * omega_t x i_b) . j_b
+        psi_dot = (1/l) * (r_dot - l * omega_t x i_b) . j_b
     """
     l = params.wheelbase
     rel = r_dot - l * _cross3(omega_t, frame.i_b)
-    return float(-(rel @ frame.j_b) / l)
+    return float((rel @ frame.j_b) / l)
 
 
 def no_slip_residual(
@@ -141,7 +141,7 @@ def no_slip_residual(
     whenever psi_dot obeys the no-slip law."""
     l = params.wheelbase
     rel = r_dot - l * _cross3(omega_t, frame.i_b)
-    return float(rel @ frame.j_b + l * psi_dot)
+    return float(rel @ frame.j_b - l * psi_dot)
 
 
 def accel_to_controls(

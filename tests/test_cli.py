@@ -290,6 +290,22 @@ dt = 0.01
 
 
 
+def test_routed_run_completes_under_default_limits(tmp_path, capsys):
+    # a planned, many-cornered route over rolling terrain with the shipped
+    # actuator limits: the car tracks it to the end (exit 0)
+    grid = grid_from_function(lambda x, y: 0.5 * np.sin(x / 20.0) * np.cos(y / 15.0),
+                              n_cols=12, n_rows=12, cell=5.0)
+    write_fixture_grid(tmp_path, grid)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[terrain]\ngrid = grid.csv\n\n[route]\nstart = 9,2\ngoal = 2,9\n\n"
+                   "[path]\nturn_radius = 1.0\ninitial_speed = 2.0\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    assert "simulation completed" in capsys.readouterr().out
+    traj_rows = (out / "trajectory.csv").read_text().count("\n")
+    assert (out / "log.csv").read_text().count("\n") == traj_rows > 100
+
+
 def test_routed_run_logs_the_trajectory_rows(tmp_path):
     # the simulation and trajectory.csv read one reference: at every logged
     # step, (xd, yd, zd) is the trajectory.csv row of that step, bit for bit

@@ -236,3 +236,21 @@ def test_dt_refinement_stability():
         maxes[dt] = tracking_metrics(log).max_err
     rel_change = abs(maxes[0.005] - maxes[0.01]) / maxes[0.01]
     assert rel_change < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Default actuator limits
+# ---------------------------------------------------------------------------
+
+def test_case_study_completes_under_default_limits():
+    # the shipped limits (max_steer 0.6 rad, max_steer_rate 2 rad/s) leave the
+    # turn trackable: the run reaches the trajectory end within the bound
+    surf = case_study_surface()
+    traj = case_study_trajectory(surf)
+    params = VehicleParams.default()
+    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+                                  params=params, dt=0.01))
+    assert log.status == STATUS_COMPLETED
+    assert len(log) == int(math.floor(traj.duration / 0.01 + 1e-9)) + 1
+    assert np.max(np.abs(log.steer)) <= params.max_steer
+    assert tracking_metrics(log).max_err <= 0.15

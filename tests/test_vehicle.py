@@ -169,13 +169,15 @@ def test_yaw_rate_flat_straight(flat_surface):
 
 
 def test_yaw_rate_flat_steered_by_hand(flat_surface):
-    # speed 2, sin(steer) = 0.5, wheelbase 2: psi_dot = -(1/2)(2 * 0.5) = -0.5
+    # flat-ground no-slip law psi_dot = v sin(steer) / l (Rajamani, Vehicle
+    # Dynamics and Control, sec. 2.2): speed 2, sin(steer) = 0.5, wheelbase 2
+    # give psi_dot = 2 * 0.5 / 2 = +0.5
     steer = math.asin(0.5)
     state = VehicleState(x=5, y=5, psi=0.0, speed=2.0, steer=steer)
     frame = frame_at(flat_surface, 5, 5, 0.0)
     r_dot = forward_velocity(state, frame)
     psi_dot = yaw_rate_from_no_slip(r_dot, np.zeros(3), frame, PARAMS)
-    assert psi_dot == pytest.approx(-0.5, abs=1e-12)
+    assert psi_dot == pytest.approx(0.5, abs=1e-12)
 
 
 def test_no_slip_residual_is_zero_under_the_law(bowl_surface):
@@ -295,7 +297,8 @@ def test_step_straight_line_advance(flat_surface):
 def test_step_constant_steer_traces_circle():
     # analytic oracle: with fixed steer on flat ground the contact point
     # follows a circle of radius wheelbase / |sin(steer)| and returns to the
-    # start after one period
+    # start after one period; positive steer turns left, so the circle's
+    # centre is radius metres north of the start
     flat_surface = SurfaceModel(flat_grid(n=30))
     steer = 0.3
     speed = 2.0
@@ -304,7 +307,7 @@ def test_step_constant_steer_traces_circle():
     period = 2 * math.pi * radius / speed
     dt = 1e-3
     n = int(round(period / dt))
-    state = VehicleState(x=15.0, y=22.0, psi=0.0, speed=speed, steer=steer)
+    state = VehicleState(x=15.0, y=8.0, psi=0.0, speed=speed, steer=steer)
     start = np.array([state.x, state.y])
     control = ControlInput(accel=0.0, steer_rate=0.0)
     for _ in range(n):
@@ -382,3 +385,55 @@ def test_surface_adherence_on_rolling_terrain():
                                     ctx.frame, params)) < 1e-6
         state = step_dynamics(state, held(ControlInput(0.0, 0.02), surf, params),
                               params, 0.01, None)
+
+
+# ---------------------------------------------------------------------------
+# No-slip oracles that do not reuse the yaw-rate formula
+# ---------------------------------------------------------------------------
+
+def oracle_body_axes(surf, x, y, psi):
+    """(i_b, j_b) built by cross products from the surface gradient alone:
+    i_t is the tangent with no y component, j_t = n x i_t, and the body axes
+    are those yawed by psi about n."""
+    _, f_x, f_y, _, _, _ = surf.eval(x, y)
+    n = np.array([-f_x, -f_y, 1.0]) / math.sqrt(f_x * f_x + f_y * f_y + 1.0)
+    i_t = np.array([n[2], 0.0, -n[0]]) / math.hypot(n[0], n[2])
+    j_t = np.cross(n, i_t)
+    i_b = math.cos(psi) * i_t + math.sin(psi) * j_t
+    return i_b, np.cross(n, i_b)
+
+
+def test_rear_contact_lateral_velocity_vanishes_on_a_slope():
+    # finite-difference the rear contact r - l i_b along an RK4 run over
+    # rolling, sloped terrain: its velocity across the body (along j_b) is
+    # zero up to the O(dt^2) error of the difference
+    surf = SurfaceModel(grid_from_function(
+        lambda x, y: 0.3 * x + 0.8 * np.sin(x / 4.0) * np.cos(y / 5.0),
+        n_cols=30, n_rows=30))
+    dt = 1e-3
+    state = VehicleState(x=8.0, y=10.0, psi=0.4, speed=2.0, steer=0.3)
+    rates = held(ControlInput(accel=0.2, steer_rate=-0.1), surf, FREE)
+    states = [state]
+    for _ in range(1500):
+        states.append(step_dynamics(states[-1], rates, FREE, dt, None))
+    rear = [np.array([s.x, s.y, surf.eval(s.x, s.y)[0]])
+            - FREE.wheelbase * oracle_body_axes(surf, s.x, s.y, s.psi)[0] for s in states]
+    worst = 0.0
+    for k in range(1, len(states) - 1, 50):
+        v_rear = (rear[k + 1] - rear[k - 1]) / (2 * dt)
+        _, j_b = oracle_body_axes(surf, states[k].x, states[k].y, states[k].psi)
+        worst = max(worst, abs(v_rear @ j_b))
+        assert np.linalg.norm(v_rear) > 0.5
+    assert worst < 1e-5
+
+
+@pytest.mark.parametrize("steer", [0.3, -0.3])
+def test_positive_steer_turns_left(flat_surface, steer):
+    state = VehicleState(x=3.0, y=6.0, psi=0.0, speed=2.0, steer=steer)
+    rates = held(ControlInput(accel=0.0, steer_rate=0.0), flat_surface, FREE)
+    for _ in range(100):
+        state = step_dynamics(state, rates, FREE, 0.01, None)
+    # heading east, a left turn raises the yaw and moves the car north
+    assert math.copysign(1.0, state.psi) == math.copysign(1.0, steer)
+    assert math.copysign(1.0, state.y - 6.0) == math.copysign(1.0, steer)
+    assert abs(state.psi) > 0.2
