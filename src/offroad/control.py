@@ -10,6 +10,9 @@ which is asymptotically stable for positive gains.  The vertical component is
 not commanded independently: it follows from the surface constraint, and the
 completed acceleration vector is inverted through the vehicle model into a
 tangential-acceleration and steering-rate pair.
+
+control_step works on the float tuple of vehicle.frame_and_motion, which is
+exported here too, and on reference rows built by reference_rows.
 """
 
 from __future__ import annotations
@@ -19,15 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .local_path import DesiredSample
-from .terrain import SurfaceModel, surface_lift
-from .vehicle import (
-    ControlInput,
-    VehicleParams,
-    VehicleState,
-    accel_to_controls,
-    clamp_control,
-    frame_and_motion,
-)
+from .terrain import surface_lift
+from .vehicle import SingularSpeedError, VehicleParams, frame_and_motion
+
+__all__ = ["GainConfig", "HOLD", "control_step", "frame_and_motion", "reference_rows"]
+
+# Inputs that hold the car once the reference has ended and the speed is
+# below the control guard: no acceleration, no steering.
+HOLD = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -46,38 +48,70 @@ class GainConfig:
         return (-self.k1 + root) / 2.0, (-self.k1 - root) / 2.0
 
 
-def commanded_planar_accel(
-    position: np.ndarray, velocity: np.ndarray, desired: DesiredSample,
-    gains: GainConfig,
-) -> tuple[float, float]:
-    """Planar acceleration command from feedforward plus error feedback."""
-    ex = desired.position[0] - position[0]
-    ey = desired.position[1] - position[1]
-    evx = desired.velocity[0] - velocity[0]
-    evy = desired.velocity[1] - velocity[1]
-    ax = desired.acceleration[0] + gains.k1 * evx + gains.k2 * ex
-    ay = desired.acceleration[1] + gains.k1 * evy + gains.k2 * ey
-    return float(ax), float(ay)
+def reference_rows(sample: DesiredSample, ended: np.ndarray) -> list[list[float]]:
+    """The rows control_step reads, one per time of a batch sample:
+
+        [x_d, y_d, z_d, vx_d, vy_d, ax_d, ay_d, ended, segment_index]
+
+    all floats, built with one ``.tolist()``.  Where ``ended`` is true the
+    trajectory is over: the row keeps the sampled (end) position and has zero
+    velocity and acceleration.
+    """
+    moving = ~np.asarray(ended, dtype=bool)[:, None]
+    return np.column_stack([
+        sample.position,
+        np.where(moving, sample.velocity[:, :2], 0.0),
+        np.where(moving, sample.acceleration[:, :2], 0.0),
+        ~moving[:, 0],
+        sample.segment_index,
+    ]).tolist()
 
 
 def control_step(
-    state: VehicleState, desired: DesiredSample, gains: GainConfig,
-    surface: SurfaceModel, params: VehicleParams,
-    ctx=None,
-) -> tuple[ControlInput, bool]:
-    """One controller evaluation: commanded acceleration lifted through the
-    surface constraint and inverted to (accel, steer_rate).
+    motion: tuple, state: tuple, ref: list, gains: GainConfig, params: VehicleParams,
+) -> tuple[tuple[float, float], bool]:
+    """One controller evaluation at the state tuple (x, y, psi, speed, steer)
+    whose frame_and_motion tuple is ``motion``, against the reference row
+    ``ref`` (see reference_rows).
 
-    Returns the actuator-clamped input and whether clamping engaged.  A
-    precomputed MotionContext for the current state may be passed to avoid a
-    second surface query.
+    The planar command is lifted through the surface constraint to r_ddot
+    and inverted: with u = r_dot / v the steered direction and w = k_b x u
+    its left perpendicular in the body plane, the inputs satisfy
+    r_ddot = a_T u + v gamma w + omega_b x r_dot, so
+
+        a_T = (r_ddot - omega_b x r_dot) . r_dot / v
+        gamma = k_b . (r_dot x (r_ddot - omega_b x r_dot)) / v^2
+
+    Returns ((a_T, gamma), clamped): the actuator-clamped inputs and whether
+    clamping engaged.  Below min_ctrl_speed the inversion is singular: once
+    the reference has ended the car is held with zero inputs, before that
+    SingularSpeedError is raised.
     """
-    if ctx is None:
-        ctx = frame_and_motion(surface, state, params)
-    r_dot = ctx.r_dot
-    ax, ay = commanded_planar_accel(
-        np.array([state.x, state.y]), r_dot[:2], desired, gains)
-    _, az = surface_lift(ctx.jet, r_dot[0], r_dot[1], ax, ay)
-    raw = accel_to_controls(state, ctx.frame, ctx.omega_b,
-                            np.array([ax, ay, az]), params)
-    return clamp_control(raw, params)
+    (_, _, _, _, _, _, _, _, _, _, _, _, k_x, k_y, k_z,
+     x_dot, y_dot, z_dot, w_x, w_y, w_z, _) = motion
+    x_d, y_d, _, vx_d, vy_d, ax_d, ay_d, ended, _ = ref
+    v = state[3]
+    if v < params.min_ctrl_speed:
+        if ended:
+            return HOLD, False
+        raise SingularSpeedError(
+            f"speed {v:.4f} m/s below control threshold "
+            f"{params.min_ctrl_speed}; steering-rate inversion is singular"
+        )
+    k1, k2 = gains.k1, gains.k2
+    a_x = ax_d + k1 * (vx_d - x_dot) + k2 * (x_d - state[0])
+    a_y = ay_d + k1 * (vy_d - y_dot) + k2 * (y_d - state[1])
+    _, a_z = surface_lift(motion, x_dot, y_dot, a_x, a_y)
+    # the in-plane part of r_ddot: remove the frame-rotation term omega_b x r_dot
+    e_x = a_x - (w_y * z_dot - w_z * y_dot)
+    e_y = a_y - (w_z * x_dot - w_x * z_dot)
+    e_z = a_z - (w_x * y_dot - w_y * x_dot)
+    a_t = (e_x * x_dot + e_y * y_dot + e_z * z_dot) / v
+    gamma = (k_x * (y_dot * e_z - z_dot * e_y) + k_y * (z_dot * e_x - x_dot * e_z)
+             + k_z * (x_dot * e_y - y_dot * e_x)) / (v * v)
+    a, g = a_t, gamma
+    if params.max_accel is not None:
+        a = min(max(a, -params.max_accel), params.max_accel)
+    if params.max_steer_rate is not None:
+        g = min(max(g, -params.max_steer_rate), params.max_steer_rate)
+    return (a, g), (a != a_t) or (g != gamma)

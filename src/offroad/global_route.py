@@ -34,9 +34,12 @@ from scipy.sparse.csgraph import dijkstra
 
 from .terrain import (
     ElevationGrid,
+    GridFormatError,
     ObstacleMask,
     WeatherCondition,
     neighbor_slices,
+    parse_numeric_rows,
+    read_lines,
 )
 
 # Action id -> (drow, dcol); row 0 is the northern edge so North is -1 row.
@@ -330,25 +333,50 @@ def write_route_csv(route: PlannedRoute, grid: ElevationGrid, path: str) -> None
         fh.write("\n".join(lines) + "\n")
 
 
+ROUTE_SUMMARY_KEYS = ("total_cost", "total_dist_m", "mean_slope_deg", "max_slope_deg")
+
+
 def read_route_csv(path: str) -> PlannedRoute:
-    """Parse a route CSV written by write_route_csv back into a PlannedRoute."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Parse a route CSV written by write_route_csv back into a PlannedRoute.
+
+    Raises GridFormatError naming the file and line of the first defect.
+    """
+    lines, numbers = read_lines(path)
     if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing summary header")
-    summary = dict(item.split("=") for item in lines[0][1:].strip().split(","))
-    if lines[1] != ROUTE_COLUMNS:
-        raise ValueError(f"{path}: unexpected column header")
-    waypoints = []
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        waypoints.append((int(parts[1]), int(parts[2])))
+        raise GridFormatError(f"{path}: missing summary header")
+    summary = {}
+    for item in lines[0][1:].split(","):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise GridFormatError(f"{path}:{numbers[0]}: summary item {item.strip()!r} "
+                                  f"is not key=value")
+        summary[key.strip()] = value.strip()
+    try:
+        total_cost, total_dist, mean_slope, max_slope = (
+            float(summary[key]) for key in ROUTE_SUMMARY_KEYS)
+    except KeyError as exc:
+        raise GridFormatError(f"{path}:{numbers[0]}: summary lacks {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise GridFormatError(f"{path}:{numbers[0]}: summary value is not a number "
+                              f"({exc})") from exc
+    if len(lines) < 2 or lines[1].strip() != ROUTE_COLUMNS:
+        where = f"{path}:{numbers[1]}" if len(lines) > 1 else f"{path}"
+        raise GridFormatError(f"{where}: expected the column header {ROUTE_COLUMNS!r}")
+    n_cols = len(ROUTE_COLUMNS.split(","))
+    if len(lines) > 2:
+        nodes = parse_numeric_rows(lines[2:], n_cols, path, numbers[2:])[:, 1:3]
+    else:
+        nodes = np.empty((0, 2))
+    bad = np.flatnonzero(np.any(~np.isfinite(nodes) | (nodes != np.round(nodes)), axis=1))
+    if len(bad):
+        raise GridFormatError(f"{path}:{numbers[2 + bad[0]]}: node_row and node_col "
+                              f"must be whole numbers")
     return PlannedRoute(
-        waypoints=waypoints,
-        total_cost=float(summary["total_cost"]),
-        total_distance=float(summary["total_dist_m"]),
-        mean_slope_deg=float(summary["mean_slope_deg"]),
-        max_slope_deg=float(summary["max_slope_deg"]),
+        waypoints=[(int(r), int(c)) for r, c in nodes.tolist()],
+        total_cost=total_cost,
+        total_distance=total_dist,
+        mean_slope_deg=mean_slope,
+        max_slope_deg=max_slope,
     )
 
 

@@ -132,10 +132,6 @@ class PathGeometry:
         idx, local = self.locate(s)
         return self.segments[idx].tangent_at(local)
 
-    def curvature_at(self, s: float) -> float:
-        idx, _ = self.locate(s)
-        return self.segments[idx].curvature
-
 
 def _clip_to_range(value, upper: float, what: str):
     """value (float or array) clipped to [0, upper]; ValueError names the first

@@ -14,18 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import GainConfig, control_step
-from .local_path import SAMPLE_BLOCK, ArcSegment, DesiredSample, DesiredTrajectory
-from .terrain import OutOfBoundsError, SurfaceModel, euler_angles, normal_with_gradient
+from . import vehicle
+from .control import GainConfig, control_step, reference_rows
+from .local_path import SAMPLE_BLOCK, ArcSegment, DesiredTrajectory
+from .terrain import OutOfBoundsError, SurfaceModel
 from .vehicle import (
     SingularSpeedError,
     VehicleParams,
     VehicleState,
-    body_frame,
     frame_and_motion,
     normal_force,
-    realized_acceleration,
-    state_rates,
     step_dynamics,
 )
 
@@ -118,16 +116,26 @@ def aligned_initial_state(
     vx, vy = float(sample.velocity[0]), float(sample.velocity[1])
     speed = float(np.linalg.norm(sample.velocity))
 
-    n, _, _ = normal_with_gradient(surface.eval(x, y))
-    frame = body_frame(*euler_angles(n), 0.0)
-    target = np.array([vx, vy])
-    if np.linalg.norm(target) < 1e-12:
+    if math.hypot(vx, vy) < 1e-12:
         heading = 0.0
     else:
-        basis = np.column_stack([frame.i_t[:2], frame.j_t[:2]])
-        cs = np.linalg.solve(basis, target)
-        heading = math.atan2(cs[1], cs[0])
+        # at zero yaw the body axes are the surface axes i_t, j_t, and at rest
+        # the parameters do not enter them.  This set-up query goes through
+        # the vehicle module: per-stage profiling counts the calls through
+        # this module's frame_and_motion, which are the loop's stages.
+        motion = vehicle.frame_and_motion(surface, x, y, 0.0, 0.0, 0.0,
+                                          VehicleParams.default())
+        i_x, i_y, _, j_x, j_y = motion[6:11]
+        # solve c i_t + s j_t = (vx, vy) in the plane for the heading (c, s)
+        det = i_x * j_y - j_x * i_y
+        heading = math.atan2((i_x * vy - i_y * vx) / det, (vx * j_y - j_x * vy) / det)
     return VehicleState(x=x, y=y, psi=heading - steer, speed=speed, steer=steer)
+
+
+# Per logged step, the floats of one log row in TrajectoryLog order up to fn,
+# then the clamped flag and the reference segment index.
+_ROW_FIELDS = ("t", "x", "y", "z", "psi", "speed", "steer", "xd", "yd", "zd",
+               "accel_cmd", "steer_rate_cmd", "fn")
 
 
 def run_simulation(scenario: Scenario) -> TrajectoryLog:
@@ -137,79 +145,60 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
     gains = scenario.gains
     dt = scenario.dt
     duration = traj.duration if scenario.duration is None else scenario.duration
-    # last logged step stays at or before the duration; sampling past the
-    # trajectory end would freeze the reference against a moving speed command
     n_steps = int(math.floor(duration / dt + 1e-9))
 
     state = scenario.initial_state
     if state is None:
         state = aligned_initial_state(traj, surface)
 
-    cols: dict[str, list] = {k: [] for k in (
-        "t", "x", "y", "z", "psi", "speed", "steer", "xd", "yd", "zd",
-        "accel_cmd", "steer_rate_cmd", "fn", "err", "clamped", "seg_kind")}
+    rows_out: list[tuple] = []
     status = STATUS_COMPLETED
 
     # The reference is open-loop, so it is sampled ahead, one block of steps
     # per call: rows 3j, 3j+1, 3j+2 of a block hold the step-start, mid-step
-    # and step-end times of its j-th step, clamped to the trajectory end.
-    # From step k_end on, all three times are the end, so later steps reuse
-    # the rows of step k_end.
+    # and step-end times of its j-th step.  Past the trajectory end a row
+    # holds the end point at rest (see reference_rows); the same 1e-9 dt
+    # slack as n_steps keeps a run of the trajectory's own duration clear of
+    # it.  From step k_end on, all three times are past the end, so later
+    # steps reuse the rows of step k_end.
     t_end = traj.duration
     k_end = min(n_steps, int(math.ceil(t_end / dt)) + 1)
     block_steps = SAMPLE_BLOCK // 3
     stage = {0.0: 0, 0.5 * dt: 1, dt: 2}   # RK4 offset h -> row offset
 
-    def sample_block(k0: int) -> DesiredSample:
+    def sample_block(k0: int) -> list[list[float]]:
         start = np.arange(k0, min(k0 + block_steps, k_end + 1)) * dt
-        times = np.column_stack([start, start + 0.5 * dt, start + dt])
-        return traj.sample(np.minimum(times, t_end).ravel())
+        times = np.column_stack([start, start + 0.5 * dt, start + dt]).ravel()
+        return reference_rows(traj.sample(np.minimum(times, t_end)),
+                              times > t_end + 1e-9 * dt)
 
-    def rates(s: VehicleState, h: float):
+    def rates(s: tuple, h: float) -> tuple:
         # the closed loop at time t + h of the current step; one surface query
         # per stage, shared by the control law and the dynamics
-        ctx = frame_and_motion(surface, s, params)
-        control, _ = control_step(s, reference[row + stage[h]], gains, surface,
-                                  params, ctx=ctx)
-        return state_rates(ctx, control)
+        motion = frame_and_motion(surface, *s, params)
+        (a_t, gamma), _ = control_step(motion, s, reference[row + stage[h]], gains, params)
+        # x_dot, y_dot and psi_dot (see vehicle.MOTION_FIELDS), then the inputs
+        return motion[15], motion[16], motion[21], a_t, gamma
 
     for k in range(n_steps + 1):
-        t = k * dt
         if k <= k_end and k % block_steps == 0:
             reference = sample_block(k)
         row = 3 * (min(k, k_end) % block_steps)
         desired = reference[row]
         try:
-            ctx = frame_and_motion(surface, state, params)
-            control, clamped = control_step(state, desired, gains, surface,
-                                            params, ctx=ctx)
+            motion = frame_and_motion(surface, *state, params)
+            (a_t, gamma), clamped = control_step(motion, state, desired, gains, params)
         except OutOfBoundsError:
             status = STATUS_LEFT_GRID
             break
         except SingularSpeedError:
             status = STATUS_SINGULAR_SPEED
             break
-        r_ddot = realized_acceleration(state, control, ctx.frame, ctx.omega_b)
-        fn = normal_force(ctx.frame, r_ddot, params)
-
-        seg = traj.geometry.segments[desired.segment_index]
-        cols["t"].append(t)
-        cols["x"].append(state.x)
-        cols["y"].append(state.y)
-        cols["z"].append(ctx.jet[0])
-        cols["psi"].append(state.psi)
-        cols["speed"].append(state.speed)
-        cols["steer"].append(state.steer)
-        cols["xd"].append(desired.position[0])
-        cols["yd"].append(desired.position[1])
-        cols["zd"].append(desired.position[2])
-        cols["accel_cmd"].append(control.accel)
-        cols["steer_rate_cmd"].append(control.steer_rate)
-        cols["fn"].append(fn)
-        cols["err"].append(math.hypot(state.x - desired.position[0],
-                                      state.y - desired.position[1]))
-        cols["clamped"].append(clamped)
-        cols["seg_kind"].append("arc" if isinstance(seg, ArcSegment) else "line")
+        fn = normal_force(motion, params)
+        x, y, psi, speed, steer = state
+        rows_out.append((k * dt, x, y, motion[0], psi, speed, steer,
+                         desired[0], desired[1], desired[2], a_t, gamma, fn,
+                         clamped, desired[8]))
 
         if fn <= 0.0:
             status = STATUS_NORMAL_FORCE
@@ -220,7 +209,8 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
 
         try:
             # the step-start evaluation logged above is the first RK4 stage
-            state = step_dynamics(state, rates, params, dt, state_rates(ctx, control))
+            state = step_dynamics(state, rates, params, dt,
+                                  (motion[15], motion[16], motion[21], a_t, gamma))
         except OutOfBoundsError:
             status = STATUS_LEFT_GRID
             break
@@ -228,17 +218,15 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
             status = STATUS_SINGULAR_SPEED
             break
 
+    table = np.array(rows_out, dtype=float).reshape(len(rows_out), len(_ROW_FIELDS) + 2)
+    cols = {name: table[:, i].copy() for i, name in enumerate(_ROW_FIELDS)}
+    kinds = np.array(["arc" if isinstance(seg, ArcSegment) else "line"
+                      for seg in traj.geometry.segments])
     return TrajectoryLog(
-        t=np.array(cols["t"]),
-        x=np.array(cols["x"]), y=np.array(cols["y"]), z=np.array(cols["z"]),
-        psi=np.array(cols["psi"]), speed=np.array(cols["speed"]),
-        steer=np.array(cols["steer"]),
-        xd=np.array(cols["xd"]), yd=np.array(cols["yd"]), zd=np.array(cols["zd"]),
-        accel_cmd=np.array(cols["accel_cmd"]),
-        steer_rate_cmd=np.array(cols["steer_rate_cmd"]),
-        fn=np.array(cols["fn"]), err=np.array(cols["err"]),
-        clamped=np.array(cols["clamped"], dtype=bool),
-        seg_kind=np.array(cols["seg_kind"]),
+        **cols,
+        err=np.hypot(cols["x"] - cols["xd"], cols["y"] - cols["yd"]),
+        clamped=table[:, -2] != 0.0,
+        seg_kind=kinds[table[:, -1].astype(int)],
         status=status, dt=scenario.dt,
     )
 
@@ -269,12 +257,16 @@ LOG_COLUMNS = "t_s,x,y,z,psi,vT,delta,xd,yd,zd,aT_cmd,gamma_cmd,FN,errE,clamped"
 
 
 def write_log_csv(log: TrajectoryLog, path: str) -> None:
-    lines = [LOG_COLUMNS]
-    for i in range(len(log)):
-        vals = [log.t[i], log.x[i], log.y[i], log.z[i], log.psi[i],
-                log.speed[i], log.steer[i], log.xd[i], log.yd[i], log.zd[i],
-                log.accel_cmd[i], log.steer_rate_cmd[i], log.fn[i], log.err[i]]
-        lines.append(",".join(repr(float(v)) for v in vals)
-                     + f",{int(log.clamped[i])}")
+    """The log as CSV (LOG_COLUMNS), formatted in blocks of SAMPLE_BLOCK rows,
+    each converted to floats with one ``.tolist()``."""
+    columns = [log.t, log.x, log.y, log.z, log.psi, log.speed, log.steer,
+               log.xd, log.yd, log.zd, log.accel_cmd, log.steer_rate_cmd, log.fn,
+               log.err]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(LOG_COLUMNS + "\n")
+        for k0 in range(0, len(log), SAMPLE_BLOCK):
+            block = slice(k0, k0 + SAMPLE_BLOCK)
+            table = np.column_stack([c[block] for c in columns])
+            fh.write("".join(
+                ",".join(map(repr, vals)) + (",1\n" if flag else ",0\n")
+                for vals, flag in zip(table.tolist(), log.clamped[block].tolist())))

@@ -1,5 +1,5 @@
 """Gridded terrain: elevation rasters, a twice-differentiable surface model,
-surface-aligned frames, inter-node slopes, and traversability masks.
+inter-node slopes, and traversability masks.
 
 Grid conventions
 ----------------
@@ -179,6 +179,8 @@ class SurfaceModel:
         self._inv_cell = 1.0 / grid.cell_size
         self._nx_cells = grid.n_cols - 1
         self._ny_cells = grid.n_rows - 1
+        self._cell = None
+        self._cell_coeffs = None
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -194,12 +196,18 @@ class SurfaceModel:
         shape; OutOfBoundsError names the first point outside the grid.
         """
         if isinstance(x, (float, int)) and isinstance(y, (float, int)):
-            if not self.contains(x, y):
+            if not (self._x_min <= x <= self._x_max and self._y_min <= y <= self._y_max):
                 raise self._out_of_bounds(x, y)
-            # axes are uniform, so the cell index is direct arithmetic
-            i = min(max(int((x - self._x_min) * self._inv_cell), 0), self._nx_cells - 1)
-            j = min(max(int((y - self._y_min) * self._inv_cell), 0), self._ny_cells - 1)
-            return _bicubic_jet(self._coeffs[i, j].tolist(),
+            # axes are uniform, so the cell index is direct arithmetic; both
+            # offsets are >= 0 inside the grid
+            i = min(int((x - self._x_min) * self._inv_cell), self._nx_cells - 1)
+            j = min(int((y - self._y_min) * self._inv_cell), self._ny_cells - 1)
+            # a moving car queries one cell many times in a row: keep the
+            # last cell's coefficients as floats
+            if (i, j) != self._cell:
+                self._cell = (i, j)
+                self._cell_coeffs = self._coeffs[i, j].tolist()
+            return _bicubic_jet(self._cell_coeffs,
                                 x - self._x_nodes[i], y - self._y_nodes[j])
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -227,34 +235,29 @@ def _bicubic_jet(c, u, v) -> tuple:
     ``c`` is a 4x4 nested list of floats or a (4, 4, ...) array; u and v are
     floats or arrays that broadcast with c[p][q].
     """
-    # per power of u: the polynomial in v and its first two v-derivatives
-    g, g_v, g_vv = [], [], []
-    for c0, c1, c2, c3 in c:
-        g.append(c0 + v * (c1 + v * (c2 + v * c3)))
-        g_v.append(c1 + v * (2.0 * c2 + v * (3.0 * c3)))
-        g_vv.append(2.0 * c2 + v * (6.0 * c3))
-    f = g[0] + u * (g[1] + u * (g[2] + u * g[3]))
-    f_x = g[1] + u * (2.0 * g[2] + u * (3.0 * g[3]))
-    f_y = g_v[0] + u * (g_v[1] + u * (g_v[2] + u * g_v[3]))
-    f_xx = 2.0 * g[2] + u * (6.0 * g[3])
-    f_yy = g_vv[0] + u * (g_vv[1] + u * (g_vv[2] + u * g_vv[3]))
-    f_xy = g_v[1] + u * (2.0 * g_v[2] + u * (3.0 * g_v[3]))
+    (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), \
+        (c30, c31, c32, c33) = c
+    # per power of u: the polynomial in v (g), its first v-derivative (h)
+    # and its second (k)
+    g0 = c00 + v * (c01 + v * (c02 + v * c03))
+    g1 = c10 + v * (c11 + v * (c12 + v * c13))
+    g2 = c20 + v * (c21 + v * (c22 + v * c23))
+    g3 = c30 + v * (c31 + v * (c32 + v * c33))
+    h0 = c01 + v * (2.0 * c02 + v * (3.0 * c03))
+    h1 = c11 + v * (2.0 * c12 + v * (3.0 * c13))
+    h2 = c21 + v * (2.0 * c22 + v * (3.0 * c23))
+    h3 = c31 + v * (2.0 * c32 + v * (3.0 * c33))
+    k0 = 2.0 * c02 + v * (6.0 * c03)
+    k1 = 2.0 * c12 + v * (6.0 * c13)
+    k2 = 2.0 * c22 + v * (6.0 * c23)
+    k3 = 2.0 * c32 + v * (6.0 * c33)
+    f = g0 + u * (g1 + u * (g2 + u * g3))
+    f_x = g1 + u * (2.0 * g2 + u * (3.0 * g3))
+    f_y = h0 + u * (h1 + u * (h2 + u * h3))
+    f_xx = 2.0 * g2 + u * (6.0 * g3)
+    f_yy = k0 + u * (k1 + u * (k2 + u * k3))
+    f_xy = h1 + u * (2.0 * h2 + u * (3.0 * h3))
     return f, f_x, f_y, f_xx, f_yy, f_xy
-
-
-def normal_with_gradient(jet: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit upward normal n = g/|g|, g = (-f_x, -f_y, 1), plus its spatial
-    derivatives dn/dx and dn/dy, from a surface jet (f, f_x, f_y, f_xx, f_yy, f_xy)
-    as returned by SurfaceModel.eval."""
-    _, f_x, f_y, f_xx, f_yy, f_xy = jet
-    g = np.array([-f_x, -f_y, 1.0])
-    gx = np.array([-f_xx, -f_xy, 0.0])
-    gy = np.array([-f_xy, -f_yy, 0.0])
-    norm = math.sqrt(f_x * f_x + f_y * f_y + 1.0)
-    n = g / norm
-    dn_dx = gx / norm - g * (g @ gx) / norm**3
-    dn_dy = gy / norm - g * (g @ gy) / norm**3
-    return n, dn_dx, dn_dy
 
 
 def surface_lift(
@@ -266,66 +269,16 @@ def surface_lift(
         z_ddot = f_x x_ddot + f_xx x_dot^2 + f_yy y_dot^2
                  + f_y y_ddot + 2 f_xy x_dot y_dot
 
-    ``jet`` is SurfaceModel.eval at the planar position.
+    ``jet`` is SurfaceModel.eval at the planar position, or any sequence
+    that starts with it (vehicle.frame_and_motion's tuple does).
     """
-    _, f_x, f_y, f_xx, f_yy, f_xy = jet
+    f_x, f_y, f_xx, f_yy, f_xy = jet[1], jet[2], jet[3], jet[4], jet[5]
     z_dot = f_x * x_dot + f_y * y_dot
     # f_xx * x_dot ** 2, not f_xx * x_dot * x_dot: the two round differently,
     # and written outputs (trajectory.csv az) are kept bit for bit
     z_ddot = (f_x * x_ddot + f_xx * x_dot ** 2 + f_yy * y_dot ** 2
               + f_y * y_ddot + 2.0 * f_xy * x_dot * y_dot)
     return z_dot, z_ddot
-
-
-def euler_angles(n: np.ndarray) -> tuple[float, float]:
-    """Roll and pitch of the surface-aligned frame from a unit upward normal.
-
-    roll  = asin(-n_y)
-    pitch = atan2(n_x, n_z)
-
-    The third row of the roll-pitch rotation rebuilt from these angles equals
-    the input normal.
-    """
-    if abs(math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) - 1.0) > 1e-6:
-        raise ValueError("normal must be a unit vector")
-    if n[2] <= 0:
-        raise ValueError("normal must point upward (positive z)")
-    phi = math.asin(-n[1])
-    theta = math.atan2(n[0], n[2])
-    return phi, theta
-
-
-def rotation_from_angles(phi: float, theta: float) -> np.ndarray:
-    """Rows are the surface-frame basis vectors expressed in ground coordinates.
-
-    Composition of an x-axis roll after a y-axis pitch; row 3 is the surface
-    normal.
-    """
-    cp, sp = math.cos(phi), math.sin(phi)
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([
-        [ct, 0.0, -st],
-        [sp * st, cp, sp * ct],
-        [cp * st, -sp, cp * ct],
-    ])
-
-
-def euler_rates(n: np.ndarray, n_dot: np.ndarray) -> tuple[float, float]:
-    """Time derivatives of the surface-frame roll and pitch from the unit
-    normal n and its time derivative n_dot.
-
-    Exact chain rule through euler_angles:
-
-        roll_rate  = -n_dot_y / cos(roll)
-        pitch_rate = (n_z * n_dot_x - n_x * n_dot_z) / (n_x**2 + n_z**2)
-    """
-    xz = n[0] * n[0] + n[2] * n[2]
-    cos_phi = math.sqrt(xz)  # = cos(asin(-n_y)), always >= n_z > 0
-    if cos_phi < 1e-9:
-        raise ValueError("gimbal condition: cos(roll) is numerically zero")
-    phi_dot = -n_dot[1] / cos_phi
-    theta_dot = (n[2] * n_dot[0] - n[0] * n_dot[2]) / xz
-    return float(phi_dot), float(theta_dot)
 
 
 def slope_between(grid: ElevationGrid, node_a: tuple[int, int], node_b: tuple[int, int]) -> float:

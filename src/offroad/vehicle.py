@@ -4,36 +4,39 @@ The state is planar position, yaw about the local surface normal, speed, and
 steering angle; height is always the surface height.  Velocity points at the
 steering angle within the body plane, the rear-contact no-sideslip constraint
 fixes the yaw rate, and the inputs are tangential acceleration and steering
-rate.  The inversion from a commanded ground-frame acceleration back to those
-inputs is exact for speeds above a small guard threshold.
+rate.
+
+Frames and signs
+----------------
+The surface frame (i_t, j_t, k_t) is the ground frame rotated by the pitch
+theta = atan2(n_x, n_z) about ground y and then the roll phi = asin(-n_y)
+about the pitched x axis, so k_t is the unit upward normal n and i_t has no
+ground-y component.  The body frame is the surface frame yawed by psi about
+k_t: i_b = cos(psi) i_t + sin(psi) j_t points forward and j_b = k_b x i_b
+points to the car's left.  psi and the steering angle delta are positive
+counter-clockwise seen from above the surface.
+
+The velocity is r_dot = v (cos(delta) i_b + sin(delta) j_b).  The rear
+contact sits at r - l i_b (l the wheelbase) and may not slide sideways, so
+its velocity along j_b, (r_dot - l omega_t x i_b) . j_b - l psi_dot, is zero:
+
+    psi_dot = (r_dot - l omega_t x i_b) . j_b / l
+
+where omega_t is the rotation rate of the surface frame.  On flat ground this
+is psi_dot = v sin(delta) / l (Rajamani, Vehicle Dynamics and Control,
+sec. 2.2): positive steer turns left.
+
+Everything here works on Python floats and tuples: one closed-loop stage
+evaluates frame_and_motion once and steps no arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .terrain import (
-    SurfaceModel,
-    euler_angles,
-    euler_rates,
-    normal_with_gradient,
-    rotation_from_angles,
-)
-
-K_GROUND_UP = np.array([0.0, 0.0, 1.0])
-
-
-def _cross3(a, b) -> np.ndarray:
-    # np.cross has high overhead for single 3-vectors; this path is hot
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+from .terrain import SurfaceModel
 
 
 class SingularSpeedError(ValueError):
@@ -61,8 +64,7 @@ class VehicleParams:
         return cls(wheelbase=2.0, mass=1000.0)
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     x: float
     y: float
     psi: float     # yaw about the surface normal
@@ -70,202 +72,139 @@ class VehicleState:
     steer: float   # steering angle
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    accel: float       # d(speed)/dt
-    steer_rate: float  # d(steer)/dt
-
-
-@dataclass(frozen=True)
-class BodyFrame:
-    """Body and surface-frame bases in ground coordinates, plus frame angles."""
-
-    i_b: np.ndarray
-    j_b: np.ndarray
-    k_b: np.ndarray
-    i_t: np.ndarray
-    j_t: np.ndarray
-    k_t: np.ndarray
-    phi: float
-    theta: float
-
-
-def body_frame(phi: float, theta: float, psi: float) -> BodyFrame:
-    """Surface-aligned frame of roll phi and pitch theta, yawed by psi about
-    its normal to give the body frame."""
-    rot = rotation_from_angles(phi, theta)
-    i_t, j_t, k_t = rot[0], rot[1], rot[2]
-    c, s = math.cos(psi), math.sin(psi)
-    return BodyFrame(
-        i_b=c * i_t + s * j_t,
-        j_b=-s * i_t + c * j_t,
-        k_b=k_t,
-        i_t=i_t, j_t=j_t, k_t=k_t,
-        phi=phi, theta=theta,
-    )
-
-
-def forward_velocity(state: VehicleState, frame: BodyFrame) -> np.ndarray:
-    """Ground-frame velocity: speed along the steered direction in the body
-    plane, so its norm equals the state speed and it is surface tangent."""
-    c, s = math.cos(state.steer), math.sin(state.steer)
-    return state.speed * (c * frame.i_b + s * frame.j_b)
-
-
-def terrain_angular_velocity(phi_dot: float, theta_dot: float, frame: BodyFrame) -> np.ndarray:
-    """Rotation rate of the surface-aligned frame given its roll and pitch
-    rates (see terrain.euler_rates)."""
-    cp, sp = math.cos(frame.phi), math.sin(frame.phi)
-    return (phi_dot * frame.i_t
-            + theta_dot * cp * frame.j_t
-            - theta_dot * sp * frame.k_t)
-
-
-def yaw_rate_from_no_slip(
-    r_dot: np.ndarray, omega_t: np.ndarray, frame: BodyFrame, params: VehicleParams
-) -> float:
-    """Yaw rate that zeroes the rear-contact lateral velocity:
-
-        psi_dot = (1/l) * (r_dot - l * omega_t x i_b) . j_b
-    """
-    l = params.wheelbase
-    rel = r_dot - l * _cross3(omega_t, frame.i_b)
-    return float((rel @ frame.j_b) / l)
-
-
-def no_slip_residual(
-    r_dot: np.ndarray, omega_t: np.ndarray, psi_dot: float,
-    frame: BodyFrame, params: VehicleParams,
-) -> float:
-    """Rear-contact lateral velocity under the model's sign conventions; zero
-    whenever psi_dot obeys the no-slip law."""
-    l = params.wheelbase
-    rel = r_dot - l * _cross3(omega_t, frame.i_b)
-    return float(rel @ frame.j_b - l * psi_dot)
-
-
-def accel_to_controls(
-    state: VehicleState, frame: BodyFrame, omega_b: np.ndarray,
-    r_ddot: np.ndarray, params: VehicleParams,
-) -> ControlInput:
-    """Invert the acceleration expansion for (accel, steer_rate).
-
-    Subtracting the frame-rotation term leaves a vector in the body plane
-    spanned by the steered direction and its perpendicular; projecting onto
-    those directions recovers the tangential acceleration and speed-scaled
-    steering rate.
-    """
-    if state.speed < params.min_ctrl_speed:
-        raise SingularSpeedError(
-            f"speed {state.speed:.4f} m/s below control threshold "
-            f"{params.min_ctrl_speed}; steering-rate inversion is singular"
-        )
-    c, s = math.cos(state.steer), math.sin(state.steer)
-    v_vec = state.speed * (c * frame.i_b + s * frame.j_b)
-    rem = r_ddot - _cross3(omega_b, v_vec)
-    comp_i = float(rem @ frame.i_b)
-    comp_j = float(rem @ frame.j_b)
-    a_t = c * comp_i + s * comp_j
-    gamma = (-s * comp_i + c * comp_j) / state.speed
-    return ControlInput(accel=a_t, steer_rate=gamma)
-
-
-def realized_acceleration(
-    state: VehicleState, control: ControlInput, frame: BodyFrame,
-    omega_b: np.ndarray,
-) -> np.ndarray:
-    """Ground-frame acceleration produced by the inputs at this state."""
-    c, s = math.cos(state.steer), math.sin(state.steer)
-    u = c * frame.i_b + s * frame.j_b
-    w = -s * frame.i_b + c * frame.j_b
-    return (control.accel * u
-            + state.speed * control.steer_rate * w
-            + _cross3(omega_b, state.speed * u))
-
-
-def normal_force(frame: BodyFrame, r_ddot: np.ndarray, params: VehicleParams) -> float:
-    """Surface reaction magnitude; non-positive means the car leaves the
-    surface, which callers treat as a validity violation."""
-    return float(frame.k_b @ (params.mass * params.gravity * K_GROUND_UP
-                              + params.mass * np.asarray(r_ddot)))
-
-
-def clamp_control(control: ControlInput, params: VehicleParams) -> tuple[ControlInput, bool]:
-    """Apply actuator bounds; returns the clamped input and whether clamping hit."""
-    a, g = control.accel, control.steer_rate
-    if params.max_accel is not None:
-        a = min(max(a, -params.max_accel), params.max_accel)
-    if params.max_steer_rate is not None:
-        g = min(max(g, -params.max_steer_rate), params.max_steer_rate)
-    clamped = (a != control.accel) or (g != control.steer_rate)
-    return ControlInput(accel=a, steer_rate=g), clamped
-
-
-@dataclass(frozen=True)
-class MotionContext:
-    """Everything a control or integration step needs from one surface query."""
-
-    frame: BodyFrame
-    r_dot: np.ndarray
-    omega_t: np.ndarray
-    omega_b: np.ndarray
-    psi_dot: float
-    jet: tuple  # SurfaceModel.eval at the state position: (f, f_x, f_y, f_xx, f_yy, f_xy)
+# The fields of the tuple frame_and_motion returns, in order.  It starts with
+# the surface jet, so terrain.surface_lift reads the tuple directly.
+MOTION_FIELDS = (
+    "f", "f_x", "f_y", "f_xx", "f_yy", "f_xy",   # SurfaceModel.eval at (x, y)
+    "i_bx", "i_by", "i_bz",                      # body forward axis
+    "j_bx", "j_by", "j_bz",                      # body left axis
+    "k_bx", "k_by", "k_bz",                      # body normal = surface normal
+    "x_dot", "y_dot", "z_dot",                   # ground-frame velocity
+    "w_bx", "w_by", "w_bz",                      # body angular velocity
+    "psi_dot",                                   # no-slip yaw rate
+)
 
 
 def frame_and_motion(
-    surface: SurfaceModel, state: VehicleState, params: VehicleParams
-) -> MotionContext:
-    """Body frame, ground velocity, frame rotation rates, and no-slip yaw rate
-    from a single surface evaluation."""
-    jet = surface.eval(state.x, state.y)
-    n, dn_dx, dn_dy = normal_with_gradient(jet)
-    frame = body_frame(*euler_angles(n), state.psi)
-    r_dot = forward_velocity(state, frame)
-    n_dot = dn_dx * r_dot[0] + dn_dy * r_dot[1]
-    omega_t = terrain_angular_velocity(*euler_rates(n, n_dot), frame)
-    psi_dot = yaw_rate_from_no_slip(r_dot, omega_t, frame, params)
-    omega_b = omega_t + psi_dot * frame.k_t
-    return MotionContext(frame=frame, r_dot=r_dot, omega_t=omega_t,
-                         omega_b=omega_b, psi_dot=psi_dot, jet=jet)
+    surface: SurfaceModel, x: float, y: float, psi: float, v: float, steer: float,
+    params: VehicleParams,
+) -> tuple:
+    """Frame and motion of the car at one state, from one surface query.
+
+    Returns the flat float tuple laid out by MOTION_FIELDS: the jet, the
+    body frame, the velocity, the body angular velocity and the no-slip yaw
+    rate.  The frame is built from the cosines and sines of roll and pitch,
+    which follow from the normal without trigonometry:
+    cos(phi) = sqrt(n_x^2 + n_z^2), sin(phi) = -n_y, and
+    (cos(theta), sin(theta)) = (n_z, n_x) / cos(phi).
+    """
+    f, f_x, f_y, f_xx, f_yy, f_xy = surface.eval(x, y)
+    # unit upward normal n = g / |g| with g = (-f_x, -f_y, 1)
+    inv = 1.0 / math.sqrt(f_x * f_x + f_y * f_y + 1.0)
+    n_x = -f_x * inv
+    n_y = -f_y * inv
+    n_z = inv
+    xz = n_x * n_x + n_z * n_z
+    cp = math.sqrt(xz)             # cos(phi) >= n_z > 0
+    sp = -n_y
+    ct = n_z / cp
+    st = n_x / cp
+    # surface frame rows: i_t = (ct, 0, -st), j_t = (sp st, cp, sp ct),
+    # k_t = (cp st, -sp, cp ct); the body frame is it yawed by psi
+    j_tx = sp * st
+    j_tz = sp * ct
+    c = math.cos(psi)
+    s = math.sin(psi)
+    i_bx = c * ct + s * j_tx
+    i_by = s * cp
+    i_bz = s * j_tz - c * st
+    j_bx = c * j_tx - s * ct
+    j_by = c * cp
+    j_bz = c * j_tz + s * st
+    k_bx = cp * st
+    k_bz = cp * ct
+    # velocity along the steered direction in the body plane
+    cd = v * math.cos(steer)
+    sd = v * math.sin(steer)
+    x_dot = cd * i_bx + sd * j_bx
+    y_dot = cd * i_by + sd * j_by
+    z_dot = cd * i_bz + sd * j_bz
+    # n_dot = g_dot / |g| - g (g . g_dot) / |g|^3 with
+    # g_dot = -(f_xx x_dot + f_xy y_dot, f_xy x_dot + f_yy y_dot, 0)
+    gd_x = -(f_xx * x_dot + f_xy * y_dot)
+    gd_y = -(f_xy * x_dot + f_yy * y_dot)
+    q = (f_x * gd_x + f_y * gd_y) * inv * inv * inv
+    nd_x = gd_x * inv - f_x * q
+    nd_y = gd_y * inv - f_y * q
+    # roll and pitch rates by the chain rule through asin(-n_y) and
+    # atan2(n_x, n_z); the surface frame turns at omega_t = phi_dot i_t +
+    # theta_dot e_y (pitch about ground y, then roll about i_t)
+    phi_dot = -nd_y / cp
+    theta_dot = (n_z * nd_x - n_x * q) / xz
+    w_x = phi_dot * ct
+    w_z = -phi_dot * st
+    # no rear sideslip: psi_dot = (r_dot - l omega_t x i_b) . j_b / l
+    l = params.wheelbase
+    r_x = x_dot - l * (theta_dot * i_bz - w_z * i_by)
+    r_y = y_dot - l * (w_z * i_bx - w_x * i_bz)
+    r_z = z_dot - l * (w_x * i_by - theta_dot * i_bx)
+    psi_dot = (r_x * j_bx + r_y * j_by + r_z * j_bz) / l
+    return (f, f_x, f_y, f_xx, f_yy, f_xy,
+            i_bx, i_by, i_bz, j_bx, j_by, j_bz, k_bx, n_y, k_bz,
+            x_dot, y_dot, z_dot,
+            w_x + psi_dot * k_bx, theta_dot + psi_dot * n_y, w_z + psi_dot * k_bz,
+            psi_dot)
 
 
-def state_rates(ctx: MotionContext, control: ControlInput) -> np.ndarray:
-    """(x_dot, y_dot, psi_dot, speed_dot, steer_dot): the time derivative of
-    the state vector (x, y, psi, speed, steer) under the given inputs."""
-    return np.array([ctx.r_dot[0], ctx.r_dot[1], ctx.psi_dot,
-                     control.accel, control.steer_rate])
+def normal_force(motion: tuple, params: VehicleParams) -> float:
+    """Surface reaction magnitude m (g k_b . e_z + k_b . r_ddot) at the state
+    of a frame_and_motion tuple; non-positive means the car leaves the
+    surface, which callers treat as a validity violation.
 
-
-def _state(vec) -> VehicleState:
-    return VehicleState(x=float(vec[0]), y=float(vec[1]), psi=float(vec[2]),
-                        speed=float(vec[3]), steer=float(vec[4]))
+    The inputs accelerate the car within the body plane, so only the frame's
+    rotation moves r_ddot off it: k_b . r_ddot = k_b . (omega_b x r_dot).
+    """
+    (_, _, _, _, _, _, _, _, _, _, _, _, k_x, k_y, k_z,
+     x_dot, y_dot, z_dot, w_x, w_y, w_z, _) = motion
+    turn = (k_x * (w_y * z_dot - w_z * y_dot) + k_y * (w_z * x_dot - w_x * z_dot)
+            + k_z * (w_x * y_dot - w_y * x_dot))
+    return params.mass * (params.gravity * k_z + turn)
 
 
 def step_dynamics(
-    state: VehicleState,
-    rates: Callable[[VehicleState, float], np.ndarray],
-    params: VehicleParams, dt: float, k1: np.ndarray | None,
+    state: tuple,
+    rates: Callable[[tuple, float], tuple],
+    params: VehicleParams, dt: float, k1: tuple | None = None,
 ) -> VehicleState:
-    """One classical RK4 step of length dt.
+    """One classical RK4 step of length dt on (x, y, psi, speed, steer).
 
-    ``rates(s, h)`` is the state derivative (see state_rates) at state s and
-    time offset h in {0, dt/2, dt} from the step start; ``k1`` is its value
-    at (state, 0) when the caller already has it, else None.  Any actuator
-    clamping of the inputs belongs in ``rates``.  After the step the
-    steering angle is clamped to max_steer and the speed to >= 0.  Height
-    never appears in the state: it is re-derived from the surface wherever
-    needed.
+    ``rates(s, h)`` is the state derivative (x_dot, y_dot, psi_dot,
+    speed_dot, steer_dot) at the state tuple s and time offset h in
+    {0, dt/2, dt} from the step start; ``k1`` is its value at (state, 0)
+    when the caller already has it, else None.  Any actuator clamping of the
+    inputs belongs in ``rates``.  After the step the steering angle is
+    clamped to max_steer and the speed to >= 0.  Height never appears in the
+    state: it is re-derived from the surface wherever needed.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    y0 = np.array([state.x, state.y, state.psi, state.speed, state.steer])
+    x, y, psi, v, d = state
     if k1 is None:
         k1 = rates(state, 0.0)
-    k2 = rates(_state(y0 + 0.5 * dt * k1), 0.5 * dt)
-    k3 = rates(_state(y0 + 0.5 * dt * k2), 0.5 * dt)
-    k4 = rates(_state(y0 + dt * k3), dt)
-    x, y, psi, speed, steer = (float(v) for v in y0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    h = 0.5 * dt
+    x1, y1, p1, v1, d1 = k1
+    x2, y2, p2, v2, d2 = rates((x + h * x1, y + h * y1, psi + h * p1,
+                                v + h * v1, d + h * d1), h)
+    x3, y3, p3, v3, d3 = rates((x + h * x2, y + h * y2, psi + h * p2,
+                                v + h * v2, d + h * d2), h)
+    x4, y4, p4, v4, d4 = rates((x + dt * x3, y + dt * y3, psi + dt * p3,
+                                v + dt * v3, d + dt * d3), dt)
+    w = dt / 6.0
+    steer = d + w * (d1 + 2 * d2 + 2 * d3 + d4)
     if params.max_steer is not None:
         steer = min(max(steer, -params.max_steer), params.max_steer)
-    return VehicleState(x=x, y=y, psi=psi, speed=max(speed, 0.0), steer=steer)
+    return VehicleState(x + w * (x1 + 2 * x2 + 2 * x3 + x4),
+                        y + w * (y1 + 2 * y2 + 2 * y3 + y4),
+                        psi + w * (p1 + 2 * p2 + 2 * p3 + p4),
+                        max(v + w * (v1 + 2 * v2 + 2 * v3 + v4), 0.0),
+                        steer)

@@ -84,3 +84,72 @@ def random_problem(rng, n=12, cell=5.0, obstacle_p=0.15, rough=1.0):
     water[goal] = False
     mask = build_obstacle_mask(grid, water_mask=water, steep_limit=10.0)
     return grid, mask, goal
+
+
+# ---------------------------------------------------------------------------
+# Frame oracle.  vehicle.frame_and_motion builds the surface frame from the
+# normal with square roots only; these build the same convention from the
+# roll and pitch angles with numpy vectors and trigonometry, so the kernel's
+# frame, rates and yaw are checked against an independent formulation.
+# test_terrain checks the oracle itself against finite differences.
+# ---------------------------------------------------------------------------
+
+def normal_with_gradient(jet):
+    """Unit upward normal n = g/|g|, g = (-f_x, -f_y, 1), plus its spatial
+    derivatives dn/dx and dn/dy, from a surface jet (f, f_x, f_y, f_xx,
+    f_yy, f_xy)."""
+    _, f_x, f_y, f_xx, f_yy, f_xy = jet
+    g = np.array([-f_x, -f_y, 1.0])
+    gx = np.array([-f_xx, -f_xy, 0.0])
+    gy = np.array([-f_xy, -f_yy, 0.0])
+    norm = math.sqrt(f_x * f_x + f_y * f_y + 1.0)
+    n = g / norm
+    dn_dx = gx / norm - g * (g @ gx) / norm**3
+    dn_dy = gy / norm - g * (g @ gy) / norm**3
+    return n, dn_dx, dn_dy
+
+
+def euler_angles(n):
+    """Roll asin(-n_y) and pitch atan2(n_x, n_z) of a unit upward normal."""
+    if abs(math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) - 1.0) > 1e-6:
+        raise ValueError("normal must be a unit vector")
+    if n[2] <= 0:
+        raise ValueError("normal must point upward (positive z)")
+    return math.asin(-n[1]), math.atan2(n[0], n[2])
+
+
+def rotation_from_angles(phi, theta):
+    """Rows i_t, j_t, k_t of the surface frame in ground coordinates: a roll
+    about x after a pitch about y; row 3 is the surface normal."""
+    cp, sp = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array([
+        [ct, 0.0, -st],
+        [sp * st, cp, sp * ct],
+        [cp * st, -sp, cp * ct],
+    ])
+
+
+def euler_rates(n, n_dot):
+    """Roll and pitch rates from the unit normal and its time derivative, by
+    the chain rule through euler_angles."""
+    xz = n[0] * n[0] + n[2] * n[2]
+    return -n_dot[1] / math.sqrt(xz), (n[2] * n_dot[0] - n[0] * n_dot[2]) / xz
+
+
+def oracle_frame(surf, x, y, psi):
+    """(i_b, j_b, k_b, i_t, j_t) at a pose, from the angles."""
+    n, _, _ = normal_with_gradient(surf.eval(x, y))
+    i_t, j_t, k_t = rotation_from_angles(*euler_angles(n))
+    c, s = math.cos(psi), math.sin(psi)
+    return c * i_t + s * j_t, -s * i_t + c * j_t, k_t, i_t, j_t
+
+
+def oracle_surface_rate(surf, x, y, x_dot, y_dot):
+    """Rotation rate of the surface frame while the contact point moves at
+    (x_dot, y_dot) through (x, y)."""
+    n, dn_dx, dn_dy = normal_with_gradient(surf.eval(x, y))
+    phi, theta = euler_angles(n)
+    phi_dot, theta_dot = euler_rates(n, dn_dx * x_dot + dn_dy * y_dot)
+    i_t, j_t, k_t = rotation_from_angles(phi, theta)
+    return phi_dot * i_t + theta_dot * math.cos(phi) * j_t - theta_dot * math.sin(phi) * k_t

@@ -426,6 +426,31 @@ def test_property_base_config_completes(tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == EXIT_OK
 
 
+def test_run_past_the_trajectory_end_arrives(tmp_path, capsys):
+    # the base config's trajectory lasts 17.36 s and ends at 2 m/s; for the
+    # 2.64 s after it the reference holds the end point at rest, the car
+    # brakes at max_accel (5 m/s^2) to a stop 2^2 / (2 * 5) = 0.4 m past it,
+    # and the run ends completed with every step logged
+    write_fixture_grid(tmp_path, flat_grid(n=20, cell=2.0))
+    (tmp_path / "run.cfg").write_text(property_config([(
+        (("simulation", "duration"), None), "20")]))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(tmp_path / "run.cfg"),
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert "simulation completed: 401 steps" in capsys.readouterr().out
+    log = np.loadtxt(out / "log.csv", delimiter=",", skiprows=1)
+    names = LOG_COLUMNS.split(",")
+    t, speed = log[:, names.index("t_s")], log[:, names.index("vT")]
+    end = np.hypot(log[:, names.index("x")] - 28.0, log[:, names.index("y")] - 28.0)
+    assert t[-1] == pytest.approx(20.0)
+    assert speed[-1] == 0.0 and end[-1] <= 0.4 + 0.01
+    # once stopped the car is held: zero inputs, constant speed
+    held = t > 19.5
+    assert np.all(log[held, names.index("aT_cmd")] == 0.0)
+    assert np.all(log[held, names.index("gamma_cmd")] == 0.0)
+    assert np.ptp(speed[held]) == 0.0
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(mutations=st.lists(
     st.tuples(st.sampled_from(PROPERTY_TARGETS),
@@ -544,6 +569,33 @@ def test_render_log_with_non_numeric_cell_names_line(tmp_path, capsys):
                  "--log", str(log_path), "--out", str(tmp_path / "scene.svg")])
     assert code == EXIT_INPUT
     assert "log.csv:3: column 4: not a number: 'oops'" in capsys.readouterr().err
+
+
+ROUTE_SUMMARY = "# total_cost=1.5,total_dist_m=20.0,mean_slope_deg=0.1,max_slope_deg=0.2"
+ROUTE_HEADER = "idx,node_row,node_col,x_m,y_m,z_m,hop_slope_deg,cum_dist_m"
+ROUTE_ROW = "0,6,3,30.0,0.0,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([ROUTE_SUMMARY.replace(",total_dist_m=20.0", ""), ROUTE_HEADER, ROUTE_ROW],
+     "route.csv:1: summary lacks total_dist_m"),
+    ([ROUTE_SUMMARY], "route.csv: expected the column header"),
+    ([ROUTE_SUMMARY, ROUTE_HEADER, ROUTE_ROW, "1"], "route.csv:4: expected 8 values, found 1"),
+    ([ROUTE_SUMMARY, "", ROUTE_HEADER, ROUTE_ROW.replace(",6,", ",6.5,")],
+     "route.csv:4: node_row and node_col must be whole numbers"),
+    ([ROUTE_SUMMARY, ROUTE_HEADER, ROUTE_ROW.replace(",6,", ",inf,")],
+     "route.csv:3: node_row and node_col must be whole numbers"),
+])
+def test_render_malformed_route_exits_4_naming_the_line(tmp_path, capsys, lines, message):
+    grid_path = write_fixture_grid(tmp_path, ridge_grid())
+    route_path = tmp_path / "route.csv"
+    route_path.write_text("\n".join(lines) + "\n")
+    code = main(["render", "--grid", str(grid_path), "--route", str(route_path),
+                 "--out", str(tmp_path / "scene.svg")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_render_byte_identical(tmp_path):

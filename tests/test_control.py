@@ -3,31 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from offroad.control import (
-    GainConfig,
-    commanded_planar_accel,
-    control_step,
-)
+from offroad.control import GainConfig, control_step, reference_rows
 from offroad.local_path import (
-    DesiredSample,
     DesiredTrajectory,
     TrajectoryConfig,
     build_speed_profile,
     plan_geometry,
 )
 from offroad.terrain import SurfaceModel, surface_lift
-from offroad.vehicle import VehicleParams, VehicleState
+from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
 from conftest import flat_grid, grid_from_function
 
 FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
 
 
-def make_sample(pos, vel, acc):
-    return DesiredSample(position=np.asarray(pos, float),
-                         velocity=np.asarray(vel, float),
-                         acceleration=np.asarray(acc, float),
-                         arc_length=0.0, segment_index=0, phase="CV")
+def row(pos, vel, acc):
+    """A reference row (see reference_rows) from planar position, velocity
+    and acceleration."""
+    return [pos[0], pos[1], 0.0, vel[0], vel[1], acc[0], acc[1], 0.0, 0.0]
+
+
+def step(surface, state, ref, gains=GainConfig(10.0, 20.0), params=FREE):
+    motion = frame_and_motion(surface, *state, params)
+    return control_step(motion, state, ref, gains, params)
+
+
+def sampled_row(traj, t):
+    return reference_rows(traj.sample(np.array([t])), np.array([False]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,28 +55,28 @@ def test_case_study_gain_poles():
 # Planar acceleration command
 # ---------------------------------------------------------------------------
 
-def test_command_zero_error_zero_feedforward():
-    sample = make_sample([1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    ax, ay = commanded_planar_accel(np.array([1.0, 2.0]), np.array([2.0, 0.0]),
-                                    sample, GainConfig(10.0, 20.0))
-    assert (ax, ay) == (0.0, 0.0)
+# On flat ground, heading east with zero steer, the inputs are the planar
+# command itself: a_T = a_x and gamma = a_y / speed.
+
+def test_command_zero_error_zero_feedforward(flat_surface):
+    (a_t, gamma), _ = step(flat_surface, VehicleState(1.0, 2.0, 0.0, 2.0, 0.0),
+                           row([1.0, 2.0], [2.0, 0.0], [0.0, 0.0]))
+    assert (a_t, gamma) == (0.0, 0.0)
 
 
-def test_command_position_error_substitution():
+def test_command_position_error_substitution(flat_surface):
     # desired 1 m ahead in x, velocities equal: only the k2 term fires
-    sample = make_sample([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    ax, ay = commanded_planar_accel(np.array([0.0, 0.0]), np.array([0.0, 0.0]),
-                                    sample, GainConfig(10.0, 20.0))
-    assert ax == pytest.approx(20.0)
-    assert ay == 0.0
+    (a_t, gamma), _ = step(flat_surface, VehicleState(5.0, 5.0, 0.0, 2.0, 0.0),
+                           row([6.0, 5.0], [2.0, 0.0], [0.0, 0.0]))
+    assert a_t == pytest.approx(20.0)
+    assert gamma == 0.0
 
 
-def test_command_includes_feedforward_and_velocity_term():
-    sample = make_sample([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0])
-    ax, ay = commanded_planar_accel(np.array([0.0, 0.0]), np.array([0.0, 0.0]),
-                                    sample, GainConfig(10.0, 20.0))
-    assert ax == pytest.approx(0.5 + 10.0 * 1.0)
-    assert ay == 0.0
+def test_command_includes_feedforward_and_velocity_term(flat_surface):
+    (a_t, gamma), _ = step(flat_surface, VehicleState(5.0, 5.0, 0.0, 2.0, 0.0),
+                           row([5.0, 5.0], [3.0, 0.0], [0.5, 0.0]))
+    assert a_t == pytest.approx(0.5 + 10.0 * 1.0)
+    assert gamma == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +142,9 @@ def test_control_step_equilibrium_on_reference():
     surf = SurfaceModel(flat_grid(n=40, cell=2.0))
     traj = straight_reference(surf)
     state = VehicleState(x=5.0, y=40.0, psi=0.0, speed=2.0, steer=0.0)
-    control, clamped = control_step(state, traj.sample(0.0), GainConfig(10.0, 20.0),
-                                    surf, FREE)
-    assert abs(control.accel) < 1e-9
-    assert abs(control.steer_rate) < 1e-9
+    (a_t, gamma), clamped = step(surf, state, sampled_row(traj, 0.0))
+    assert abs(a_t) < 1e-9
+    assert abs(gamma) < 1e-9
     assert not clamped
 
 
@@ -157,14 +159,15 @@ def test_control_step_arc_feedforward():
     s_mid = (geom.breakpoints[1] + geom.breakpoints[2]) / 2
     t_mid = traj.profile.time_at_s(s_mid)
     sample = traj.sample(t_mid)
+    ref = sampled_row(traj, t_mid)
     tangent = sample.velocity[:2] / np.linalg.norm(sample.velocity[:2])
     state = VehicleState(x=sample.position[0], y=sample.position[1],
                          psi=math.atan2(tangent[1], tangent[0]),
                          speed=2.0, steer=0.0)
-    control, _ = control_step(state, sample, GainConfig(10.0, 20.0), surf, FREE)
+    (a_t, gamma), _ = step(surf, state, ref)
     assert np.linalg.norm(sample.acceleration[:2]) == pytest.approx(1.0, abs=1e-9)
-    assert abs(control.accel) < 1e-9
-    assert state.speed * abs(control.steer_rate) == pytest.approx(1.0, abs=1e-9)
+    assert abs(a_t) < 1e-9
+    assert state.speed * abs(gamma) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_control_step_clamping_flagged():
@@ -173,10 +176,9 @@ def test_control_step_clamping_flagged():
     traj = straight_reference(surf)
     # large lateral offset demands more steering rate than the actuator allows
     state = VehicleState(x=5.0, y=42.0, psi=0.0, speed=2.0, steer=0.0)
-    control, clamped = control_step(state, traj.sample(0.0), GainConfig(10.0, 20.0),
-                                    surf, params)
+    (_, gamma), clamped = step(surf, state, sampled_row(traj, 0.0), params=params)
     assert clamped
-    assert abs(control.steer_rate) == params.max_steer_rate
+    assert abs(gamma) == params.max_steer_rate
 
 
 def test_closed_loop_offset_decay_matches_linear_error_dynamics():

@@ -68,7 +68,7 @@ def test_aligned_initial_state_matches_reference_velocity():
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
     state = aligned_initial_state(traj, surf)
-    v = frame_and_motion(surf, state, FREE).r_dot
+    v = np.array(frame_and_motion(surf, *state, FREE)[15:18])
     ref = traj.sample(0.0).velocity
     assert np.max(np.abs(v - ref)) < 1e-9
 

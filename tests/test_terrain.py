@@ -17,17 +17,21 @@ from offroad.terrain import (
     SurfaceModel,
     WeatherCondition,
     build_obstacle_mask,
-    euler_angles,
-    euler_rates,
     load_elevation_grid,
     load_mask,
-    normal_with_gradient,
-    rotation_from_angles,
     slope_between,
     write_grid_csv,
 )
+from offroad.vehicle import VehicleParams, frame_and_motion
 
-from conftest import flat_grid, grid_from_function
+from conftest import (
+    euler_angles,
+    euler_rates,
+    flat_grid,
+    grid_from_function,
+    normal_with_gradient,
+    rotation_from_angles,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +320,14 @@ def test_surface_interpolates_grid_nodes():
 # ---------------------------------------------------------------------------
 
 def normal_at(surf, x, y):
-    return normal_with_gradient(surf.eval(x, y))[0]
+    """The body normal k_b of vehicle.frame_and_motion, which is the surface
+    normal at any pose."""
+    return np.array(frame_and_motion(surf, x, y, 0.3, 1.0, 0.1, VehicleParams.default())[12:15])
 
 
 def angle_rates_along(surf, x, y, x_dot, y_dot):
-    """Roll and pitch rates while moving at (x_dot, y_dot) through (x, y)."""
+    """Roll and pitch rates of the angle oracle (conftest) while moving at
+    (x_dot, y_dot) through (x, y)."""
     n, dn_dx, dn_dy = normal_with_gradient(surf.eval(x, y))
     return euler_rates(n, dn_dx * x_dot + dn_dy * y_dot)
 
