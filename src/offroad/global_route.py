@@ -344,13 +344,8 @@ def read_route_csv(path: str) -> PlannedRoute:
     lines, numbers = read_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise GridFormatError(f"{path}: missing summary header")
-    summary = {}
-    for item in lines[0][1:].split(","):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise GridFormatError(f"{path}:{numbers[0]}: summary item {item.strip()!r} "
-                                  f"is not key=value")
-        summary[key.strip()] = value.strip()
+    summary = {key.strip(): value for key, _, value in
+               (item.partition("=") for item in lines[0][1:].split(","))}
     try:
         total_cost, total_dist, mean_slope, max_slope = (
             float(summary[key]) for key in ROUTE_SUMMARY_KEYS)

@@ -32,10 +32,10 @@ STATUS_NORMAL_FORCE = "normal_force_violation"
 STATUS_LEFT_GRID = "left_grid"
 STATUS_SINGULAR_SPEED = "singular_speed"
 
-# Longest run accepted.  The log holds about 1.1 KB per step until it is
+# Longest run accepted.  The log holds about 0.7 KB per step until it is
 # written (peak RSS growth of a completed case-study run between dt 1e-3 and
 # 2.5e-4 s) and the reference is sampled in blocks of fixed size, so a run
-# at the cap peaks near 1.1 GB.
+# at the cap peaks near 0.8 GB.
 MAX_STEPS = 10**6
 
 
@@ -218,7 +218,8 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
             status = STATUS_SINGULAR_SPEED
             break
 
-    table = np.array(rows_out, dtype=float).reshape(len(rows_out), len(_ROW_FIELDS) + 2)
+    table = np.array(rows_out, dtype=float).reshape(-1, len(_ROW_FIELDS) + 2)
+    rows_out.clear()   # its float objects take about 4x the table: free them first
     cols = {name: table[:, i].copy() for i, name in enumerate(_ROW_FIELDS)}
     kinds = np.array(["arc" if isinstance(seg, ArcSegment) else "line"
                       for seg in traj.geometry.segments])
