@@ -57,12 +57,13 @@ def reference_rows(sample: DesiredSample, ended: np.ndarray) -> list[list[float]
     trajectory is over: the row keeps the sampled (end) position and has zero
     velocity and acceleration.
     """
-    moving = ~np.asarray(ended, dtype=bool)[:, None]
+    ended = np.asarray(ended, dtype=bool)
+    moving = ~ended[:, None]
     return np.column_stack([
         sample.position,
         np.where(moving, sample.velocity[:, :2], 0.0),
         np.where(moving, sample.acceleration[:, :2], 0.0),
-        ~moving[:, 0],
+        ended,
         sample.segment_index,
     ]).tolist()
 
