@@ -78,18 +78,13 @@ def cmd_route(args) -> int:
         foliage = load_mask(args.foliage, grid) if args.foliage else None
         start = _parse_node(args.start)
         goal = _parse_node(args.goal)
-    except (GridFormatError, ValueError, OSError) as exc:
-        return _fail(str(exc))
-
-    limit = args.slope_limit
-    if limit is None:
-        limit = DRY_SLOPE_LIMIT if args.weather == "dry" else WET_SLOPE_LIMIT
-    weather = WeatherCondition(args.weather, limit)
-    steep = args.steep_limit if args.steep_limit is not None else weather.slope_limit
-
-    try:
+        limit = args.slope_limit
+        if limit is None:
+            limit = DRY_SLOPE_LIMIT if args.weather == "dry" else WET_SLOPE_LIMIT
+        weather = WeatherCondition(args.weather, limit)
+        steep = args.steep_limit if args.steep_limit is not None else weather.slope_limit
         route = plan_route(grid, water, foliage, steep, weather, start, goal)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
     if not route.reachable:
@@ -97,7 +92,10 @@ def cmd_route(args) -> int:
               f"under slope limit {weather.slope_limit:.4f}")
         return EXIT_UNREACHABLE
 
-    gr.write_route_csv(route, grid, args.out)
+    try:
+        gr.write_route_csv(route, grid, args.out)
+    except OSError as exc:
+        return _fail(str(exc))
     print(f"route written to {args.out}: {len(route.waypoints)} waypoints, "
           f"dist {route.total_distance:.2f} m, mean slope "
           f"{route.mean_slope_deg:.2f} deg, max slope {route.max_slope_deg:.2f} deg")
@@ -112,7 +110,7 @@ def cmd_simulate(args) -> int:
 
     try:
         grid = load_elevation_grid(config.grid_path)
-    except GridFormatError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
     surface = SurfaceModel(grid)
 
@@ -133,7 +131,7 @@ def cmd_simulate(args) -> int:
                        if config.foliage_mask_path else None)
             route = plan_route(grid, water, foliage, config.steep_limit, config.weather,
                                config.start, config.goal)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             return _fail(str(exc))
         if not route.reachable:
             print("UNREACHABLE: route planning found no admissible path")
@@ -155,12 +153,15 @@ def cmd_simulate(args) -> int:
         return _fail(f"simulation: {exc}")
 
     out_dir = args.out_dir if args.out_dir else config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, "trajectory.csv")
     log_path = os.path.join(out_dir, "log.csv")
-    write_trajectory_csv(trajectory, config.dt, traj_path)
-    log = sim.run_simulation(scenario)
-    sim.write_log_csv(log, log_path)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_trajectory_csv(trajectory, config.dt, traj_path)
+        log = sim.run_simulation(scenario)
+        sim.write_log_csv(log, log_path)
+    except OSError as exc:
+        return _fail(str(exc))
     if len(log) == 0:
         print(f"simulation {log.status}: stopped before the first step")
     else:

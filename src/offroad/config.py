@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .control import GainConfig
 from .local_path import TrajectoryConfig
@@ -111,7 +111,7 @@ def load_run_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     for section in parser.sections():

@@ -41,12 +41,6 @@ class GainConfig:
         if not (self.k1 > 0 and self.k2 > 0):
             raise ValueError("both gains must be positive for stability")
 
-    def poles(self) -> tuple[complex, complex]:
-        """Roots of s^2 + k1 s + k2: the closed-loop error modes."""
-        disc = self.k1 * self.k1 - 4.0 * self.k2
-        root = np.sqrt(complex(disc))
-        return (-self.k1 + root) / 2.0, (-self.k1 - root) / 2.0
-
 
 def reference_rows(sample: DesiredSample, ended: np.ndarray) -> list[list[float]]:
     """The rows control_step reads, one per time of a batch sample:

@@ -33,6 +33,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
 from .terrain import (
+    NEIGHBOR_OFFSETS,
     ElevationGrid,
     GridFormatError,
     ObstacleMask,
@@ -256,6 +257,16 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
     return ValueFunction(values=values, policy=policy, converged=converged, sweeps=1)
 
 
+def _hop_run_and_slope(
+    grid: ElevationGrid, a: tuple[int, int], b: tuple[int, int]
+) -> tuple[float, float]:
+    """Planar length and rise/run of the hop from node a to its 8-neighbor b,
+    the slope read from ``grid.neighbor_slopes``."""
+    dr, dc = b[0] - a[0], b[1] - a[1]
+    slope = grid.neighbor_slopes[NEIGHBOR_OFFSETS.index((dr, dc))][a]
+    return grid.cell_size * math.hypot(dr, dc), float(slope)
+
+
 def extract_route(
     vf: ValueFunction, problem: DpProblem, start: tuple[int, int]
 ) -> PlannedRoute:
@@ -286,10 +297,9 @@ def extract_route(
     total_dist = 0.0
     slopes_deg = []
     for a, b in zip(waypoints, waypoints[1:]):
-        dr, dc = b[0] - a[0], b[1] - a[1]
-        total_dist += grid.cell_size * math.hypot(dr, dc)
-        rise_over_run = abs(grid.heights[b] - grid.heights[a]) / (grid.cell_size * math.hypot(dr, dc))
-        slopes_deg.append(math.degrees(math.atan(rise_over_run)))
+        run, slope = _hop_run_and_slope(grid, a, b)
+        total_dist += run
+        slopes_deg.append(math.degrees(math.atan(slope)))
 
     return PlannedRoute(
         waypoints=waypoints,
@@ -323,10 +333,9 @@ def write_route_csv(route: PlannedRoute, grid: ElevationGrid, path: str) -> None
         z = grid.node_height(*node)
         hop_deg = 0.0
         if prev is not None:
-            dr, dc = node[0] - prev[0], node[1] - prev[1]
-            run = grid.cell_size * math.hypot(dr, dc)
+            run, slope = _hop_run_and_slope(grid, prev, node)
             cum += run
-            hop_deg = math.degrees(math.atan(abs(grid.heights[node] - grid.heights[prev]) / run))
+            hop_deg = math.degrees(math.atan(slope))
         lines.append(f"{idx},{node[0]},{node[1]},{x!r},{y!r},{z!r},{hop_deg!r},{cum!r}")
         prev = node
     with open(path, "w", encoding="utf-8") as fh:

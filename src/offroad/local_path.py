@@ -1,6 +1,7 @@
-"""Waypoints to drivable trajectories: piecewise line+arc planar paths, a
-speed-behavior state machine, accel-limited speed profiles, and time-sampled
-references with ground-frame derivatives.
+"""Waypoints to drivable trajectories: piecewise line+arc planar paths,
+accel-limited speed profiles, and time-sampled references with ground-frame
+derivatives.  Each reference sample's phase (ACC, DEC or CV) is the sign of
+the profile's acceleration there.
 
 At each interior waypoint where the incoming and outgoing headings differ, a
 circular fillet of the configured radius is inserted tangent to both legs:
@@ -11,7 +12,6 @@ merge into single lines.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -143,23 +143,6 @@ def _clip_to_range(value, upper: float, what: str):
     return np.clip(value, 0.0, upper)
 
 
-def segment_slope(p_a, p_b) -> float:
-    """Planar slope dy/dx of the segment from p_a to p_b; math.inf if vertical."""
-    ax, ay = float(p_a[0]), float(p_a[1])
-    bx, by = float(p_b[0]), float(p_b[1])
-    if ax == bx and ay == by:
-        raise ValueError("segment endpoints coincide")
-    if bx == ax:
-        return math.inf
-    return (by - ay) / (bx - ax)
-
-
-def slopes_equal(mu_a: float, mu_b: float, tol: float = COLLINEAR_TOL) -> bool:
-    if math.isinf(mu_a) or math.isinf(mu_b):
-        return math.isinf(mu_a) and math.isinf(mu_b)
-    return abs(mu_a - mu_b) < tol
-
-
 def plan_geometry(waypoints, rho: float) -> PathGeometry:
     """Join waypoints with straight lines and radius-rho fillet arcs.
 
@@ -238,50 +221,6 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
     return PathGeometry(segments=segments)
 
 
-# ---------------------------------------------------------------------------
-# Speed-behavior state machine
-# ---------------------------------------------------------------------------
-
-class SpeedState(enum.Enum):
-    """Decision nodes test one proposition each; ACC/DEC/CV are terminal."""
-
-    CHECK_CONTACT = "contact force positive"
-    CHECK_STRAIGHT = "consecutive segment slopes equal"
-    CHECK_BELOW_NOMINAL = "speed below nominal"
-    CHECK_AT_NOMINAL = "speed at nominal"
-    CHECK_TURN_FEASIBLE = "nominal yaw rate within bound"
-    ACC = "ACC"
-    DEC = "DEC"
-    CV = "CV"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (SpeedState.ACC, SpeedState.DEC, SpeedState.CV)
-
-
-INITIAL_SPEED_STATE = SpeedState.CHECK_CONTACT
-
-# state -> (successor when satisfied, successor when violated)
-_SPEED_TRANSITIONS = {
-    SpeedState.CHECK_CONTACT: (SpeedState.CHECK_STRAIGHT, SpeedState.DEC),
-    SpeedState.CHECK_STRAIGHT: (SpeedState.CHECK_BELOW_NOMINAL, SpeedState.CHECK_TURN_FEASIBLE),
-    SpeedState.CHECK_BELOW_NOMINAL: (SpeedState.ACC, SpeedState.CHECK_AT_NOMINAL),
-    SpeedState.CHECK_AT_NOMINAL: (SpeedState.CV, SpeedState.DEC),
-    SpeedState.CHECK_TURN_FEASIBLE: (SpeedState.CHECK_BELOW_NOMINAL, SpeedState.DEC),
-}
-
-
-@dataclass(frozen=True)
-class SpeedInputs:
-    """Inputs the machine reads: current speed, the slopes of the segments
-    entering and leaving the upcoming waypoint, and contact-force validity."""
-
-    speed: float
-    slope_in: float
-    slope_out: float
-    contact_ok: bool = True
-
-
 @dataclass(frozen=True)
 class TrajectoryConfig:
     nominal_speed: float          # commanded cruise speed
@@ -297,56 +236,14 @@ class TrajectoryConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
-    def turn_speed(self, radius: float | None = None) -> float:
-        """Command speed on an arc: nominal capped by the yaw-rate bound and,
-        when configured, by the lateral-acceleration bound."""
-        r = self.turn_radius if radius is None else radius
-        v = min(self.nominal_speed, r * self.max_yaw_rate)
+    def turn_speed(self, radius: float) -> float:
+        """Command speed on an arc of this radius: nominal capped by the
+        yaw-rate bound and, when configured, by the lateral-acceleration
+        bound."""
+        v = min(self.nominal_speed, radius * self.max_yaw_rate)
         if self.max_lateral_accel is not None:
-            v = min(v, math.sqrt(self.max_lateral_accel * r))
+            v = min(v, math.sqrt(self.max_lateral_accel * radius))
         return v
-
-
-def _proposition(state: SpeedState, inputs: SpeedInputs, config: TrajectoryConfig) -> bool:
-    if state is SpeedState.CHECK_CONTACT:
-        return inputs.contact_ok
-    if state is SpeedState.CHECK_STRAIGHT:
-        return slopes_equal(inputs.slope_in, inputs.slope_out)
-    if state is SpeedState.CHECK_BELOW_NOMINAL:
-        return inputs.speed < config.nominal_speed - 1e-9
-    if state is SpeedState.CHECK_AT_NOMINAL:
-        return abs(inputs.speed - config.nominal_speed) <= 1e-9
-    if state is SpeedState.CHECK_TURN_FEASIBLE:
-        return config.nominal_speed / config.turn_radius <= config.max_yaw_rate
-    raise ValueError(f"{state} is terminal")
-
-
-def step_speed_machine(
-    state: SpeedState, inputs: SpeedInputs, config: TrajectoryConfig
-) -> SpeedState:
-    """One transition: evaluate the state's proposition and follow the
-    satisfied or violated edge.  Terminal states return themselves."""
-    if state.terminal:
-        return state
-    satisfied, violated = _SPEED_TRANSITIONS[state]
-    return satisfied if _proposition(state, inputs, config) else violated
-
-
-def run_speed_machine(
-    inputs: SpeedInputs, config: TrajectoryConfig
-) -> tuple[SpeedState, float, list[SpeedState]]:
-    """Run from the initial state to a terminal one.
-
-    Returns (terminal state, commanded speed, visited state sequence).
-    """
-    state = INITIAL_SPEED_STATE
-    visited = [state]
-    while not state.terminal:
-        state = step_speed_machine(state, inputs, config)
-        visited.append(state)
-    straight = slopes_equal(inputs.slope_in, inputs.slope_out)
-    command = config.nominal_speed if straight else config.turn_speed()
-    return state, command, visited
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +299,6 @@ class SpeedProfile:
         if np.ndim(t) == 0:
             return float(s), float(v), float(a)
         return s, v, a
-
-    def time_at_s(self, s: float) -> float:
-        """Earliest time at which arc length s is reached."""
-        s = float(_clip_to_range(s, self.total_length, "arc length"))
-        i = int(np.searchsorted(self.s_pts, s, "right")) - 1
-        i = min(max(i, 0), len(self.a_vals) - 1)
-        ds = s - self.s_pts[i]
-        v0, a = float(self.v_pts[i]), float(self.a_vals[i])
-        if abs(a) < 1e-12:
-            return float(self.t_pts[i]) + ds / v0
-        v1 = math.sqrt(max(v0 * v0 + 2 * a * ds, 0.0))
-        return float(self.t_pts[i]) + (v1 - v0) / a
 
 
 def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> SpeedProfile:

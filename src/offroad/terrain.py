@@ -30,7 +30,6 @@ CLEAR = 0
 WATER = 1
 FOLIAGE = 2
 STEEP = 3
-PROVENANCE_LABELS = {CLEAR: "clear", WATER: "water", FOLIAGE: "foliage_or_building", STEEP: "steep"}
 
 # 8-connected neighborhood offsets as (drow, dcol).
 NEIGHBOR_OFFSETS = (
@@ -122,14 +121,6 @@ class WeatherCondition:
         if not self.slope_limit > 0:
             raise ValueError("slope_limit must be positive")
 
-    @classmethod
-    def dry(cls, slope_limit: float = DRY_SLOPE_LIMIT) -> "WeatherCondition":
-        return cls("dry", slope_limit)
-
-    @classmethod
-    def wet(cls, slope_limit: float = WET_SLOPE_LIMIT) -> "WeatherCondition":
-        return cls("wet", slope_limit)
-
 
 @dataclass(frozen=True)
 class ObstacleMask:
@@ -137,9 +128,6 @@ class ObstacleMask:
 
     blocked: np.ndarray     # bool, shape (n_rows, n_cols)
     provenance: np.ndarray  # int codes, same shape
-
-    def reason(self, row: int, col: int) -> str:
-        return PROVENANCE_LABELS[int(self.provenance[row, col])]
 
 
 class SurfaceModel:
@@ -279,22 +267,6 @@ def surface_lift(
     z_ddot = (f_x * x_ddot + f_xx * x_dot ** 2 + f_yy * y_dot ** 2
               + f_y * y_ddot + 2.0 * f_xy * x_dot * y_dot)
     return z_dot, z_ddot
-
-
-def slope_between(grid: ElevationGrid, node_a: tuple[int, int], node_b: tuple[int, int]) -> float:
-    """Rise/run between two 8-adjacent grid nodes; symmetric in its arguments."""
-    if node_a == node_b:
-        raise ValueError("nodes must differ")
-    ra, ca = node_a
-    rb, cb = node_b
-    if not (grid.in_bounds(ra, ca) and grid.in_bounds(rb, cb)):
-        raise ValueError("both nodes must lie inside the grid")
-    dr, dc = rb - ra, cb - ca
-    if max(abs(dr), abs(dc)) != 1:
-        raise ValueError(f"nodes {node_a} and {node_b} are not 8-adjacent")
-    rise = abs(grid.heights[rb, cb] - grid.heights[ra, ca])
-    run = grid.cell_size * math.hypot(dr, dc)
-    return float(rise / run)
 
 
 def neighbor_slices(shape: tuple[int, int], dr: int, dc: int):
@@ -442,13 +414,17 @@ def _parse_data_rows(
 
 def read_lines(path: str) -> tuple[list[str], list[int]]:
     """Non-blank lines of a text file (newline stripped) and their 1-based
-    line numbers in the file, blank lines counted."""
+    line numbers in the file, blank lines counted.  GridFormatError if the
+    file is not UTF-8 text."""
     lines, numbers = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if line.strip():
-                lines.append(line.rstrip("\n"))
-                numbers.append(number)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                if line.strip():
+                    lines.append(line.rstrip("\n"))
+                    numbers.append(number)
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     return lines, numbers
 
 
@@ -479,13 +455,3 @@ def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
         raise GridFormatError(f"{path}: mask cells must be 0 or 1")
     return data.astype(bool)
 
-
-def write_grid_csv(grid: ElevationGrid, path: str) -> None:
-    """Write a grid back out in the CSV format load_elevation_grid reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ncols,{grid.n_cols}\n")
-        fh.write(f"nrows,{grid.n_rows}\n")
-        fh.write(f"cellsize,{grid.cell_size!r}\n")
-        fh.write(f"origin,{grid.origin[0]!r},{grid.origin[1]!r}\n")
-        for row in grid.heights:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

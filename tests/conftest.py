@@ -3,8 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from offroad.terrain import ElevationGrid, SurfaceModel, build_obstacle_mask
+from offroad.terrain import (
+    DRY_SLOPE_LIMIT,
+    WET_SLOPE_LIMIT,
+    ElevationGrid,
+    SurfaceModel,
+    WeatherCondition,
+    build_obstacle_mask,
+)
+
+DRY = WeatherCondition("dry", DRY_SLOPE_LIMIT)
+WET = WeatherCondition("wet", WET_SLOPE_LIMIT)
 
 
 def grid_from_function(fn, n_cols=30, n_rows=30, cell=1.0, origin=(0.0, 0.0)):
@@ -20,6 +31,42 @@ def grid_from_function(fn, n_cols=30, n_rows=30, cell=1.0, origin=(0.0, 0.0)):
 def flat_grid(height=0.0, n=10, cell=1.0, origin=(0.0, 0.0)):
     return grid_from_function(lambda x, y: np.full_like(x, float(height)),
                               n_cols=n, n_rows=n, cell=cell, origin=origin)
+
+
+def write_grid_csv(grid, path):
+    """Write a grid in the CSV format load_elevation_grid reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"ncols,{grid.n_cols}\n")
+        fh.write(f"nrows,{grid.n_rows}\n")
+        fh.write(f"cellsize,{grid.cell_size!r}\n")
+        fh.write(f"origin,{grid.origin[0]!r},{grid.origin[1]!r}\n")
+        for row in grid.heights:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def time_at_arc_length(profile, s):
+    """Earliest time at which profile.sample reaches arc length s.
+
+    Inverts the sampled arc length by root finding, then steps ulp by ulp to
+    the first float time whose sample is at least s, so the profile's own
+    time parametrization is never used.
+    """
+    def gap(t):
+        return profile.sample(t)[0] - s
+
+    if gap(0.0) >= 0.0:
+        return 0.0
+    if gap(profile.duration) < 0.0:
+        # the end is reached only to rounding
+        if gap(profile.duration) < -1e-9:
+            raise ValueError(f"arc length {s} is past the profile's end")
+        return profile.duration
+    t = brentq(gap, 0.0, profile.duration, xtol=1e-14)
+    while gap(t) < 0.0:
+        t = np.nextafter(t, math.inf)
+    while gap(np.nextafter(t, -math.inf)) >= 0.0:
+        t = np.nextafter(t, -math.inf)
+    return float(t)
 
 
 @pytest.fixture

@@ -30,15 +30,12 @@ from offroad.simulate import (
     run_simulation,
     tracking_metrics,
 )
-from offroad.terrain import (
-    SurfaceModel,
-    WeatherCondition,
-    build_obstacle_mask,
-    write_grid_csv,
-)
+from offroad.terrain import SurfaceModel, build_obstacle_mask
 from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
 from conftest import (
+    DRY,
+    WET,
     dijkstra_costs_to_goal,
     euler_angles,
     flat_grid,
@@ -46,10 +43,10 @@ from conftest import (
     oracle_frame,
     random_problem,
     rotation_from_angles,
+    time_at_arc_length,
+    write_grid_csv,
 )
 
-DRY = WeatherCondition.dry()
-WET = WeatherCondition.wet()
 FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
 GAINS = GainConfig(k1=10.0, k2=20.0)
 SLOW_POLE = 5.0 - math.sqrt(5.0)      # magnitude of the slow closed-loop mode
@@ -267,8 +264,8 @@ def test_criterion_6_tracking_reproduction():
     assert metrics.max_err <= 0.15
     assert metrics.min_normal_force > 0.0
 
-    t_entry = trajectory.profile.time_at_s(trajectory.geometry.breakpoints[1])
-    t_exit = trajectory.profile.time_at_s(trajectory.geometry.breakpoints[2])
+    t_entry = time_at_arc_length(trajectory.profile, trajectory.geometry.breakpoints[1])
+    t_exit = time_at_arc_length(trajectory.profile, trajectory.geometry.breakpoints[2])
     assert t_entry - 0.5 <= metrics.t_max_err <= t_exit + 0.5
 
     # the arc-exit transient decays along the final straight at the slow pole
@@ -323,7 +320,7 @@ def test_criterion_7_error_dynamics_identity():
     surface, trajectory = case_study()
     log2 = run_simulation(Scenario(surface=surface, trajectory=trajectory,
                                    gains=GAINS, params=FREE, dt=0.01))
-    junctions = [trajectory.profile.time_at_s(s)
+    junctions = [time_at_arc_length(trajectory.profile, s)
                  for s in trajectory.geometry.breakpoints[1:-1]]
     rel2 = error_dynamics_residuals(log2, GAINS.k1, GAINS.k2,
                                     exclude_times=junctions)
@@ -376,8 +373,8 @@ def test_criterion_8_geometry_oracle():
             s_hi = geometry.breakpoints[seg_idx + 1]
             span = (profile.s_pts >= s_lo - 1e-9) & (profile.s_pts <= s_hi + 1e-9)
             v_max = max(profile.v_pts[span].max(initial=0.0),
-                        abs(profile.sample(profile.time_at_s(s_lo))[1]),
-                        abs(profile.sample(profile.time_at_s(s_hi))[1]))
+                        abs(profile.sample(time_at_arc_length(profile, s_lo))[1]),
+                        abs(profile.sample(time_at_arc_length(profile, s_hi))[1]))
             assert v_max / seg.radius <= config.max_yaw_rate + 1e-12
 
         # Gauss quadrature of the finite-difference speed reproduces length

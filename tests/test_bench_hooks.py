@@ -5,10 +5,10 @@ that bypasses a hooked name would silently break `perfbench/run.py --trace 1`.
 
 from offroad import cli, control, global_route, simulate
 from offroad.local_path import DesiredTrajectory
-from offroad.terrain import SurfaceModel, write_grid_csv
+from offroad.terrain import SurfaceModel
 from perfbench.spans import Tracer, patch_offroad
 
-from conftest import flat_grid
+from conftest import flat_grid, write_grid_csv
 
 SPANS = {
     "terrain.load", "terrain.mask", "terrain.spline_build", "terrain.eval",

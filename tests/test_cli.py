@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -16,9 +18,9 @@ from offroad.cli import (
 from offroad.config import ConfigError, load_run_config
 from offroad.global_route import read_route_csv
 from offroad.simulate import LOG_COLUMNS
-from offroad.terrain import ElevationGrid, write_grid_csv
+from offroad.terrain import ElevationGrid
 
-from conftest import flat_grid, grid_from_function
+from conftest import flat_grid, grid_from_function, write_grid_csv
 
 
 def ridge_grid():
@@ -465,6 +467,140 @@ def test_simulate_exit_code_contract_under_config_mutation(tmp_path_factory, mut
     (tmp / "run.cfg").write_text(property_config(mutations))
     code = main(["simulate", "--config", str(tmp / "run.cfg"), "--out-dir", str(tmp / "o")])
     assert code in (EXIT_OK, EXIT_UNREACHABLE, EXIT_CONSTRAINT, EXIT_INPUT)
+
+
+# ---------------------------------------------------------------------------
+# unreadable and unwritable paths
+# ---------------------------------------------------------------------------
+
+NOT_UTF8 = b"\xff\xfe\x00ncols,7\n"
+
+
+def route_argv(tmp_path, *extra, out=None):
+    grid_path = write_fixture_grid(tmp_path, ridge_grid())
+    return ["route", "--grid", str(grid_path), "--start", "6,3", "--goal", "0,3",
+            "--out", str(out or tmp_path / "route.csv"), *extra]
+
+
+def simulate_argv(tmp_path, config_text):
+    write_fixture_grid(tmp_path, ridge_grid())
+    (tmp_path / "run.cfg").write_text(config_text)
+    return ["simulate", "--config", str(tmp_path / "run.cfg")]
+
+
+ROUTED_CONFIG = "[terrain]\ngrid = {grid}\n{extra}\n[route]\nstart = 6,3\ngoal = 0,3\n"
+
+
+def config_not_utf8(tmp_path):
+    (tmp_path / "run.cfg").write_bytes(NOT_UTF8 + CASE_CONFIG.encode())
+    return ["simulate", "--config", str(tmp_path / "run.cfg")]
+
+
+def config_is_directory(tmp_path):
+    (tmp_path / "run.cfg").mkdir()
+    return ["simulate", "--config", str(tmp_path / "run.cfg")]
+
+
+def grid_not_utf8(tmp_path):
+    (tmp_path / "bad.csv").write_bytes(NOT_UTF8)
+    return simulate_argv(tmp_path, ROUTED_CONFIG.format(grid="bad.csv", extra=""))
+
+
+def grid_is_directory(tmp_path):
+    (tmp_path / "griddir").mkdir()
+    return simulate_argv(tmp_path, ROUTED_CONFIG.format(grid="griddir", extra=""))
+
+
+def water_mask_is_directory(tmp_path):
+    (tmp_path / "maskdir").mkdir()
+    return simulate_argv(tmp_path, ROUTED_CONFIG.format(grid="grid.csv",
+                                                        extra="water_mask = maskdir\n"))
+
+
+def out_dir_is_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return simulate_argv(tmp_path, ROUTED_CONFIG.format(grid="grid.csv", extra="")
+                         + "\n[output]\nout_dir = taken\n")
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp_path: route_argv(tmp_path, "--slope-limit", "-1"),
+    lambda tmp_path: route_argv(tmp_path, "--slope-limit", "nan"),
+    lambda tmp_path: route_argv(tmp_path, out=tmp_path),
+    config_not_utf8,
+    config_is_directory,
+    grid_not_utf8,
+    grid_is_directory,
+    water_mask_is_directory,
+    out_dir_is_file,
+], ids=["route-slope-limit-negative", "route-slope-limit-nan", "route-out-is-directory",
+        "config-not-utf8", "config-is-directory", "grid-not-utf8", "grid-is-directory",
+        "water-mask-is-directory", "out-dir-is-file"])
+def test_unusable_path_or_limit_exits_4(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under input-file mutation
+# ---------------------------------------------------------------------------
+
+# Bytes a mutation may insert: CSV structure, number syntax, and bytes that
+# are not UTF-8 (a lone continuation byte, a truncated sequence, 0xff).
+CSV_TOKENS = [b"", b",", b"\n", b"#", b"-", b".", b"e", b"=", b"nan", b"inf", b"1e309",
+              b"0", b"1", b"-1", b"99", b"x", b" ", b"\x00", b"\x80", b"\xc3", b"\xff"]
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """Apply (position fraction, bytes to delete, bytes to insert) edits."""
+    for frac, n_delete, insert in edits:
+        pos = int(frac * len(data))
+        data = data[:pos] + insert + data[pos + n_delete:]
+    return data
+
+
+def write_mutation_base(tmp):
+    """A valid grid, mask, route CSV and log CSV, and the command reading
+    each: the grid and mask go to route, the route and log to render."""
+    grid = ridge_grid()
+    write_fixture_grid(tmp, grid)
+    write_fixture_grid(tmp, ElevationGrid(
+        n_cols=grid.n_cols, n_rows=grid.n_rows, cell_size=grid.cell_size,
+        origin=grid.origin, heights=np.zeros(grid.heights.shape)), name="water.csv")
+    assert main(route_argv(tmp, out=tmp / "route.csv")) == EXIT_OK
+    rows = [[0.1 * k, 30.0 + k, 10.0 + k, 0.0, 0.5, 2.0, 0.0, 30.0 + k, 10.0 + k, 0.0,
+             0.0, 0.0, 9810.0, 0.0, 0.0] for k in range(3)]
+    (tmp / "log.csv").write_text(LOG_COLUMNS + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows))
+    out = str(tmp / "out")
+    route = route_argv(tmp, out=out)
+    render = ["render", "--grid", str(tmp / "grid.csv"), "--out", out]
+    return {"grid.csv": route, "water.csv": route + ["--water", str(tmp / "water.csv")],
+            "route.csv": render + ["--route", str(tmp / "route.csv")],
+            "log.csv": render + ["--log", str(tmp / "log.csv")]}
+
+
+@pytest.mark.parametrize("name", ["grid.csv", "water.csv", "route.csv", "log.csv"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 3),
+                                st.one_of(st.sampled_from(CSV_TOKENS), st.binary(max_size=3))),
+                      min_size=1, max_size=3))
+def test_exit_code_contract_under_csv_mutation(tmp_path_factory, name, edits):
+    # whatever the bytes of an input file, its command ends with a contract
+    # exit code, and an input error says so on stderr
+    tmp = tmp_path_factory.mktemp("mutated")
+    commands = write_mutation_base(tmp)
+    target = tmp / name
+    target.write_bytes(mutate(target.read_bytes(), edits))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(commands[name])
+    assert code in (EXIT_OK, EXIT_UNREACHABLE, EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert err.getvalue().startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

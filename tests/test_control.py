@@ -13,7 +13,7 @@ from offroad.local_path import (
 from offroad.terrain import SurfaceModel, surface_lift
 from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
-from conftest import flat_grid, grid_from_function
+from conftest import flat_grid, grid_from_function, time_at_arc_length
 
 FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
 
@@ -42,13 +42,6 @@ def test_gains_must_be_positive():
         GainConfig(k1=0.0, k2=20.0)
     with pytest.raises(ValueError):
         GainConfig(k1=10.0, k2=-1.0)
-
-
-def test_case_study_gain_poles():
-    p1, p2 = GainConfig(k1=10.0, k2=20.0).poles()
-    assert p1.real == pytest.approx(-5 + math.sqrt(5), abs=1e-12)
-    assert p2.real == pytest.approx(-5 - math.sqrt(5), abs=1e-12)
-    assert p1.imag == 0.0 and p2.imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +150,7 @@ def test_control_step_arc_feedforward():
                            initial_speed=2.0)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
     s_mid = (geom.breakpoints[1] + geom.breakpoints[2]) / 2
-    t_mid = traj.profile.time_at_s(s_mid)
+    t_mid = time_at_arc_length(traj.profile, s_mid)
     sample = traj.sample(t_mid)
     ref = sampled_row(traj, t_mid)
     tangent = sample.velocity[:2] / np.linalg.norm(sample.velocity[:2])

@@ -16,9 +16,16 @@ from offroad.global_route import (
     write_route_csv,
 )
 from offroad.cli import EXIT_OK, main
-from offroad.terrain import ElevationGrid, WeatherCondition, build_obstacle_mask, write_grid_csv
+from offroad.terrain import ElevationGrid, WeatherCondition, build_obstacle_mask
 
-from conftest import dijkstra_costs_to_goal, flat_grid, grid_from_function, random_problem
+from conftest import (
+    DRY,
+    WET,
+    dijkstra_costs_to_goal,
+    flat_grid,
+    random_problem,
+    write_grid_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +35,7 @@ from conftest import dijkstra_costs_to_goal, flat_grid, grid_from_function, rand
 def test_scaling_flat_terrain():
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid)
-    alpha_m, alpha_d = compute_scaling_factors(grid, mask, WeatherCondition.dry())
+    alpha_m, alpha_d = compute_scaling_factors(grid, mask, DRY)
     # mean slope 0, mean distance d: alpha_d = 1/d, alpha_m = 1 - alpha_d
     dists = []
     for dr, dc in [(0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1)]:
@@ -42,7 +49,7 @@ def test_scaling_flat_terrain():
 def test_scaling_solves_the_two_by_two_system():
     rng = np.random.default_rng(9)
     grid, mask, _ = random_problem(rng, n=10, cell=12.0)
-    alpha_m, alpha_d = compute_scaling_factors(grid, mask, WeatherCondition.dry())
+    alpha_m, alpha_d = compute_scaling_factors(grid, mask, DRY)
     # oracle: rebuild the averages by brute-force enumeration
     slopes, dists = [], []
     for r in range(10):
@@ -58,7 +65,7 @@ def test_scaling_solves_the_two_by_two_system():
                         continue
                     run = 12.0 * math.hypot(dr, dc)
                     s = abs(grid.heights[nr, nc] - grid.heights[r, c]) / run
-                    if s <= WeatherCondition.dry().slope_limit:
+                    if s <= DRY.slope_limit:
                         slopes.append(s)
                         dists.append(run)
     mean_m, mean_d = np.mean(slopes), np.mean(dists)
@@ -83,7 +90,7 @@ def test_scaling_example_by_hand():
     mask = build_obstacle_mask(grid)
     # drop diagonals from the average by blocking nothing; a 2x2 grid has
     # 4 orthogonal hops of 10 and 4 diagonal hops of 10*sqrt(2) per direction
-    alpha_m, alpha_d = compute_scaling_factors(grid, mask, WeatherCondition.dry())
+    alpha_m, alpha_d = compute_scaling_factors(grid, mask, DRY)
     mean_d = (8 * 10.0 + 4 * 10.0 * math.sqrt(2)) / 12
     assert alpha_d == pytest.approx(1.0 / mean_d)
     assert alpha_m == pytest.approx(1.0 - alpha_d)
@@ -96,7 +103,7 @@ def test_scaling_example_by_hand():
 def test_flat_interior_node_has_eight_moves():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(0, 0))
+    problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     center = (1, 1)
     assert all(problem.move_admissible[a][center] for a in range(1, 9))
     corner = (0, 0)
@@ -109,19 +116,19 @@ def test_steep_hop_inadmissible_under_both_weathers():
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 2.0
     mask = build_obstacle_mask(grid, steep_limit=10.0)
-    wet = build_dp_problem(grid, mask, WeatherCondition.wet(), goal=(0, 0))
-    dry = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(0, 0))
+    wet = build_dp_problem(grid, mask, WET, goal=(0, 0))
+    dry = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     east = 1
-    assert 0.2 > WeatherCondition.wet().slope_limit
+    assert 0.2 > WET.slope_limit
     assert not wet.move_admissible[east][1, 1]
-    assert 0.2 > WeatherCondition.dry().slope_limit
+    assert 0.2 > DRY.slope_limit
     assert not dry.move_admissible[east][1, 1]
     # a gentler rise passes dry but not wet
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 0.8   # slope 0.08
     mask = build_obstacle_mask(grid, steep_limit=10.0)
-    wet = build_dp_problem(grid, mask, WeatherCondition.wet(), goal=(0, 0))
-    dry = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(0, 0))
+    wet = build_dp_problem(grid, mask, WET, goal=(0, 0))
+    dry = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     assert dry.move_admissible[east][1, 1]
     assert not wet.move_admissible[east][1, 1]
 
@@ -132,9 +139,9 @@ def test_goal_must_be_a_state():
     water[1, 1] = True
     mask = build_obstacle_mask(grid, water_mask=water)
     with pytest.raises(ValueError, match="obstacle"):
-        build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(1, 1))
+        build_dp_problem(grid, mask, DRY, goal=(1, 1))
     with pytest.raises(ValueError, match="outside"):
-        build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(5, 5))
+        build_dp_problem(grid, mask, DRY, goal=(5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ def test_goal_must_be_a_state():
 def test_goal_value_zero_policy_stay():
     grid = flat_grid(n=4, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(2, 2))
+    problem = build_dp_problem(grid, mask, DRY, goal=(2, 2))
     vf = value_iteration(problem)
     assert vf.converged
     assert vf.values[2, 2] == 0.0
@@ -156,7 +163,7 @@ def test_single_step_bellman_by_hand():
     # one-hop value: west neighbor of the goal costs alpha_d * cell
     grid = flat_grid(n=2, cell=7.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(0, 1))
+    problem = build_dp_problem(grid, mask, DRY, goal=(0, 1))
     vf = value_iteration(problem)
     assert vf.values[0, 0] == pytest.approx(problem.alpha_d * 7.0, abs=1e-12)
     assert vf.policy[0, 0] == 1  # East
@@ -167,7 +174,7 @@ def test_policy_ties_keep_lowest_action_id():
     # Northwest-then-North cost the same; the lower id (North = 3) wins
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(0, 0))
+    problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     vf = value_iteration(problem)
     via_north = problem.move_cost[3][2, 1] + vf.values[1, 1]
     via_northwest = problem.move_cost[4][2, 1] + vf.values[1, 0]
@@ -179,7 +186,7 @@ def test_values_match_dijkstra_on_random_grids():
     rng = np.random.default_rng(123)
     for _ in range(10):
         grid, mask, goal = random_problem(rng, n=14, cell=6.0, rough=2.0)
-        weather = WeatherCondition.dry()
+        weather = DRY
         problem = build_dp_problem(grid, mask, weather, goal=goal)
         vf = value_iteration(problem)
         oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit,
@@ -202,7 +209,7 @@ def test_bellman_fixed_point_residual():
     from offroad.global_route import MOVES
     rng = np.random.default_rng(17)
     grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=goal)
+    problem = build_dp_problem(grid, mask, DRY, goal=goal)
     vf = value_iteration(problem)
     assert vf.converged
     assert vf.sweeps == 1
@@ -240,7 +247,7 @@ def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
     import offroad.global_route as gr
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(4, 4))
+    problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
     exact = gr.dijkstra
 
     def off_by_one_state(graph, indices):
@@ -269,7 +276,7 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
     n = 21
     grid = flat_grid(n=n, cell=5.0)
     walls = serpentine_walls(n)
-    weather = WeatherCondition.dry()
+    weather = DRY
     mask = build_obstacle_mask(grid, water_mask=walls, steep_limit=weather.slope_limit)
     start, goal = (n - 1, n - 1), (0, 0)
     problem = build_dp_problem(grid, mask, weather, goal=goal)
@@ -303,7 +310,7 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
 def test_route_start_equals_goal():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(1, 1))
+    problem = build_dp_problem(grid, mask, DRY, goal=(1, 1))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (1, 1))
     assert route.waypoints == [(1, 1)]
@@ -314,7 +321,7 @@ def test_route_start_equals_goal():
 def test_route_diagonal_dominance_on_flat():
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid)
-    problem = build_dp_problem(grid, mask, WeatherCondition.dry(), goal=(4, 4))
+    problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (0, 0))
     assert len(route.waypoints) == 5  # 4 diagonal hops
@@ -330,8 +337,8 @@ def ridge_fixture(cell=10.0, n=7, ridge_height=1.0):
 
 def test_weather_reachability_flip():
     grid = ridge_fixture()
-    dry = WeatherCondition.dry()    # tan(6.90 deg) ~ 0.121: 1 m over 10 m passes
-    wet = WeatherCondition.wet()    # tan(2.77 deg) ~ 0.048: 1 m over 10 m fails
+    dry = DRY    # tan(6.90 deg) ~ 0.121: 1 m over 10 m passes
+    wet = WET    # tan(2.77 deg) ~ 0.048: 1 m over 10 m fails
     start, goal = (6, 3), (0, 3)
     for weather, expect_reachable in ((dry, True), (wet, False)):
         mask = build_obstacle_mask(grid, steep_limit=weather.slope_limit)
@@ -347,7 +354,7 @@ def test_route_slopes_respect_limit():
     rng = np.random.default_rng(31)
     for _ in range(5):
         grid, mask, goal = random_problem(rng, n=12, cell=8.0, rough=1.5)
-        weather = WeatherCondition.wet()
+        weather = WET
         problem = build_dp_problem(grid, mask, weather, goal=goal)
         vf = value_iteration(problem)
         for r in range(grid.n_rows):
@@ -363,7 +370,7 @@ def test_route_slopes_respect_limit():
 def test_policy_determinism():
     rng = np.random.default_rng(55)
     grid, mask, goal = random_problem(rng, n=10, cell=7.0)
-    weather = WeatherCondition.dry()
+    weather = DRY
     p1 = build_dp_problem(grid, mask, weather, goal=goal)
     p2 = build_dp_problem(grid, mask, weather, goal=goal)
     v1 = value_iteration(p1)
@@ -380,7 +387,7 @@ def test_policy_determinism():
 
 def test_route_csv_round_trip(tmp_path):
     grid = ridge_fixture()
-    weather = WeatherCondition.dry()
+    weather = DRY
     mask = build_obstacle_mask(grid, steep_limit=weather.slope_limit)
     problem = build_dp_problem(grid, mask, weather, goal=(0, 3))
     vf = value_iteration(problem)
@@ -393,6 +400,30 @@ def test_route_csv_round_trip(tmp_path):
     assert back.total_distance == route.total_distance
     assert back.mean_slope_deg == route.mean_slope_deg
     assert back.max_slope_deg == route.max_slope_deg
+
+
+def test_route_csv_hop_slopes_match_node_heights(tmp_path):
+    # oracle: each hop's slope and the running distance recomputed from the
+    # written node positions and heights, not from the grid's slope table
+    rng = np.random.default_rng(8)
+    grid, mask, goal = random_problem(rng, n=12, cell=5.0, obstacle_p=0.1)
+    problem = build_dp_problem(grid, mask, WeatherCondition("dry", 10.0), goal=goal)
+    free = np.argwhere(~mask.blocked)
+    start = tuple(int(v) for v in free[np.argmax(np.abs(free - goal).max(axis=1))])
+    route = extract_route(value_iteration(problem), problem, start)
+    assert len(route.waypoints) > 5
+    p = tmp_path / "route.csv"
+    write_route_csv(route, grid, str(p))
+    rows = np.loadtxt(p, delimiter=",", skiprows=2)
+    x, y, z = rows[:, 3], rows[:, 4], rows[:, 5]
+    run = np.hypot(np.diff(x), np.diff(y))
+    slope_deg = np.degrees(np.arctan(np.abs(np.diff(z)) / run))
+    assert rows[0, 6] == 0.0 and rows[0, 7] == 0.0
+    np.testing.assert_allclose(rows[1:, 6], slope_deg, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(rows[1:, 7], np.cumsum(run), rtol=1e-12)
+    assert route.total_distance == pytest.approx(run.sum(), rel=1e-12)
+    assert route.mean_slope_deg == pytest.approx(slope_deg.mean(), rel=1e-12)
+    assert route.max_slope_deg == pytest.approx(slope_deg.max(), rel=1e-12)
 
 
 def test_route_planar_waypoints():

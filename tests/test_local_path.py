@@ -9,18 +9,13 @@ from offroad.local_path import (
     GeometryError,
     LineSegment,
     ProfileError,
-    SpeedInputs,
-    SpeedState,
     TrajectoryConfig,
     build_speed_profile,
     plan_geometry,
-    run_speed_machine,
-    segment_slope,
-    step_speed_machine,
 )
 from offroad.terrain import SurfaceModel
 
-from conftest import flat_grid, grid_from_function
+from conftest import flat_grid, grid_from_function, time_at_arc_length
 
 # the turn-back fixture used throughout: southeast leg, 90 degree right turn,
 # southwest leg, radius 4
@@ -37,24 +32,6 @@ def base_config(**kw):
                     accel=1.0, decel=1.0, initial_speed=2.0)
     defaults.update(kw)
     return TrajectoryConfig(**defaults)
-
-
-# ---------------------------------------------------------------------------
-# Segment slope
-# ---------------------------------------------------------------------------
-
-def test_segment_slope_turn_fixture():
-    assert segment_slope(TURN_WPTS[0], TURN_WPTS[1]) == pytest.approx(-1.0)
-    assert segment_slope(TURN_WPTS[1], TURN_WPTS[2]) == pytest.approx(1.0)
-
-
-def test_segment_slope_vertical():
-    assert math.isinf(segment_slope((0.0, 0.0), (0.0, 5.0)))
-
-
-def test_segment_slope_coincident_points():
-    with pytest.raises(ValueError):
-        segment_slope((1.0, 2.0), (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,76 +166,10 @@ def test_line_points_stay_between_the_endpoints():
         assert pts[-1] == pytest.approx(end, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# Speed state machine
-# ---------------------------------------------------------------------------
-
-def test_machine_straight_below_nominal_accelerates():
-    cfg = base_config()
-    term, cmd, _ = run_speed_machine(SpeedInputs(1.0, -1.0, -1.0), cfg)
-    assert term is SpeedState.ACC
-    assert cmd == 2.0
-
-
-def test_machine_straight_at_nominal_holds():
-    cfg = base_config()
-    term, cmd, _ = run_speed_machine(SpeedInputs(2.0, -1.0, -1.0), cfg)
-    assert term is SpeedState.CV
-    assert cmd == 2.0
-
-
-def test_machine_straight_above_nominal_decelerates():
-    cfg = base_config()
-    term, _, _ = run_speed_machine(SpeedInputs(3.0, 0.5, 0.5), cfg)
-    assert term is SpeedState.DEC
-
-
-def test_machine_infeasible_turn_decelerates_to_turn_speed():
-    cfg = base_config(nominal_speed=6.0)
-    term, cmd, _ = run_speed_machine(SpeedInputs(6.0, -1.0, 1.0), cfg)
-    assert term is SpeedState.DEC
-    assert cmd == pytest.approx(4.0)  # turn_radius * max_yaw_rate
-
-
-def test_machine_feasible_turn_at_nominal_holds():
-    cfg = base_config()  # 2/4 <= 1: feasible at nominal
-    term, cmd, _ = run_speed_machine(SpeedInputs(2.0, -1.0, 1.0), cfg)
-    assert term is SpeedState.CV
-    assert cmd == 2.0
-
-
-def test_machine_contact_loss_decelerates():
-    cfg = base_config()
-    term, _, _ = run_speed_machine(SpeedInputs(2.0, -1.0, -1.0, contact_ok=False), cfg)
-    assert term is SpeedState.DEC
-
-
-def test_machine_deterministic():
-    cfg = base_config()
-    seq = [SpeedInputs(1.0, -1.0, -1.0), SpeedInputs(2.0, -1.0, 1.0),
-           SpeedInputs(3.0, 0.0, 0.0)]
-    runs = [[run_speed_machine(i, cfg)[2] for i in seq] for _ in range(3)]
-    assert runs[0] == runs[1] == runs[2]
-
-
-def test_machine_step_is_single_transition():
-    cfg = base_config()
-    inputs = SpeedInputs(1.0, -1.0, -1.0)
-    s = step_speed_machine(SpeedState.CHECK_CONTACT, inputs, cfg)
-    assert s is SpeedState.CHECK_STRAIGHT
-    assert step_speed_machine(SpeedState.ACC, inputs, cfg) is SpeedState.ACC
-
-
-def test_machine_vertical_slopes_count_as_straight():
-    cfg = base_config()
-    term, _, _ = run_speed_machine(SpeedInputs(2.0, math.inf, math.inf), cfg)
-    assert term is SpeedState.CV
-
-
 def test_lateral_accel_option_tightens_turn_speed():
     cfg = base_config(nominal_speed=6.0, max_lateral_accel=1.0)
     # yaw bound allows 4, lateral bound allows sqrt(1 * 4) = 2
-    assert cfg.turn_speed() == pytest.approx(2.0)
+    assert cfg.turn_speed(4.0) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +207,13 @@ def test_profile_slows_for_infeasible_turn():
     prof = build_speed_profile(geom, cfg)
     arc_start = geom.breakpoints[1]
     arc_end = geom.breakpoints[2]
-    t_entry = prof.time_at_s(arc_start)
+    t_entry = time_at_arc_length(prof, arc_start)
     _, v_entry, _ = prof.sample(t_entry)
     assert v_entry == pytest.approx(4.0, abs=1e-9)   # rho * max_yaw_rate
     # decelerating immediately before the arc, accelerating after it
     _, _, a_before = prof.sample(t_entry - 0.05)
     assert a_before == pytest.approx(-1.0)
-    t_exit = prof.time_at_s(arc_end)
+    t_exit = time_at_arc_length(prof, arc_end)
     _, _, a_after = prof.sample(t_exit + 0.05)
     assert a_after == pytest.approx(1.0)
     # within the arc the yaw-rate bound holds
@@ -312,21 +223,21 @@ def test_profile_slows_for_infeasible_turn():
             assert v / 4.0 <= 1.0 + 1e-12
 
 
+def test_profile_piece_times_match_root_finding():
+    # the closed-form piece start times t_pts against a root-finding
+    # inversion of the sampled arc length
+    geom = plan_geometry([(0.0, 0.0), (30.0, 0.0), (30.0, 30.0)], rho=3.0)
+    prof = build_speed_profile(geom, base_config(nominal_speed=5.0, initial_speed=0.0))
+    assert len(prof.t_pts) > 4
+    for s, t in zip(prof.s_pts, prof.t_pts):
+        assert time_at_arc_length(prof, s) == pytest.approx(t, abs=1e-9)
+
+
 def test_profile_infeasible_deceleration_raises():
     geom = plan_geometry([(0.0, 0.0), (5.0, 0.0), (5.0, 5.0)], rho=2.0)
     cfg = base_config(nominal_speed=8.0, initial_speed=8.0, decel=1.0)
     with pytest.raises(ProfileError, match="reduce the nominal"):
         build_speed_profile(geom, cfg)
-
-
-def test_profile_time_and_arc_length_consistent():
-    geom = plan_geometry([(0.0, 0.0), (30.0, 0.0), (30.0, 30.0)], rho=3.0)
-    cfg = base_config(nominal_speed=5.0, initial_speed=0.0)
-    prof = build_speed_profile(geom, cfg)
-    for s in np.linspace(0.0, prof.total_length, 17):
-        t = prof.time_at_s(s)
-        s_back, _, _ = prof.sample(t)
-        assert s_back == pytest.approx(s, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +267,7 @@ def test_sample_mid_line_zero_planar_accel():
 def test_sample_mid_arc_centripetal():
     traj = case_study_trajectory()
     arc_mid_s = (traj.geometry.breakpoints[1] + traj.geometry.breakpoints[2]) / 2
-    t = traj.profile.time_at_s(arc_mid_s)
+    t = time_at_arc_length(traj.profile, arc_mid_s)
     sample = traj.sample(t)
     acc_planar = sample.acceleration[:2]
     assert np.linalg.norm(acc_planar) == pytest.approx(2.0 ** 2 / 4.0, abs=1e-9)
@@ -386,7 +297,7 @@ def test_sample_derivatives_match_finite_differences():
     prof = build_speed_profile(geom, cfg)
     traj = DesiredTrajectory(geom, prof, surf)
     h = 1e-5
-    joins_t = [prof.time_at_s(s) for s in geom.breakpoints[1:-1]]
+    joins_t = [time_at_arc_length(prof, s) for s in geom.breakpoints[1:-1]]
     break_ts = list(prof.t_pts) + joins_t
     rng = np.random.default_rng(4)
     checked = 0
@@ -445,7 +356,7 @@ def zigzag_trajectory():
 
 def test_batch_sample_rows_equal_scalar_samples_bit_for_bit():
     traj = zigzag_trajectory()
-    joins = [traj.profile.time_at_s(s) for s in traj.geometry.breakpoints]
+    joins = [time_at_arc_length(traj.profile, s) for s in traj.geometry.breakpoints]
     rng = np.random.default_rng(11)
     ts = np.concatenate([[0.0, traj.duration], joins, traj.profile.t_pts,
                          rng.uniform(0.0, traj.duration, size=40)])
@@ -472,7 +383,7 @@ def test_batch_sample_derivatives_match_central_differences():
     batch = traj.sample(ts)
     fd_vel = (batch.position[2:] - batch.position[:-2]) / (2 * h)
     fd_acc = (batch.velocity[2:] - batch.velocity[:-2]) / (2 * h)
-    breaks = np.concatenate([traj.profile.t_pts, [traj.profile.time_at_s(s)
+    breaks = np.concatenate([traj.profile.t_pts, [time_at_arc_length(traj.profile, s)
                                                   for s in traj.geometry.breakpoints]])
     mid = ts[1:-1]
     away = np.min(np.abs(mid[:, None] - breaks[None, :]), axis=1) > 2 * h

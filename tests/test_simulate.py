@@ -22,7 +22,7 @@ from offroad.simulate import (
 from offroad.terrain import SurfaceModel
 from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
-from conftest import flat_grid, grid_from_function
+from conftest import flat_grid, grid_from_function, time_at_arc_length
 
 FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
 GAINS = GainConfig(k1=10.0, k2=20.0)
@@ -83,8 +83,8 @@ def test_case_study_scenario_tracks_tightly():
     assert m.max_err <= 0.15
     assert m.min_normal_force > 0.0
     # the worst tracking happens around the turn, not on the open straights
-    t_entry = traj.profile.time_at_s(traj.geometry.breakpoints[1])
-    t_exit = traj.profile.time_at_s(traj.geometry.breakpoints[2])
+    t_entry = time_at_arc_length(traj.profile, traj.geometry.breakpoints[1])
+    t_exit = time_at_arc_length(traj.profile, traj.geometry.breakpoints[2])
     assert t_entry - 0.5 <= m.t_max_err <= t_exit + 0.5
 
 

@@ -19,8 +19,6 @@ from offroad.terrain import (
     build_obstacle_mask,
     load_elevation_grid,
     load_mask,
-    slope_between,
-    write_grid_csv,
 )
 from offroad.vehicle import VehicleParams, frame_and_motion
 
@@ -31,6 +29,7 @@ from conftest import (
     grid_from_function,
     normal_with_gradient,
     rotation_from_angles,
+    write_grid_csv,
 )
 
 
@@ -460,35 +459,6 @@ def test_neighbor_slopes_built_once_and_read_only():
         grid.heights[0, 0] = 2.0
 
 
-def test_slope_between_basic():
-    grid = flat_grid(n=3, cell=10.0)
-    grid.heights[0, 0] = 1.0
-    assert slope_between(grid, (0, 0), (0, 1)) == pytest.approx(0.1)
-    assert slope_between(grid, (1, 0), (1, 1)) == 0.0
-
-
-def test_slope_between_diagonal():
-    grid = flat_grid(n=3, cell=10.0)
-    grid.heights[0, 0] = 1.0
-    expected = 1.0 / (10.0 * math.sqrt(2))
-    assert slope_between(grid, (0, 0), (1, 1)) == pytest.approx(expected)
-
-
-def test_slope_between_symmetric():
-    rng = np.random.default_rng(2)
-    grid = grid_from_function(lambda x, y: rng.normal(size=x.shape), n_cols=6, n_rows=6)
-    for (a, b) in [((0, 0), (0, 1)), ((2, 2), (3, 3)), ((4, 1), (3, 0))]:
-        assert slope_between(grid, a, b) == slope_between(grid, b, a)
-
-
-def test_slope_between_rejects_non_adjacent():
-    grid = flat_grid(n=4)
-    with pytest.raises(ValueError):
-        slope_between(grid, (0, 0), (0, 2))
-    with pytest.raises(ValueError):
-        slope_between(grid, (1, 1), (1, 1))
-
-
 def test_obstacle_mask_all_clear_on_flat():
     mask = build_obstacle_mask(flat_grid(n=5))
     assert not mask.blocked.any()
@@ -503,7 +473,6 @@ def test_obstacle_mask_single_water_cell():
     assert mask.blocked.sum() == 1
     assert mask.blocked[2, 3]
     assert mask.provenance[2, 3] == WATER
-    assert mask.reason(2, 3) == "water"
 
 
 def test_obstacle_mask_spike_blocks_only_spike():
@@ -536,8 +505,8 @@ def test_obstacle_mask_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_weather_defaults():
-    assert WeatherCondition.dry().slope_limit == pytest.approx(math.tan(math.radians(6.90)))
-    assert WeatherCondition.wet().slope_limit == pytest.approx(math.tan(math.radians(2.77)))
+    assert DRY_SLOPE_LIMIT == pytest.approx(math.tan(math.radians(6.90)))
+    assert WET_SLOPE_LIMIT == pytest.approx(math.tan(math.radians(2.77)))
     assert WET_SLOPE_LIMIT < DRY_SLOPE_LIMIT
 
 
