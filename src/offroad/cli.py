@@ -8,6 +8,7 @@ during simulation, 4 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -82,7 +83,11 @@ def cmd_route(args) -> int:
         if limit is None:
             limit = DRY_SLOPE_LIMIT if args.weather == "dry" else WET_SLOPE_LIMIT
         weather = WeatherCondition(args.weather, limit)
-        steep = args.steep_limit if args.steep_limit is not None else weather.slope_limit
+        steep = args.steep_limit
+        if steep is None:
+            steep = weather.slope_limit
+        elif not (steep > 0 and math.isfinite(steep)):
+            raise ValueError(f"--steep-limit: must be positive and finite, got {steep}")
         route = plan_route(grid, water, foliage, steep, weather, start, goal)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve, solve_banded
 
 # Slope limits for the two supported weather regimes (rise/run).
 DRY_SLOPE_LIMIT = math.tan(math.radians(6.90))
@@ -139,9 +139,12 @@ class SurfaceModel:
     exactly.  Grids narrower than 4 nodes per axis fall back to the highest
     spline degree the axis supports.
 
-    Construction converts the spline to one per-cell bicubic coefficient
-    tensor, so a query returns f and all partials to second order by Horner
-    evaluation on its cell's 16 coefficients.
+    Construction solves one banded system per axis (``_not_a_knot_coeffs``:
+    along x for all grid rows at once, then along y for all their x-spline
+    coefficients at once) and stores the result as one per-cell bicubic
+    coefficient tensor, bit for bit the one scipy's ``CubicSpline`` gives.
+    A query returns f and all partials to second order by Horner evaluation
+    on its cell's 16 coefficients.
     """
 
     def __init__(self, grid: ElevationGrid):
@@ -151,12 +154,12 @@ class SurfaceModel:
         # values[i, j] = height at (xs[i], ys[j]); row 0 of the raster is north.
         values = np.flipud(grid.heights).T
 
-        sx = CubicSpline(xs, values, axis=0, bc_type="not-a-knot")
+        cx = _not_a_knot_coeffs(xs, values)
         # spline the x-coefficients along y: c shapes (4, nx-1, ny) -> (4, ny-1, 4, nx-1)
-        sy = CubicSpline(ys, np.moveaxis(sx.c, 2, 0), axis=0, bc_type="not-a-knot")
+        cy = _not_a_knot_coeffs(ys, np.moveaxis(cx, 2, 0))
         # coeffs[i, j, p, q] multiplies (x - xs[i])**p * (y - ys[j])**q
         self._coeffs = np.ascontiguousarray(
-            np.transpose(sy.c[::-1, :, ::-1, :], (3, 1, 2, 0))
+            np.transpose(cy[::-1, :, ::-1, :], (3, 1, 2, 0))
         )
         self._xs = xs
         self._ys = ys
@@ -215,6 +218,62 @@ class SurfaceModel:
             f"query ({x:.3f}, {y:.3f}) outside grid extent "
             f"x=[{self._x_min}, {self._x_max}], y=[{self._y_min}, {self._y_max}]"
         )
+
+
+def _not_a_knot_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c[k, i, ...] of the not-a-knot cubic spline through
+    (x, y) along axis 0: on [x[i], x[i+1]] the spline is
+    sum_k c[k, i, ...] (t - x[i])**(3 - k).
+
+    x is strictly increasing with n >= 2 nodes; y has shape (n, ...).  The
+    arithmetic and the LAPACK calls are those of scipy 1.17's
+    ``CubicSpline(x, y, bc_type="not-a-knot").c``, so the result matches it
+    bit for bit: node slopes from a tridiagonal system for n >= 4, from the
+    parabola through the nodes for n = 3, and the chord's slope for n = 2.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    b = np.empty((n,) + y.shape[1:])
+    if n == 3:
+        A = np.zeros((3, 3))
+        A[0, 0] = A[0, 1] = A[2, 1] = A[2, 2] = 1
+        A[1, 0] = dx[1]
+        A[1, 1] = 2 * (dx[0] + dx[1])
+        A[1, 2] = dx[0]
+        b[0] = 2 * slope[0]
+        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+        b[2] = 2 * slope[1]
+        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False)
+    else:
+        # banded storage: row 0 the upper diagonal, 1 the diagonal, 2 the lower
+        A = np.zeros((3, n))
+        if n == 2:
+            # both ends take the chord's slope
+            A[1] = 1
+            b[:] = slope[0]
+        else:
+            A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+            A[0, 2:] = dx[:-1]
+            A[-1, :-2] = dx[1:]
+            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+            # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+            d = x[2] - x[0]
+            A[1, 0] = dx[1]
+            A[0, 1] = d
+            b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+            d = x[-1] - x[-3]
+            A[1, -1] = dx[-2]
+            A[-1, -2] = d
+            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+    s = s.reshape(b.shape)
+    # the cubic Hermite segments through the node values and slopes
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 
 
 def _bicubic_jet(c, u, v) -> tuple:

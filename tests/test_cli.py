@@ -544,6 +544,21 @@ def test_unusable_path_or_limit_exits_4(tmp_path, capsys, make_argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_route_steep_limit_must_be_positive_and_finite(tmp_path, capsys, value):
+    # a flat 7x7 grid whose goal is a 50 m spike: the default steep limit
+    # masks the goal, nan would mask nothing, and 0 or -1 would mask every node
+    grid = flat_grid(n=7, cell=10.0)
+    grid.heights[3, 3] = 50.0
+    grid_path = write_fixture_grid(tmp_path, grid)
+    code = main(["route", "--grid", str(grid_path), "--start", "6,0", "--goal", "3,3",
+                 "--out", str(tmp_path / "route.csv"), "--steep-limit", value])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: --steep-limit: must be positive and finite")
+    assert not (tmp_path / "route.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under input-file mutation
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from offroad.terrain import (
     CLEAR,
@@ -17,6 +18,7 @@ from offroad.terrain import (
     SurfaceModel,
     WeatherCondition,
     build_obstacle_mask,
+    _not_a_knot_coeffs,
     load_elevation_grid,
     load_mask,
 )
@@ -312,6 +314,84 @@ def test_surface_interpolates_grid_nodes():
         for col in range(grid.n_cols):
             x, y = grid.node_position(row, col)
             assert surf.eval(x, y)[0] == pytest.approx(grid.node_height(row, col), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 41, 250])
+@pytest.mark.parametrize("tail", [(), (3,), (4, 5)])
+def test_not_a_knot_coeffs_match_cubic_spline_bit_for_bit(n, tail):
+    # scipy's CubicSpline is the oracle here only; tobytes() tells -0.0 from 0.0
+    rng = np.random.default_rng([n, len(tail)])
+    uniform = 37.5 + 2.5 * np.arange(n)
+    uneven = -410.0 + np.cumsum(rng.uniform(0.2, 3.0, n))
+    values = [rng.normal(size=(n,) + tail),
+              np.round(rng.normal(size=(n,) + tail)),
+              np.where(rng.random((n,) + tail) < 0.5, 0.0, -0.0)]
+    for x in (uniform, uneven):
+        for y in values:
+            got = _not_a_knot_coeffs(x, y)
+            want = CubicSpline(x, y, axis=0, bc_type="not-a-knot").c
+            assert got.shape == want.shape == (4, n - 1) + tail
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(2, 2), (3, 7), (41, 41)])
+def test_surface_coefficients_match_the_cubic_spline_tensor(n_rows, n_cols):
+    rng = np.random.default_rng([n_rows, n_cols])
+    grid = ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=1.5,
+                         origin=(812.25, -36.0), heights=rng.normal(size=(n_rows, n_cols)))
+    # the tensor two CubicSpline calls build: along x, then the x-coefficients along y
+    values = np.flipud(grid.heights).T
+    sx = CubicSpline(grid.x_axis, values, axis=0, bc_type="not-a-knot")
+    sy = CubicSpline(grid.y_axis, np.moveaxis(sx.c, 2, 0), axis=0, bc_type="not-a-knot")
+    want = np.ascontiguousarray(np.transpose(sy.c[::-1, :, ::-1, :], (3, 1, 2, 0)))
+    got = SurfaceModel(grid)._coeffs
+    assert got.shape == want.shape == (n_cols - 1, n_rows - 1, 4, 4)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(2, 2), (2, 6), (6, 2)])
+def test_two_nodes_along_an_axis_reproduce_a_plane(n_rows, n_cols):
+    def plane(x, y):
+        return 3.0 + 0.25 * x - 0.125 * y
+
+    surf = SurfaceModel(grid_from_function(plane, n_cols=n_cols, n_rows=n_rows,
+                                           cell=2.0, origin=(10.0, -4.0)))
+    rng = np.random.default_rng([n_rows, n_cols])
+    x_min, x_max, y_min, y_max = surf.bounds
+    xs = rng.uniform(x_min, x_max, 50)
+    ys = rng.uniform(y_min, y_max, 50)
+    f, fx, fy, fxx, fyy, fxy = surf.eval(xs, ys)
+    assert np.max(np.abs(f - plane(xs, ys))) < 1e-12
+    assert np.max(np.abs(fx - 0.25)) < 1e-12
+    assert np.max(np.abs(fy + 0.125)) < 1e-12
+    for d in (fxx, fyy, fxy):
+        assert np.max(np.abs(d)) < 1e-12
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_three_nodes_along_an_axis_reproduce_a_quadratic(axis):
+    # three nodes fit the parabola through them; the other axis has five,
+    # along which the surface is linear
+    def q(t):
+        return 0.3 * t ** 2 - 0.7 * t + 2.0
+
+    if axis == "x":
+        fn, n_cols, n_rows = (lambda x, y: q(x) + 0.1 * y), 3, 5
+    else:
+        fn, n_cols, n_rows = (lambda x, y: q(y) + 0.1 * x), 5, 3
+    surf = SurfaceModel(grid_from_function(fn, n_cols=n_cols, n_rows=n_rows,
+                                           cell=1.5, origin=(-2.0, 4.0)))
+    rng = np.random.default_rng(5)
+    x_min, x_max, y_min, y_max = surf.bounds
+    # off-node points: nodes sit on multiples of 1.5 from the origin
+    xs = x_min + 1.5 * (rng.integers(0, n_cols - 1, 40) + rng.uniform(0.05, 0.95, 40))
+    ys = y_min + 1.5 * (rng.integers(0, n_rows - 1, 40) + rng.uniform(0.05, 0.95, 40))
+    f, fx, fy, fxx, fyy, _ = surf.eval(xs, ys)
+    t = xs if axis == "x" else ys
+    f_t, f_tt = (fx, fxx) if axis == "x" else (fy, fyy)
+    assert np.max(np.abs(f - fn(xs, ys))) < 1e-12
+    assert np.max(np.abs(f_t - (0.6 * t - 0.7))) < 1e-12
+    assert np.max(np.abs(f_tt - 0.6)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
