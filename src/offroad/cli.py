@@ -82,6 +82,8 @@ def cmd_route(args) -> int:
         limit = args.slope_limit
         if limit is None:
             limit = DRY_SLOPE_LIMIT if args.weather == "dry" else WET_SLOPE_LIMIT
+        elif not (limit > 0 and math.isfinite(limit)):
+            raise ValueError(f"--slope-limit: must be positive and finite, got {limit}")
         weather = WeatherCondition(args.weather, limit)
         steep = args.steep_limit
         if steep is None:

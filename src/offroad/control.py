@@ -104,9 +104,14 @@ def control_step(
     a_t = (e_x * x_dot + e_y * y_dot + e_z * z_dot) / v
     gamma = (k_x * (y_dot * e_z - z_dot * e_y) + k_y * (z_dot * e_x - x_dot * e_z)
              + k_z * (x_dot * e_y - y_dot * e_x)) / (v * v)
+    # clamp as min(max(value, -bound), bound) does, without the calls
     a, g = a_t, gamma
-    if params.max_accel is not None:
-        a = min(max(a, -params.max_accel), params.max_accel)
-    if params.max_steer_rate is not None:
-        g = min(max(g, -params.max_steer_rate), params.max_steer_rate)
+    bound = params.max_accel
+    if bound is not None:
+        a = -bound if a < -bound else a
+        a = bound if a > bound else a
+    bound = params.max_steer_rate
+    if bound is not None:
+        g = -bound if g < -bound else g
+        g = bound if g > bound else g
     return (a, g), (a != a_t) or (g != gamma)

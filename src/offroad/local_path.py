@@ -479,6 +479,6 @@ def write_trajectory_csv(traj: DesiredTrajectory, dt: float, path: str) -> None:
             s = traj.sample(t)
             table = np.column_stack([t, s.position, s.velocity, s.acceleration])
             fh.write("".join(
-                ",".join(map(repr, vals.tolist())) + f",{seg},{phase}\n"
-                for vals, seg, phase in zip(table, s.segment_index.tolist(),
+                ",".join(map(repr, vals)) + f",{seg},{phase}\n"
+                for vals, seg, phase in zip(table.tolist(), s.segment_index.tolist(),
                                             s.phase.tolist())))

@@ -139,12 +139,15 @@ class SurfaceModel:
     exactly.  Grids narrower than 4 nodes per axis fall back to the highest
     spline degree the axis supports.
 
-    Construction solves one banded system per axis (``_not_a_knot_coeffs``:
-    along x for all grid rows at once, then along y for all their x-spline
-    coefficients at once) and stores the result as one per-cell bicubic
-    coefficient tensor, bit for bit the one scipy's ``CubicSpline`` gives.
-    A query returns f and all partials to second order by Horner evaluation
-    on its cell's 16 coefficients.
+    Construction solves the x-pass only: one banded system along x for all
+    grid rows at once (``_not_a_knot_coeffs``).  The y-pass is solved per
+    x-cell column, on the first query that lands in the column, because a
+    car crosses few of them: the column's x-spline coefficients are splined
+    along y and stored in its slot of the per-cell bicubic coefficient
+    tensor, bit for bit the one scipy's ``CubicSpline`` gives.  Each cell
+    also keeps the constant multiples its jet needs, so a query returns f and
+    all partials to second order by Horner evaluation on the cell's flat
+    28-float record (see ``_bicubic_jet``).
     """
 
     def __init__(self, grid: ElevationGrid):
@@ -153,14 +156,16 @@ class SurfaceModel:
         ys = grid.y_axis
         # values[i, j] = height at (xs[i], ys[j]); row 0 of the raster is north.
         values = np.flipud(grid.heights).T
-
-        cx = _not_a_knot_coeffs(xs, values)
-        # spline the x-coefficients along y: c shapes (4, nx-1, ny) -> (4, ny-1, 4, nx-1)
-        cy = _not_a_knot_coeffs(ys, np.moveaxis(cx, 2, 0))
-        # coeffs[i, j, p, q] multiplies (x - xs[i])**p * (y - ys[j])**q
-        self._coeffs = np.ascontiguousarray(
-            np.transpose(cy[::-1, :, ::-1, :], (3, 1, 2, 0))
-        )
+        # c shape (4, nx-1, ny): the x-splines through every grid row
+        self._cx = _not_a_knot_coeffs(xs, values)
+        nx_cells, ny_cells = grid.n_cols - 1, grid.n_rows - 1
+        # one flat jet record per cell, filled a column at a time; pages of
+        # columns no query reaches are never written
+        self._cells = np.empty((nx_cells, ny_cells, 28))
+        # coeffs[i, j, p, q] multiplies (x - xs[i])**p * (y - ys[j])**q: a
+        # view of the first 16 floats of each cell's record
+        self._coeffs = self._cells[:, :, :16].reshape(nx_cells, ny_cells, 4, 4)
+        self._built = np.zeros(nx_cells, dtype=bool)
         self._xs = xs
         self._ys = ys
         self._x_nodes = xs.tolist()
@@ -168,10 +173,23 @@ class SurfaceModel:
         self._x_min, self._x_max = float(xs[0]), float(xs[-1])
         self._y_min, self._y_max = float(ys[0]), float(ys[-1])
         self._inv_cell = 1.0 / grid.cell_size
-        self._nx_cells = grid.n_cols - 1
-        self._ny_cells = grid.n_rows - 1
+        self._nx_last = nx_cells - 1
+        self._ny_last = ny_cells - 1
+        self._ci = -1
+        self._cj = -1
         self._cell = None
-        self._cell_coeffs = None
+
+    def _build_column(self, i: int) -> None:
+        """Spline x-cell column i's x-coefficients along y into its cells."""
+        # c shape (4, ny-1, 4): c[3 - q, j, 3 - p] multiplies u**p v**q
+        c = _not_a_knot_coeffs(self._ys, self._cx[:, i, :].T)
+        coeffs = self._coeffs[i]
+        coeffs[...] = np.transpose(c[::-1, :, ::-1], (1, 2, 0))
+        cells = self._cells[i]
+        cells[:, 16:20] = 2.0 * coeffs[:, :, 2]
+        cells[:, 20:24] = 3.0 * coeffs[:, :, 3]
+        cells[:, 24:28] = 6.0 * coeffs[:, :, 3]
+        self._built[i] = True
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -191,15 +209,19 @@ class SurfaceModel:
                 raise self._out_of_bounds(x, y)
             # axes are uniform, so the cell index is direct arithmetic; both
             # offsets are >= 0 inside the grid
-            i = min(int((x - self._x_min) * self._inv_cell), self._nx_cells - 1)
-            j = min(int((y - self._y_min) * self._inv_cell), self._ny_cells - 1)
+            i = int((x - self._x_min) * self._inv_cell)
+            j = int((y - self._y_min) * self._inv_cell)
+            i = self._nx_last if i > self._nx_last else i
+            j = self._ny_last if j > self._ny_last else j
             # a moving car queries one cell many times in a row: keep the
-            # last cell's coefficients as floats
-            if (i, j) != self._cell:
-                self._cell = (i, j)
-                self._cell_coeffs = self._coeffs[i, j].tolist()
-            return _bicubic_jet(self._cell_coeffs,
-                                x - self._x_nodes[i], y - self._y_nodes[j])
+            # last cell's record as floats
+            if i != self._ci or j != self._cj:
+                if not self._built[i]:
+                    self._build_column(i)
+                self._ci = i
+                self._cj = j
+                self._cell = self._cells[i, j].tolist()
+            return _bicubic_jet(self._cell, x - self._x_nodes[i], y - self._y_nodes[j])
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         outside = ~((self._x_min <= x) & (x <= self._x_max)
@@ -207,10 +229,13 @@ class SurfaceModel:
         if outside.any():
             k = np.argmax(outside)
             raise self._out_of_bounds(float(x.flat[k]), float(y.flat[k]))
-        i = np.clip(((x - self._x_min) * self._inv_cell).astype(int), 0, self._nx_cells - 1)
-        j = np.clip(((y - self._y_min) * self._inv_cell).astype(int), 0, self._ny_cells - 1)
-        # (4, 4, ...) so that c[p][q] is the coefficient array of u**p v**q
-        c = np.moveaxis(self._coeffs[i, j], (-2, -1), (0, 1))
+        i = np.clip(((x - self._x_min) * self._inv_cell).astype(int), 0, self._nx_last)
+        j = np.clip(((y - self._y_min) * self._inv_cell).astype(int), 0, self._ny_last)
+        columns = np.unique(i)
+        for col in columns[~self._built[columns]].tolist():
+            self._build_column(col)
+        # (28, ...) so that c[k] is the array of record entry k
+        c = np.moveaxis(self._cells[i, j], -1, 0)
         return _bicubic_jet(c, x - self._xs[i], y - self._ys[j])
 
     def _out_of_bounds(self, x: float, y: float) -> OutOfBoundsError:
@@ -277,27 +302,29 @@ def _not_a_knot_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _bicubic_jet(c, u, v) -> tuple:
-    """(f, f_x, f_y, f_xx, f_yy, f_xy) of sum c[p][q] u**p v**q by Horner's rule.
+    """(f, f_x, f_y, f_xx, f_yy, f_xy) of sum c_pq u**p v**q by Horner's rule.
 
-    ``c`` is a 4x4 nested list of floats or a (4, 4, ...) array; u and v are
-    floats or arrays that broadcast with c[p][q].
+    ``c`` is a cell's flat 28-entry record: the 16 coefficients c_pq in
+    row-major (p, q) order, then 2 c_p2, 3 c_p3 and 6 c_p3 for p = 0..3.
+    Its entries are floats, or arrays that broadcast with the floats or
+    arrays u and v.
     """
-    (c00, c01, c02, c03), (c10, c11, c12, c13), (c20, c21, c22, c23), \
-        (c30, c31, c32, c33) = c
+    (c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33,
+     d02, d12, d22, d32, t03, t13, t23, t33, s03, s13, s23, s33) = c
     # per power of u: the polynomial in v (g), its first v-derivative (h)
     # and its second (k)
     g0 = c00 + v * (c01 + v * (c02 + v * c03))
     g1 = c10 + v * (c11 + v * (c12 + v * c13))
     g2 = c20 + v * (c21 + v * (c22 + v * c23))
     g3 = c30 + v * (c31 + v * (c32 + v * c33))
-    h0 = c01 + v * (2.0 * c02 + v * (3.0 * c03))
-    h1 = c11 + v * (2.0 * c12 + v * (3.0 * c13))
-    h2 = c21 + v * (2.0 * c22 + v * (3.0 * c23))
-    h3 = c31 + v * (2.0 * c32 + v * (3.0 * c33))
-    k0 = 2.0 * c02 + v * (6.0 * c03)
-    k1 = 2.0 * c12 + v * (6.0 * c13)
-    k2 = 2.0 * c22 + v * (6.0 * c23)
-    k3 = 2.0 * c32 + v * (6.0 * c33)
+    h0 = c01 + v * (d02 + v * t03)
+    h1 = c11 + v * (d12 + v * t13)
+    h2 = c21 + v * (d22 + v * t23)
+    h3 = c31 + v * (d32 + v * t33)
+    k0 = d02 + v * s03
+    k1 = d12 + v * s13
+    k2 = d22 + v * s23
+    k3 = d32 + v * s33
     f = g0 + u * (g1 + u * (g2 + u * g3))
     f_x = g1 + u * (2.0 * g2 + u * (3.0 * g3))
     f_y = h0 + u * (h1 + u * (h2 + u * h3))

@@ -201,10 +201,14 @@ def step_dynamics(
                                 v + dt * v3, d + dt * d3), dt)
     w = dt / 6.0
     steer = d + w * (d1 + 2 * d2 + 2 * d3 + d4)
-    if params.max_steer is not None:
-        steer = min(max(steer, -params.max_steer), params.max_steer)
+    # clamps as min(max(value, lower), upper) does, without the calls
+    bound = params.max_steer
+    if bound is not None:
+        steer = -bound if steer < -bound else steer
+        steer = bound if steer > bound else steer
+    speed = v + w * (v1 + 2 * v2 + 2 * v3 + v4)
     return VehicleState(x + w * (x1 + 2 * x2 + 2 * x3 + x4),
                         y + w * (y1 + 2 * y2 + 2 * y3 + y4),
                         psi + w * (p1 + 2 * p2 + 2 * p3 + p4),
-                        max(v + w * (v1 + 2 * v2 + 2 * v3 + v4), 0.0),
+                        0.0 if speed < 0.0 else speed,
                         steer)

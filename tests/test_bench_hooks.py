@@ -84,6 +84,10 @@ def test_every_span_fires_and_a_step_evaluates_the_loop_four_times(tmp_path):
     # the last logged step is not integrated
     assert calls["vehicle.frame_motion"] == 4 * (steps - 1) + 1
     assert calls["control.step"] == 4 * (steps - 1) + 1
+    # each of those evaluations queries the surface once through the traced
+    # SurfaceModel.eval, as do the aligned initial state and each reference
+    # sample; a kernel that reads the spline around eval lowers this count
+    assert calls["terrain.eval"] == 4 * (steps - 1) + 1 + 1 + calls["local_path.sample"]
     # the open-loop reference is sampled in blocks, and a run this short
     # takes one call per reader: the aligned initial state, the run and
     # trajectory.csv

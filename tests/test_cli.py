@@ -559,6 +559,22 @@ def test_route_steep_limit_must_be_positive_and_finite(tmp_path, capsys, value):
     assert not (tmp_path / "route.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_route_slope_limit_must_be_positive_and_finite(tmp_path, capsys, value):
+    # a flat 7x7 grid with a 50 m ridge across row 3: no admissible route
+    # crosses it, but an infinite limit would admit a 74 degree hop over it
+    grid = flat_grid(n=7, cell=10.0)
+    grid.heights[3, :] = 50.0
+    grid_path = write_fixture_grid(tmp_path, grid)
+    code = main(["route", "--grid", str(grid_path), "--start", "6,0", "--goal", "0,6",
+                 "--out", str(tmp_path / "route.csv"), "--steep-limit", "1.0",
+                 "--slope-limit", value])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err == f"error: --slope-limit: must be positive and finite, got {float(value)}\n"
+    assert not (tmp_path / "route.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under input-file mutation
 # ---------------------------------------------------------------------------

@@ -161,6 +161,24 @@ def test_normal_force_violation_warn_continues():
     assert len(log) > len(halted)
 
 
+def test_straight_run_builds_only_the_spline_columns_it_crosses():
+    # a 200-column rolling grid with 1 m cells; the reference runs from the
+    # middle of cell column 50 to the middle of column 60
+    grid = grid_from_function(lambda x, y: 0.2 * np.sin(x / 7.0) * np.cos(y / 5.0),
+                              n_cols=200, n_rows=20, cell=1.0)
+    surf = SurfaceModel(grid)
+    assert not surf._built.any()
+    geom = plan_geometry([(50.5, 9.5), (60.5, 9.5)], rho=2.0)
+    cfg = TrajectoryConfig(nominal_speed=2.0, turn_radius=2.0, max_yaw_rate=1.0,
+                           initial_speed=2.0)
+    traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
+    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+                                  params=FREE, dt=0.01))
+    assert log.status == STATUS_COMPLETED
+    assert tracking_metrics(log).max_err < 0.01
+    assert np.flatnonzero(surf._built).tolist() == list(range(50, 61))
+
+
 def test_leaving_grid_reported():
     # reference runs to the eastern edge of a small grid; the car follows it
     # out of the interpolation domain

@@ -334,19 +334,68 @@ def test_not_a_knot_coeffs_match_cubic_spline_bit_for_bit(n, tail):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_rows, n_cols", [(2, 2), (3, 7), (41, 41)])
-def test_surface_coefficients_match_the_cubic_spline_tensor(n_rows, n_cols):
-    rng = np.random.default_rng([n_rows, n_cols])
-    grid = ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=1.5,
+def random_grid(n_rows, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=1.5,
                          origin=(812.25, -36.0), heights=rng.normal(size=(n_rows, n_cols)))
+
+
+def cell_centres(grid, columns):
+    """Planar centres of every cell of the given x-cell columns, column by column."""
+    half = 0.5 * grid.cell_size
+    xs = np.repeat(grid.x_axis[columns] + half, grid.n_rows - 1)
+    ys = np.tile(grid.y_axis[:-1] + half, len(columns))
+    return xs, ys
+
+
+SURFACE_SHAPES = [(2, 2), (3, 7), (41, 41), (2, 9), (9, 2), (3, 3), (4, 60), (120, 5)]
+
+
+@pytest.mark.parametrize("n_rows, n_cols", SURFACE_SHAPES)
+def test_surface_coefficients_match_the_cubic_spline_tensor(n_rows, n_cols):
+    grid = random_grid(n_rows, n_cols, [n_rows, n_cols])
     # the tensor two CubicSpline calls build: along x, then the x-coefficients along y
     values = np.flipud(grid.heights).T
     sx = CubicSpline(grid.x_axis, values, axis=0, bc_type="not-a-knot")
     sy = CubicSpline(grid.y_axis, np.moveaxis(sx.c, 2, 0), axis=0, bc_type="not-a-knot")
     want = np.ascontiguousarray(np.transpose(sy.c[::-1, :, ::-1, :], (3, 1, 2, 0)))
-    got = SurfaceModel(grid)._coeffs
+    surf = SurfaceModel(grid)
+    # columns are built by the first query in them: touch every cell, the
+    # columns in random order, alternating float and array queries
+    order = np.random.default_rng(n_rows * n_cols).permutation(n_cols - 1)
+    for k, col in enumerate(order):
+        xs, ys = cell_centres(grid, [col])
+        if k % 2:
+            surf.eval(xs, ys)
+        else:
+            for x, y in zip(xs.tolist(), ys.tolist()):
+                surf.eval(x, y)
+    got = surf._coeffs
     assert got.shape == want.shape == (n_cols - 1, n_rows - 1, 4, 4)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(3, 7), (41, 41), (9, 2), (6, 90)])
+def test_partly_built_surface_gives_the_fully_built_jets(n_rows, n_cols):
+    grid = random_grid(n_rows, n_cols, [n_cols, n_rows])
+    full = SurfaceModel(grid)
+    full.eval(*cell_centres(grid, np.arange(n_cols - 1)))
+    rng = np.random.default_rng([n_cols, n_rows, 1])
+    x_min, x_max, y_min, y_max = full.bounds
+    xs = np.concatenate([[x_min, x_max, x_min], rng.uniform(x_min, x_max, 300)])
+    ys = np.concatenate([[y_min, y_max, y_max], rng.uniform(y_min, y_max, 300)])
+    want = np.array(full.eval(xs, ys))
+    for path in ("float", "array"):
+        partial = SurfaceModel(grid)
+        # a random half of the columns is built before the probes
+        some = rng.permutation(n_cols - 1)[:(n_cols - 1) // 2]
+        partial.eval(*cell_centres(grid, some))
+        assert partial._built.sum() == len(some)
+        if path == "array":
+            got = np.array(partial.eval(xs, ys))
+        else:
+            got = np.array([partial.eval(x, y) for x, y in zip(xs.tolist(), ys.tolist())]).T
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(2, 2), (2, 6), (6, 2)])
