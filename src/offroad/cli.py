@@ -2,7 +2,7 @@
 render SVG scenes from grid/mask/route/log files.
 
 Exit codes: 0 success, 2 destination unreachable, 3 constraint violation
-during simulation, 4 input error.
+during simulation, 4 input error (usage errors included).
 """
 
 from __future__ import annotations
@@ -206,8 +206,15 @@ def _read_log_csv(path: str) -> dict[str, np.ndarray]:
     return dict(zip(names, data.T))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in subcommands too, exit EXIT_INPUT, not argparse's 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="offroad",
         description="Plan slope-constrained routes over gridded terrain, plan "
                     "line+arc trajectories, and simulate closed-loop tracking.")

@@ -10,17 +10,21 @@ does not exceed the active weather's limit.  Hop cost is
     cost = alpha_m * slope + alpha_d * distance
 
 with the scaling weights solved from the mean slope and mean distance over
-all admissible moves.  Stay costs 0 at the goal and is inadmissible anywhere
-else, which makes the goal absorbing with value 0.
+all admissible moves.  Every table is one (8, n_rows, n_cols) array laid out
+like ``ElevationGrid.neighbor_slopes``: axis k is action k + 1, and the cost
+table holds +inf where a hop is not admissible.  Stay costs 0 at the goal
+and is inadmissible anywhere else, which makes the goal absorbing with
+value 0.
 
 Every hop cost is positive, so the fixed point of the Bellman equation
 
     V(s) = min_a [cost(s, a) + V(s + a)],    V(goal) = 0
 
-is the shortest-path cost to the goal.  ``value_iteration`` reaches it in one
-label-setting (Dijkstra) pass from the goal over the reversed admissible
-graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming and
-Optimal Control*, Vol. 1, label-setting methods).
+is the shortest-path cost to the goal.  A hop's slope, admissibility and
+cost are the same in both directions, so ``value_iteration`` reaches it in
+one label-setting (Dijkstra) pass from the goal over the undirected hop
+graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming
+and Optimal Control*, Vol. 1, label-setting methods).
 """
 
 from __future__ import annotations
@@ -44,17 +48,8 @@ from .terrain import (
 )
 
 # Action id -> (drow, dcol); row 0 is the northern edge so North is -1 row.
-# Ids 1..8 follow terrain.NEIGHBOR_OFFSETS, so slope axis a - 1 is action a.
-MOVES = {
-    1: (0, 1),    # East
-    2: (-1, 1),   # Northeast
-    3: (-1, 0),   # North
-    4: (-1, -1),  # Northwest
-    5: (0, -1),   # West
-    6: (1, -1),   # Southwest
-    7: (1, 0),    # South
-    8: (1, 1),    # Southeast
-}
+# Action k + 1 is terrain.NEIGHBOR_OFFSETS[k], so table axis k is action k + 1.
+MOVES = dict(enumerate(NEIGHBOR_OFFSETS, start=1))
 STAY = 9
 
 UNREACHABLE = math.inf
@@ -72,10 +67,8 @@ class DpProblem:
     goal: tuple[int, int]
     alpha_m: float
     alpha_d: float
-    slope_limit: float
     valid: np.ndarray                 # bool (n_rows, n_cols); True = state
-    move_admissible: dict[int, np.ndarray] = field(repr=False)
-    move_cost: dict[int, np.ndarray] = field(repr=False)  # +inf where inadmissible
+    hop_cost: np.ndarray = field(repr=False)  # (8, n_rows, n_cols); +inf = inadmissible
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,35 +106,27 @@ class PlannedRoute:
                    reachable=False)
 
 
-def _hop_slopes_and_admissibility(
-    grid: ElevationGrid, mask: ObstacleMask, slope_limit: float
-):
-    """Per-action hop slopes and admissibility over the whole grid.
-
-    slopes[a - 1][r, c] is the hop slope from (r, c) along action a (NaN
-    off-grid); admissible[a] additionally requires both endpoints to be valid
-    states and the slope to respect the limit.
-    """
-    slopes = grid.neighbor_slopes
-    valid = ~mask.blocked
-    admissible: dict[int, np.ndarray] = {}
-    for a, (dr, dc) in MOVES.items():
+def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> np.ndarray:
+    """(8, n_rows, n_cols) bool, laid out like ``grid.neighbor_slopes``: both
+    ends of the hop are states and its slope is within the limit (an
+    off-grid hop's NaN slope never is)."""
+    ends = np.zeros(grid.neighbor_slopes.shape, dtype=bool)
+    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):  # offset k + 4 reverses k
         src, dst = neighbor_slices(valid.shape, dr, dc)
-        ok = np.zeros(valid.shape, dtype=bool)
-        ok[src] = valid[src] & valid[dst] & (slopes[a - 1][src] <= slope_limit)
-        admissible[a] = ok
-    return slopes, admissible, valid
+        ends[k][src] = ends[k + 4][dst] = valid[src] & valid[dst]
+    return ends & (grid.neighbor_slopes <= slope_limit)
 
 
-def _scaling_from_tables(
-    slopes: np.ndarray, admissible: dict[int, np.ndarray], cell_size: float
-) -> tuple[float, float]:
-    counts = [int(admissible[a].sum()) for a in MOVES]
-    if not any(counts):
+def _hop_runs(cell_size: float) -> np.ndarray:
+    """Planar hop length per offset, shaped (8, 1, 1) to broadcast over a table."""
+    return cell_size * np.array([math.hypot(dr, dc) for dr, dc in NEIGHBOR_OFFSETS])[:, None, None]
+
+
+def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]:
+    if not admissible.any():
         raise ValueError("no admissible transition exists")
-    mean_m = float(np.concatenate([slopes[a - 1][admissible[a]] for a in MOVES]).mean())
-    dists = [cell_size * math.hypot(dr, dc) for dr, dc in MOVES.values()]
-    mean_d = float(np.repeat(dists, counts).mean())
+    mean_m = float(grid.neighbor_slopes[admissible].mean())
+    mean_d = float(np.broadcast_to(_hop_runs(grid.cell_size), admissible.shape)[admissible].mean())
     if abs(mean_m - mean_d) < 1e-12:
         raise ScalingError(
             f"mean slope equals mean distance ({mean_m}); the weight system is "
@@ -161,8 +146,7 @@ def compute_scaling_factors(
 
         [[mean_m, mean_d], [1, 1]] @ [alpha_m, alpha_d] = [1, 1]
     """
-    slopes, admissible, _ = _hop_slopes_and_admissibility(grid, mask, weather.slope_limit)
-    return _scaling_from_tables(slopes, admissible, grid.cell_size)
+    return _scaling(grid, _admissible(grid, ~mask.blocked, weather.slope_limit))
 
 
 def build_dp_problem(
@@ -172,82 +156,60 @@ def build_dp_problem(
     goal: tuple[int, int],
     alpha: tuple[float, float] | None = None,
 ) -> DpProblem:
-    """Assemble admissibility and cost tables for the route solver."""
+    """Assemble the hop cost table for the route solver."""
     if not grid.in_bounds(*goal):
         raise ValueError(f"goal {goal} is outside the grid")
     if mask.blocked[goal]:
         raise ValueError(f"goal {goal} is an obstacle node")
 
-    slopes, admissible, valid = _hop_slopes_and_admissibility(grid, mask, weather.slope_limit)
-    if alpha is None:
-        alpha_m, alpha_d = _scaling_from_tables(slopes, admissible, grid.cell_size)
-    else:
-        alpha_m, alpha_d = alpha
-
-    costs: dict[int, np.ndarray] = {}
-    for a, (dr, dc) in MOVES.items():
-        dist = grid.cell_size * math.hypot(dr, dc)
-        cost = np.full(grid.heights.shape, np.inf)
-        ok = admissible[a]
-        cost[ok] = alpha_m * slopes[a - 1][ok] + alpha_d * dist
-        if np.any(cost[ok] <= 0):
-            raise ValueError("non-positive hop cost; check alpha weights and cell size")
-        costs[a] = cost
-
-    return DpProblem(
-        grid=grid, goal=goal, alpha_m=alpha_m, alpha_d=alpha_d,
-        slope_limit=weather.slope_limit, valid=valid,
-        move_admissible=admissible, move_cost=costs,
-    )
+    valid = ~mask.blocked
+    admissible = _admissible(grid, valid, weather.slope_limit)
+    alpha_m, alpha_d = _scaling(grid, admissible) if alpha is None else alpha
+    hop_cost = alpha_m * grid.neighbor_slopes
+    hop_cost += alpha_d * _hop_runs(grid.cell_size)
+    hop_cost[~admissible] = np.inf
+    if np.any(hop_cost <= 0):
+        raise ValueError("non-positive hop cost; check alpha weights and cell size")
+    return DpProblem(grid=grid, goal=goal, alpha_m=alpha_m, alpha_d=alpha_d,
+                     valid=valid, hop_cost=hop_cost)
 
 
-def _reversed_graph(problem: DpProblem) -> csr_array:
-    """CSR matrix of the reversed admissible graph over flat node indices.
-
-    Row t lists every node s with an admissible hop s -> t, weighted by that
-    hop's cost.  Built as (n_rows, n_cols, 8) weight/source tables whose
-    finite entries are the edges, so no COO triplets are materialized.
-    """
-    shape = problem.shape
-    n = shape[0] * shape[1]
-    node = np.arange(n, dtype=np.int32).reshape(shape)
-    weight = np.full(shape + (len(MOVES),), np.inf)
-    source = np.zeros(shape + (len(MOVES),), dtype=np.int32)
-    # sources in ascending flat order, so every row's indices come sorted
-    for k, a in enumerate(sorted(MOVES, key=MOVES.get, reverse=True)):
-        src, dst = neighbor_slices(shape, *MOVES[a])
-        weight[dst + (k,)] = problem.move_cost[a][src]
-        source[dst + (k,)] = node[src]
+def _hop_graph(problem: DpProblem) -> csr_array:
+    """CSR matrix over flat node indices of the admissible hops along offsets
+    0-3, weighted by their cost.  Offset k + 4 is the same hop reversed at the
+    same cost, so these edges, read as undirected, are the whole hop graph."""
+    n_rows, n_cols = problem.shape
+    n = n_rows * n_cols
+    # offsets 3, 2, 1, 0 step to ascending flat indices, so every row comes sorted
+    weight = np.moveaxis(problem.hop_cost[3::-1], 0, -1)
+    step = np.array([dr * n_cols + dc for dr, dc in NEIGHBOR_OFFSETS[3::-1]], dtype=np.int32)
+    target = np.arange(n, dtype=np.int32).reshape(n_rows, n_cols, 1) + step
     edge = np.isfinite(weight)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(edge.sum(axis=2, dtype=np.int32), out=indptr[1:])
-    data = weight[edge]
-    del weight
-    indices = source[edge]
-    return csr_array((data, indices, indptr), shape=(n, n))
+    return csr_array((weight[edge], target[edge], indptr), shape=(n, n))
 
 
 def value_iteration(problem: DpProblem) -> ValueFunction:
     """Solve the Bellman equation exactly by label setting.
 
-    One Dijkstra pass from the goal over the reversed admissible graph gives
-    every state's cost-to-goal; states left at +inf are unreachable.  A single
-    Bellman pass over ``MOVES`` then picks the policy (ties keep the lowest
-    action id) and checks that the residual is exactly 0 on every reachable
-    state, which sets ``converged``.
+    One Dijkstra pass from the goal over the undirected hop graph gives every
+    state's cost-to-goal; states left at +inf are unreachable.  A single
+    Bellman pass over the 8 actions then picks the policy (a first-minimum
+    argmin, so ties keep the lowest action id) and checks that the residual
+    is exactly 0 on every reachable state, which sets ``converged``.
     """
     shape = problem.shape
     goal_index = problem.goal[0] * shape[1] + problem.goal[1]
-    values = dijkstra(_reversed_graph(problem), indices=goal_index).reshape(shape)
+    values = dijkstra(_hop_graph(problem), directed=False,
+                      indices=goal_index).reshape(shape)
 
-    policy = np.zeros(shape, dtype=np.int8)
-    best = np.full(shape, np.inf)
-    for a in sorted(MOVES):  # ascending ids: ties keep the lowest action
-        src, dst = neighbor_slices(shape, *MOVES[a])
-        candidate = problem.move_cost[a][src] + values[dst]
-        better = candidate < best[src]
-        policy[src][better] = a
-        best[src][better] = candidate[better]
+    candidates = problem.hop_cost.copy()  # +inf on every off-grid hop already
+    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        src, dst = neighbor_slices(shape, dr, dc)
+        candidates[k][src] += values[dst]
+    policy = (candidates.argmin(axis=0) + 1).astype(np.int8)
+    best = candidates.min(axis=0)
     reachable = np.isfinite(values)
     policy[~reachable] = 0
     policy[problem.goal] = STAY

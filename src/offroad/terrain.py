@@ -95,15 +95,16 @@ class ElevationGrid:
         Shape (8, n_rows, n_cols), axis 0 ordered like NEIGHBOR_OFFSETS.  Built
         once per grid, so the mask and the route tables share it.  The result
         is read-only, and so are the heights from then on: a later change
-        would leave it stale.
+        would leave it stale.  Offset k + 4 is offset k reversed, with the
+        same slope, so offsets 0-3 are computed and each is stored twice.
         """
         h = self.heights
         h.flags.writeable = False
         out = np.full((len(NEIGHBOR_OFFSETS), self.n_rows, self.n_cols), np.nan)
-        for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
             run = self.cell_size * math.hypot(dr, dc)
             src, dst = neighbor_slices(h.shape, dr, dc)
-            out[(k,) + src] = np.abs(h[dst] - h[src]) / run
+            out[(k,) + src] = out[(k + 4,) + dst] = np.abs(h[dst] - h[src]) / run
         out.flags.writeable = False
         return out
 

@@ -575,6 +575,35 @@ def test_route_slope_limit_must_be_positive_and_finite(tmp_path, capsys, value):
     assert not (tmp_path / "route.csv").exists()
 
 
+ROUTE_ARGS = ["route", "--grid", "g.csv", "--start", "0,0", "--goal", "1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ROUTE_ARGS,
+    ROUTE_ARGS + ["--out", "r.csv", "--slope-limit", "abc"],
+    ROUTE_ARGS + ["--out", "r.csv", "--weather", "snow"],
+    ["simulate"],
+    [],
+], ids=["route-without-out", "slope-limit-not-a-number", "unknown-weather",
+        "simulate-without-config", "no-subcommand"])
+def test_usage_error_exits_4_not_the_unreachable_code(capsys, argv):
+    # argparse's own usage-error code is 2, which the contract reserves for
+    # an unreachable destination
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_INPUT
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["route", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--slope-limit" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under input-file mutation
 # ---------------------------------------------------------------------------

@@ -105,9 +105,9 @@ def test_flat_interior_node_has_eight_moves():
     mask = build_obstacle_mask(grid)
     problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     center = (1, 1)
-    assert all(problem.move_admissible[a][center] for a in range(1, 9))
+    assert all(np.isfinite(problem.hop_cost[a - 1][center]) for a in range(1, 9))
     corner = (0, 0)
-    admissible = [a for a in range(1, 9) if problem.move_admissible[a][corner]]
+    admissible = [a for a in range(1, 9) if np.isfinite(problem.hop_cost[a - 1][corner])]
     assert len(admissible) == 3
 
 
@@ -120,17 +120,36 @@ def test_steep_hop_inadmissible_under_both_weathers():
     dry = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     east = 1
     assert 0.2 > WET.slope_limit
-    assert not wet.move_admissible[east][1, 1]
+    assert not np.isfinite(wet.hop_cost[east - 1][1, 1])
     assert 0.2 > DRY.slope_limit
-    assert not dry.move_admissible[east][1, 1]
+    assert not np.isfinite(dry.hop_cost[east - 1][1, 1])
     # a gentler rise passes dry but not wet
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 0.8   # slope 0.08
     mask = build_obstacle_mask(grid, steep_limit=10.0)
     wet = build_dp_problem(grid, mask, WET, goal=(0, 0))
     dry = build_dp_problem(grid, mask, DRY, goal=(0, 0))
-    assert dry.move_admissible[east][1, 1]
-    assert not wet.move_admissible[east][1, 1]
+    assert np.isfinite(dry.hop_cost[east - 1][1, 1])
+    assert not np.isfinite(wet.hop_cost[east - 1][1, 1])
+
+
+def test_hop_tables_are_symmetric_bit_for_bit():
+    # offset k + 4 is offset k reversed: the hop from src to dst along k is
+    # the hop from dst back along k + 4, with the same slope and cost.  The
+    # route solver reads the cost table as an undirected graph of offsets 0-3
+    from offroad.terrain import NEIGHBOR_OFFSETS, neighbor_slices
+    rng = np.random.default_rng(31)
+    grid, mask, goal = random_problem(rng, n=13, cell=6.0, obstacle_p=0.2, rough=2.0)
+    problem = build_dp_problem(grid, mask, DRY, goal=goal)
+    slopes, cost = grid.neighbor_slopes, problem.hop_cost
+    assert mask.blocked.any()
+    assert np.isfinite(cost).any() and np.isinf(cost[~np.isnan(slopes)]).any()
+    for k in range(4):
+        assert NEIGHBOR_OFFSETS[k + 4] == tuple(-d for d in NEIGHBOR_OFFSETS[k])
+        src, dst = neighbor_slices(mask.blocked.shape, *NEIGHBOR_OFFSETS[k])
+        assert np.array_equal(slopes[k + 4][dst], slopes[k][src])
+        assert np.array_equal(cost[k + 4][dst], cost[k][src])
+        assert not np.isnan(slopes[k][src]).any()
 
 
 def test_goal_must_be_a_state():
@@ -176,8 +195,8 @@ def test_policy_ties_keep_lowest_action_id():
     mask = build_obstacle_mask(grid)
     problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     vf = value_iteration(problem)
-    via_north = problem.move_cost[3][2, 1] + vf.values[1, 1]
-    via_northwest = problem.move_cost[4][2, 1] + vf.values[1, 0]
+    via_north = problem.hop_cost[3 - 1][2, 1] + vf.values[1, 1]
+    via_northwest = problem.hop_cost[4 - 1][2, 1] + vf.values[1, 0]
     assert via_north == via_northwest == vf.values[2, 1]
     assert vf.policy[2, 1] == 3
 
@@ -222,8 +241,8 @@ def test_bellman_fixed_point_residual():
                 continue
             best = math.inf
             for a, (dr, dc) in MOVES.items():
-                if problem.move_admissible[a][r, c]:
-                    best = min(best, problem.move_cost[a][r, c]
+                if np.isfinite(problem.hop_cost[a - 1][r, c]):
+                    best = min(best, problem.hop_cost[a - 1][r, c]
                                + vf.values[r + dr, c + dc])
             assert vf.values[r, c] - best == 0.0
 
@@ -250,8 +269,8 @@ def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
     problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
     exact = gr.dijkstra
 
-    def off_by_one_state(graph, indices):
-        values = exact(graph, indices=indices)
+    def off_by_one_state(graph, indices, **kwargs):
+        values = exact(graph, indices=indices, **kwargs)
         values[0] += 1.0
         return values
 

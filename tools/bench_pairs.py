@@ -14,7 +14,11 @@ the same seed, BENCHMARK.json's `run_seconds` and interpreter on both sides.
 The output JSON holds every run's metrics and, per workload and end-to-end
 metric (names and better-directions from BENCHMARK.json), each side's
 median, quartiles and IQR, the per-pair ratios change/base, and how many
-pairs the working tree won.
+pairs the working tree won.  Each run also keeps the unscaled call times of
+its report (`route_s`, `simulate_s`, `render_s`, `sim_steps_per_s`) and the
+host snippet's median from its `work_per_s` line (`snippet_ms`), and the
+summary gives each side's median of them under `raw`: `work_per_s` is scaled
+by that snippet, so a change in the snippet's own time moves it too.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RAW_LINE = re.compile(r"(route_s|simulate_s|render_s|sim_steps_per_s) (\S+) ")
+SNIPPET = re.compile(r"^work_per_s .*the snippet took median (\S+) ms")
 
 
 def git(*args: str) -> str:
@@ -60,11 +67,14 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    raw = {m[1]: float(m[2]) for m in map(RAW_LINE.match, lines) if m}
+    raw.update(("snippet_ms", float(m[1])) for m in map(SNIPPET.match, lines) if m)
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "raw": raw,
         "wall_s": time.perf_counter() - t0,
     }
 
@@ -97,6 +107,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in ("base", "change")}
     out["failed_ops"] = {side: f"{failed[side]}/{attempted[side]}" for side in failed}
     out["all_correct"] = all(p[side]["correct"] for p in pairs for side in ("base", "change"))
+    raw_names = set.intersection(*(set(p[side]["raw"]) for p in pairs
+                                   for side in ("base", "change")))
+    out["raw"] = {name: {side: statistics.median(p[side]["raw"][name] for p in pairs)
+                         for side in ("base", "change")} for name in sorted(raw_names)}
     return out
 
 
@@ -138,8 +152,11 @@ def main() -> None:
                     pair[side] = run_bench(tree, workload, seed, seconds)
                 pairs.append(pair)
                 b, c = (pair[s]["metrics"]["work_per_s"] for s in ("base", "change"))
+                raw = "".join(f", {k} {pair['base']['raw'][k]:.4g} -> {v:.4g}"
+                              for k, v in pair["change"]["raw"].items()
+                              if k in pair["base"]["raw"])
                 print(f"{workload} seed {seed} ({order[0]} first): work_per_s "
-                      f"{b:.4g} -> {c:.4g} (x{c / b:.3f})", flush=True)
+                      f"{b:.4g} -> {c:.4g} (x{c / b:.3f}){raw}", flush=True)
             report["workloads"][workload] = {
                 "summary": summarize(pairs, spec["end_to_end"]), "runs": pairs}
 
