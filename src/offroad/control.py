@@ -45,7 +45,7 @@ class GainConfig:
 def reference_rows(sample: DesiredSample, ended: np.ndarray) -> list[list[float]]:
     """The rows control_step reads, one per time of a batch sample:
 
-        [x_d, y_d, z_d, vx_d, vy_d, ax_d, ay_d, ended, segment_index]
+        [x_d, y_d, z_d, vx_d, vy_d, ax_d, ay_d, ended]
 
     all floats, built with one ``.tolist()``.  Where ``ended`` is true the
     trajectory is over: the row keeps the sampled (end) position and has zero
@@ -58,7 +58,6 @@ def reference_rows(sample: DesiredSample, ended: np.ndarray) -> list[list[float]
         np.where(moving, sample.velocity[:, :2], 0.0),
         np.where(moving, sample.acceleration[:, :2], 0.0),
         ended,
-        sample.segment_index,
     ]).tolist()
 
 
@@ -84,7 +83,7 @@ def control_step(
     """
     (_, _, _, _, _, _, _, _, _, _, _, _, k_x, k_y, k_z,
      x_dot, y_dot, z_dot, w_x, w_y, w_z, _) = motion
-    x_d, y_d, _, vx_d, vy_d, ax_d, ay_d, ended, _ = ref
+    x_d, y_d, _, vx_d, vy_d, ax_d, ay_d, ended = ref
     v = state[3]
     if v < params.min_ctrl_speed:
         if ended:

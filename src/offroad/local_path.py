@@ -124,14 +124,6 @@ class PathGeometry:
             return int(idx), float(local)
         return idx, local
 
-    def point_at(self, s: float) -> np.ndarray:
-        idx, local = self.locate(s)
-        return self.segments[idx].point_at(local)
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        idx, local = self.locate(s)
-        return self.segments[idx].tangent_at(local)
-
 
 def _clip_to_range(value, upper: float, what: str):
     """value (float or array) clipped to [0, upper]; ValueError names the first
@@ -390,7 +382,6 @@ class DesiredSample:
     position: np.ndarray       # ground frame, z from the surface
     velocity: np.ndarray
     acceleration: np.ndarray
-    arc_length: float
     segment_index: int
     phase: str                 # ACC | DEC | CV
 
@@ -399,7 +390,6 @@ class DesiredSample:
             position=self.position[k],
             velocity=self.velocity[k],
             acceleration=self.acceleration[k],
-            arc_length=float(self.arc_length[k]),
             segment_index=int(self.segment_index[k]),
             phase=str(self.phase[k]),
         )
@@ -454,7 +444,6 @@ class DesiredTrajectory:
             position=np.column_stack([p[:, 0], p[:, 1], jet[0]]),
             velocity=np.column_stack([x_dot, y_dot, z_dot]),
             acceleration=np.column_stack([x_ddot, y_ddot, z_ddot]),
-            arc_length=s,
             segment_index=idx,
             phase=np.where(v_dot > 1e-12, "ACC", np.where(v_dot < -1e-12, "DEC", "CV")),
         )

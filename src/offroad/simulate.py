@@ -10,13 +10,13 @@ deterministic: identical scenarios produce identical logs byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import vehicle
 from .control import GainConfig, control_step, reference_rows
-from .local_path import SAMPLE_BLOCK, ArcSegment, DesiredTrajectory
+from .local_path import SAMPLE_BLOCK, DesiredTrajectory
 from .terrain import OutOfBoundsError, SurfaceModel
 from .vehicle import (
     SingularSpeedError,
@@ -64,42 +64,31 @@ class Scenario:
                              f"{MAX_STEPS} steps")
 
 
+# The log's columns, in the order of TrajectoryLog.table and of log.csv.
+LOG_COLUMNS = "t_s,x,y,z,psi,vT,delta,xd,yd,zd,aT_cmd,gamma_cmd,FN,errE,clamped"
+_COLUMN = {name: i for i, name in enumerate(LOG_COLUMNS.split(","))}
+
+
 @dataclass
 class TrajectoryLog:
-    """Per-step channels (equal-length arrays) plus the run outcome."""
+    """One row per logged step, in LOG_COLUMNS order (clamped is 0.0 or
+    1.0), plus the run outcome; ``log["x"]`` is a column."""
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    psi: np.ndarray
-    speed: np.ndarray
-    steer: np.ndarray
-    xd: np.ndarray
-    yd: np.ndarray
-    zd: np.ndarray
-    accel_cmd: np.ndarray
-    steer_rate_cmd: np.ndarray
-    fn: np.ndarray
-    err: np.ndarray                 # planar position error norm
-    clamped: np.ndarray             # bool
-    seg_kind: np.ndarray            # "line" | "arc" at the desired sample
+    table: np.ndarray   # (steps, 15) floats
     status: str
-    dt: float
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.table[:, _COLUMN[name]]
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.table)
 
 
 @dataclass
 class TrackingSummary:
     max_err: float
     t_max_err: float
-    mean_err: float
-    final_err: float
     min_normal_force: float
-    max_err_by_kind: dict[str, float] = field(default_factory=dict)
-    status: str = STATUS_COMPLETED
 
 
 def aligned_initial_state(
@@ -132,10 +121,8 @@ def aligned_initial_state(
     return VehicleState(x=x, y=y, psi=heading - steer, speed=speed, steer=steer)
 
 
-# Per logged step, the floats of one log row in TrajectoryLog order up to fn,
-# then the clamped flag and the reference segment index.
-_ROW_FIELDS = ("t", "x", "y", "z", "psi", "speed", "steer", "xd", "yd", "zd",
-               "accel_cmd", "steer_rate_cmd", "fn")
+# The statuses of the errors that stop a run before its end.
+_STOP_STATUS = {OutOfBoundsError: STATUS_LEFT_GRID, SingularSpeedError: STATUS_SINGULAR_SPEED}
 
 
 def run_simulation(scenario: Scenario) -> TrajectoryLog:
@@ -188,86 +175,53 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
         try:
             motion = frame_and_motion(surface, *state, params)
             (a_t, gamma), clamped = control_step(motion, state, desired, gains, params)
-        except OutOfBoundsError:
-            status = STATUS_LEFT_GRID
-            break
-        except SingularSpeedError:
-            status = STATUS_SINGULAR_SPEED
-            break
-        fn = normal_force(motion, params)
-        x, y, psi, speed, steer = state
-        rows_out.append((k * dt, x, y, motion[0], psi, speed, steer,
-                         desired[0], desired[1], desired[2], a_t, gamma, fn,
-                         clamped, desired[8]))
+            fn = normal_force(motion, params)
+            x, y, psi, speed, steer = state
+            # errE is filled in below, from the whole table at once
+            rows_out.append((k * dt, x, y, motion[0], psi, speed, steer,
+                             desired[0], desired[1], desired[2], a_t, gamma, fn,
+                             0.0, clamped))
 
-        if fn <= 0.0:
-            status = STATUS_NORMAL_FORCE
-            if scenario.fn_policy == "halt":
+            if fn <= 0.0:
+                status = STATUS_NORMAL_FORCE
+                if scenario.fn_policy == "halt":
+                    break
+            if k == n_steps:
                 break
-        if k == n_steps:
-            break
 
-        try:
             # the step-start evaluation logged above is the first RK4 stage
             state = step_dynamics(state, rates, params, dt,
                                   (motion[15], motion[16], motion[21], a_t, gamma))
-        except OutOfBoundsError:
-            status = STATUS_LEFT_GRID
-            break
-        except SingularSpeedError:
-            status = STATUS_SINGULAR_SPEED
+        except tuple(_STOP_STATUS) as exc:
+            status = _STOP_STATUS[type(exc)]
             break
 
-    table = np.array(rows_out, dtype=float).reshape(-1, len(_ROW_FIELDS) + 2)
+    table = np.array(rows_out, dtype=float).reshape(-1, len(_COLUMN))
     rows_out.clear()   # its float objects take about 4x the table: free them first
-    cols = {name: table[:, i].copy() for i, name in enumerate(_ROW_FIELDS)}
-    kinds = np.array(["arc" if isinstance(seg, ArcSegment) else "line"
-                      for seg in traj.geometry.segments])
-    return TrajectoryLog(
-        **cols,
-        err=np.hypot(cols["x"] - cols["xd"], cols["y"] - cols["yd"]),
-        clamped=table[:, -2] != 0.0,
-        seg_kind=kinds[table[:, -1].astype(int)],
-        status=status, dt=scenario.dt,
-    )
+    log = TrajectoryLog(table, status)
+    log["errE"][:] = np.hypot(log["x"] - log["xd"], log["y"] - log["yd"])
+    return log
 
 
 def tracking_metrics(log: TrajectoryLog) -> TrackingSummary:
-    """Max/mean planar error, the time of the max, minimum contact force, and
-    the worst error seen over line and arc reference phases separately."""
+    """The largest planar error, its time, and the minimum contact force."""
     if len(log) == 0:
         raise ValueError("log is empty")
-    i_max = int(np.argmax(log.err))
-    by_kind = {}
-    for kind in ("line", "arc"):
-        sel = log.seg_kind == kind
-        if sel.any():
-            by_kind[kind] = float(log.err[sel].max())
+    err = log["errE"]
+    i_max = int(np.argmax(err))
     return TrackingSummary(
-        max_err=float(log.err[i_max]),
-        t_max_err=float(log.t[i_max]),
-        mean_err=float(log.err.mean()),
-        final_err=float(log.err[-1]),
-        min_normal_force=float(log.fn.min()),
-        max_err_by_kind=by_kind,
-        status=log.status,
+        max_err=float(err[i_max]),
+        t_max_err=float(log["t_s"][i_max]),
+        min_normal_force=float(log["FN"].min()),
     )
-
-
-LOG_COLUMNS = "t_s,x,y,z,psi,vT,delta,xd,yd,zd,aT_cmd,gamma_cmd,FN,errE,clamped"
 
 
 def write_log_csv(log: TrajectoryLog, path: str) -> None:
     """The log as CSV (LOG_COLUMNS), formatted in blocks of SAMPLE_BLOCK rows,
     each converted to floats with one ``.tolist()``."""
-    columns = [log.t, log.x, log.y, log.z, log.psi, log.speed, log.steer,
-               log.xd, log.yd, log.zd, log.accel_cmd, log.steer_rate_cmd, log.fn,
-               log.err]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LOG_COLUMNS + "\n")
         for k0 in range(0, len(log), SAMPLE_BLOCK):
-            block = slice(k0, k0 + SAMPLE_BLOCK)
-            table = np.column_stack([c[block] for c in columns])
             fh.write("".join(
-                ",".join(map(repr, vals)) + (",1\n" if flag else ",0\n")
-                for vals, flag in zip(table.tolist(), log.clamped[block].tolist())))
+                ",".join(map(repr, vals[:-1])) + (",1\n" if vals[-1] else ",0\n")
+                for vals in log.table[k0:k0 + SAMPLE_BLOCK].tolist()))

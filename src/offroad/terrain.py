@@ -25,12 +25,6 @@ from scipy.linalg import solve, solve_banded
 DRY_SLOPE_LIMIT = math.tan(math.radians(6.90))
 WET_SLOPE_LIMIT = math.tan(math.radians(2.77))
 
-# Obstacle provenance codes, in precedence order.
-CLEAR = 0
-WATER = 1
-FOLIAGE = 2
-STEEP = 3
-
 # 8-connected neighborhood offsets as (drow, dcol).
 NEIGHBOR_OFFSETS = (
     (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1),
@@ -125,10 +119,9 @@ class WeatherCondition:
 
 @dataclass(frozen=True)
 class ObstacleMask:
-    """Per-node blocked flags with the reason each node was blocked."""
+    """Per-node blocked flags."""
 
     blocked: np.ndarray     # bool, shape (n_rows, n_cols)
-    provenance: np.ndarray  # int codes, same shape
 
 
 class SurfaceModel:
@@ -376,30 +369,18 @@ def build_obstacle_mask(
 
     A node is blocked when it has water, foliage or a building, or when every
     hop to an 8-neighbor exceeds ``steep_limit`` (the node cannot be entered
-    or left at all under that bound).  Provenance keeps the first matching
-    reason in the order water > foliage > steep.
+    or left at all under that bound).
     """
     shape = (grid.n_rows, grid.n_cols)
-    provenance = np.zeros(shape, dtype=np.int8)
-
-    slopes = grid.neighbor_slopes
     with np.errstate(invalid="ignore"):
-        min_slope = np.nanmin(slopes, axis=0)
-    steep = min_slope > steep_limit
-    provenance[steep] = STEEP
-
-    if foliage_mask is not None:
-        foliage_mask = np.asarray(foliage_mask, dtype=bool)
-        if foliage_mask.shape != shape:
-            raise ValueError(f"foliage mask shape {foliage_mask.shape} != grid shape {shape}")
-        provenance[foliage_mask] = FOLIAGE
-    if water_mask is not None:
-        water_mask = np.asarray(water_mask, dtype=bool)
-        if water_mask.shape != shape:
-            raise ValueError(f"water mask shape {water_mask.shape} != grid shape {shape}")
-        provenance[water_mask] = WATER
-
-    return ObstacleMask(blocked=provenance != CLEAR, provenance=provenance)
+        blocked = np.nanmin(grid.neighbor_slopes, axis=0) > steep_limit
+    for name, mask in (("foliage", foliage_mask), ("water", water_mask)):
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != shape:
+                raise ValueError(f"{name} mask shape {mask.shape} != grid shape {shape}")
+            blocked |= mask
+    return ObstacleMask(blocked=blocked)
 
 
 # ---------------------------------------------------------------------------

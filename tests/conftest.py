@@ -69,6 +69,18 @@ def time_at_arc_length(profile, s):
     return float(t)
 
 
+def path_point(geometry, s):
+    """The point of a PathGeometry at global arc length s."""
+    idx, local = geometry.locate(s)
+    return geometry.segments[idx].point_at(local)
+
+
+def path_tangent(geometry, s):
+    """The unit tangent of a PathGeometry at global arc length s."""
+    idx, local = geometry.locate(s)
+    return geometry.segments[idx].tangent_at(local)
+
+
 @pytest.fixture
 def flat_surface():
     return SurfaceModel(flat_grid(n=12))

@@ -41,6 +41,8 @@ from conftest import (
     flat_grid,
     grid_from_function,
     oracle_frame,
+    path_point,
+    path_tangent,
     random_problem,
     rotation_from_angles,
     time_at_arc_length,
@@ -234,7 +236,7 @@ def test_criterion_5_control_inversion_round_trip():
         x_dot, y_dot = m[15], m[16]
         ax, ay = rng.normal(scale=3.0, size=2)
         # a reference on the car with its planar velocity: the command is (ax, ay)
-        ref = [state.x, state.y, m[0], x_dot, y_dot, ax, ay, 0.0, 0.0]
+        ref = [state.x, state.y, m[0], x_dot, y_dot, ax, ay, 0.0]
         (a_t, gamma), _ = control_step(m, state, ref, GAINS, FREE)
         _, f_x, f_y, f_xx, f_yy, f_xy = m[:6]
         az = f_x * ax + f_y * ay + f_xx * x_dot ** 2 + f_yy * y_dot ** 2 + 2 * f_xy * x_dot * y_dot
@@ -269,9 +271,10 @@ def test_criterion_6_tracking_reproduction():
     assert t_entry - 0.5 <= metrics.t_max_err <= t_exit + 0.5
 
     # the arc-exit transient decays along the final straight at the slow pole
-    sel = (log.t > t_exit + 0.4) & (log.t < t_exit + 2.2) & (log.err > 1e-12)
-    fit = np.vstack([log.t[sel], np.ones(int(sel.sum()))]).T
-    slope = np.linalg.lstsq(fit, np.log(log.err[sel]), rcond=None)[0][0]
+    t, err = log["t_s"], log["errE"]
+    sel = (t > t_exit + 0.4) & (t < t_exit + 2.2) & (err > 1e-12)
+    fit = np.vstack([t[sel], np.ones(int(sel.sum()))]).T
+    slope = np.linalg.lstsq(fit, np.log(err[sel]), rcond=None)[0][0]
     assert abs(slope + SLOW_POLE) / SLOW_POLE < 0.05
     report(6, f"max err {metrics.max_err:.2e} m at t={metrics.t_max_err:.2f}s "
               f"(arc {t_entry:.2f}..{t_exit:.2f}s), min F_N "
@@ -279,10 +282,10 @@ def test_criterion_6_tracking_reproduction():
               f"{-SLOW_POLE:.3f}, {elapsed:.2f}s")
 
 
-def error_dynamics_residuals(log, k1, k2, exclude_times=(), stencil=2.5):
-    """Relative residual of the finite-differenced error dynamics identity."""
-    E = np.stack([log.x - log.xd, log.y - log.yd], axis=1)
-    dt = log.dt
+def error_dynamics_residuals(log, dt, k1, k2, exclude_times=(), stencil=2.5):
+    """Relative residual of the finite-differenced error dynamics identity
+    over a log taken at time step dt."""
+    E = np.stack([log["x"] - log["xd"], log["y"] - log["yd"]], axis=1)
     Edd = (E[2:] - 2 * E[1:-1] + E[:-2]) / dt ** 2
     Ed = (E[2:] - E[:-2]) / (2 * dt)
     res = Edd + k1 * Ed + k2 * E[1:-1]
@@ -291,8 +294,8 @@ def error_dynamics_residuals(log, k1, k2, exclude_times=(), stencil=2.5):
         k2 * np.linalg.norm(E[1:-1], axis=1),
         np.full(len(E) - 2, k2 * 1e-6),
     ])
-    keep = ~log.clamped[1:-1]
-    t_mid = log.t[1:-1]
+    keep = log["clamped"][1:-1] == 0.0
+    t_mid = log["t_s"][1:-1]
     for tx in exclude_times:
         keep &= np.abs(t_mid - tx) > stencil * dt
     return np.linalg.norm(res, axis=1)[keep] / scale[keep]
@@ -309,20 +312,22 @@ def test_criterion_7_error_dynamics_identity():
                               initial_speed=3.0)
     trajectory = DesiredTrajectory(geometry, build_speed_profile(geometry, config), surf)
     init = VehicleState(x=5.0, y=40.4, psi=0.0, speed=3.0, steer=0.0)
-    log = run_simulation(Scenario(surface=surf, trajectory=trajectory, gains=GAINS,
-                                  params=FREE, dt=0.01, initial_state=init))
+    scenario = Scenario(surface=surf, trajectory=trajectory, gains=GAINS,
+                        params=FREE, dt=0.01, initial_state=init)
+    log = run_simulation(scenario)
     assert log.status == STATUS_COMPLETED
-    rel = error_dynamics_residuals(log, GAINS.k1, GAINS.k2)
+    rel = error_dynamics_residuals(log, scenario.dt, GAINS.k1, GAINS.k2)
     assert rel.max() < 1e-2
 
     # and on the case-study run, away from the reference-acceleration jumps
     # at the arc junctions where the identity holds only one-sidedly
     surface, trajectory = case_study()
-    log2 = run_simulation(Scenario(surface=surface, trajectory=trajectory,
-                                   gains=GAINS, params=FREE, dt=0.01))
+    scenario2 = Scenario(surface=surface, trajectory=trajectory,
+                         gains=GAINS, params=FREE, dt=0.01)
+    log2 = run_simulation(scenario2)
     junctions = [time_at_arc_length(trajectory.profile, s)
                  for s in trajectory.geometry.breakpoints[1:-1]]
-    rel2 = error_dynamics_residuals(log2, GAINS.k1, GAINS.k2,
+    rel2 = error_dynamics_residuals(log2, scenario2.dt, GAINS.k1, GAINS.k2,
                                     exclude_times=junctions)
     assert rel2.max() < 1e-2
     report(7, f"offset run max residual {rel.max():.2e}, "
@@ -353,8 +358,8 @@ def test_criterion_8_geometry_oracle():
 
         # tangent continuity at the joins
         for s_join in geometry.breakpoints[1:-1]:
-            t_minus = geometry.tangent_at(s_join - 1e-12)
-            t_plus = geometry.tangent_at(s_join + 1e-12)
+            t_minus = path_tangent(geometry, s_join - 1e-12)
+            t_plus = path_tangent(geometry, s_join + 1e-12)
             mismatch = math.atan2(
                 abs(t_minus[0] * t_plus[1] - t_minus[1] * t_plus[0]),
                 float(t_minus @ t_plus))
@@ -389,7 +394,7 @@ def test_criterion_8_geometry_oracle():
                 s = mid + half * node
                 lo = max(s - h, 0.0)
                 hi = min(s + h, geometry.total_length)
-                d = (geometry.point_at(hi) - geometry.point_at(lo)) / (hi - lo)
+                d = (path_point(geometry, hi) - path_point(geometry, lo)) / (hi - lo)
                 total += weight * float(np.linalg.norm(d))
             integrated = total * half
             seg_len = s_hi - s_lo

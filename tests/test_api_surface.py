@@ -1,13 +1,24 @@
-"""Every function, class and method in the package has a caller in the
-package: code that only tests reach is deleted, not kept as API.
+"""Every function, class, method and record field in the package has a
+reader in the package: code that only tests reach is deleted, not kept as API.
 
 A definition counts as used when its name appears in some other place of
 ``src/offroad``: as a name, an attribute, or an imported name, outside the
 definition's own body.  Dunder methods are called by Python itself and are
 not checked.
+
+A field of a dataclass or NamedTuple counts as read when it is read as an
+attribute outside its class body or inside one of the class's own methods.
+Reads in the class's dunder methods do not count: ``__post_init__`` checks
+and ``__getitem__`` copies touch every field, whether or not anything needs
+it.
+
+Both checks go by name alone, so a use of a name that several classes
+define counts for each of them; such names are resolved by hand in
+SHARED_NAMES.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import offroad
@@ -20,6 +31,46 @@ ALLOWED_UNUSED = {
                                "import it; it goes when they stop",
     "error": "argparse calls it: cli._Parser overrides ArgumentParser.error so that "
              "usage errors exit 4",
+}
+
+
+# Class.field -> why the field stays without a reader in the package
+ALLOWED_UNREAD_FIELDS = {
+    "DpProblem.alpha_m": "the tests' Dijkstra oracle (tests/conftest.py) takes the "
+                         "problem's scaling factors",
+    "DpProblem.alpha_d": "the tests' Dijkstra oracle (tests/conftest.py) takes the "
+                         "problem's scaling factors",
+    "ValueFunction.converged": "perfbench reports it as global_route.converged_frac",
+    "ValueFunction.sweeps": "perfbench reports it as global_route.sweeps",
+    "WeatherCondition.kind": "perfbench constructs WeatherCondition(kind, limit)",
+    **{f"VehicleState.{name}": "a NamedTuple: the package reads the state by unpacking"
+       for name in ("x", "y", "psi", "speed", "steer")},
+}
+
+# For each name that several classes or modules define, as a function, a
+# method or a record field: owner -> the code in the package that reads that
+# owner's definition
+_SEGMENT_KINDS = ("LineSegment", "ArcSegment")
+SHARED_NAMES = {
+    "length": dict.fromkeys(_SEGMENT_KINDS, "PathGeometry.__post_init__"),
+    "point_at": dict.fromkeys(_SEGMENT_KINDS, "DesiredTrajectory.sample"),
+    "tangent_at": dict.fromkeys(_SEGMENT_KINDS, "DesiredTrajectory.sample"),
+    "curvature": dict.fromkeys(_SEGMENT_KINDS, "DesiredTrajectory.sample"),
+    "total_length": {"PathGeometry": "PathGeometry.locate, DesiredTrajectory",
+                     "SpeedProfile": "SpeedProfile.sample, DesiredTrajectory"},
+    "sample": {"SpeedProfile": "DesiredTrajectory.sample",
+               "DesiredTrajectory": "run_simulation, write_trajectory_csv"},
+    "duration": {"SpeedProfile": "DesiredTrajectory.duration",
+                 "DesiredTrajectory": "Scenario, run_simulation, write_trajectory_csv",
+                 "RunConfig": "cli.cmd_simulate", "Scenario": "run_simulation"},
+    "reachable": {"ValueFunction": "extract_route",
+                  "PlannedRoute": "cli, write_route_csv"},
+    "start": {"RunConfig": "cli.cmd_simulate", "LineSegment": "LineSegment's own methods"},
+    "goal": {"RunConfig": "cli.cmd_simulate", "DpProblem": "value_iteration, extract_route"},
+    "waypoints": {"RunConfig": "cli.cmd_simulate",
+                  "PlannedRoute": "cli, render_scene, write_route_csv"},
+    **{name: {"RunConfig": "cli.cmd_simulate", "Scenario": "run_simulation"}
+       for name in ("trajectory", "gains", "dt", "fn_policy")},
 }
 
 
@@ -77,3 +128,70 @@ def test_allowlist_is_current():
     # each allowlisted name still exists and still has no caller in the
     # package; once one gains a caller, its entry goes
     assert set(ALLOWED_UNUSED) <= {name for _, name, _ in unused_definitions()}
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple."""
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def owners_by_name():
+    """{name: {owner, ...}}: the module of each module-level function and
+    class, the class of each non-dunder method and record field."""
+    owners = defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owners[node.name].add(path.stem)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    owners[item.name].add(node.name)
+                elif _is_record(node) and isinstance(item, ast.AnnAssign):
+                    owners[item.target.id].add(node.name)
+    return owners
+
+
+def unread_fields():
+    """Class.field of each record field read nowhere in the package but in
+    its own class's dunder methods."""
+    fields, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                dunders = [(item.lineno, item.end_lineno) for item in node.body
+                           if isinstance(item, ast.FunctionDef) and _is_dunder(item.name)]
+                fields.extend((path.name, node.name, item.target.id, dunders)
+                              for item in node.body if isinstance(item, ast.AnnAssign))
+        reads.extend((path.name, node.lineno, node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(f"{cls}.{name}" for file, cls, name, dunders in fields
+                  if all(attr != name or (file == f and any(a <= line <= b for a, b in dunders))
+                         for f, line, attr in reads))
+
+
+def test_every_record_field_is_read_in_the_package():
+    unread = [name for name in unread_fields() if name not in ALLOWED_UNREAD_FIELDS]
+    assert unread == [], "record fields nothing in src/offroad reads; delete them"
+
+
+def test_field_allowlist_is_current():
+    assert set(ALLOWED_UNREAD_FIELDS) <= set(unread_fields())
+
+
+def test_names_several_owners_define_are_resolved_by_hand():
+    # a use of a shared name counts for every definition of it, so the checks
+    # above cannot tell an unused one: SHARED_NAMES names the reader of each
+    # owner's definition, and a new owner of a listed name fails here too
+    shared = {name: owners for name, owners in owners_by_name().items() if len(owners) > 1}
+    assert shared == {name: set(readers) for name, readers in SHARED_NAMES.items()}

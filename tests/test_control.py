@@ -21,7 +21,7 @@ FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=
 def row(pos, vel, acc):
     """A reference row (see reference_rows) from planar position, velocity
     and acceleration."""
-    return [pos[0], pos[1], 0.0, vel[0], vel[1], acc[0], acc[1], 0.0, 0.0]
+    return [pos[0], pos[1], 0.0, vel[0], vel[1], acc[0], acc[1], 0.0]
 
 
 def step(surface, state, ref, gains=GainConfig(10.0, 20.0), params=FREE):
@@ -105,17 +105,19 @@ def test_vertical_accel_matches_logged_second_difference():
     cfg = TrajectoryConfig(nominal_speed=3.0, turn_radius=4.0, max_yaw_rate=1.0,
                            initial_speed=3.0)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
-    log = run_simulation(Scenario(surface=surf, trajectory=traj,
-                                  gains=GainConfig(10.0, 20.0), params=FREE, dt=0.01))
+    scenario = Scenario(surface=surf, trajectory=traj,
+                        gains=GainConfig(10.0, 20.0), params=FREE, dt=0.01)
+    log = run_simulation(scenario)
     assert log.status == "completed"
-    dt = log.dt
-    z_dd_fd = (log.z[2:] - 2 * log.z[1:-1] + log.z[:-2]) / dt ** 2
-    x_d = (log.x[2:] - log.x[:-2]) / (2 * dt)
-    y_d = (log.y[2:] - log.y[:-2]) / (2 * dt)
-    x_dd = (log.x[2:] - 2 * log.x[1:-1] + log.x[:-2]) / dt ** 2
-    y_dd = (log.y[2:] - 2 * log.y[1:-1] + log.y[:-2]) / dt ** 2
+    dt = scenario.dt
+    x, y, z = log["x"], log["y"], log["z"]
+    z_dd_fd = (z[2:] - 2 * z[1:-1] + z[:-2]) / dt ** 2
+    x_d = (x[2:] - x[:-2]) / (2 * dt)
+    y_d = (y[2:] - y[:-2]) / (2 * dt)
+    x_dd = (x[2:] - 2 * x[1:-1] + x[:-2]) / dt ** 2
+    y_dd = (y[2:] - 2 * y[1:-1] + y[:-2]) / dt ** 2
     for i in range(50, len(z_dd_fd) - 50, 97):
-        _, za = surface_lift(surf.eval(log.x[1 + i], log.y[1 + i]),
+        _, za = surface_lift(surf.eval(x[1 + i], y[1 + i]),
                              x_d[i], y_d[i], x_dd[i], y_dd[i])
         assert za == pytest.approx(z_dd_fd[i], abs=1e-3)
 
@@ -187,13 +189,14 @@ def test_closed_loop_offset_decay_matches_linear_error_dynamics():
                                   params=FREE, dt=0.01, initial_state=init))
     assert log.status == "completed"
     lam1, lam2 = 5 - math.sqrt(5), 5 + math.sqrt(5)
-    analytic = 0.5 * np.abs(lam2 * np.exp(-lam1 * log.t)
-                            - lam1 * np.exp(-lam2 * log.t)) / (lam2 - lam1)
-    assert np.max(np.abs(log.err - analytic)) < 1e-6
+    t, err = log["t_s"], log["errE"]
+    analytic = 0.5 * np.abs(lam2 * np.exp(-lam1 * t)
+                            - lam1 * np.exp(-lam2 * t)) / (lam2 - lam1)
+    assert np.max(np.abs(err - analytic)) < 1e-6
     # monotone decrease throughout (overdamped, zero initial velocity error)
-    assert np.all(np.diff(log.err[log.err > 1e-10]) <= 1e-12)
+    assert np.all(np.diff(err[err > 1e-10]) <= 1e-12)
     # asymptotic envelope decays at the slow pole
-    sel = (log.t >= 1.0) & (log.t <= 2.5)
-    A = np.vstack([log.t[sel], np.ones(sel.sum())]).T
-    slope = np.linalg.lstsq(A, np.log(log.err[sel]), rcond=None)[0][0]
+    sel = (t >= 1.0) & (t <= 2.5)
+    A = np.vstack([t[sel], np.ones(sel.sum())]).T
+    slope = np.linalg.lstsq(A, np.log(err[sel]), rcond=None)[0][0]
     assert abs(slope + lam1) / lam1 < 0.05

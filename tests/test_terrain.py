@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from offroad.terrain import (
-    CLEAR,
     DRY_SLOPE_LIMIT,
-    STEEP,
-    WATER,
     WET_SLOPE_LIMIT,
     ElevationGrid,
     GridFormatError,
@@ -591,7 +588,6 @@ def test_neighbor_slopes_built_once_and_read_only():
 def test_obstacle_mask_all_clear_on_flat():
     mask = build_obstacle_mask(flat_grid(n=5))
     assert not mask.blocked.any()
-    assert np.all(mask.provenance == CLEAR)
 
 
 def test_obstacle_mask_single_water_cell():
@@ -601,7 +597,6 @@ def test_obstacle_mask_single_water_cell():
     mask = build_obstacle_mask(grid, water_mask=water)
     assert mask.blocked.sum() == 1
     assert mask.blocked[2, 3]
-    assert mask.provenance[2, 3] == WATER
 
 
 def test_obstacle_mask_spike_blocks_only_spike():
@@ -611,22 +606,24 @@ def test_obstacle_mask_spike_blocks_only_spike():
     grid.heights[2, 2] = 5.0
     mask = build_obstacle_mask(grid, steep_limit=0.121)
     assert mask.blocked[2, 2]
-    assert mask.provenance[2, 2] == STEEP
     assert mask.blocked.sum() == 1
 
 
-def test_obstacle_mask_precedence_water_over_steep():
+def test_obstacle_mask_water_on_steep_node_blocks_it_once():
     grid = flat_grid(n=5, cell=10.0)
     grid.heights[2, 2] = 5.0
     water = np.zeros((5, 5), dtype=bool)
     water[2, 2] = True
     mask = build_obstacle_mask(grid, water_mask=water, steep_limit=0.121)
-    assert mask.provenance[2, 2] == WATER
+    assert mask.blocked[2, 2]
+    assert mask.blocked.sum() == 1
 
 
 def test_obstacle_mask_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         build_obstacle_mask(flat_grid(n=5), water_mask=np.zeros((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match=r"^foliage mask shape \(5, 4\) != grid shape \(5, 5\)$"):
+        build_obstacle_mask(flat_grid(n=5), foliage_mask=np.zeros((5, 4), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def held(accel, steer_rate, surface, params):
 def tracking_row(motion, state, ax, ay, ended=0.0):
     """A reference row that sits on the car and matches its planar velocity,
     so the planar command is exactly (ax, ay)."""
-    return [state[0], state[1], motion[0], motion[15], motion[16], ax, ay, ended, 0.0]
+    return [state[0], state[1], motion[0], motion[15], motion[16], ax, ay, ended]
 
 
 def assert_orthonormal(axes, tol=1e-12):
