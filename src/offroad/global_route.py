@@ -10,18 +10,19 @@ does not exceed the active weather's limit.  Hop cost is
     cost = alpha_m * slope + alpha_d * distance
 
 with the scaling weights solved from the mean slope and mean distance over
-all admissible moves.  Every table is one (8, n_rows, n_cols) array laid out
-like ``ElevationGrid.neighbor_slopes``: axis k is action k + 1, and the cost
-table holds +inf where a hop is not admissible.  Stay costs 0 at the goal
-and is inadmissible anywhere else, which makes the goal absorbing with
-value 0.
+all admissible moves.  A hop's slope, admissibility and cost are the same in
+both directions, so each hop is stored once: every table is one
+(4, n_rows, n_cols) array laid out like ``ElevationGrid.neighbor_slopes``,
+plane k for action k + 1, and action k + 5 from a node is the hop of plane k
+at its neighbor.  The cost table holds +inf where a hop is not admissible.
+Stay costs 0 at the goal and is inadmissible anywhere else, which makes the
+goal absorbing with value 0.
 
 Every hop cost is positive, so the fixed point of the Bellman equation
 
     V(s) = min_a [cost(s, a) + V(s + a)],    V(goal) = 0
 
-is the shortest-path cost to the goal.  A hop's slope, admissibility and
-cost are the same in both directions, so ``value_iteration`` reaches it in
+is the shortest-path cost to the goal.  ``value_iteration`` reaches it in
 one label-setting (Dijkstra) pass from the goal over the undirected hop
 graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming
 and Optimal Control*, Vol. 1, label-setting methods).
@@ -48,7 +49,8 @@ from .terrain import (
 )
 
 # Action id -> (drow, dcol); row 0 is the northern edge so North is -1 row.
-# Action k + 1 is terrain.NEIGHBOR_OFFSETS[k], so table axis k is action k + 1.
+# Action k + 1 is terrain.NEIGHBOR_OFFSETS[k]; table plane k is action k + 1
+# and, read at the neighbor, action k + 5.
 MOVES = dict(enumerate(NEIGHBOR_OFFSETS, start=1))
 STAY = 9
 
@@ -68,7 +70,7 @@ class DpProblem:
     alpha_m: float
     alpha_d: float
     valid: np.ndarray                 # bool (n_rows, n_cols); True = state
-    hop_cost: np.ndarray = field(repr=False)  # (8, n_rows, n_cols); +inf = inadmissible
+    hop_cost: np.ndarray = field(repr=False)  # (4, n_rows, n_cols); +inf = inadmissible
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -107,26 +109,39 @@ class PlannedRoute:
 
 
 def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> np.ndarray:
-    """(8, n_rows, n_cols) bool, laid out like ``grid.neighbor_slopes``: both
+    """(4, n_rows, n_cols) bool, laid out like ``grid.neighbor_slopes``: both
     ends of the hop are states and its slope is within the limit (an
     off-grid hop's NaN slope never is)."""
     ends = np.zeros(grid.neighbor_slopes.shape, dtype=bool)
-    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):  # offset k + 4 reverses k
+    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
         src, dst = neighbor_slices(valid.shape, dr, dc)
-        ends[k][src] = ends[k + 4][dst] = valid[src] & valid[dst]
-    return ends & (grid.neighbor_slopes <= slope_limit)
+        ends[k][src] = valid[src] & valid[dst]
+    ends &= grid.neighbor_slopes <= slope_limit
+    return ends
 
 
 def _hop_runs(cell_size: float) -> np.ndarray:
-    """Planar hop length per offset, shaped (8, 1, 1) to broadcast over a table."""
-    return cell_size * np.array([math.hypot(dr, dc) for dr, dc in NEIGHBOR_OFFSETS])[:, None, None]
+    """Planar hop length per forward offset, shaped (4, 1, 1) to broadcast
+    over a table."""
+    return cell_size * np.array([math.hypot(dr, dc)
+                                 for dr, dc in NEIGHBOR_OFFSETS[:4]])[:, None, None]
+
+
+def _mean_over_moves(forward: np.ndarray) -> float:
+    """Mean over every admissible move of a hop quantity given per admissible
+    forward hop in table order.  The moves are taken in the order of an
+    (8, n_rows, n_cols) table, whose reverse half repeats the forward half
+    (a shift keeps row-major order), so the sum rounds as it does over
+    such a table."""
+    return float(np.concatenate((forward, forward)).mean())
 
 
 def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]:
     if not admissible.any():
         raise ValueError("no admissible transition exists")
-    mean_m = float(grid.neighbor_slopes[admissible].mean())
-    mean_d = float(np.broadcast_to(_hop_runs(grid.cell_size), admissible.shape)[admissible].mean())
+    mean_m = _mean_over_moves(grid.neighbor_slopes[admissible])
+    mean_d = _mean_over_moves(np.repeat(_hop_runs(grid.cell_size).ravel(),
+                                        admissible.sum(axis=(1, 2))))
     if abs(mean_m - mean_d) < 1e-12:
         raise ScalingError(
             f"mean slope equals mean distance ({mean_m}); the weight system is "
@@ -180,8 +195,9 @@ def _hop_graph(problem: DpProblem) -> csr_array:
     same cost, so these edges, read as undirected, are the whole hop graph."""
     n_rows, n_cols = problem.shape
     n = n_rows * n_cols
-    # offsets 3, 2, 1, 0 step to ascending flat indices, so every row comes sorted
-    weight = np.moveaxis(problem.hop_cost[3::-1], 0, -1)
+    # offsets 3, 2, 1, 0 step to ascending flat indices, so every row comes
+    # sorted; a node-major view of the cost planes, not a copy
+    weight = problem.hop_cost[3::-1].transpose(1, 2, 0)
     step = np.array([dr * n_cols + dc for dr, dc in NEIGHBOR_OFFSETS[3::-1]], dtype=np.int32)
     target = np.arange(n, dtype=np.int32).reshape(n_rows, n_cols, 1) + step
     edge = np.isfinite(weight)
@@ -195,8 +211,8 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
 
     One Dijkstra pass from the goal over the undirected hop graph gives every
     state's cost-to-goal; states left at +inf are unreachable.  A single
-    Bellman pass over the 8 actions then picks the policy (a first-minimum
-    argmin, so ties keep the lowest action id) and checks that the residual
+    Bellman pass over the 8 actions then picks the policy (a running first
+    minimum, so ties keep the lowest action id) and checks that the residual
     is exactly 0 on every reachable state, which sets ``converged``.
     """
     shape = problem.shape
@@ -204,14 +220,19 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
     values = dijkstra(_hop_graph(problem), directed=False,
                       indices=goal_index).reshape(shape)
 
-    candidates = problem.hop_cost.copy()  # +inf on every off-grid hop already
+    best = np.full(shape, np.inf)
+    policy = np.zeros(shape, dtype=np.int8)
     for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         src, dst = neighbor_slices(shape, dr, dc)
-        candidates[k][src] += values[dst]
-    policy = (candidates.argmin(axis=0) + 1).astype(np.int8)
-    best = candidates.min(axis=0)
+        # action k + 5 is the hop of plane k from the neighbor, reversed
+        cost = problem.hop_cost[k][src] if k < 4 else problem.hop_cost[k - 4][dst]
+        candidate = cost + values[dst]
+        better = candidate < best[src]
+        np.copyto(best[src], candidate, where=better)
+        np.copyto(policy[src], k + 1, where=better)
+    # a state with a finite candidate is reachable, so the policy stays 0 on
+    # exactly the unreachable ones
     reachable = np.isfinite(values)
-    policy[~reachable] = 0
     policy[problem.goal] = STAY
     reachable[problem.goal] = False
     converged = bool(np.array_equal(best[reachable], values[reachable]))
@@ -223,9 +244,10 @@ def _hop_run_and_slope(
     grid: ElevationGrid, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[float, float]:
     """Planar length and rise/run of the hop from node a to its 8-neighbor b,
-    the slope read from ``grid.neighbor_slopes``."""
+    the slope read from ``grid.neighbor_slopes`` (at b for a reverse offset)."""
     dr, dc = b[0] - a[0], b[1] - a[1]
-    slope = grid.neighbor_slopes[NEIGHBOR_OFFSETS.index((dr, dc))][a]
+    k = NEIGHBOR_OFFSETS.index((dr, dc))
+    slope = grid.neighbor_slopes[k][a] if k < 4 else grid.neighbor_slopes[k - 4][b]
     return grid.cell_size * math.hypot(dr, dc), float(slope)
 
 

@@ -10,6 +10,7 @@ deterministic: identical scenarios produce identical logs byte for byte.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,10 @@ STATUS_NORMAL_FORCE = "normal_force_violation"
 STATUS_LEFT_GRID = "left_grid"
 STATUS_SINGULAR_SPEED = "singular_speed"
 
-# Longest run accepted.  The log holds about 0.7 KB per step until it is
-# written (peak RSS growth of a completed case-study run between dt 1e-3 and
-# 2.5e-4 s) and the reference is sampled in blocks of fixed size, so a run
-# at the cap peaks near 0.8 GB.
+# Longest run accepted.  The log holds about 0.13 KB per step until it is
+# written (peak RSS growth of completed case-study runs between dt 1e-3 and
+# 5e-5 s, 9749 and 194964 steps) and the reference is sampled in blocks of
+# fixed size, so a run at the cap peaks near 0.2 GB.
 MAX_STEPS = 10**6
 
 
@@ -138,7 +139,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
     if state is None:
         state = aligned_initial_state(traj, surface)
 
-    rows_out: list[tuple] = []
+    rows_out = array("d")   # the log's rows, end to end
     status = STATUS_COMPLETED
 
     # The reference is open-loop, so it is sampled ahead, one block of steps
@@ -178,7 +179,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
             fn = normal_force(motion, params)
             x, y, psi, speed, steer = state
             # errE is filled in below, from the whole table at once
-            rows_out.append((k * dt, x, y, motion[0], psi, speed, steer,
+            rows_out.extend((k * dt, x, y, motion[0], psi, speed, steer,
                              desired[0], desired[1], desired[2], a_t, gamma, fn,
                              0.0, clamped))
 
@@ -196,9 +197,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
             status = _STOP_STATUS[type(exc)]
             break
 
-    table = np.array(rows_out, dtype=float).reshape(-1, len(_COLUMN))
-    rows_out.clear()   # its float objects take about 4x the table: free them first
-    log = TrajectoryLog(table, status)
+    log = TrajectoryLog(np.frombuffer(rows_out).reshape(-1, len(_COLUMN)), status)
     log["errE"][:] = np.hypot(log["x"] - log["xd"], log["y"] - log["yd"])
     return log
 

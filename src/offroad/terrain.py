@@ -83,22 +83,23 @@ class ElevationGrid:
 
     @cached_property
     def neighbor_slopes(self) -> np.ndarray:
-        """Slope to each 8-neighbor for every node; NaN where the neighbor is
-        off-grid.
+        """Slope of each hop along the forward offsets NEIGHBOR_OFFSETS[:4]
+        for every node; NaN where the neighbor is off-grid.
 
-        Shape (8, n_rows, n_cols), axis 0 ordered like NEIGHBOR_OFFSETS.  Built
-        once per grid, so the mask and the route tables share it.  The result
-        is read-only, and so are the heights from then on: a later change
-        would leave it stale.  Offset k + 4 is offset k reversed, with the
-        same slope, so offsets 0-3 are computed and each is stored twice.
+        Shape (4, n_rows, n_cols), plane k for offset k.  Offset k + 4 is
+        offset k reversed, with the same slope, so each hop is stored once:
+        the slope along offset k + 4 from a node is entry k at that neighbor.
+        Built once per grid, so the mask and the route tables share it.  The
+        result is read-only, and so are the heights from then on: a later
+        change would leave it stale.
         """
         h = self.heights
         h.flags.writeable = False
-        out = np.full((len(NEIGHBOR_OFFSETS), self.n_rows, self.n_cols), np.nan)
+        out = np.full((4, self.n_rows, self.n_cols), np.nan)
         for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
             run = self.cell_size * math.hypot(dr, dc)
             src, dst = neighbor_slices(h.shape, dr, dc)
-            out[(k,) + src] = out[(k + 4,) + dst] = np.abs(h[dst] - h[src]) / run
+            out[(k,) + src] = np.abs(h[dst] - h[src]) / run
         out.flags.writeable = False
         return out
 
@@ -372,8 +373,14 @@ def build_obstacle_mask(
     or left at all under that bound).
     """
     shape = (grid.n_rows, grid.n_cols)
-    with np.errstate(invalid="ignore"):
-        blocked = np.nanmin(grid.neighbor_slopes, axis=0) > steep_limit
+    slopes = grid.neighbor_slopes
+    # each node's least hop slope: fmin skips the NaN of off-grid hops, and
+    # every node of a grid of at least 2x2 has an in-grid neighbor
+    least = np.fmin.reduce(slopes)
+    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
+        src, dst = neighbor_slices(shape, dr, dc)
+        np.fmin(least[dst], slopes[k][src], out=least[dst])  # offset k + 4 from dst
+    blocked = least > steep_limit
     for name, mask in (("foliage", foliage_mask), ("water", water_mask)):
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)

@@ -101,33 +101,73 @@ def bowl_surface():
 
 
 # ---------------------------------------------------------------------------
-# Independent shortest-path oracle.  Deliberately shares no code with the
-# planner: it walks the grid with its own neighbor list and recomputes
-# slopes, costs, and admissibility from scratch.
+# Independent hop and shortest-path oracles.  Deliberately share no code
+# with the planner: they walk the grid with their own neighbor list and
+# recompute slopes, costs, and admissibility from the heights.
 # ---------------------------------------------------------------------------
 
-def dijkstra_costs_to_goal(grid, blocked, slope_limit, goal, alpha_m, alpha_d):
+EIGHT_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def in_grid(grid, node):
+    """Whether node is on the grid; the oracles read only a grid's heights
+    and cell_size."""
     n_rows, n_cols = grid.heights.shape
+    return 0 <= node[0] < n_rows and 0 <= node[1] < n_cols
+
+
+def oracle_hop(grid, a, b):
+    """(slope, run) of the hop between 8-neighbors a and b: |dh| / run from
+    the heights, in the float operations the planner's tables use, so a
+    table entry equals it bit for bit."""
+    dr, dc = b[0] - a[0], b[1] - a[1]
+    run = grid.cell_size * math.sqrt(dr * dr + dc * dc)
+    return abs(float(grid.heights[b]) - float(grid.heights[a])) / run, run
+
+
+def oracle_hop_cost(grid, blocked, slope_limit, alpha_m, alpha_d, a, b):
+    """alpha_m * slope + alpha_d * run of the hop a -> b, or +inf when it is
+    not admissible: an end off the grid or blocked, or too steep."""
+    if not (in_grid(grid, a) and in_grid(grid, b)) or blocked[a] or blocked[b]:
+        return math.inf
+    slope, run = oracle_hop(grid, a, b)
+    if slope > slope_limit:
+        return math.inf
+    return alpha_m * slope + alpha_d * run
+
+
+# The documented layout of the planner's (4, n_rows, n_cols) hop tables:
+# plane k holds the hop from each node along FORWARD_OFFSETS[k] (East,
+# Northeast, North, Northwest; row 0 is north), and the reverse hop is the
+# same entry read at the neighbor.
+FORWARD_OFFSETS = [(0, 1), (-1, 1), (-1, 0), (-1, -1)]
+
+
+def table_entry(table, a, b):
+    """The entry of a (4, n_rows, n_cols) hop table for the hop between the
+    in-grid 8-neighbors a and b, read in either direction."""
+    d = (b[0] - a[0], b[1] - a[1])
+    if d in FORWARD_OFFSETS:
+        return table[FORWARD_OFFSETS.index(d)][a]
+    return table[FORWARD_OFFSETS.index((-d[0], -d[1]))][b]
+
+
+def dijkstra_costs_to_goal(grid, blocked, slope_limit, goal, alpha_m, alpha_d):
     dist = {goal: 0.0}
     heap = [(0.0, goal)]
-    offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist.get(node, math.inf):
             continue
         r, c = node
-        for dr, dc in offsets:
+        for dr, dc in EIGHT_NEIGHBORS:
             # predecessor nodes: the hop goes neighbor -> node
             nr, nc = r - dr, c - dc
-            if not (0 <= nr < n_rows and 0 <= nc < n_cols):
+            cost = oracle_hop_cost(grid, blocked, slope_limit, alpha_m, alpha_d,
+                                   (nr, nc), node)
+            if math.isinf(cost):
                 continue
-            if blocked[nr, nc] or blocked[r, c]:
-                continue
-            run = grid.cell_size * math.sqrt(dr * dr + dc * dc)
-            slope = abs(grid.heights[r, c] - grid.heights[nr, nc]) / run
-            if slope > slope_limit:
-                continue
-            nd = d + alpha_m * slope + alpha_d * run
+            nd = d + cost
             if nd < dist.get((nr, nc), math.inf):
                 dist[(nr, nc)] = nd
                 heapq.heappush(heap, (nd, (nr, nc)))

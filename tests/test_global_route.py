@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +16,26 @@ from offroad.global_route import (
     value_iteration,
     write_route_csv,
 )
-from offroad.cli import EXIT_OK, main
-from offroad.terrain import ElevationGrid, WeatherCondition, build_obstacle_mask
+from offroad.cli import EXIT_OK, main, plan_route
+from offroad.terrain import (
+    DRY_SLOPE_LIMIT,
+    ElevationGrid,
+    WeatherCondition,
+    build_obstacle_mask,
+)
 
 from conftest import (
     DRY,
+    EIGHT_NEIGHBORS,
+    FORWARD_OFFSETS,
     WET,
     dijkstra_costs_to_goal,
     flat_grid,
+    in_grid,
+    oracle_hop,
+    oracle_hop_cost,
     random_problem,
+    table_entry,
     write_grid_csv,
 )
 
@@ -104,11 +116,26 @@ def test_flat_interior_node_has_eight_moves():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid)
     problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
-    center = (1, 1)
-    assert all(np.isfinite(problem.hop_cost[a - 1][center]) for a in range(1, 9))
+    assert problem.hop_cost.shape == (4, 3, 3)
+
+    def hops(node):
+        neighbors = [(node[0] + dr, node[1] + dc) for dr, dc in EIGHT_NEIGHBORS]
+        return {b: table_entry(problem.hop_cost, node, b)
+                for b in neighbors if in_grid(grid, b)}
+
+    center = hops((1, 1))
+    assert len(center) == 8 and all(np.isfinite(list(center.values())))
+    assert all(cost == oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, problem.alpha_m,
+                                       problem.alpha_d, (1, 1), b)
+               for b, cost in center.items())
     corner = (0, 0)
-    admissible = [a for a in range(1, 9) if np.isfinite(problem.hop_cost[a - 1][corner])]
+    admissible = [b for b, cost in hops(corner).items() if np.isfinite(cost)]
     assert len(admissible) == 3
+    # of its 5 off-grid moves, the table holds the forward ones, as +inf
+    off_grid = [k for k, (dr, dc) in enumerate(FORWARD_OFFSETS)
+                if not in_grid(grid, (corner[0] + dr, corner[1] + dc))]
+    assert len(off_grid) == 3
+    assert all(np.isinf(problem.hop_cost[k][corner]) for k in off_grid)
 
 
 def test_steep_hop_inadmissible_under_both_weathers():
@@ -134,22 +161,40 @@ def test_steep_hop_inadmissible_under_both_weathers():
 
 
 def test_hop_tables_are_symmetric_bit_for_bit():
-    # offset k + 4 is offset k reversed: the hop from src to dst along k is
-    # the hop from dst back along k + 4, with the same slope and cost.  The
-    # route solver reads the cost table as an undirected graph of offsets 0-3
-    from offroad.terrain import NEIGHBOR_OFFSETS, neighbor_slices
+    # each hop is stored once, and read in both directions it has the slope
+    # and cost the oracle computes from the heights, bit for bit.  The route
+    # solver reads the cost table as an undirected graph of offsets 0-3
+    from offroad.terrain import NEIGHBOR_OFFSETS
     rng = np.random.default_rng(31)
     grid, mask, goal = random_problem(rng, n=13, cell=6.0, obstacle_p=0.2, rough=2.0)
     problem = build_dp_problem(grid, mask, DRY, goal=goal)
     slopes, cost = grid.neighbor_slopes, problem.hop_cost
-    assert mask.blocked.any()
-    assert np.isfinite(cost).any() and np.isinf(cost[~np.isnan(slopes)]).any()
+    assert slopes.shape == cost.shape == (4, 13, 13)
+    assert list(NEIGHBOR_OFFSETS[:4]) == FORWARD_OFFSETS
     for k in range(4):
         assert NEIGHBOR_OFFSETS[k + 4] == tuple(-d for d in NEIGHBOR_OFFSETS[k])
-        src, dst = neighbor_slices(mask.blocked.shape, *NEIGHBOR_OFFSETS[k])
-        assert np.array_equal(slopes[k + 4][dst], slopes[k][src])
-        assert np.array_equal(cost[k + 4][dst], cost[k][src])
-        assert not np.isnan(slopes[k][src]).any()
+    assert mask.blocked.any()
+    assert np.isfinite(cost).any() and np.isinf(cost[~np.isnan(slopes)]).any()
+
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    for a in np.ndindex(mask.blocked.shape):
+        for dr, dc in EIGHT_NEIGHBORS:
+            b = (a[0] + dr, a[1] + dc)
+            if not in_grid(grid, b):
+                continue
+            slope, _ = oracle_hop(grid, a, b)
+            expect = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit,
+                                     problem.alpha_m, problem.alpha_d, a, b)
+            assert bits(table_entry(slopes, a, b)) == bits(slope)
+            assert bits(table_entry(cost, a, b)) == bits(expect)
+            assert bits(table_entry(cost, b, a)) == bits(expect)
+    # a forward hop off the grid has a NaN slope and is never admissible
+    for k, (dr, dc) in enumerate(FORWARD_OFFSETS):
+        for a in np.ndindex(mask.blocked.shape):
+            if not in_grid(grid, (a[0] + dr, a[1] + dc)):
+                assert np.isnan(slopes[k][a]) and np.isinf(cost[k][a])
 
 
 def test_goal_must_be_a_state():
@@ -224,7 +269,9 @@ def test_values_match_dijkstra_on_random_grids():
 
 def test_bellman_fixed_point_residual():
     # the solved values are an exact fixed point: every reachable state's
-    # value equals the best one-hop cost plus successor value, bit for bit
+    # value equals the best one-hop cost plus successor value, bit for bit,
+    # with the hop costs taken from the oracle; the policy takes the lowest
+    # action id that attains it
     from offroad.global_route import MOVES
     rng = np.random.default_rng(17)
     grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
@@ -239,12 +286,15 @@ def test_bellman_fixed_point_residual():
             if (r, c) == goal:
                 assert vf.values[r, c] == 0.0
                 continue
-            best = math.inf
+            candidates = {}
             for a, (dr, dc) in MOVES.items():
-                if np.isfinite(problem.hop_cost[a - 1][r, c]):
-                    best = min(best, problem.hop_cost[a - 1][r, c]
-                               + vf.values[r + dr, c + dc])
+                cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, problem.alpha_m,
+                                       problem.alpha_d, (r, c), (r + dr, c + dc))
+                if math.isfinite(cost):
+                    candidates[a] = cost + vf.values[r + dr, c + dc]
+            best = min(candidates.values())
             assert vf.values[r, c] - best == 0.0
+            assert vf.policy[r, c] == min(a for a, v in candidates.items() if v == best)
 
 
 def test_tightening_slope_limit_never_helps():
@@ -320,6 +370,31 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
                  "--weather", "dry", "--out", str(out)])
     assert code == EXIT_OK
     assert read_route_csv(str(out)).waypoints == route.waypoints
+
+
+def test_plan_route_peak_memory_per_node():
+    # each hop's slope and cost is stored once and the solve makes no
+    # (8, rows, cols) temporary: from the mask to the extracted route, one
+    # corner-to-corner query on a fresh 300 x 300 grid (its slopes not yet
+    # built) peaks within 200 traced bytes per node.  Storing each hop twice
+    # and solving through 8-plane candidates peaked at 274 here
+    n = 300
+    rng = np.random.default_rng(300)
+    y, x = np.mgrid[0:n, 0:n] * 5.0
+    heights = (3.0 * np.sin(x / 40.0) * np.cos(y / 55.0)
+               + rng.normal(scale=0.05, size=(n, n)))
+    grid = ElevationGrid(n_cols=n, n_rows=n, cell_size=5.0, origin=(0.0, 0.0),
+                         heights=heights)
+    water = rng.random((n, n)) < 0.05
+    water[0, 0] = water[-1, -1] = False
+    tracemalloc.start()
+    try:
+        route = plan_route(grid, water, None, DRY_SLOPE_LIMIT, DRY, (0, 0), (n - 1, n - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert route.reachable and len(route.waypoints) > n
+    assert peak / grid.heights.size <= 200
 
 
 # ---------------------------------------------------------------------------

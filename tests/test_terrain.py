@@ -22,11 +22,14 @@ from offroad.terrain import (
 from offroad.vehicle import VehicleParams, frame_and_motion
 
 from conftest import (
+    FORWARD_OFFSETS,
     euler_angles,
     euler_rates,
     flat_grid,
     grid_from_function,
+    in_grid,
     normal_with_gradient,
+    oracle_hop,
     rotation_from_angles,
     write_grid_csv,
 )
@@ -578,9 +581,16 @@ def test_neighbor_slopes_built_once_and_read_only():
     slopes = grid.neighbor_slopes
     assert grid.neighbor_slopes is slopes
     assert not slopes.flags.writeable
-    assert slopes.shape == (8, 3, 3)
+    assert slopes.shape == (4, 3, 3)              # one plane per forward offset
     assert slopes[0, 0, 0] == pytest.approx(0.1)   # east hop off the raised corner
     assert np.isnan(slopes[1, 0, 0])               # north-east neighbor is off-grid
+    for k, (dr, dc) in enumerate(FORWARD_OFFSETS):
+        for a in np.ndindex(3, 3):
+            b = (a[0] + dr, a[1] + dc)
+            if in_grid(grid, b):
+                assert slopes[k][a] == oracle_hop(grid, a, b)[0]
+            else:
+                assert np.isnan(slopes[k][a])
     with pytest.raises(ValueError):                # heights are frozen with it
         grid.heights[0, 0] = 2.0
 

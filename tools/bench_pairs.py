@@ -18,7 +18,14 @@ pairs the working tree won.  Each run also keeps the unscaled call times of
 its report (`route_s`, `simulate_s`, `render_s`, `sim_steps_per_s`) and the
 host snippet's median from its `work_per_s` line (`snippet_ms`), and the
 summary gives each side's median of them under `raw`: `work_per_s` is scaled
-by that snippet, so a change in the snippet's own time moves it too.
+by that snippet, so a change in the snippet's own time moves it too.  `raw`
+also holds each run's CPU seconds (`child_cpu_s`, user plus system) and minor
+page faults (`child_minflt`), the `RUSAGE_CHILDREN` deltas across the run, so
+a snippet-scaled shift in `work_per_s` can be told from a change in the
+program's own cost.  Both counts cover the whole run: its 5 set-up
+interpreters that import `offroad.cli` for `setup_s` are included.  A run
+lasts `run_seconds` whatever its speed, so compare them per op, divided by
+the run's `attempted`.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,12 +64,16 @@ def extract_commit(rev: str, dest: Path) -> None:
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` run in `tree`; its final JSON line plus wall time."""
+    """One `perfbench/run.py` run in `tree`; its final JSON line plus wall
+    time, CPU time and minor page faults."""
+    usage0 = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=30 * seconds + 600)
+    wall_s = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
@@ -69,13 +81,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     raw = {m[1]: float(m[2]) for m in map(RAW_LINE.match, lines) if m}
     raw.update(("snippet_ms", float(m[1])) for m in map(SNIPPET.match, lines) if m)
+    raw["child_cpu_s"] = (usage.ru_utime + usage.ru_stime
+                          - usage0.ru_utime - usage0.ru_stime)
+    raw["child_minflt"] = usage.ru_minflt - usage0.ru_minflt
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "raw": raw,
-        "wall_s": time.perf_counter() - t0,
+        "wall_s": wall_s,
     }
 
 

@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Cold `offroad route` across grid sizes, a base commit against the working tree.
+
+    python3 tools/route_scaling.py --base HEAD --out BENCH_13_route_scaling.json
+
+For each size (200, 400, 800 and 1600 nodes a side by default) it writes one
+seeded grid, `RELIEF_M * perfbench.inputs.fractal_field` on 5 m cells, and
+asks for a dry route between the free nodes nearest the northwest and
+southeast corners (free: not steep under the dry limit, by perfbench's
+oracle).  Per size and side it runs, `--reps` times each:
+
+- `offroad route` in a fresh interpreter, timed from its start to its exit,
+  with that process's peak RSS (`os.wait4`);
+- the same query in a fresh interpreter whose layers are wrapped in timers:
+  load, mask, tables, graph (`_hop_graph`), Dijkstra, policy (the rest of
+  `value_iteration`), extract and write.
+
+The base side is the committed files of `--base`, extracted as
+`bench_pairs.py` does.  Up to `--jobs` processes run at once; the jobs share
+the host's cores, so compare sides, not absolute times.  The output JSON
+holds every run and, per size and side, the median cold wall time, the
+largest peak RSS and the median time of each layer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from bench_pairs import ROOT, extract_commit, git
+
+TOOLS = Path(__file__).resolve().parent
+SIZES = (200, 400, 800, 1600)
+LAYERS = ("load", "mask", "tables", "graph", "dijkstra", "policy", "extract", "write")
+
+
+def write_site(size: int, seed: int, directory: str) -> None:
+    """Write the seeded grid of `size` nodes a side; print the route argv,
+    without --out, as JSON.  It runs in a child (`site_argv`): Linux carries
+    a process's peak RSS over into the children it starts, so this process
+    must not grow by building a grid."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT))
+    from perfbench.inputs import CELL_M, RELIEF_M, fractal_field, write_raster
+    from perfbench.oracle import DRY_LIMIT, hop_slopes, steep_nodes
+
+    heights = RELIEF_M * fractal_field(np.random.default_rng(seed), size)
+    path = Path(directory) / f"grid{size}.csv"
+    write_raster(str(path), heights, CELL_M, (0.0, 0.0))
+    free = np.argwhere(~steep_nodes(hop_slopes(heights, CELL_M), DRY_LIMIT))
+    corner = free.sum(axis=1)
+    start, goal = free[corner.argmin()], free[corner.argmax()]
+    print(json.dumps(["route", "--grid", str(path), "--start", f"{start[0]},{start[1]}",
+                      "--goal", f"{goal[0]},{goal[1]}", "--weather", "dry"]))
+
+
+def tool_code(call: str) -> str:
+    """`python -c` code that imports this tool and runs `call`."""
+    return f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import route_scaling; {call}"
+
+
+def site_argv(size: int, seed: int, directory: Path) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", tool_code(f"route_scaling.write_site({size}, {seed}, "
+                                         f"{str(directory)!r})")],
+        check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def timed_route(src: str, argv: list[str]) -> None:
+    """Run `offroad route` from the package under `src` with its layers
+    timed; print the exit code and the seconds per layer as JSON."""
+    sys.path.insert(0, src)
+    from offroad import cli
+    from offroad import global_route as gr
+
+    seconds = defaultdict(float)
+
+    def wrap(owner, attr: str, layer: str) -> None:
+        fn = getattr(owner, attr)
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[layer] += time.perf_counter() - t0
+
+        setattr(owner, attr, timed)
+
+    for owner, attr, layer in (
+            (cli, "load_elevation_grid", "load"), (cli, "build_obstacle_mask", "mask"),
+            (gr, "build_dp_problem", "tables"), (gr, "_hop_graph", "graph"),
+            (gr, "dijkstra", "dijkstra"), (gr, "value_iteration", "solve"),
+            (gr, "extract_route", "extract"), (gr, "write_route_csv", "write")):
+        wrap(owner, attr, layer)
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    seconds["policy"] = seconds.pop("solve") - seconds["graph"] - seconds["dijkstra"]
+    print(json.dumps({"rc": rc, "layers_s": {k: seconds[k] for k in LAYERS}}))
+
+
+def run_child(args: list[str], out: Path) -> dict:
+    """One fresh interpreter; its wall time, exit code, stdout and peak RSS."""
+    with open(out, "w+", encoding="utf-8") as fh:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], stdout=fh, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        fh.seek(0)
+        stdout = fh.read()
+    return {"wall_s": wall_s, "rc": proc.returncode, "stdout": stdout,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def cold_run(tree: Path, argv: list[str], out: Path) -> dict:
+    code = (f"import sys; sys.path.insert(0, {str(tree / 'src')!r}); "
+            "from offroad.cli import main; sys.exit(main())")
+    return run_child(["-c", code, *argv, "--out", str(out.with_suffix(".csv"))], out)
+
+
+def layered_run(tree: Path, argv: list[str], out: Path) -> dict:
+    code = tool_code(f"route_scaling.timed_route({str(tree / 'src')!r}, sys.argv[1:])")
+    result = run_child(["-c", code, *argv, "--out", str(out.with_suffix(".csv"))], out)
+    if result["rc"] == 0:
+        result.update(json.loads(result["stdout"].splitlines()[-1]))
+    return result
+
+
+def summarize(runs: dict) -> dict:
+    cold, layered = runs["cold"], runs["layered"]
+    return {
+        "cold_s": statistics.median(r["wall_s"] for r in cold),
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in cold),
+        "exit_codes": sorted({r["rc"] for r in cold + layered}),
+        "layers_s": {layer: statistics.median(r["layers_s"][layer] for r in layered)
+                     for layer in LAYERS} if all("layers_s" in r for r in layered) else None,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--out", required=True, help="BENCH_<n>_route_scaling.json to write")
+    args = parser.parse_args()
+
+    base_sha = git("rev-parse", args.base)
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    report = {
+        "base": base_sha,
+        "change": f"working tree on {git('rev-parse', 'HEAD')}"
+                  + (" with uncommitted changes" if dirty else ""),
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version()},
+        "jobs": args.jobs,
+        "seed": args.seed,
+        "sizes": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="route-scaling-") as tmp:
+        tmp = Path(tmp)
+        trees = {"base": tmp / "base", "change": ROOT}
+        extract_commit(base_sha, trees["base"])
+        tasks = []
+        for size in args.sizes:
+            argv = site_argv(size, args.seed, tmp)
+            report["sizes"][size] = {"argv": argv[1:]}
+            # base and change of one size and kind run next to each other
+            for rep in range(args.reps):
+                for kind, run in (("cold", cold_run), ("layered", layered_run)):
+                    for side, tree in trees.items():
+                        out = tmp / f"{size}-{side}-{kind}-{rep}.out"
+                        tasks.append((size, side, kind, run, tree, argv, out))
+        runs = {(size, side): {"cold": [], "layered": []}
+                for size in args.sizes for side in trees}
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [(task, pool.submit(task[3], *task[4:])) for task in tasks]
+            for (size, side, kind, *_), future in futures:
+                result = future.result()
+                runs[size, side][kind].append(result)
+                print(f"{size}^2 {side} {kind}: exit {result['rc']}, "
+                      f"{result['wall_s']:.3f} s, {result['peak_rss_mb']:.1f} MB", flush=True)
+        for (size, side), side_runs in runs.items():
+            report["sizes"][size][side] = {"summary": summarize(side_runs), "runs": side_runs}
+
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()
