@@ -16,7 +16,7 @@ import numpy as np
 
 from . import global_route as gr
 from . import simulate as sim
-from .config import ConfigError, load_run_config
+from .config import ConfigError, load_run_config, parse_node
 from .local_path import (
     DesiredTrajectory,
     GeometryError,
@@ -51,13 +51,6 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _parse_node(raw: str) -> tuple[int, int]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected ROW,COL, got {raw!r}")
-    return int(parts[0]), int(parts[1])
-
-
 def plan_route(
     grid: ElevationGrid, water: np.ndarray | None, foliage: np.ndarray | None,
     steep_limit: float, weather: WeatherCondition,
@@ -77,8 +70,8 @@ def cmd_route(args) -> int:
         grid = load_elevation_grid(args.grid)
         water = load_mask(args.water, grid) if args.water else None
         foliage = load_mask(args.foliage, grid) if args.foliage else None
-        start = _parse_node(args.start)
-        goal = _parse_node(args.goal)
+        start = parse_node("--start", args.start)
+        goal = parse_node("--goal", args.goal)
         limit = args.slope_limit
         if limit is None:
             limit = DRY_SLOPE_LIMIT if args.weather == "dry" else WET_SLOPE_LIMIT

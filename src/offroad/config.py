@@ -76,14 +76,16 @@ def _optional_limit(section: str, key: str, raw: str | None) -> float | None:
     return _positive(section, key, raw)
 
 
-def _node(section: str, key: str, raw: str) -> tuple[int, int]:
+def parse_node(label: str, raw: str) -> tuple[int, int]:
+    """A grid node from 'row,col' text; errors name the config key or CLI
+    flag given as ``label``."""
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
-        raise ConfigError(f"{section}.{key}: expected 'row,col', got {raw!r}")
+        raise ConfigError(f"{label}: expected 'row,col', got {raw!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected integers, got {raw!r}") from exc
+        raise ConfigError(f"{label}: expected integers, got {raw!r}") from exc
 
 
 def _waypoints(raw: str) -> list[tuple[float, float]]:
@@ -161,9 +163,9 @@ def load_run_config(path: str) -> RunConfig:
     start = goal = None
     if parser.has_section("route"):
         if parser.has_option("route", "start"):
-            start = _node("route", "start", parser.get("route", "start"))
+            start = parse_node("route.start", parser.get("route", "start"))
         if parser.has_option("route", "goal"):
-            goal = _node("route", "goal", parser.get("route", "goal"))
+            goal = parse_node("route.goal", parser.get("route", "goal"))
 
     waypoints = None
     if parser.has_option("path", "waypoints"):

@@ -120,13 +120,6 @@ def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> n
     return ends
 
 
-def _hop_runs(cell_size: float) -> np.ndarray:
-    """Planar hop length per forward offset, shaped (4, 1, 1) to broadcast
-    over a table."""
-    return cell_size * np.array([math.hypot(dr, dc)
-                                 for dr, dc in NEIGHBOR_OFFSETS[:4]])[:, None, None]
-
-
 def _mean_over_moves(forward: np.ndarray) -> float:
     """Mean over every admissible move of a hop quantity given per admissible
     forward hop in table order.  The moves are taken in the order of an
@@ -140,8 +133,7 @@ def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]
     if not admissible.any():
         raise ValueError("no admissible transition exists")
     mean_m = _mean_over_moves(grid.neighbor_slopes[admissible])
-    mean_d = _mean_over_moves(np.repeat(_hop_runs(grid.cell_size).ravel(),
-                                        admissible.sum(axis=(1, 2))))
+    mean_d = _mean_over_moves(np.repeat(grid.hop_runs, admissible.sum(axis=(1, 2))))
     if abs(mean_m - mean_d) < 1e-12:
         raise ScalingError(
             f"mean slope equals mean distance ({mean_m}); the weight system is "
@@ -181,7 +173,7 @@ def build_dp_problem(
     admissible = _admissible(grid, valid, weather.slope_limit)
     alpha_m, alpha_d = _scaling(grid, admissible) if alpha is None else alpha
     hop_cost = alpha_m * grid.neighbor_slopes
-    hop_cost += alpha_d * _hop_runs(grid.cell_size)
+    hop_cost += alpha_d * np.array(grid.hop_runs)[:, None, None]
     hop_cost[~admissible] = np.inf
     if np.any(hop_cost <= 0):
         raise ValueError("non-positive hop cost; check alpha weights and cell size")
@@ -248,7 +240,7 @@ def _hop_run_and_slope(
     dr, dc = b[0] - a[0], b[1] - a[1]
     k = NEIGHBOR_OFFSETS.index((dr, dc))
     slope = grid.neighbor_slopes[k][a] if k < 4 else grid.neighbor_slopes[k - 4][b]
-    return grid.cell_size * math.hypot(dr, dc), float(slope)
+    return grid.hop_runs[k % 4], float(slope)
 
 
 def extract_route(

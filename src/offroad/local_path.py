@@ -111,23 +111,20 @@ class PathGeometry:
     def total_length(self) -> float:
         return float(self.breakpoints[-1])
 
-    def locate(self, s):
-        """Segment index and local arc length for global s; right-continuous
-        at joins.  A float gives (int, float), an array gives two arrays."""
+    def locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Segment indices and local arc lengths for a 1-D array of global
+        arc lengths; right-continuous at joins."""
         s = _clip_to_range(s, self.total_length, "arc length")
         idx = np.clip(np.searchsorted(self.breakpoints, s, "right") - 1,
                       0, len(self.segments) - 1)
         # a cumulative sum can overshoot a segment's own length by an ulp,
         # which would put the path end just past its last point
-        local = np.minimum(s - self.breakpoints[idx], self.lengths[idx])
-        if np.ndim(s) == 0:
-            return int(idx), float(local)
-        return idx, local
+        return idx, np.minimum(s - self.breakpoints[idx], self.lengths[idx])
 
 
 def _clip_to_range(value, upper: float, what: str):
-    """value (float or array) clipped to [0, upper]; ValueError names the first
-    entry more than 1e-9 outside it."""
+    """value clipped to [0, upper]; ValueError names the first entry more
+    than 1e-9 outside it."""
     value = np.asarray(value, dtype=float)
     outside = (value < -1e-9) | (value > upper + 1e-9)
     if outside.any():
@@ -279,18 +276,15 @@ class SpeedProfile:
     def total_length(self) -> float:
         return float(self.s_pts[-1])
 
-    def sample(self, t):
-        """(arc length, speed, tangential acceleration) at time t; a float
-        gives floats, an array of times gives three arrays."""
+    def sample(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(arc length, speed, tangential acceleration) at each time of a 1-D
+        array."""
         t = _clip_to_range(t, self.duration, "time")
         i = np.clip(np.searchsorted(self.t_pts, t, "right") - 1, 0, len(self.a_vals) - 1)
         tau = t - self.t_pts[i]
         v0, a = self.v_pts[i], self.a_vals[i]
         s = np.minimum(self.s_pts[i] + v0 * tau + 0.5 * a * tau * tau, self.total_length)
-        v = v0 + a * tau
-        if np.ndim(t) == 0:
-            return float(s), float(v), float(a)
-        return s, v, a
+        return s, v0 + a * tau, a
 
 
 def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> SpeedProfile:
@@ -376,23 +370,13 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
 
 @dataclass(frozen=True)
 class DesiredSample:
-    """The reference at one time, or at n times with a leading axis of n on
-    every field; ``sample[k]`` is the k-th time's sample."""
+    """The reference at n times: row k of every field is the k-th time's."""
 
-    position: np.ndarray       # ground frame, z from the surface
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    segment_index: int
-    phase: str                 # ACC | DEC | CV
-
-    def __getitem__(self, k: int) -> "DesiredSample":
-        return DesiredSample(
-            position=self.position[k],
-            velocity=self.velocity[k],
-            acceleration=self.acceleration[k],
-            segment_index=int(self.segment_index[k]),
-            phase=str(self.phase[k]),
-        )
+    position: np.ndarray       # (n, 3) ground frame, z from the surface
+    velocity: np.ndarray       # (n, 3)
+    acceleration: np.ndarray   # (n, 3)
+    segment_index: np.ndarray  # (n,) int
+    phase: np.ndarray          # (n,) str: ACC | DEC | CV
 
 
 class DesiredTrajectory:
@@ -415,12 +399,11 @@ class DesiredTrajectory:
     def duration(self) -> float:
         return self.profile.duration
 
-    def sample(self, t) -> DesiredSample:
-        """The reference at time t, a float, or at each time of a 1-D array."""
-        ts = np.asarray(t, dtype=float)
-        if ts.ndim > 1:
-            raise ValueError("times must be a float or a 1-D array")
-        s, v, v_dot = self.profile.sample(np.atleast_1d(ts))
+    def sample(self, t: np.ndarray) -> DesiredSample:
+        """The reference at each time of a 1-D array."""
+        if np.ndim(t) != 1:
+            raise ValueError("times must be a 1-D array")
+        s, v, v_dot = self.profile.sample(t)
         idx, local = self.geometry.locate(s)
         p = np.empty((len(s), 2))
         tangent = np.empty((len(s), 2))
@@ -440,14 +423,13 @@ class DesiredTrajectory:
         jet = self.surface.eval(p[:, 0], p[:, 1])
         z_dot, z_ddot = surface_lift(jet, x_dot, y_dot, x_ddot, y_ddot)
 
-        out = DesiredSample(
+        return DesiredSample(
             position=np.column_stack([p[:, 0], p[:, 1], jet[0]]),
             velocity=np.column_stack([x_dot, y_dot, z_dot]),
             acceleration=np.column_stack([x_ddot, y_ddot, z_ddot]),
             segment_index=idx,
             phase=np.where(v_dot > 1e-12, "ACC", np.where(v_dot < -1e-12, "DEC", "CV")),
         )
-        return out if ts.ndim else out[0]
 
 
 TRAJECTORY_COLUMNS = "t_s,xd_m,yd_m,zd_m,vxd,vyd,vzd,axd,ayd,azd,segment_id,phase"

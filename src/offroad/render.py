@@ -42,7 +42,8 @@ class SvgScene:
         self.height = span_y * self.scale
         self.elements: list[str] = []
 
-    def to_px(self, x: float, y: float) -> tuple[float, float]:
+    def to_px(self, x, y):
+        """Pixel coordinates of world points, floats or arrays."""
         return ((x - self.x_min) * self.scale,
                 (self.y_max - y) * self.scale)  # SVG y axis points down
 
@@ -52,9 +53,9 @@ class SvgScene:
             f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(w * self.scale)}" '
             f'height="{_fmt(h * self.scale)}" fill="{color}"/>')
 
-    def polyline(self, points, color, width=2.0, dashed=False):
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                       for px, py in (self.to_px(x, y) for x, y in points))
+    def polyline(self, xs: np.ndarray, ys: np.ndarray, color, width=2.0, dashed=False):
+        px, py = self.to_px(xs, ys)
+        pts = " ".join(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist()))
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -88,17 +89,14 @@ def _elevation_layers(scene: SvgScene, grid: ElevationGrid) -> None:
     else:
         bins = np.minimum((h - lo) / span * n_colors, n_colors - 1).astype(int)
     cell = grid.cell_size
-    for row in range(grid.n_rows):
-        y = grid.origin[1] + (grid.n_rows - 1 - row) * cell - cell / 2
-        col = 0
-        while col < grid.n_cols:
-            run = col
-            b = bins[row, col]
-            while run + 1 < grid.n_cols and bins[row, run + 1] == b:
-                run += 1
-            x = grid.origin[0] + col * cell - cell / 2
-            scene.rect(x, y, (run - col + 1) * cell, cell, ELEVATION_COLORS[b])
-            col = run + 1
+    # one rect per run of equal bins along a row: a run starts where the bin
+    # changes (every row starts one) and lasts until the next run starts
+    rows, cols = np.nonzero(np.diff(bins, axis=1, prepend=-1))
+    runs = np.diff(rows * grid.n_cols + cols, append=bins.size)
+    for row, col, run, b in zip(rows.tolist(), cols.tolist(), runs.tolist(),
+                                bins[rows, cols].tolist()):
+        x, y = grid.node_position(row, col)
+        scene.rect(x - cell / 2, y - cell / 2, run * cell, cell, ELEVATION_COLORS[b])
 
 
 def _obstacle_layer(scene: SvgScene, grid: ElevationGrid) -> None:
@@ -107,9 +105,8 @@ def _obstacle_layer(scene: SvgScene, grid: ElevationGrid) -> None:
     mask = build_obstacle_mask(grid, steep_limit=DRY_SLOPE_LIMIT)
     cell = grid.cell_size
     for row, col in zip(*np.nonzero(mask.blocked)):
-        x = grid.origin[0] + col * cell - cell / 2
-        y = grid.origin[1] + (grid.n_rows - 1 - row) * cell - cell / 2
-        scene.rect(x, y, cell, cell, OBSTACLE_COLOR)
+        x, y = grid.node_position(row, col)
+        scene.rect(x - cell / 2, y - cell / 2, cell, cell, OBSTACLE_COLOR)
 
 
 def _check_extent(grid: ElevationGrid, xs, ys, layer: str) -> None:
@@ -150,16 +147,16 @@ def render_scene(
                 raise RenderError(
                     f"route extent is inconsistent with the grid extent: "
                     f"node ({r}, {c}) outside a {grid.n_rows}x{grid.n_cols} grid")
-        pts = [grid.node_position(r, c) for r, c in route.waypoints]
-        scene.polyline(pts, ROUTE_COLOR, width=2.5)
+        scene.polyline(*grid.node_position(*np.array(route.waypoints).T),
+                       ROUTE_COLOR, width=2.5)
         scene.text(8, legend_y, "route", ROUTE_COLOR)
         legend_y += 16
 
     if log is not None and len(log["x"]) > 0:
         _check_extent(grid, log["xd"], log["yd"], "desired trajectory")
         _check_extent(grid, log["x"], log["y"], "actual trajectory")
-        scene.polyline(list(zip(log["xd"], log["yd"])), DESIRED_COLOR, width=1.5, dashed=True)
-        scene.polyline(list(zip(log["x"], log["y"])), ACTUAL_COLOR, width=1.5)
+        scene.polyline(log["xd"], log["yd"], DESIRED_COLOR, width=1.5, dashed=True)
+        scene.polyline(log["x"], log["y"], ACTUAL_COLOR, width=1.5)
         scene.text(8, legend_y, "desired (dashed)", DESIRED_COLOR)
         legend_y += 16
         scene.text(8, legend_y, "actual (solid)", ACTUAL_COLOR)

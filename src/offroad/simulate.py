@@ -101,10 +101,10 @@ def aligned_initial_state(
     the reference planar velocity; speed is the full reference speed, which
     makes the 3-D velocities equal because both are surface tangent.
     """
-    sample = trajectory.sample(0.0)
-    x, y = float(sample.position[0]), float(sample.position[1])
-    vx, vy = float(sample.velocity[0]), float(sample.velocity[1])
-    speed = float(np.linalg.norm(sample.velocity))
+    sample = trajectory.sample(np.zeros(1))
+    x, y, _ = sample.position[0].tolist()
+    vx, vy, _ = sample.velocity[0].tolist()
+    speed = float(np.linalg.norm(sample.velocity[0]))
 
     if math.hypot(vx, vy) < 1e-12:
         heading = 0.0

@@ -69,7 +69,8 @@ class ElevationGrid:
     def y_axis(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.n_rows) * self.cell_size
 
-    def node_position(self, row: int, col: int) -> tuple[float, float]:
+    def node_position(self, row, col):
+        """Planar (x, y) of a node, or of each node of row and col arrays."""
         return (
             self.origin[0] + col * self.cell_size,
             self.origin[1] + (self.n_rows - 1 - row) * self.cell_size,
@@ -80,6 +81,12 @@ class ElevationGrid:
 
     def in_bounds(self, row: int, col: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.n_cols
+
+    @cached_property
+    def hop_runs(self) -> tuple[float, float, float, float]:
+        """Planar length of a hop along each forward offset
+        NEIGHBOR_OFFSETS[:4]; offset k + 4 has the length of offset k."""
+        return tuple(self.cell_size * math.hypot(dr, dc) for dr, dc in NEIGHBOR_OFFSETS[:4])
 
     @cached_property
     def neighbor_slopes(self) -> np.ndarray:
@@ -96,8 +103,7 @@ class ElevationGrid:
         h = self.heights
         h.flags.writeable = False
         out = np.full((4, self.n_rows, self.n_cols), np.nan)
-        for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
-            run = self.cell_size * math.hypot(dr, dc)
+        for k, ((dr, dc), run) in enumerate(zip(NEIGHBOR_OFFSETS[:4], self.hop_runs)):
             src, dst = neighbor_slices(h.shape, dr, dc)
             out[(k,) + src] = np.abs(h[dst] - h[src]) / run
         out.flags.writeable = False

@@ -52,7 +52,7 @@ def time_at_arc_length(profile, s):
     time parametrization is never used.
     """
     def gap(t):
-        return profile.sample(t)[0] - s
+        return profile.sample(np.array([t]))[0][0] - s
 
     if gap(0.0) >= 0.0:
         return 0.0
@@ -71,13 +71,13 @@ def time_at_arc_length(profile, s):
 
 def path_point(geometry, s):
     """The point of a PathGeometry at global arc length s."""
-    idx, local = geometry.locate(s)
+    (idx,), (local,) = geometry.locate(np.array([s]))
     return geometry.segments[idx].point_at(local)
 
 
 def path_tangent(geometry, s):
     """The unit tangent of a PathGeometry at global arc length s."""
-    idx, local = geometry.locate(s)
+    (idx,), (local,) = geometry.locate(np.array([s]))
     return geometry.segments[idx].tangent_at(local)
 
 

@@ -377,9 +377,9 @@ def test_criterion_8_geometry_oracle():
             s_lo = geometry.breakpoints[seg_idx]
             s_hi = geometry.breakpoints[seg_idx + 1]
             span = (profile.s_pts >= s_lo - 1e-9) & (profile.s_pts <= s_hi + 1e-9)
-            v_max = max(profile.v_pts[span].max(initial=0.0),
-                        abs(profile.sample(time_at_arc_length(profile, s_lo))[1]),
-                        abs(profile.sample(time_at_arc_length(profile, s_hi))[1]))
+            _, v_ends, _ = profile.sample(np.array([time_at_arc_length(profile, s_lo),
+                                                    time_at_arc_length(profile, s_hi)]))
+            v_max = max(profile.v_pts[span].max(initial=0.0), *np.abs(v_ends))
             assert v_max / seg.radius <= config.max_yaw_rate + 1e-12
 
         # Gauss quadrature of the finite-difference speed reproduces length

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from offroad.cli import (
 )
 from offroad.config import ConfigError, load_run_config
 from offroad.global_route import read_route_csv
+from offroad.render import SvgScene
 from offroad.simulate import LOG_COLUMNS
 from offroad.terrain import ElevationGrid
 
@@ -575,6 +577,22 @@ def test_route_slope_limit_must_be_positive_and_finite(tmp_path, capsys, value):
     assert not (tmp_path / "route.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--start", "3,x", "--start: expected integers, got '3,x'"),
+    ("--goal", "3", "--goal: expected 'row,col', got '3'"),
+])
+def test_route_malformed_node_names_the_flag(tmp_path, capsys, flag, value, message):
+    # the flags go through the config's row,col parser, so the message names
+    # the flag as a config message names its key
+    grid_path = write_fixture_grid(tmp_path, ridge_grid())
+    nodes = {"--start": "6,3", "--goal": "0,3", flag: value}
+    code = main(["route", "--grid", str(grid_path), "--start", nodes["--start"],
+                 "--goal", nodes["--goal"], "--out", str(tmp_path / "route.csv")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "route.csv").exists()
+
+
 ROUTE_ARGS = ["route", "--grid", "g.csv", "--start", "0,0", "--goal", "1,1"]
 
 
@@ -754,6 +772,63 @@ def test_render_with_log_traces(tmp_path):
     assert "stroke-dasharray" in content       # desired trace dashed
     assert "desired (dashed)" in content
     assert "actual (solid)" in content
+
+
+def test_render_polyline_points_format_each_point(tmp_path):
+    # the traces are formatted from whole arrays; each point must read as
+    # the per-point "{:.3f}" formatting of SvgScene.to_px: grid corners, the
+    # padding beyond the edge, and points between nodes
+    grid = ridge_grid()   # 7x7 nodes, 10 m cells, origin (0, 0)
+    grid_path = write_fixture_grid(tmp_path, grid)
+    route_path = tmp_path / "route.csv"
+    assert main(["route", "--grid", str(grid_path), "--start", "6,0", "--goal", "0,6",
+                 "--weather", "dry", "--out", str(route_path)]) == EXIT_OK
+    xs = [0.0, 60.0, 60.0, 12.345678, 33.3333333333, -4.99, 0.0005, 59.9995]
+    ys = [0.0, 60.0, 0.0, 37.5, 5.55, 64.99, 29.9995, 0.0015]
+    rows = np.zeros((len(xs), len(LOG_COLUMNS.split(","))))
+    names = LOG_COLUMNS.split(",")
+    rows[:, names.index("x")] = xs
+    rows[:, names.index("y")] = ys
+    rows[:, names.index("xd")] = ys     # the desired trace runs mirrored
+    rows[:, names.index("yd")] = xs
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(LOG_COLUMNS + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    out = tmp_path / "scene.svg"
+    assert main(["render", "--grid", str(grid_path), "--route", str(route_path),
+                 "--log", str(log_path), "--out", str(out)]) == EXIT_OK
+    drawn = re.findall(r'<polyline points="([^"]*)"', out.read_text())
+
+    scene = SvgScene(-5.0, 65.0, -5.0, 65.0)
+
+    def expected(points):
+        return " ".join(f"{px:.3f},{py:.3f}"
+                        for px, py in (scene.to_px(x, y) for x, y in points))
+
+    route = [grid.node_position(r, c) for r, c in read_route_csv(str(route_path)).waypoints]
+    assert len(route) > 2
+    assert drawn == [expected(route), expected(zip(ys, xs)), expected(zip(xs, ys))]
+    assert drawn[2].startswith("57.143,742.857 742.857,57.143 742.857,742.857 ")
+
+
+def test_render_elevation_rects_one_per_run(tmp_path):
+    # each row of the shading is one rect per run of equal elevation bins,
+    # drawn before the obstacle overlay: 5 columns of 1 m at 160 px each
+    heights = np.array([[0.0, 0.0, 9.0, 9.0, 0.0],
+                        [9.0, 9.0, 9.0, 9.0, 9.0],
+                        [0.0, 9.0, 0.0, 9.0, 0.0]])
+    grid = ElevationGrid(n_cols=5, n_rows=3, cell_size=1.0, origin=(0.0, 0.0),
+                         heights=heights)
+    grid_path = write_fixture_grid(tmp_path, grid)
+    out = tmp_path / "scene.svg"
+    assert main(["render", "--grid", str(grid_path), "--out", str(out)]) == EXIT_OK
+    rects = re.findall(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" '
+                       r'height="160.000" fill="([^"]*)"/>', out.read_text())
+    low, high = "#f1eadb", "#35503d"
+    runs = [(0, 0, 2, low), (0, 2, 2, high), (0, 4, 1, low), (1, 0, 5, high)]
+    runs += [(2, c, 1, high if c % 2 else low) for c in range(5)]
+    assert rects[:len(runs)] == [(f"{160 * c:.3f}", f"{160 * r:.3f}", f"{160 * w:.3f}", fill)
+                                 for r, c, w, fill in runs]
 
 
 def test_render_log_with_non_numeric_cell_names_line(tmp_path, capsys):

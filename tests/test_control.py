@@ -153,14 +153,14 @@ def test_control_step_arc_feedforward():
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
     s_mid = (geom.breakpoints[1] + geom.breakpoints[2]) / 2
     t_mid = time_at_arc_length(traj.profile, s_mid)
-    sample = traj.sample(t_mid)
+    sample = traj.sample(np.array([t_mid]))
     ref = sampled_row(traj, t_mid)
-    tangent = sample.velocity[:2] / np.linalg.norm(sample.velocity[:2])
-    state = VehicleState(x=sample.position[0], y=sample.position[1],
+    tangent = sample.velocity[0, :2] / np.linalg.norm(sample.velocity[0, :2])
+    state = VehicleState(x=sample.position[0, 0], y=sample.position[0, 1],
                          psi=math.atan2(tangent[1], tangent[0]),
                          speed=2.0, steer=0.0)
     (a_t, gamma), _ = step(surf, state, ref)
-    assert np.linalg.norm(sample.acceleration[:2]) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(sample.acceleration[0, :2]) == pytest.approx(1.0, abs=1e-9)
     assert abs(a_t) < 1e-9
     assert state.speed * abs(gamma) == pytest.approx(1.0, abs=1e-9)
 

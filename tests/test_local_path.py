@@ -150,7 +150,7 @@ def test_line_points_stay_between_the_endpoints():
     # a grid whose extent begins at 0
     wpts = [(6.0, 8.0), (6.0, 26.0), (4.0, 28.0), (2.0, 30.0), (2.0, 36.0), (0.0, 38.0)]
     geom = plan_geometry(wpts, rho=3.0)
-    idx, local = geom.locate(geom.total_length)
+    (idx,), (local,) = geom.locate(np.array([geom.total_length]))
     assert idx == len(geom.segments) - 1 and local <= geom.segments[-1].length
     assert path_point(geom, geom.total_length).tolist() == [0.0, 38.0]
     # no point of a line between grid nodes rounds past either endpoint
@@ -181,13 +181,12 @@ def test_profile_all_line_ramps_from_rest():
     cfg = base_config(initial_speed=None)
     prof = build_speed_profile(geom, cfg)
     # ramp 0 -> 2 over v^2/(2a) = 2 m, then constant
-    s, v, a = prof.sample(0.0)
-    assert (s, v) == (0.0, 0.0)
-    assert a == pytest.approx(1.0)
     t_ramp = 2.0 / 1.0
-    s, v, a = prof.sample(t_ramp + 1.0)
-    assert v == pytest.approx(2.0)
-    assert a == 0.0
+    s, v, a = prof.sample(np.array([0.0, t_ramp + 1.0]))
+    assert (s[0], v[0]) == (0.0, 0.0)
+    assert a[0] == pytest.approx(1.0)
+    assert v[1] == pytest.approx(2.0)
+    assert a[1] == 0.0
 
 
 def test_profile_case_study_constant_speed():
@@ -195,10 +194,9 @@ def test_profile_case_study_constant_speed():
     cfg = base_config()  # v0 = 2, turn command min(2, 4) = 2
     prof = build_speed_profile(geom, cfg)
     assert prof.duration == pytest.approx(geom.total_length / 2.0, abs=1e-9)
-    for t in np.linspace(0, prof.duration, 50):
-        _, v, a = prof.sample(t)
-        assert v == pytest.approx(2.0, abs=1e-12)
-        assert a == 0.0
+    _, v, a = prof.sample(np.linspace(0, prof.duration, 50))
+    assert v == pytest.approx(np.full(50, 2.0), abs=1e-12)
+    assert (a == 0.0).all()
 
 
 def test_profile_slows_for_infeasible_turn():
@@ -208,19 +206,16 @@ def test_profile_slows_for_infeasible_turn():
     arc_start = geom.breakpoints[1]
     arc_end = geom.breakpoints[2]
     t_entry = time_at_arc_length(prof, arc_start)
-    _, v_entry, _ = prof.sample(t_entry)
-    assert v_entry == pytest.approx(4.0, abs=1e-9)   # rho * max_yaw_rate
-    # decelerating immediately before the arc, accelerating after it
-    _, _, a_before = prof.sample(t_entry - 0.05)
-    assert a_before == pytest.approx(-1.0)
     t_exit = time_at_arc_length(prof, arc_end)
-    _, _, a_after = prof.sample(t_exit + 0.05)
-    assert a_after == pytest.approx(1.0)
+    _, v, a = prof.sample(np.array([t_entry, t_entry - 0.05, t_exit + 0.05]))
+    assert v[0] == pytest.approx(4.0, abs=1e-9)   # rho * max_yaw_rate
+    # decelerating immediately before the arc, accelerating after it
+    assert a[1] == pytest.approx(-1.0)
+    assert a[2] == pytest.approx(1.0)
     # within the arc the yaw-rate bound holds
-    for t in np.linspace(t_entry, t_exit, 25):
-        s, v, _ = prof.sample(t)
-        if arc_start + 1e-6 < s < arc_end - 1e-6:
-            assert v / 4.0 <= 1.0 + 1e-12
+    s, v, _ = prof.sample(np.linspace(t_entry, t_exit, 25))
+    inside = (arc_start + 1e-6 < s) & (s < arc_end - 1e-6)
+    assert (v[inside] / 4.0 <= 1.0 + 1e-12).all()
 
 
 def test_profile_piece_times_match_root_finding():
@@ -252,15 +247,15 @@ def case_study_trajectory():
 
 def test_sample_at_zero_is_first_waypoint():
     traj = case_study_trajectory()
-    sample = traj.sample(0.0)
-    pos, vel = sample.position, sample.velocity
+    sample = traj.sample(np.zeros(1))
+    pos, vel = sample.position[0], sample.velocity[0]
     assert np.allclose(pos[:2], TURN_WPTS[0], atol=1e-12)
     assert np.linalg.norm(vel[:2]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sample_mid_line_zero_planar_accel():
     traj = case_study_trajectory()
-    acc = traj.sample(1.0).acceleration  # s = 2 m, inside the first leg
+    acc = traj.sample(np.array([1.0])).acceleration[0]  # s = 2 m, inside the first leg
     assert np.linalg.norm(acc[:2]) < 1e-12
 
 
@@ -268,12 +263,12 @@ def test_sample_mid_arc_centripetal():
     traj = case_study_trajectory()
     arc_mid_s = (traj.geometry.breakpoints[1] + traj.geometry.breakpoints[2]) / 2
     t = time_at_arc_length(traj.profile, arc_mid_s)
-    sample = traj.sample(t)
-    acc_planar = sample.acceleration[:2]
+    sample = traj.sample(np.array([t]))
+    acc_planar = sample.acceleration[0, :2]
     assert np.linalg.norm(acc_planar) == pytest.approx(2.0 ** 2 / 4.0, abs=1e-9)
     # directed toward the arc center
     arc = traj.geometry.segments[1]
-    to_center = arc.center - sample.position[:2]
+    to_center = arc.center - sample.position[0, :2]
     to_center /= np.linalg.norm(to_center)
     assert np.allclose(acc_planar / np.linalg.norm(acc_planar), to_center, atol=1e-9)
 
@@ -281,9 +276,9 @@ def test_sample_mid_arc_centripetal():
 def test_sample_velocity_magnitude_tracks_profile():
     traj = case_study_trajectory()
     for t in np.linspace(0, traj.duration, 29):
-        s = traj.sample(t)
-        _, v, _ = traj.profile.sample(t)
-        assert np.linalg.norm(s.velocity[:2]) == pytest.approx(v, abs=1e-9)
+        s = traj.sample(np.array([t]))
+        _, v, _ = traj.profile.sample(np.array([t]))
+        assert np.linalg.norm(s.velocity[0, :2]) == pytest.approx(v[0], abs=1e-9)
 
 
 def test_sample_derivatives_match_finite_differences():
@@ -304,10 +299,10 @@ def test_sample_derivatives_match_finite_differences():
     for t in rng.uniform(0.05, traj.duration - 0.05, size=60):
         if min(abs(t - b) for b in break_ts) < 5e-3:
             continue
-        minus, plus, mid = traj.sample(t - h), traj.sample(t + h), traj.sample(t)
-        p_minus, v_minus = minus.position, minus.velocity
-        p_plus, v_plus = plus.position, plus.velocity
-        vel, acc = mid.velocity, mid.acceleration
+        minus, plus, mid = (traj.sample(np.array([u])) for u in (t - h, t + h, t))
+        p_minus, v_minus = minus.position[0], minus.velocity[0]
+        p_plus, v_plus = plus.position[0], plus.velocity[0]
+        vel, acc = mid.velocity[0], mid.acceleration[0]
         fd_vel = (p_plus - p_minus) / (2 * h)
         fd_acc = (v_plus - v_minus) / (2 * h)
         assert np.max(np.abs(vel - fd_vel)) < 1e-5
@@ -319,17 +314,24 @@ def test_sample_derivatives_match_finite_differences():
 def test_sample_z_on_surface():
     traj = case_study_trajectory()
     for t in np.linspace(0, traj.duration, 13):
-        s = traj.sample(t)
-        assert s.position[2] == pytest.approx(
-            traj.surface.eval(s.position[0], s.position[1])[0], abs=1e-12)
+        (pos,) = traj.sample(np.array([t])).position
+        assert pos[2] == pytest.approx(traj.surface.eval(pos[0], pos[1])[0], abs=1e-12)
 
 
 def test_sample_out_of_range():
     traj = case_study_trajectory()
-    with pytest.raises(ValueError):
-        traj.sample(-0.5)
-    with pytest.raises(ValueError):
-        traj.sample(traj.duration + 1.0)
+    with pytest.raises(ValueError, match="time -0.5"):
+        traj.sample(np.array([-0.5]))
+    with pytest.raises(ValueError, match="outside"):
+        traj.sample(np.array([traj.duration + 1.0]))
+
+
+def test_sample_rejects_a_0d_time():
+    # the reference is sampled on arrays only; a bare time is a caller error
+    traj = case_study_trajectory()
+    for t in (0.0, np.float64(1.0), np.array(1.0)):
+        with pytest.raises(ValueError, match="1-D array"):
+            traj.sample(t)
 
 
 def test_trajectory_csv_export(tmp_path):
@@ -363,12 +365,11 @@ def test_batch_sample_rows_equal_scalar_samples_bit_for_bit():
     batch = traj.sample(ts)
     assert batch.position.shape == batch.velocity.shape == batch.acceleration.shape == (len(ts), 3)
     for k, t in enumerate(ts):
-        one = traj.sample(float(t))
-        row = batch[k]
+        one = traj.sample(np.array([t]))
         for name in ("position", "velocity", "acceleration"):
-            assert getattr(row, name).tobytes() == getattr(one, name).tobytes(), (t, name)
-        assert row.segment_index == one.segment_index
-        assert row.phase == one.phase
+            assert getattr(batch, name)[k].tobytes() == getattr(one, name)[0].tobytes(), (t, name)
+        assert batch.segment_index[k] == one.segment_index[0]
+        assert batch.phase[k] == one.phase[0]
     assert set(batch.phase) == {"ACC", "CV"}
     assert set(batch.segment_index) == set(range(len(traj.geometry.segments)))
 

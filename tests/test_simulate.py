@@ -72,7 +72,7 @@ def test_aligned_initial_state_matches_reference_velocity():
     traj = case_study_trajectory(surf)
     state = aligned_initial_state(traj, surf)
     v = np.array(frame_and_motion(surf, *state, FREE)[15:18])
-    ref = traj.sample(0.0).velocity
+    ref = traj.sample(np.zeros(1)).velocity[0]
     assert np.max(np.abs(v - ref)) < 1e-9
 
 
