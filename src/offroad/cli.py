@@ -112,13 +112,13 @@ def cmd_simulate(args) -> int:
         grid = load_elevation_grid(config.grid_path)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    surface = SurfaceModel(grid)
 
     waypoints = config.waypoints
     if waypoints is not None:
-        outside = [p for p in waypoints if not surface.contains(*p)]
+        x_min, x_max, y_min, y_max = grid.bounds
+        outside = [(x, y) for x, y in waypoints
+                   if not (x_min <= x <= x_max and y_min <= y <= y_max)]
         if outside:
-            x_min, x_max, y_min, y_max = surface.bounds
             return _fail(f"path.waypoints: {outside[0]} lies outside the grid extent "
                          f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]")
     else:
@@ -138,6 +138,8 @@ def cmd_simulate(args) -> int:
             return EXIT_UNREACHABLE
         waypoints = gr.route_planar_waypoints(route, grid)
 
+    # built after the route, whose tables plan_route has freed on return
+    surface = SurfaceModel(grid)
     try:
         geometry = plan_geometry(waypoints, rho=config.trajectory.turn_radius)
         profile = build_speed_profile(geometry, config.trajectory)

@@ -110,13 +110,14 @@ def _obstacle_layer(scene: SvgScene, grid: ElevationGrid) -> None:
 
 
 def _check_extent(grid: ElevationGrid, xs, ys, layer: str) -> None:
+    # NaN passes every comparison below: min and max of an array holding one
+    # are NaN
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise RenderError(f"{layer} has non-finite coordinates")
     pad = grid.cell_size
-    x_lo = grid.origin[0] - pad
-    x_hi = grid.origin[0] + (grid.n_cols - 1) * grid.cell_size + pad
-    y_lo = grid.origin[1] - pad
-    y_hi = grid.origin[1] + (grid.n_rows - 1) * grid.cell_size + pad
-    if (np.min(xs) < x_lo or np.max(xs) > x_hi
-            or np.min(ys) < y_lo or np.max(ys) > y_hi):
+    x_min, x_max, y_min, y_max = grid.bounds
+    if (np.min(xs) < x_min - pad or np.max(xs) > x_max + pad
+            or np.min(ys) < y_min - pad or np.max(ys) > y_max + pad):
         raise RenderError(f"{layer} extent is inconsistent with the grid extent")
 
 
@@ -130,12 +131,9 @@ def render_scene(
     trajectory layers into one SVG file.  ``log`` holds simulation log
     columns by their CSV header name; the desired (xd, yd) and actual (x, y)
     traces are drawn."""
-    cell = grid.cell_size
-    x_min = grid.origin[0] - cell / 2
-    x_max = grid.origin[0] + (grid.n_cols - 1) * cell + cell / 2
-    y_min = grid.origin[1] - cell / 2
-    y_max = grid.origin[1] + (grid.n_rows - 1) * cell + cell / 2
-    scene = SvgScene(x_min, x_max, y_min, y_max)
+    half = grid.cell_size / 2
+    x_min, x_max, y_min, y_max = grid.bounds
+    scene = SvgScene(x_min - half, x_max + half, y_min - half, y_max + half)
 
     _elevation_layers(scene, grid)
     _obstacle_layer(scene, grid)

@@ -69,6 +69,12 @@ class ElevationGrid:
     def y_axis(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.n_rows) * self.cell_size
 
+    @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of the node positions."""
+        xs, ys = self.x_axis, self.y_axis
+        return float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
+
     def node_position(self, row, col):
         """Planar (x, y) of a node, or of each node of row and col arrays."""
         return (
@@ -144,11 +150,12 @@ class SurfaceModel:
     grid rows at once (``_not_a_knot_coeffs``).  The y-pass is solved per
     x-cell column, on the first query that lands in the column, because a
     car crosses few of them: the column's x-spline coefficients are splined
-    along y and stored in its slot of the per-cell bicubic coefficient
-    tensor, bit for bit the one scipy's ``CubicSpline`` gives.  Each cell
-    also keeps the constant multiples its jet needs, so a query returns f and
-    all partials to second order by Horner evaluation on the cell's flat
-    28-float record (see ``_bicubic_jet``).
+    along y into the bicubic coefficients of its cells, bit for bit the ones
+    scipy's ``CubicSpline`` gives.  Records are kept for the built columns
+    only, so the memory grows with the columns a run crosses, not with the
+    grid.  Each cell also keeps the constant multiples its jet needs, so a
+    query returns f and all partials to second order by Horner evaluation on
+    the cell's flat 28-float record (see ``_bicubic_jet``).
     """
 
     def __init__(self, grid: ElevationGrid):
@@ -160,19 +167,17 @@ class SurfaceModel:
         # c shape (4, nx-1, ny): the x-splines through every grid row
         self._cx = _not_a_knot_coeffs(xs, values)
         nx_cells, ny_cells = grid.n_cols - 1, grid.n_rows - 1
-        # one flat jet record per cell, filled a column at a time; pages of
-        # columns no query reaches are never written
-        self._cells = np.empty((nx_cells, ny_cells, 28))
-        # coeffs[i, j, p, q] multiplies (x - xs[i])**p * (y - ys[j])**q: a
-        # view of the first 16 floats of each cell's record
-        self._coeffs = self._cells[:, :, :16].reshape(nx_cells, ny_cells, 4, 4)
-        self._built = np.zeros(nx_cells, dtype=bool)
+        # the records of built x-cell column i are _records[_slot[i]], one
+        # flat jet record per cell; -1 marks a column not built yet.  Only
+        # the first _n_built slots hold records: the array doubles as it fills
+        self._slot = np.full(nx_cells, -1)
+        self._records = np.empty((0, ny_cells, 28))
+        self._n_built = 0
         self._xs = xs
         self._ys = ys
         self._x_nodes = xs.tolist()
         self._y_nodes = ys.tolist()
-        self._x_min, self._x_max = float(xs[0]), float(xs[-1])
-        self._y_min, self._y_max = float(ys[0]), float(ys[-1])
+        self._x_min, self._x_max, self._y_min, self._y_max = grid.bounds
         self._inv_cell = 1.0 / grid.cell_size
         self._nx_last = nx_cells - 1
         self._ny_last = ny_cells - 1
@@ -180,24 +185,27 @@ class SurfaceModel:
         self._cj = -1
         self._cell = None
 
-    def _build_column(self, i: int) -> None:
-        """Spline x-cell column i's x-coefficients along y into its cells."""
-        # c shape (4, ny-1, 4): c[3 - q, j, 3 - p] multiplies u**p v**q
-        c = _not_a_knot_coeffs(self._ys, self._cx[:, i, :].T)
-        coeffs = self._coeffs[i]
-        coeffs[...] = np.transpose(c[::-1, :, ::-1], (1, 2, 0))
-        cells = self._cells[i]
-        cells[:, 16:20] = 2.0 * coeffs[:, :, 2]
-        cells[:, 20:24] = 3.0 * coeffs[:, :, 3]
-        cells[:, 24:28] = 6.0 * coeffs[:, :, 3]
-        self._built[i] = True
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (self._x_min, self._x_max, self._y_min, self._y_max)
-
-    def contains(self, x: float, y: float) -> bool:
-        return self._x_min <= x <= self._x_max and self._y_min <= y <= self._y_max
+    def _build_columns(self, columns: list[int]) -> None:
+        """Spline each x-cell column's x-coefficients along y into the next
+        free slot of the records."""
+        n = self._n_built + len(columns)
+        if n > len(self._records):
+            grown = np.empty((max(n, 2 * len(self._records)),) + self._records.shape[1:])
+            grown[:self._n_built] = self._records[:self._n_built]
+            self._records = grown
+        for slot, i in enumerate(columns, start=self._n_built):
+            # c shape (4, ny-1, 4): c[3 - q, j, 3 - p] multiplies u**p v**q
+            c = _not_a_knot_coeffs(self._ys, self._cx[:, i, :].T)
+            records = self._records[slot]
+            # coeffs[j, p, q] multiplies (x - xs[i])**p * (y - ys[j])**q: a
+            # view of the first 16 floats of each cell's record
+            coeffs = records[:, :16].reshape(-1, 4, 4)
+            coeffs[...] = np.transpose(c[::-1, :, ::-1], (1, 2, 0))
+            records[:, 16:20] = 2.0 * coeffs[:, :, 2]
+            records[:, 20:24] = 3.0 * coeffs[:, :, 3]
+            records[:, 24:28] = 6.0 * coeffs[:, :, 3]
+            self._slot[i] = slot
+        self._n_built = n
 
     def eval(self, x, y):
         """Evaluate the interpolant: returns the jet (f, f_x, f_y, f_xx, f_yy, f_xy).
@@ -217,11 +225,11 @@ class SurfaceModel:
             # a moving car queries one cell many times in a row: keep the
             # last cell's record as floats
             if i != self._ci or j != self._cj:
-                if not self._built[i]:
-                    self._build_column(i)
+                if self._slot[i] < 0:
+                    self._build_columns([i])
                 self._ci = i
                 self._cj = j
-                self._cell = self._cells[i, j].tolist()
+                self._cell = self._records[self._slot[i], j].tolist()
             return _bicubic_jet(self._cell, x - self._x_nodes[i], y - self._y_nodes[j])
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -233,10 +241,9 @@ class SurfaceModel:
         i = np.clip(((x - self._x_min) * self._inv_cell).astype(int), 0, self._nx_last)
         j = np.clip(((y - self._y_min) * self._inv_cell).astype(int), 0, self._ny_last)
         columns = np.unique(i)
-        for col in columns[~self._built[columns]].tolist():
-            self._build_column(col)
+        self._build_columns(columns[self._slot[columns] < 0].tolist())
         # (28, ...) so that c[k] is the array of record entry k
-        c = np.moveaxis(self._cells[i, j], -1, 0)
+        c = np.moveaxis(self._records[self._slot[i], j], -1, 0)
         return _bicubic_jet(c, x - self._xs[i], y - self._ys[j])
 
     def _out_of_bounds(self, x: float, y: float) -> OutOfBoundsError:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offroad import local_path, simulate
+from offroad import cli, local_path, simulate
+from offroad import global_route as gr
 from offroad.cli import (
     EXIT_CONSTRAINT,
     EXIT_INPUT,
@@ -20,7 +21,7 @@ from offroad.config import ConfigError, load_run_config
 from offroad.global_route import read_route_csv
 from offroad.render import SvgScene
 from offroad.simulate import LOG_COLUMNS
-from offroad.terrain import ElevationGrid
+from offroad.terrain import ElevationGrid, SurfaceModel
 
 from conftest import flat_grid, grid_from_function, write_grid_csv
 
@@ -292,6 +293,32 @@ dt = 0.01
     code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_OK
 
+
+
+def test_routed_run_builds_the_surface_after_the_route(tmp_path, monkeypatch):
+    # the route tables are freed before the spline allocates: SurfaceModel
+    # is called only once value_iteration has returned
+    events = []
+    solve = gr.value_iteration
+
+    def traced_solve(problem):
+        events.append("solve")
+        vf = solve(problem)
+        events.append("solved")
+        return vf
+
+    def traced_surface(grid):
+        events.append("surface")
+        return SurfaceModel(grid)
+
+    monkeypatch.setattr(gr, "value_iteration", traced_solve)
+    monkeypatch.setattr(cli, "SurfaceModel", traced_surface)
+    write_fixture_grid(tmp_path, flat_grid(n=9, cell=8.0))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[terrain]\ngrid = grid.csv\n[route]\nstart = 8,0\ngoal = 0,8\n"
+                   "[path]\nturn_radius = 3.0\ninitial_speed = 2.0\n")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    assert events == ["solve", "solved", "surface"]
 
 
 def test_routed_run_completes_under_default_limits(tmp_path, capsys):
@@ -840,6 +867,26 @@ def test_render_log_with_non_numeric_cell_names_line(tmp_path, capsys):
                  "--log", str(log_path), "--out", str(tmp_path / "scene.svg")])
     assert code == EXIT_INPUT
     assert "log.csv:3: column 4: not a number: 'oops'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, layer", [("x", "actual trajectory"),
+                                           ("y", "actual trajectory"),
+                                           ("xd", "desired trajectory"),
+                                           ("yd", "desired trajectory")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_render_rejects_non_finite_trace_coordinates(tmp_path, capsys, column, layer, value):
+    grid_path = write_fixture_grid(tmp_path, ridge_grid())
+    names = LOG_COLUMNS.split(",")
+    rows = [["10.0"] * len(names) for _ in range(3)]
+    rows[1][names.index(column)] = value
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(LOG_COLUMNS + "\n" + "".join(",".join(r) + "\n" for r in rows))
+    out = tmp_path / "scene.svg"
+    code = main(["render", "--grid", str(grid_path), "--log", str(log_path), "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and layer in err and "Traceback" not in err
+    assert not out.exists()
 
 
 ROUTE_SUMMARY = "# total_cost=1.5,total_dist_m=20.0,mean_slope_deg=0.1,max_slope_deg=0.2"

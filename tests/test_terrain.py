@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ def test_eval_on_arrays_reproduces_cubic_jet():
     surf = SurfaceModel(grid_from_function(lambda x, y: cubic_jet(x, y)[0],
                                            n_cols=12, n_rows=10, cell=1.5, origin=(-3.0, 2.0)))
     rng = np.random.default_rng(8)
-    x_min, x_max, y_min, y_max = surf.bounds
+    x_min, x_max, y_min, y_max = surf.grid.bounds
     xs = np.concatenate([[x_min, x_max, 1.5], rng.uniform(x_min, x_max, 200)])
     ys = np.concatenate([[y_min, y_max, 6.5], rng.uniform(y_min, y_max, 200)])
     jet = surf.eval(xs, ys)
@@ -370,7 +371,9 @@ def test_surface_coefficients_match_the_cubic_spline_tensor(n_rows, n_cols):
         else:
             for x, y in zip(xs.tolist(), ys.tolist()):
                 surf.eval(x, y)
-    got = surf._coeffs
+    # every column holds a slot of its own, in the order it was built
+    assert surf._slot[order].tolist() == list(range(n_cols - 1))
+    got = surf._records[surf._slot][:, :, :16].reshape(n_cols - 1, n_rows - 1, 4, 4)
     assert got.shape == want.shape == (n_cols - 1, n_rows - 1, 4, 4)
     assert got.tobytes() == want.tobytes()
 
@@ -381,7 +384,7 @@ def test_partly_built_surface_gives_the_fully_built_jets(n_rows, n_cols):
     full = SurfaceModel(grid)
     full.eval(*cell_centres(grid, np.arange(n_cols - 1)))
     rng = np.random.default_rng([n_cols, n_rows, 1])
-    x_min, x_max, y_min, y_max = full.bounds
+    x_min, x_max, y_min, y_max = full.grid.bounds
     xs = np.concatenate([[x_min, x_max, x_min], rng.uniform(x_min, x_max, 300)])
     ys = np.concatenate([[y_min, y_max, y_max], rng.uniform(y_min, y_max, 300)])
     want = np.array(full.eval(xs, ys))
@@ -390,12 +393,28 @@ def test_partly_built_surface_gives_the_fully_built_jets(n_rows, n_cols):
         # a random half of the columns is built before the probes
         some = rng.permutation(n_cols - 1)[:(n_cols - 1) // 2]
         partial.eval(*cell_centres(grid, some))
-        assert partial._built.sum() == len(some)
+        assert np.flatnonzero(partial._slot >= 0).tolist() == sorted(some.tolist())
         if path == "array":
             got = np.array(partial.eval(xs, ys))
         else:
             got = np.array([partial.eval(x, y) for x, y in zip(xs.tolist(), ys.tolist())]).T
         assert got.tobytes() == want.tobytes()
+
+
+def test_surface_keeps_records_only_for_the_columns_it_builds():
+    # a whole-grid record tensor of 200^2 nodes takes 199 * 199 * 28 floats
+    # (8.9 MB); one query builds one column of 199 records.  1.5 m cells
+    # from x = 812.25: x = 1000 lies in x-cell column 125
+    grid = random_grid(200, 200, [200, 200])
+    tracemalloc.start()
+    try:
+        surf = SurfaceModel(grid)
+        surf.eval(1000.0, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 199 * 199 * 28 * 8
+    assert np.flatnonzero(surf._slot >= 0).tolist() == [125]
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(2, 2), (2, 6), (6, 2)])
@@ -406,7 +425,7 @@ def test_two_nodes_along_an_axis_reproduce_a_plane(n_rows, n_cols):
     surf = SurfaceModel(grid_from_function(plane, n_cols=n_cols, n_rows=n_rows,
                                            cell=2.0, origin=(10.0, -4.0)))
     rng = np.random.default_rng([n_rows, n_cols])
-    x_min, x_max, y_min, y_max = surf.bounds
+    x_min, x_max, y_min, y_max = surf.grid.bounds
     xs = rng.uniform(x_min, x_max, 50)
     ys = rng.uniform(y_min, y_max, 50)
     f, fx, fy, fxx, fyy, fxy = surf.eval(xs, ys)
@@ -431,7 +450,7 @@ def test_three_nodes_along_an_axis_reproduce_a_quadratic(axis):
     surf = SurfaceModel(grid_from_function(fn, n_cols=n_cols, n_rows=n_rows,
                                            cell=1.5, origin=(-2.0, 4.0)))
     rng = np.random.default_rng(5)
-    x_min, x_max, y_min, y_max = surf.bounds
+    x_min, x_max, y_min, y_max = surf.grid.bounds
     # off-node points: nodes sit on multiples of 1.5 from the origin
     xs = x_min + 1.5 * (rng.integers(0, n_cols - 1, 40) + rng.uniform(0.05, 0.95, 40))
     ys = y_min + 1.5 * (rng.integers(0, n_rows - 1, 40) + rng.uniform(0.05, 0.95, 40))

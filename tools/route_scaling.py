@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cold `offroad route` across grid sizes, a base commit against the working tree.
+"""Cold `offroad route` and `offroad simulate` across grid sizes, a base
+commit against the working tree.
 
     python3 tools/route_scaling.py --base HEAD --out BENCH_13_route_scaling.json
 
@@ -7,19 +8,24 @@ For each size (200, 400, 800 and 1600 nodes a side by default) it writes one
 seeded grid, `RELIEF_M * perfbench.inputs.fractal_field` on 5 m cells, and
 asks for a dry route between the free nodes nearest the northwest and
 southeast corners (free: not steep under the dry limit, by perfbench's
-oracle).  Per size and side it runs, `--reps` times each:
+oracle).  It also writes a simulate config of plan-and-track's shape on the
+same grid: its `PLAN_CFG` without the mask files, a start near the centre
+and a goal `PLAN_OFFSET` (8 rows north, 16 columns east) from it.  Per size
+and side it runs, `--reps` times each:
 
 - `offroad route` in a fresh interpreter, timed from its start to its exit,
   with that process's peak RSS (`os.wait4`);
 - the same query in a fresh interpreter whose layers are wrapped in timers:
   load, mask, tables, graph (`_hop_graph`), Dijkstra, policy (the rest of
-  `value_iteration`), extract and write.
+  `value_iteration`), extract and write;
+- `offroad simulate` on the config, timed and measured as the cold route.
 
 The base side is the committed files of `--base`, extracted as
 `bench_pairs.py` does.  Up to `--jobs` processes run at once; the jobs share
 the host's cores, so compare sides, not absolute times.  The output JSON
 holds every run and, per size and side, the median cold wall time, the
-largest peak RSS and the median time of each layer.
+largest peak RSS and the median time of each layer, and the same wall time,
+peak RSS and exit codes for the cold simulate runs.
 """
 
 from __future__ import annotations
@@ -47,24 +53,38 @@ LAYERS = ("load", "mask", "tables", "graph", "dijkstra", "policy", "extract", "w
 
 
 def write_site(size: int, seed: int, directory: str) -> None:
-    """Write the seeded grid of `size` nodes a side; print the route argv,
-    without --out, as JSON.  It runs in a child (`site_argv`): Linux carries
-    a process's peak RSS over into the children it starts, so this process
-    must not grow by building a grid."""
+    """Write the seeded grid of `size` nodes a side and its simulate
+    config; print the route argv, without --out, and the simulate argv,
+    without --out-dir, as JSON.  It runs in a child (`site_argv`): Linux
+    carries a process's peak RSS over into the children it starts, so this
+    process must not grow by building a grid."""
     import numpy as np
 
     sys.path.insert(0, str(ROOT))
-    from perfbench.inputs import CELL_M, RELIEF_M, fractal_field, write_raster
+    from perfbench.inputs import (CELL_M, PLAN_CFG, PLAN_OFFSET, RELIEF_M, _clear_node,
+                                  fractal_field, write_raster)
     from perfbench.oracle import DRY_LIMIT, hop_slopes, steep_nodes
 
-    heights = RELIEF_M * fractal_field(np.random.default_rng(seed), size)
+    rng = np.random.default_rng(seed)
+    heights = RELIEF_M * fractal_field(rng, size)
     path = Path(directory) / f"grid{size}.csv"
     write_raster(str(path), heights, CELL_M, (0.0, 0.0))
-    free = np.argwhere(~steep_nodes(hop_slopes(heights, CELL_M), DRY_LIMIT))
+    steep = steep_nodes(hop_slopes(heights, CELL_M), DRY_LIMIT)
+    free = np.argwhere(~steep)
     corner = free.sum(axis=1)
     start, goal = free[corner.argmin()], free[corner.argmax()]
-    print(json.dumps(["route", "--grid", str(path), "--start", f"{start[0]},{start[1]}",
-                      "--goal", f"{goal[0]},{goal[1]}", "--weather", "dry"]))
+    route = ["route", "--grid", str(path), "--start", f"{start[0]},{start[1]}",
+             "--goal", f"{goal[0]},{goal[1]}", "--weather", "dry"]
+    mid = size // 2
+    start = _clear_node(rng, steep, (mid - 3, mid + 3), (mid - 3, mid + 3))
+    aim = (start[0] + PLAN_OFFSET[0], start[1] + PLAN_OFFSET[1])
+    goal = _clear_node(rng, steep, (aim[0] - 2, aim[0] + 3), (aim[1] - 2, aim[1] + 3))
+    text = PLAN_CFG.format(stem=path.stem, start=f"{start[0]},{start[1]}",
+                           goal=f"{goal[0]},{goal[1]}")
+    config = path.with_suffix(".cfg")
+    config.write_text("".join(line for line in text.splitlines(keepends=True)
+                              if not line.startswith(("water_mask", "foliage_mask"))))
+    print(json.dumps({"route": route, "simulate": ["simulate", "--config", str(config)]}))
 
 
 def tool_code(call: str) -> str:
@@ -72,7 +92,7 @@ def tool_code(call: str) -> str:
     return f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import route_scaling; {call}"
 
 
-def site_argv(size: int, seed: int, directory: Path) -> list[str]:
+def site_argv(size: int, seed: int, directory: Path) -> dict[str, list[str]]:
     proc = subprocess.run(
         [sys.executable, "-c", tool_code(f"route_scaling.write_site({size}, {seed}, "
                                          f"{str(directory)!r})")],
@@ -130,7 +150,11 @@ def run_child(args: list[str], out: Path) -> dict:
 def cold_run(tree: Path, argv: list[str], out: Path) -> dict:
     code = (f"import sys; sys.path.insert(0, {str(tree / 'src')!r}); "
             "from offroad.cli import main; sys.exit(main())")
-    return run_child(["-c", code, *argv, "--out", str(out.with_suffix(".csv"))], out)
+    if argv[0] == "simulate":
+        argv = [*argv, "--out-dir", str(out.with_suffix(""))]
+    else:
+        argv = [*argv, "--out", str(out.with_suffix(".csv"))]
+    return run_child(["-c", code, *argv], out)
 
 
 def layered_run(tree: Path, argv: list[str], out: Path) -> dict:
@@ -142,13 +166,16 @@ def layered_run(tree: Path, argv: list[str], out: Path) -> dict:
 
 
 def summarize(runs: dict) -> dict:
-    cold, layered = runs["cold"], runs["layered"]
+    cold, layered, simulate = runs["cold"], runs["layered"], runs["simulate"]
     return {
         "cold_s": statistics.median(r["wall_s"] for r in cold),
         "peak_rss_mb": max(r["peak_rss_mb"] for r in cold),
         "exit_codes": sorted({r["rc"] for r in cold + layered}),
         "layers_s": {layer: statistics.median(r["layers_s"][layer] for r in layered)
                      for layer in LAYERS} if all("layers_s" in r for r in layered) else None,
+        "simulate": {"cold_s": statistics.median(r["wall_s"] for r in simulate),
+                     "peak_rss_mb": max(r["peak_rss_mb"] for r in simulate),
+                     "exit_codes": sorted({r["rc"] for r in simulate})},
     }
 
 
@@ -159,7 +186,7 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--out", required=True, help="BENCH_<n>_route_scaling.json to write")
+    parser.add_argument("--out", required=True, help="BENCH_<n>_scaling.json to write")
     args = parser.parse_args()
 
     base_sha = git("rev-parse", args.base)
@@ -181,14 +208,17 @@ def main() -> None:
         tasks = []
         for size in args.sizes:
             argv = site_argv(size, args.seed, tmp)
-            report["sizes"][size] = {"argv": argv[1:]}
+            report["sizes"][size] = {"argv": argv["route"][1:],
+                                     "simulate_argv": argv["simulate"][1:]}
             # base and change of one size and kind run next to each other
             for rep in range(args.reps):
-                for kind, run in (("cold", cold_run), ("layered", layered_run)):
+                for kind, run, command in (("cold", cold_run, "route"),
+                                           ("layered", layered_run, "route"),
+                                           ("simulate", cold_run, "simulate")):
                     for side, tree in trees.items():
                         out = tmp / f"{size}-{side}-{kind}-{rep}.out"
-                        tasks.append((size, side, kind, run, tree, argv, out))
-        runs = {(size, side): {"cold": [], "layered": []}
+                        tasks.append((size, side, kind, run, tree, argv[command], out))
+        runs = {(size, side): {"cold": [], "layered": [], "simulate": []}
                 for size in args.sizes for side in trees}
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [(task, pool.submit(task[3], *task[4:])) for task in tasks]
