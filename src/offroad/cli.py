@@ -1,6 +1,12 @@
 """Command-line front end: plan routes, simulate trajectory tracking, and
 render SVG scenes from grid/mask/route/log files.
 
+The config keys are declared, defaulted and checked in `config`, and the
+route flags go through its row,col node parser and its weather resolution.
+`main` is the one place where a failed input becomes an exit code: a
+ValueError or OSError from any command prints ``error: <message>`` to
+stderr and exits 4, without a traceback.
+
 Exit codes: 0 success, 2 destination unreachable, 3 constraint violation
 during simulation, 4 input error (usage errors included).
 """
@@ -8,7 +14,6 @@ during simulation, 4 input error (usage errors included).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -16,21 +21,16 @@ import numpy as np
 
 from . import global_route as gr
 from . import simulate as sim
-from .config import ConfigError, load_run_config, parse_node
+from .config import SLOPE_LIMITS, load_run_config, parse_node, resolve_weather
 from .local_path import (
     DesiredTrajectory,
-    GeometryError,
-    ProfileError,
     build_speed_profile,
     plan_geometry,
     write_trajectory_csv,
 )
-from .render import RenderError, render_scene
+from .render import render_scene
 from .terrain import (
-    DRY_SLOPE_LIMIT,
-    WET_SLOPE_LIMIT,
     ElevationGrid,
-    GridFormatError,
     SurfaceModel,
     WeatherCondition,
     build_obstacle_mask,
@@ -44,11 +44,6 @@ EXIT_OK = 0
 EXIT_UNREACHABLE = 2
 EXIT_CONSTRAINT = 3
 EXIT_INPUT = 4
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def plan_route(
@@ -65,37 +60,33 @@ def plan_route(
     return gr.extract_route(vf, problem, start)
 
 
-def cmd_route(args) -> int:
-    try:
-        grid = load_elevation_grid(args.grid)
-        water = load_mask(args.water, grid) if args.water else None
-        foliage = load_mask(args.foliage, grid) if args.foliage else None
-        start = parse_node("--start", args.start)
-        goal = parse_node("--goal", args.goal)
-        limit = args.slope_limit
-        if limit is None:
-            limit = DRY_SLOPE_LIMIT if args.weather == "dry" else WET_SLOPE_LIMIT
-        elif not (limit > 0 and math.isfinite(limit)):
-            raise ValueError(f"--slope-limit: must be positive and finite, got {limit}")
-        weather = WeatherCondition(args.weather, limit)
-        steep = args.steep_limit
-        if steep is None:
-            steep = weather.slope_limit
-        elif not (steep > 0 and math.isfinite(steep)):
-            raise ValueError(f"--steep-limit: must be positive and finite, got {steep}")
-        route = plan_route(grid, water, foliage, steep, weather, start, goal)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-
+def _route_with_masks(
+    grid: ElevationGrid, water_path: str | None, foliage_path: str | None,
+    steep_limit: float, weather: WeatherCondition,
+    start: tuple[int, int], goal: tuple[int, int],
+) -> gr.PlannedRoute:
+    """`plan_route` with the masks read from their files; prints the
+    UNREACHABLE line when no admissible path exists."""
+    water = load_mask(water_path, grid) if water_path else None
+    foliage = load_mask(foliage_path, grid) if foliage_path else None
+    route = plan_route(grid, water, foliage, steep_limit, weather, start, goal)
     if not route.reachable:
         print(f"UNREACHABLE: no admissible path from {start} to {goal} "
               f"under slope limit {weather.slope_limit:.4f}")
-        return EXIT_UNREACHABLE
+    return route
 
-    try:
-        gr.write_route_csv(route, grid, args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+
+def cmd_route(args) -> int:
+    start = parse_node("--start", args.start)
+    goal = parse_node("--goal", args.goal)
+    weather, steep_limit = resolve_weather(("--slope-limit", "--steep-limit"), args.weather,
+                                           args.slope_limit, args.steep_limit)
+    grid = load_elevation_grid(args.grid)
+    route = _route_with_masks(grid, args.water, args.foliage, steep_limit, weather,
+                              start, goal)
+    if not route.reachable:
+        return EXIT_UNREACHABLE
+    gr.write_route_csv(route, grid, args.out)
     print(f"route written to {args.out}: {len(route.waypoints)} waypoints, "
           f"dist {route.total_distance:.2f} m, mean slope "
           f"{route.mean_slope_deg:.2f} deg, max slope {route.max_slope_deg:.2f} deg")
@@ -103,67 +94,42 @@ def cmd_route(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_run_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
-
-    try:
-        grid = load_elevation_grid(config.grid_path)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-
+    config = load_run_config(args.config)
+    grid = load_elevation_grid(config.grid_path)
     waypoints = config.waypoints
     if waypoints is not None:
         x_min, x_max, y_min, y_max = grid.bounds
         outside = [(x, y) for x, y in waypoints
                    if not (x_min <= x <= x_max and y_min <= y <= y_max)]
         if outside:
-            return _fail(f"path.waypoints: {outside[0]} lies outside the grid extent "
-                         f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]")
+            raise ValueError(f"path.waypoints: {outside[0]} lies outside the grid extent "
+                             f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]")
     else:
-        if config.start is None or config.goal is None:
-            return _fail("config needs either path.waypoints or route.start and route.goal")
-        try:
-            water = (load_mask(config.water_mask_path, grid)
-                     if config.water_mask_path else None)
-            foliage = (load_mask(config.foliage_mask_path, grid)
-                       if config.foliage_mask_path else None)
-            route = plan_route(grid, water, foliage, config.steep_limit, config.weather,
-                               config.start, config.goal)
-        except (ValueError, OSError) as exc:
-            return _fail(str(exc))
+        route = _route_with_masks(grid, config.water_mask_path, config.foliage_mask_path,
+                                  config.steep_limit, config.weather, config.start,
+                                  config.goal)
         if not route.reachable:
-            print("UNREACHABLE: route planning found no admissible path")
             return EXIT_UNREACHABLE
-        waypoints = gr.route_planar_waypoints(route, grid)
+        waypoints = [grid.node_position(*node) for node in route.waypoints]
 
     # built after the route, whose tables plan_route has freed on return
     surface = SurfaceModel(grid)
+    geometry = plan_geometry(waypoints, rho=config.trajectory.turn_radius)
+    profile = build_speed_profile(geometry, config.trajectory)
+    trajectory = DesiredTrajectory(geometry, profile, surface)
     try:
-        geometry = plan_geometry(waypoints, rho=config.trajectory.turn_radius)
-        profile = build_speed_profile(geometry, config.trajectory)
-        trajectory = DesiredTrajectory(geometry, profile, surface)
-        scenario = sim.Scenario(
-            surface=surface, trajectory=trajectory, gains=config.gains,
-            params=config.vehicle, dt=config.dt, duration=config.duration,
-            fn_policy=config.fn_policy,
-        )
-    except (GeometryError, ProfileError) as exc:
-        return _fail(str(exc))
+        scenario = sim.Scenario(surface=surface, trajectory=trajectory, gains=config.gains,
+                                params=config.vehicle, **config.simulation)
     except ValueError as exc:
-        return _fail(f"simulation: {exc}")
+        raise ValueError(f"simulation: {exc}") from exc
 
-    out_dir = args.out_dir if args.out_dir else config.out_dir
+    out_dir = args.out_dir or config.out_dir
     traj_path = os.path.join(out_dir, "trajectory.csv")
     log_path = os.path.join(out_dir, "log.csv")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        write_trajectory_csv(trajectory, config.dt, traj_path)
-        log = sim.run_simulation(scenario)
-        sim.write_log_csv(log, log_path)
-    except OSError as exc:
-        return _fail(str(exc))
+    os.makedirs(out_dir, exist_ok=True)
+    write_trajectory_csv(trajectory, scenario.dt, traj_path)
+    log = sim.run_simulation(scenario)
+    sim.write_log_csv(log, log_path)
     if len(log) == 0:
         print(f"simulation {log.status}: stopped before the first step")
     else:
@@ -178,13 +144,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        grid = load_elevation_grid(args.grid)
-        route = gr.read_route_csv(args.route) if args.route else None
-        log = _read_log_csv(args.log) if args.log else None
-        render_scene(grid, route=route, log=log, out_path=args.out)
-    except (GridFormatError, RenderError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    grid = load_elevation_grid(args.grid)
+    route = gr.read_route_csv(args.route) if args.route else None
+    log = _read_log_csv(args.log) if args.log else None
+    render_scene(grid, route=route, log=log, out_path=args.out)
     print(f"scene written to {args.out}")
     return EXIT_OK
 
@@ -221,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--foliage", default=None)
     p_route.add_argument("--start", required=True, metavar="ROW,COL")
     p_route.add_argument("--goal", required=True, metavar="ROW,COL")
-    p_route.add_argument("--weather", choices=("dry", "wet"), default="dry")
+    p_route.add_argument("--weather", choices=tuple(SLOPE_LIMITS))   # default: dry
     p_route.add_argument("--slope-limit", type=float, default=None)
     p_route.add_argument("--steep-limit", type=float, default=None)
     p_route.add_argument("--out", required=True)
@@ -244,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

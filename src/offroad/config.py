@@ -1,8 +1,16 @@
-"""Run configuration: an INI-style document with one section per subsystem.
+"""Run configuration, and the weather inputs it shares with `offroad route`.
 
-Unknown sections or keys are rejected, referenced files must exist, and the
-physical parameters are validated on load.  Limits accepting "none" mean the
-corresponding actuator bound is removed (the idealized unconstrained case).
+A run configuration is an INI-style document with one section per
+subsystem.  `_SCHEMA` declares each section's keys, each with the parser
+that checks its value; unknown sections or keys are rejected, and a key
+left out takes the default of the dataclass it sets (`TrajectoryConfig`,
+`VehicleParams`, `GainConfig`, `sim.Scenario`).  Referenced files must
+exist.  Limits accepting "none" mean the corresponding actuator bound is
+removed (the idealized unconstrained case).
+
+`resolve_weather` gives the slope limit and the steep-node limit for a
+weather kind and its optional overrides, for the `[weather]` section and
+for the route flags alike.
 """
 
 from __future__ import annotations
@@ -22,19 +30,8 @@ class ConfigError(ValueError):
     """Raised for unknown keys, missing files, or invalid parameter values."""
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "terrain": {"grid", "water_mask", "foliage_mask"},
-    "weather": {"kind", "slope_limit", "dry_slope_limit", "wet_slope_limit",
-                "steep_limit"},
-    "route": {"start", "goal"},
-    "path": {"waypoints", "turn_radius", "nominal_speed", "max_yaw_rate",
-             "accel", "decel", "initial_speed", "max_lateral_accel"},
-    "vehicle": {"wheelbase", "mass", "gravity", "max_steer", "max_steer_rate",
-                "max_accel", "min_ctrl_speed"},
-    "controller": {"k1", "k2"},
-    "simulation": {"dt", "duration", "fn_policy"},
-    "output": {"out_dir"},
-}
+# the slope limit (rise/run) of each weather kind, unless it is overridden
+SLOPE_LIMITS = {"dry": DRY_SLOPE_LIMIT, "wet": WET_SLOPE_LIMIT}
 
 
 @dataclass
@@ -46,39 +43,61 @@ class RunConfig:
     steep_limit: float
     start: tuple[int, int] | None
     goal: tuple[int, int] | None
-    waypoints: list[tuple[float, float]] | None
+    waypoints: list[tuple[float, float]] | None   # None: route from start to goal
     trajectory: TrajectoryConfig
     vehicle: VehicleParams
     gains: GainConfig
-    dt: float
-    duration: float | None
-    fn_policy: str
-    out_dir: str = "."
+    simulation: dict[str, object]   # the Scenario keywords [simulation] sets
+    out_dir: str
 
 
-def _float(section: str, key: str, raw: str) -> float:
+# Each parser takes the key's label ("section.key", or a flag) and its raw
+# value (config text, or a number argparse parsed), and returns the checked
+# value or raises ConfigError naming the label.
+
+def _text(label: str, raw: str) -> str:
+    return raw
+
+
+def _number(label: str, raw: str | float) -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from exc
+        raise ConfigError(f"{label}: not a number: {raw!r}") from exc
 
 
-def _positive(section: str, key: str, raw: str) -> float:
-    v = _float(section, key, raw)
-    if not (v > 0 and math.isfinite(v)):
-        raise ConfigError(f"{section}.{key}: must be positive and finite, got {raw}")
-    return v
+def _positive(label: str, raw: str | float) -> float:
+    value = _number(label, raw)
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{label}: must be positive and finite, got {raw}")
+    return value
 
 
-def _optional_limit(section: str, key: str, raw: str | None) -> float | None:
-    if raw is None or raw.strip().lower() in ("none", "inf", "unlimited"):
+def _non_negative(label: str, raw: str) -> float:
+    value = _number(label, raw)
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{label}: must be finite and non-negative, got {raw}")
+    return value
+
+
+def _limit(label: str, raw: str) -> float | None:
+    """An actuator bound; "none", "inf" or "unlimited" removes it (None)."""
+    if raw.lower() in ("none", "inf", "unlimited"):
         return None
-    return _positive(section, key, raw)
+    return _positive(label, raw)
+
+
+def _choice(*options: str):
+    def parse(label: str, raw: str) -> str:
+        value = raw.lower()
+        if value not in options:
+            raise ConfigError(f"{label}: must be {' or '.join(options)}, got {value!r}")
+        return value
+    return parse
 
 
 def parse_node(label: str, raw: str) -> tuple[int, int]:
-    """A grid node from 'row,col' text; errors name the config key or CLI
-    flag given as ``label``."""
+    """A grid node from 'row,col' text."""
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"{label}: expected 'row,col', got {raw!r}")
@@ -88,7 +107,7 @@ def parse_node(label: str, raw: str) -> tuple[int, int]:
         raise ConfigError(f"{label}: expected integers, got {raw!r}") from exc
 
 
-def _waypoints(raw: str) -> list[tuple[float, float]]:
+def _waypoints(label: str, raw: str) -> list[tuple[float, float]]:
     points = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -96,134 +115,91 @@ def _waypoints(raw: str) -> list[tuple[float, float]]:
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise ConfigError(f"path.waypoints: expected 'x,y' pairs, got {chunk!r}")
+            raise ConfigError(f"{label}: expected 'x,y' pairs, got {chunk!r}")
         try:
             points.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ConfigError(f"path.waypoints: expected numbers, got {chunk!r}") from exc
+            raise ConfigError(f"{label}: expected numbers, got {chunk!r}") from exc
     if len(points) < 2:
-        raise ConfigError("path.waypoints: need at least two points")
+        raise ConfigError(f"{label}: need at least two points")
     return points
+
+
+_SCHEMA = {
+    # file paths, resolved against the config's directory
+    "terrain": dict.fromkeys(("grid", "water_mask", "foliage_mask"), _text),
+    # the limits are checked by resolve_weather
+    "weather": {"kind": _choice(*SLOPE_LIMITS), "slope_limit": _text, "steep_limit": _text},
+    "route": dict.fromkeys(("start", "goal"), parse_node),
+    # every key but waypoints is a TrajectoryConfig field
+    "path": {"waypoints": _waypoints, "initial_speed": _non_negative,
+             **dict.fromkeys(("turn_radius", "nominal_speed", "max_yaw_rate", "accel",
+                              "decel", "max_lateral_accel"), _positive)},
+    "vehicle": {**dict.fromkeys(("wheelbase", "mass", "gravity", "min_ctrl_speed"), _positive),
+                **dict.fromkeys(("max_steer", "max_steer_rate", "max_accel"), _limit)},
+    "controller": dict.fromkeys(("k1", "k2"), _positive),
+    "simulation": {"dt": _positive, "duration": _positive,
+                   "fn_policy": _choice("halt", "warn")},
+    "output": {"out_dir": _text},
+}
+
+
+def resolve_weather(labels: tuple[str, str], kind: str | None = None,
+                    slope_limit: str | float | None = None,
+                    steep_limit: str | float | None = None) -> tuple[WeatherCondition, float]:
+    """The weather and the steep-node limit.  ``kind`` None is dry.  The
+    overrides are raw text or numbers, None when not given: the slope limit
+    defaults to the kind's, the steep limit to the slope limit.  ``labels``
+    name the two overrides in error messages."""
+    kind = kind or "dry"
+    limit = SLOPE_LIMITS[kind] if slope_limit is None else _positive(labels[0], slope_limit)
+    steep = limit if steep_limit is None else _positive(labels[1], steep_limit)
+    return WeatherCondition(kind, limit), steep
 
 
 def load_run_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is a character like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    values = {name: {} for name in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
+            values[section][key] = _SCHEMA[section][key](f"{section}.{key}", raw)
 
-    def get(section: str, key: str, default: str | None = None) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    if not parser.has_option("terrain", "grid"):
+    terrain, route, path_keys = values["terrain"], values["route"], values["path"]
+    if "grid" not in terrain:
         raise ConfigError("terrain.grid is required")
     base = os.path.dirname(os.path.abspath(path))
+    for key, name in terrain.items():
+        terrain[key] = os.path.join(base, name)
+        if not os.path.exists(terrain[key]):
+            raise ConfigError(f"referenced file does not exist: {name}")
 
-    def resolve(p: str | None) -> str | None:
-        if p is None:
-            return None
-        full = p if os.path.isabs(p) else os.path.join(base, p)
-        if not os.path.exists(full):
-            raise ConfigError(f"referenced file does not exist: {p}")
-        return full
+    weather, steep_limit = resolve_weather(("weather.slope_limit", "weather.steep_limit"),
+                                           **values["weather"])
 
-    grid_path = resolve(get("terrain", "grid"))
-    water = resolve(get("terrain", "water_mask"))
-    foliage = resolve(get("terrain", "foliage_mask"))
-
-    kind = (get("weather", "kind", "dry") or "dry").strip().lower()
-    if kind not in ("dry", "wet"):
-        raise ConfigError(f"weather.kind: must be dry or wet, got {kind!r}")
-    dry_limit = _positive("weather", "dry_slope_limit",
-                          get("weather", "dry_slope_limit", repr(DRY_SLOPE_LIMIT)))
-    wet_limit = _positive("weather", "wet_slope_limit",
-                          get("weather", "wet_slope_limit", repr(WET_SLOPE_LIMIT)))
-    override = get("weather", "slope_limit")
-    if override is not None:
-        limit = _positive("weather", "slope_limit", override)
-    else:
-        limit = dry_limit if kind == "dry" else wet_limit
-    weather = WeatherCondition(kind, limit)
-    steep_raw = get("weather", "steep_limit")
-    steep_limit = _positive("weather", "steep_limit", steep_raw) if steep_raw else limit
-
-    start = goal = None
-    if parser.has_section("route"):
-        if parser.has_option("route", "start"):
-            start = parse_node("route.start", parser.get("route", "start"))
-        if parser.has_option("route", "goal"):
-            goal = parse_node("route.goal", parser.get("route", "goal"))
-
-    waypoints = None
-    if parser.has_option("path", "waypoints"):
-        waypoints = _waypoints(parser.get("path", "waypoints"))
-
-    initial_speed_raw = get("path", "initial_speed")
-    initial_speed = None
-    if initial_speed_raw is not None:
-        initial_speed = _float("path", "initial_speed", initial_speed_raw)
-        if not 0.0 <= initial_speed < math.inf:
-            raise ConfigError(f"path.initial_speed: must be finite and non-negative, "
-                              f"got {initial_speed_raw}")
-    lat_raw = get("path", "max_lateral_accel")
-    trajectory = TrajectoryConfig(
-        nominal_speed=_positive("path", "nominal_speed",
-                                get("path", "nominal_speed", "2.0")),
-        turn_radius=_positive("path", "turn_radius", get("path", "turn_radius", "4.0")),
-        max_yaw_rate=_positive("path", "max_yaw_rate", get("path", "max_yaw_rate", "1.0")),
-        accel=_positive("path", "accel", get("path", "accel", "1.0")),
-        decel=_positive("path", "decel", get("path", "decel", "1.0")),
-        initial_speed=initial_speed,
-        max_lateral_accel=(None if lat_raw is None
-                           else _positive("path", "max_lateral_accel", lat_raw)),
-    )
-
-    vehicle = VehicleParams(
-        wheelbase=_positive("vehicle", "wheelbase", get("vehicle", "wheelbase", "2.0")),
-        mass=_positive("vehicle", "mass", get("vehicle", "mass", "1000.0")),
-        gravity=_positive("vehicle", "gravity", get("vehicle", "gravity", "9.81")),
-        max_steer=_optional_limit("vehicle", "max_steer",
-                                  get("vehicle", "max_steer", "0.6")),
-        max_steer_rate=_optional_limit("vehicle", "max_steer_rate",
-                                       get("vehicle", "max_steer_rate", "2.0")),
-        max_accel=_optional_limit("vehicle", "max_accel", get("vehicle", "max_accel")),
-        min_ctrl_speed=_positive("vehicle", "min_ctrl_speed",
-                                 get("vehicle", "min_ctrl_speed", "0.05")),
-    )
-
-    gains = GainConfig(
-        k1=_positive("controller", "k1", get("controller", "k1", "10.0")),
-        k2=_positive("controller", "k2", get("controller", "k2", "20.0")),
-    )
-
-    dt = _positive("simulation", "dt", get("simulation", "dt", "0.01"))
-    duration_raw = get("simulation", "duration")
-    duration = None if duration_raw is None else _positive(
-        "simulation", "duration", duration_raw)
-    fn_policy = (get("simulation", "fn_policy", "halt") or "halt").strip().lower()
-    if fn_policy not in ("halt", "warn"):
-        raise ConfigError(f"simulation.fn_policy: must be halt or warn, got {fn_policy!r}")
-
-    out_dir = get("output", "out_dir", ".") or "."
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base, out_dir)
+    waypoints = path_keys.pop("waypoints", None)
+    if waypoints is None and not ("start" in route and "goal" in route):
+        raise ConfigError("config needs either path.waypoints or route.start and route.goal")
 
     return RunConfig(
-        grid_path=grid_path, water_mask_path=water, foliage_mask_path=foliage,
-        weather=weather, steep_limit=steep_limit, start=start, goal=goal,
-        waypoints=waypoints, trajectory=trajectory, vehicle=vehicle, gains=gains,
-        dt=dt, duration=duration, fn_policy=fn_policy, out_dir=out_dir,
+        grid_path=terrain["grid"], water_mask_path=terrain.get("water_mask"),
+        foliage_mask_path=terrain.get("foliage_mask"),
+        weather=weather, steep_limit=steep_limit,
+        start=route.get("start"), goal=route.get("goal"), waypoints=waypoints,
+        trajectory=TrajectoryConfig(**path_keys), vehicle=VehicleParams(**values["vehicle"]),
+        gains=GainConfig(**values["controller"]), simulation=values["simulation"],
+        out_dir=os.path.join(base, values["output"].get("out_dir", ".")),
     )

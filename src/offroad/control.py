@@ -32,10 +32,13 @@ __all__ = ["GainConfig", "HOLD", "control_step", "frame_and_motion", "reference_
 HOLD = (0.0, 0.0)
 
 
-@dataclass(frozen=True)
+# slots: without them each default is also a class attribute, and CPython
+# does not specialise an instance read of a name its class also holds, which
+# control_step does at every RK4 stage
+@dataclass(frozen=True, slots=True)
 class GainConfig:
-    k1: float  # velocity-error gain, 1/s
-    k2: float  # position-error gain, 1/s^2
+    k1: float = 10.0  # velocity-error gain, 1/s
+    k2: float = 20.0  # position-error gain, 1/s^2
 
     def __post_init__(self):
         if not (self.k1 > 0 and self.k2 > 0):

@@ -58,7 +58,7 @@ UNREACHABLE = math.inf
 
 
 class ScalingError(ValueError):
-    """Raised when the cost-weight system is singular; pass weights manually."""
+    """Raised when the cost-weight system is singular."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,8 @@ def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]
     if abs(mean_m - mean_d) < 1e-12:
         raise ScalingError(
             f"mean slope equals mean distance ({mean_m}); the weight system is "
-            "singular, supply alpha_m and alpha_d manually"
+            "singular: change the slope limit (--slope-limit or weather.slope_limit) "
+            "or the grid's cell size"
         )
     alpha = np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]), np.array([1.0, 1.0]))
     return float(alpha[0]), float(alpha[1])
@@ -358,8 +359,3 @@ def read_route_csv(path: str) -> PlannedRoute:
         mean_slope_deg=mean_slope,
         max_slope_deg=max_slope,
     )
-
-
-def route_planar_waypoints(route: PlannedRoute, grid: ElevationGrid) -> list[tuple[float, float]]:
-    """Planar (x, y) positions of the route's waypoints."""
-    return [grid.node_position(*node) for node in route.waypoints]

@@ -212,9 +212,9 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    nominal_speed: float          # commanded cruise speed
-    turn_radius: float
-    max_yaw_rate: float
+    nominal_speed: float = 2.0    # commanded cruise speed
+    turn_radius: float = 4.0
+    max_yaw_rate: float = 1.0
     accel: float = 1.0
     decel: float = 1.0
     initial_speed: float | None = None   # None: start from rest

@@ -113,8 +113,7 @@ def aligned_initial_state(
         # the parameters do not enter them.  This set-up query goes through
         # the vehicle module: per-stage profiling counts the calls through
         # this module's frame_and_motion, which are the loop's stages.
-        motion = vehicle.frame_and_motion(surface, x, y, 0.0, 0.0, 0.0,
-                                          VehicleParams.default())
+        motion = vehicle.frame_and_motion(surface, x, y, 0.0, 0.0, 0.0, VehicleParams())
         i_x, i_y, _, j_x, j_y = motion[6:11]
         # solve c i_t + s j_t = (vx, vy) in the plane for the heading (c, s)
         det = i_x * j_y - j_x * i_y

@@ -43,10 +43,11 @@ class SingularSpeedError(ValueError):
     """Steering-rate inversion is undefined below the control speed guard."""
 
 
-@dataclass(frozen=True)
+# slots: as for control.GainConfig, its fields are read at every RK4 stage
+@dataclass(frozen=True, slots=True)
 class VehicleParams:
-    wheelbase: float
-    mass: float
+    wheelbase: float = 2.0
+    mass: float = 1000.0
     gravity: float = 9.81
     max_steer: float | None = 0.6        # rad; None = unlimited
     max_steer_rate: float | None = 2.0   # rad/s; None = unlimited
@@ -58,10 +59,6 @@ class VehicleParams:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    @classmethod
-    def default(cls) -> "VehicleParams":
-        return cls(wheelbase=2.0, mass=1000.0)
 
 
 class VehicleState(NamedTuple):

@@ -62,7 +62,7 @@ SHARED_NAMES = {
                "DesiredTrajectory": "run_simulation, write_trajectory_csv"},
     "duration": {"SpeedProfile": "DesiredTrajectory.duration",
                  "DesiredTrajectory": "Scenario, run_simulation, write_trajectory_csv",
-                 "RunConfig": "cli.cmd_simulate", "Scenario": "run_simulation"},
+                 "Scenario": "run_simulation"},
     "reachable": {"ValueFunction": "extract_route",
                   "PlannedRoute": "cli, write_route_csv"},
     "start": {"RunConfig": "cli.cmd_simulate", "LineSegment": "LineSegment's own methods"},
@@ -70,7 +70,7 @@ SHARED_NAMES = {
     "waypoints": {"RunConfig": "cli.cmd_simulate",
                   "PlannedRoute": "cli, render_scene, write_route_csv"},
     **{name: {"RunConfig": "cli.cmd_simulate", "Scenario": "run_simulation"}
-       for name in ("trajectory", "gains", "dt", "fn_policy")},
+       for name in ("trajectory", "gains")},
 }
 
 

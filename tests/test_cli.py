@@ -1,14 +1,18 @@
 import contextlib
+import dataclasses
 import io
 import math
+import os
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offroad import cli, local_path, simulate
+from offroad import cli, config, local_path, simulate
 from offroad import global_route as gr
 from offroad.cli import (
     EXIT_CONSTRAINT,
@@ -224,6 +228,20 @@ def test_simulate_from_rest_stops_at_step_zero(tmp_path, capsys):
     (("892.5,411.0", "992.5,411.0"), "outside the grid extent"),
     (("initial_speed = 2.0", "initial_speed = nan"), "path.initial_speed"),
     (("initial_speed = 2.0", "initial_speed = -1"), "path.initial_speed"),
+    # the weather limits; slope_limit sets the limit of either kind, so the
+    # per-kind keys are gone
+    (("[path]", "[weather]\nsteep_limit =\n[path]"),
+     "error: weather.steep_limit: not a number: ''\n"),
+    (("[path]", "[weather]\nsteep_limit = 0\n[path]"),
+     "error: weather.steep_limit: must be positive and finite, got 0\n"),
+    (("[path]", "[weather]\nslope_limit = nan\n[path]"),
+     "error: weather.slope_limit: must be positive and finite, got nan\n"),
+    (("[path]", "[weather]\nkind = snow\n[path]"),
+     "error: weather.kind: must be dry or wet, got 'snow'\n"),
+    (("[path]", "[weather]\ndry_slope_limit = 0.2\n[path]"),
+     "error: unknown key weather.dry_slope_limit\n"),
+    (("[path]", "[weather]\nwet_slope_limit = 0.2\n[path]"),
+     "error: unknown key weather.wet_slope_limit\n"),
 ])
 def test_simulate_bad_config_value_exits_4(tmp_path, capsys, edit, message):
     cfg = write_case_config(tmp_path, CASE_CONFIG.replace(*edit))
@@ -733,7 +751,7 @@ def test_config_defaults_loaded(tmp_path):
     assert rc.weather.slope_limit == pytest.approx(math.tan(math.radians(6.90)))
     assert rc.vehicle.max_steer is None
     assert rc.gains.k1 == 10.0
-    assert rc.dt == 0.01
+    assert rc.simulation == {"dt": 0.01}
     assert rc.waypoints[0] == (885.0, 418.5)
 
 
@@ -743,6 +761,7 @@ def test_config_weather_override(tmp_path):
     rc = load_run_config(str(cfg))
     assert rc.weather.kind == "wet"
     assert rc.weather.slope_limit == 0.2
+    assert rc.steep_limit == 0.2
 
 
 def test_config_malformed_never_crashes(tmp_path):
@@ -754,6 +773,9 @@ def test_config_malformed_never_crashes(tmp_path):
         "[terrain]\ngrid = grid.csv\n[path]\nwaypoints = 1,2\n",
         "[terrain]\ngrid = grid.csv\n[simulation]\nfn_policy = sometimes\n",
         "not an ini file at all\n",
+        "[terrain]\ngrid = grid.csv\n[route]\nstart = 1,1\ngoal = 2,2\n"
+        "[weather]\nsteep_limit =\n",
+        "[terrain]\ngrid = grid.csv\n[route]\nstart = 1%,1\ngoal = 2,2\n",
     ]
     write_fixture_grid(tmp_path, flat_grid(n=4))
     for i, text in enumerate(fixtures):
@@ -761,6 +783,95 @@ def test_config_malformed_never_crashes(tmp_path):
         cfg.write_text(text)
         with pytest.raises(ConfigError):
             load_run_config(str(cfg))
+
+
+def test_routed_simulate_prints_the_route_commands_unreachable_line(tmp_path, capsys):
+    # route and simulate plan through one helper: the same line, the same exit
+    line = "UNREACHABLE: no admissible path from (6, 3) to (0, 3) under slope limit 0.0484\n"
+    argv = simulate_argv(tmp_path, ROUTED_CONFIG.format(
+        grid="grid.csv", extra="\n[weather]\nkind = wet\n"))
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_UNREACHABLE
+    assert capsys.readouterr().out == line
+    assert not (tmp_path / "o").exists()
+    assert main(route_argv(tmp_path, "--weather", "wet")) == EXIT_UNREACHABLE
+    assert capsys.readouterr().out == line
+
+
+@pytest.mark.parametrize("error", [ValueError("bad input"), OSError("bad input")])
+@pytest.mark.parametrize("owner, name, make_argv", [
+    (cli, "build_obstacle_mask", lambda tmp_path: route_argv(tmp_path)),
+    (simulate, "run_simulation", lambda tmp_path: simulate_argv(
+        tmp_path, ROUTED_CONFIG.format(grid="grid.csv", extra="")
+        + "\n[path]\ninitial_speed = 2.0\n")),
+    (cli, "render_scene", lambda tmp_path: [
+        "render", "--grid", str(write_fixture_grid(tmp_path, ridge_grid())),
+        "--out", str(tmp_path / "scene.svg")]),
+], ids=["route", "simulate", "render"])
+def test_main_is_the_one_error_boundary(tmp_path, capsys, monkeypatch, owner, name,
+                                        make_argv, error):
+    # a ValueError or OSError from anywhere in a command is an input error:
+    # one error line, exit 4, no traceback
+    def fail(*args, **kwargs):
+        raise error
+
+    argv = make_argv(tmp_path)
+    monkeypatch.setattr(owner, name, fail)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "run.cfg.example"
+
+
+def test_example_config_is_valid_and_names_every_key(tmp_path):
+    # run.cfg.example loads beside a 7x7 terrain.csv; it names every schema
+    # key as "key =" or "# key =" under its section, and no other key
+    shutil.copy(EXAMPLE, tmp_path / "run.cfg")
+    write_fixture_grid(tmp_path, ridge_grid(), name="terrain.csv")
+    example = load_run_config(str(tmp_path / "run.cfg"))
+    named, section = set(), None
+    for line in EXAMPLE.read_text(encoding="utf-8").splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        key = re.match(r"#?\s*(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+        elif key:
+            named.add((section, key.group(1)))
+    assert named == {(section, key) for section, keys in config._SCHEMA.items()
+                     for key in keys}
+    # its header says every value it sets but five is the default
+    (tmp_path / "least.cfg").write_text(
+        "[terrain]\ngrid = terrain.csv\n[route]\nstart = 6,3\ngoal = 0,3\n"
+        "[path]\ninitial_speed = 2.0\n[output]\nout_dir = out\n")
+    least = load_run_config(str(tmp_path / "least.cfg"))
+    scenario_defaults = {f.name: f.default for f in dataclasses.fields(simulate.Scenario)}
+    assert example.simulation.items() <= scenario_defaults.items()
+    assert dataclasses.replace(example, simulation={}) == least
+
+
+def test_left_out_keys_take_the_documented_defaults(tmp_path):
+    # the defaults README and run.cfg.example give, from a config that sets
+    # only what has none
+    write_fixture_grid(tmp_path, ridge_grid())
+    (tmp_path / "run.cfg").write_text(
+        "[terrain]\ngrid = grid.csv\n[route]\nstart = 6,3\ngoal = 0,3\n")
+    rc = load_run_config(str(tmp_path / "run.cfg"))
+    assert rc.weather.kind == "dry"
+    assert rc.weather.slope_limit == pytest.approx(math.tan(math.radians(6.90)), rel=1e-15)
+    assert rc.steep_limit == rc.weather.slope_limit
+    assert (rc.water_mask_path, rc.foliage_mask_path, rc.waypoints) == (None, None, None)
+    path = rc.trajectory
+    assert (path.nominal_speed, path.turn_radius, path.max_yaw_rate, path.accel, path.decel,
+            path.initial_speed, path.max_lateral_accel) == (2.0, 4.0, 1.0, 1.0, 1.0, None, None)
+    car = rc.vehicle
+    assert (car.wheelbase, car.mass, car.gravity, car.max_steer, car.max_steer_rate,
+            car.max_accel, car.min_ctrl_speed) == (2.0, 1000.0, 9.81, 0.6, 2.0, None, 0.05)
+    assert (rc.gains.k1, rc.gains.k2) == (10.0, 20.0)
+    assert rc.simulation == {}
+    scenario = simulate.Scenario.__dataclass_fields__
+    assert (scenario["dt"].default, scenario["duration"].default,
+            scenario["fn_policy"].default) == (0.01, None, "halt")
+    assert rc.out_dir == os.path.join(str(tmp_path), ".")
 
 
 # ---------------------------------------------------------------------------

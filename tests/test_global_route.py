@@ -12,7 +12,6 @@ from offroad.global_route import (
     compute_scaling_factors,
     extract_route,
     read_route_csv,
-    route_planar_waypoints,
     value_iteration,
     write_route_csv,
 )
@@ -92,7 +91,7 @@ def test_scaling_singular_system():
     grid = flat_grid(n=2, cell=1.0)
     grid.heights[0, :] = 2.0
     mask = build_obstacle_mask(grid, steep_limit=100.0)
-    with pytest.raises(ScalingError):
+    with pytest.raises(ScalingError, match="change the slope limit"):
         compute_scaling_factors(grid, mask, WeatherCondition("dry", 100.0))
 
 
@@ -521,9 +520,11 @@ def test_route_csv_hop_slopes_match_node_heights(tmp_path):
 
 
 def test_route_planar_waypoints():
+    # simulate turns a planned route's nodes into planar waypoints with
+    # ElevationGrid.node_position: row 0 is the northernmost
     grid = flat_grid(n=3, cell=10.0)
     route = PlannedRoute(waypoints=[(2, 0), (1, 1)], total_cost=1.0,
                          total_distance=14.14, mean_slope_deg=0.0, max_slope_deg=0.0)
-    pts = route_planar_waypoints(route, grid)
+    pts = [grid.node_position(*node) for node in route.waypoints]
     assert pts[0] == (0.0, 0.0)
     assert pts[1] == (10.0, 10.0)

@@ -280,7 +280,7 @@ def test_case_study_completes_under_default_limits():
     # turn trackable: the run reaches the trajectory end within the bound
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
-    params = VehicleParams.default()
+    params = VehicleParams()
     log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
                                   params=params, dt=0.01))
     assert log.status == STATUS_COMPLETED

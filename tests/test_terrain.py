@@ -469,7 +469,7 @@ def test_three_nodes_along_an_axis_reproduce_a_quadratic(axis):
 def normal_at(surf, x, y):
     """The body normal k_b of vehicle.frame_and_motion, which is the surface
     normal at any pose."""
-    return np.array(frame_and_motion(surf, x, y, 0.3, 1.0, 0.1, VehicleParams.default())[12:15])
+    return np.array(frame_and_motion(surf, x, y, 0.3, 1.0, 0.1, VehicleParams())[12:15])
 
 
 def angle_rates_along(surf, x, y, x_dot, y_dot):

@@ -1,0 +1,28 @@
+"""tools/route_scaling.py times `offroad route` by patching the CLI's layers
+by name (`cli.load_elevation_grid`, `cli.build_obstacle_mask`,
+`global_route._hop_graph`, `global_route.dijkstra`, ...).  Its timed route
+runs here on a small grid, so a renamed layer fails a test instead of a
+scaling run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import route_scaling  # noqa: E402
+
+
+def test_timed_route_times_every_layer(tmp_path):
+    argv = route_scaling.site_argv(40, 1, tmp_path)["route"]
+    argv += ["--out", str(tmp_path / "route.csv")]
+    call = f"route_scaling.timed_route({str(ROOT / 'src')!r}, {argv!r})"
+    proc = subprocess.run([sys.executable, "-c", route_scaling.tool_code(call)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    assert list(result["layers_s"]) == list(route_scaling.LAYERS)
+    assert all(seconds > 0 for seconds in result["layers_s"].values()), result

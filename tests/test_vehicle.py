@@ -23,7 +23,7 @@ from conftest import (
     oracle_surface_rate,
 )
 
-PARAMS = VehicleParams.default()
+PARAMS = VehicleParams()
 FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
 GAINS = GainConfig(k1=10.0, k2=20.0)
 
