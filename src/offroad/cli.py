@@ -36,8 +36,6 @@ from .terrain import (
     build_obstacle_mask,
     load_elevation_grid,
     load_mask,
-    parse_numeric_rows,
-    read_lines,
 )
 
 EXIT_OK = 0
@@ -50,9 +48,10 @@ def plan_route(
     grid: ElevationGrid, water: np.ndarray | None, foliage: np.ndarray | None,
     steep_limit: float, weather: WeatherCondition,
     start: tuple[int, int], goal: tuple[int, int],
-) -> gr.PlannedRoute:
+) -> gr.PlannedRoute | None:
     """Obstacle mask, route tables, exact solve and route extraction for one
-    start/goal query; raises ValueError on bad nodes or an unsolvable table."""
+    start/goal query; None when no admissible path exists.  Raises
+    ValueError on bad nodes or an unsolvable table."""
     mask = build_obstacle_mask(grid, water_mask=water, foliage_mask=foliage,
                                steep_limit=steep_limit)
     problem = gr.build_dp_problem(grid, mask, weather, goal=goal)
@@ -64,13 +63,13 @@ def _route_with_masks(
     grid: ElevationGrid, water_path: str | None, foliage_path: str | None,
     steep_limit: float, weather: WeatherCondition,
     start: tuple[int, int], goal: tuple[int, int],
-) -> gr.PlannedRoute:
+) -> gr.PlannedRoute | None:
     """`plan_route` with the masks read from their files; prints the
     UNREACHABLE line when no admissible path exists."""
     water = load_mask(water_path, grid) if water_path else None
     foliage = load_mask(foliage_path, grid) if foliage_path else None
     route = plan_route(grid, water, foliage, steep_limit, weather, start, goal)
-    if not route.reachable:
+    if route is None:
         print(f"UNREACHABLE: no admissible path from {start} to {goal} "
               f"under slope limit {weather.slope_limit:.4f}")
     return route
@@ -84,7 +83,7 @@ def cmd_route(args) -> int:
     grid = load_elevation_grid(args.grid)
     route = _route_with_masks(grid, args.water, args.foliage, steep_limit, weather,
                               start, goal)
-    if not route.reachable:
+    if route is None:
         return EXIT_UNREACHABLE
     gr.write_route_csv(route, grid, args.out)
     print(f"route written to {args.out}: {len(route.waypoints)} waypoints, "
@@ -108,7 +107,7 @@ def cmd_simulate(args) -> int:
         route = _route_with_masks(grid, config.water_mask_path, config.foliage_mask_path,
                                   config.steep_limit, config.weather, config.start,
                                   config.goal)
-        if not route.reachable:
+        if route is None:
             return EXIT_UNREACHABLE
         waypoints = [grid.node_position(*node) for node in route.waypoints]
 
@@ -118,7 +117,7 @@ def cmd_simulate(args) -> int:
     profile = build_speed_profile(geometry, config.trajectory)
     trajectory = DesiredTrajectory(geometry, profile, surface)
     try:
-        scenario = sim.Scenario(surface=surface, trajectory=trajectory, gains=config.gains,
+        scenario = sim.Scenario(trajectory=trajectory, gains=config.gains,
                                 params=config.vehicle, **config.simulation)
     except ValueError as exc:
         raise ValueError(f"simulation: {exc}") from exc
@@ -146,22 +145,10 @@ def cmd_simulate(args) -> int:
 def cmd_render(args) -> int:
     grid = load_elevation_grid(args.grid)
     route = gr.read_route_csv(args.route) if args.route else None
-    log = _read_log_csv(args.log) if args.log else None
+    log = sim.read_log_csv(args.log) if args.log else None
     render_scene(grid, route=route, log=log, out_path=args.out)
     print(f"scene written to {args.out}")
     return EXIT_OK
-
-
-def _read_log_csv(path: str) -> dict[str, np.ndarray]:
-    """The numeric columns of a simulation log CSV, keyed by header name."""
-    lines, numbers = read_lines(path)
-    if not lines or lines[0].strip() != sim.LOG_COLUMNS:
-        raise ValueError(f"{path}: not a simulation log CSV")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: empty log")
-    names = sim.LOG_COLUMNS.split(",")
-    data = parse_numeric_rows(lines[1:], len(names), path, numbers[1:])
-    return dict(zip(names, data.T))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,7 +22,8 @@ Every hop cost is positive, so the fixed point of the Bellman equation
 
     V(s) = min_a [cost(s, a) + V(s + a)],    V(goal) = 0
 
-is the shortest-path cost to the goal.  ``value_iteration`` reaches it in
+is the shortest-path cost to the goal, +inf where no path exists; a route
+query from such a start returns None.  ``value_iteration`` reaches it in
 one label-setting (Dijkstra) pass from the goal over the undirected hop
 graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming
 and Optimal Control*, Vol. 1, label-setting methods).
@@ -54,8 +55,6 @@ from .terrain import (
 MOVES = dict(enumerate(NEIGHBOR_OFFSETS, start=1))
 STAY = 9
 
-UNREACHABLE = math.inf
-
 
 class ScalingError(ValueError):
     """Raised when the cost-weight system is singular."""
@@ -86,9 +85,6 @@ class ValueFunction:
     converged: bool     # Bellman residual is exactly 0 on every reachable state
     sweeps: int         # Bellman passes over the grid
 
-    def reachable(self, node: tuple[int, int]) -> bool:
-        return math.isfinite(self.values[node])
-
 
 @dataclass
 class PlannedRoute:
@@ -99,13 +95,6 @@ class PlannedRoute:
     total_distance: float
     mean_slope_deg: float
     max_slope_deg: float
-    reachable: bool = True
-
-    @classmethod
-    def unreachable(cls) -> "PlannedRoute":
-        return cls(waypoints=[], total_cost=UNREACHABLE, total_distance=float("nan"),
-                   mean_slope_deg=float("nan"), max_slope_deg=float("nan"),
-                   reachable=False)
 
 
 def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> np.ndarray:
@@ -246,15 +235,16 @@ def _hop_run_and_slope(
 
 def extract_route(
     vf: ValueFunction, problem: DpProblem, start: tuple[int, int]
-) -> PlannedRoute:
-    """Follow the policy from start to goal and summarize the hops."""
+) -> PlannedRoute | None:
+    """Follow the policy from start to goal and summarize the hops; None
+    when the goal is unreachable from start."""
     grid = problem.grid
     if not grid.in_bounds(*start):
         raise ValueError(f"start {start} is outside the grid")
     if not problem.valid[start]:
         raise ValueError(f"start {start} is an obstacle node")
-    if not vf.reachable(start):
-        return PlannedRoute.unreachable()
+    if not math.isfinite(vf.values[start]):
+        return None
 
     waypoints = [start]
     node = start
@@ -264,7 +254,7 @@ def extract_route(
             break
         action = int(vf.policy[node])
         if action not in MOVES:
-            return PlannedRoute.unreachable()
+            return None
         dr, dc = MOVES[action]
         node = (node[0] + dr, node[1] + dc)
         waypoints.append(node)
@@ -296,8 +286,6 @@ ROUTE_COLUMNS = "idx,node_row,node_col,x_m,y_m,z_m,hop_slope_deg,cum_dist_m"
 
 
 def write_route_csv(route: PlannedRoute, grid: ElevationGrid, path: str) -> None:
-    if not route.reachable:
-        raise ValueError("cannot write an unreachable route")
     lines = [
         f"# total_cost={route.total_cost!r},total_dist_m={route.total_distance!r},"
         f"mean_slope_deg={route.mean_slope_deg!r},max_slope_deg={route.max_slope_deg!r}",

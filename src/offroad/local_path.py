@@ -312,9 +312,8 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
     back[n] = math.inf
     for i in range(n - 1, -1, -1):
         length = bounds[i + 1] - bounds[i]
-        reachable = math.sqrt(back[i + 1] ** 2 + 2 * config.decel * length) \
-            if math.isfinite(back[i + 1]) else math.inf
-        back[i] = min(commands[i], reachable)
+        # back[n] is inf, and so is the root of inf**2 + x
+        back[i] = min(commands[i], math.sqrt(back[i + 1] ** 2 + 2 * config.decel * length))
     if v_init > back[0] + 1e-9:
         raise ProfileError(
             f"initial speed {v_init} cannot decelerate to the first turn command "

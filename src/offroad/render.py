@@ -18,6 +18,7 @@ OBSTACLE_COLOR = "#7987a6"
 ROUTE_COLOR = "#c23b22"
 DESIRED_COLOR = "#1f5fc4"
 ACTUAL_COLOR = "#111111"
+WIDTH_PX = 800   # the height follows from the extent's aspect ratio
 
 
 class RenderError(ValueError):
@@ -32,13 +33,11 @@ class SvgScene:
     """Accumulates SVG elements in world coordinates (y up), then writes them
     with a fixed viewport transform."""
 
-    def __init__(self, x_min, x_max, y_min, y_max, width_px=800):
-        self.x_min, self.x_max = x_min, x_max
-        self.y_min, self.y_max = y_min, y_max
+    def __init__(self, x_min, x_max, y_min, y_max):
+        self.x_min, self.y_max = x_min, y_max
         span_x = max(x_max - x_min, 1e-9)
         span_y = max(y_max - y_min, 1e-9)
-        self.scale = width_px / span_x
-        self.width = width_px
+        self.scale = WIDTH_PX / span_x
         self.height = span_y * self.scale
         self.elements: list[str] = []
 
@@ -61,7 +60,7 @@ class SvgScene:
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"{dash}/>')
 
-    def text(self, x_px, y_px, content, color="#333333"):
+    def text(self, x_px, y_px, content, color):
         self.elements.append(
             f'<text x="{_fmt(x_px)}" y="{_fmt(y_px)}" fill="{color}" '
             f'font-family="monospace" font-size="12">{content}</text>')
@@ -69,8 +68,8 @@ class SvgScene:
     def write(self, path: str) -> None:
         header = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(self.width)}" '
-            f'height="{_fmt(self.height)}" viewBox="0 0 {_fmt(self.width)} '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH_PX)}" '
+            f'height="{_fmt(self.height)}" viewBox="0 0 {_fmt(WIDTH_PX)} '
             f'{_fmt(self.height)}">\n')
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header)

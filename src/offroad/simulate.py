@@ -1,5 +1,6 @@
-"""Closed-loop scenario runner: terrain + desired trajectory + controller +
-vehicle integrated together, with full per-step logging and summary metrics.
+"""Closed-loop scenario runner: desired trajectory + controller + vehicle
+integrated together on the trajectory's terrain surface, with full per-step
+logging, summary metrics, and the writer and reader of the log CSV.
 
 The control law is re-evaluated at every integration stage, so the simulated
 system is the continuous closed loop rather than a zero-order-hold
@@ -18,7 +19,7 @@ import numpy as np
 from . import vehicle
 from .control import GainConfig, control_step, reference_rows
 from .local_path import SAMPLE_BLOCK, DesiredTrajectory
-from .terrain import OutOfBoundsError, SurfaceModel
+from .terrain import OutOfBoundsError, parse_numeric_rows, read_lines
 from .vehicle import (
     SingularSpeedError,
     VehicleParams,
@@ -42,7 +43,6 @@ MAX_STEPS = 10**6
 
 @dataclass
 class Scenario:
-    surface: SurfaceModel
     trajectory: DesiredTrajectory
     gains: GainConfig
     params: VehicleParams
@@ -92,13 +92,11 @@ class TrackingSummary:
     min_normal_force: float
 
 
-def aligned_initial_state(
-    trajectory: DesiredTrajectory, surface: SurfaceModel, steer: float = 0.0
-) -> VehicleState:
-    """State whose velocity matches the reference at t=0 with the given steer.
+def aligned_initial_state(trajectory: DesiredTrajectory) -> VehicleState:
+    """Unsteered state whose velocity matches the reference at t=0.
 
-    Yaw is solved so the steered direction's planar projection is parallel to
-    the reference planar velocity; speed is the full reference speed, which
+    Yaw is solved so the heading's planar projection is parallel to the
+    reference planar velocity; speed is the full reference speed, which
     makes the 3-D velocities equal because both are surface tangent.
     """
     sample = trajectory.sample(np.zeros(1))
@@ -113,12 +111,13 @@ def aligned_initial_state(
         # the parameters do not enter them.  This set-up query goes through
         # the vehicle module: per-stage profiling counts the calls through
         # this module's frame_and_motion, which are the loop's stages.
-        motion = vehicle.frame_and_motion(surface, x, y, 0.0, 0.0, 0.0, VehicleParams())
+        motion = vehicle.frame_and_motion(trajectory.surface, x, y, 0.0, 0.0, 0.0,
+                                          VehicleParams())
         i_x, i_y, _, j_x, j_y = motion[6:11]
         # solve c i_t + s j_t = (vx, vy) in the plane for the heading (c, s)
         det = i_x * j_y - j_x * i_y
         heading = math.atan2((i_x * vy - i_y * vx) / det, (vx * j_y - j_x * vy) / det)
-    return VehicleState(x=x, y=y, psi=heading - steer, speed=speed, steer=steer)
+    return VehicleState(x=x, y=y, psi=heading, speed=speed, steer=0.0)
 
 
 # The statuses of the errors that stop a run before its end.
@@ -127,7 +126,7 @@ _STOP_STATUS = {OutOfBoundsError: STATUS_LEFT_GRID, SingularSpeedError: STATUS_S
 
 def run_simulation(scenario: Scenario) -> TrajectoryLog:
     traj = scenario.trajectory
-    surface = scenario.surface
+    surface = traj.surface
     params = scenario.params
     gains = scenario.gains
     dt = scenario.dt
@@ -136,7 +135,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
 
     state = scenario.initial_state
     if state is None:
-        state = aligned_initial_state(traj, surface)
+        state = aligned_initial_state(traj)
 
     rows_out = array("d")   # the log's rows, end to end
     status = STATUS_COMPLETED
@@ -223,3 +222,16 @@ def write_log_csv(log: TrajectoryLog, path: str) -> None:
             fh.write("".join(
                 ",".join(map(repr, vals[:-1])) + (",1\n" if vals[-1] else ",0\n")
                 for vals in log.table[k0:k0 + SAMPLE_BLOCK].tolist()))
+
+
+def read_log_csv(path: str) -> dict[str, np.ndarray]:
+    """The numeric columns of a log CSV written by write_log_csv, keyed by
+    header name."""
+    lines, numbers = read_lines(path)
+    if not lines or lines[0].strip() != LOG_COLUMNS:
+        raise ValueError(f"{path}: not a simulation log CSV")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: empty log")
+    names = LOG_COLUMNS.split(",")
+    data = parse_numeric_rows(lines[1:], len(names), path, numbers[1:])
+    return dict(zip(names, data.T))

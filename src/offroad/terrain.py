@@ -177,7 +177,13 @@ class SurfaceModel:
         self._ys = ys
         self._x_nodes = xs.tolist()
         self._y_nodes = ys.tolist()
-        self._x_min, self._x_max, self._y_min, self._y_max = grid.bounds
+        self._x_min, x_max, self._y_min, y_max = grid.bounds
+        # a query this close outside the extent, such as an integration
+        # stage that rounding puts past an edge node, is evaluated on the
+        # edge cell
+        slack = 1e-9 * grid.cell_size
+        self._x_lo, self._x_hi = self._x_min - slack, x_max + slack
+        self._y_lo, self._y_hi = self._y_min - slack, y_max + slack
         self._inv_cell = 1.0 / grid.cell_size
         self._nx_last = nx_cells - 1
         self._ny_last = ny_cells - 1
@@ -212,12 +218,13 @@ class SurfaceModel:
 
         Floats give Python floats.  Arrays of one shape give arrays of that
         shape; OutOfBoundsError names the first point outside the grid.
+        A point within 1e-9 cell sizes outside the extent is on the grid.
         """
         if isinstance(x, (float, int)) and isinstance(y, (float, int)):
-            if not (self._x_min <= x <= self._x_max and self._y_min <= y <= self._y_max):
+            if not (self._x_lo <= x <= self._x_hi and self._y_lo <= y <= self._y_hi):
                 raise self._out_of_bounds(x, y)
             # axes are uniform, so the cell index is direct arithmetic; both
-            # offsets are >= 0 inside the grid
+            # offsets are > -1 on the grid, and int() truncates toward 0
             i = int((x - self._x_min) * self._inv_cell)
             j = int((y - self._y_min) * self._inv_cell)
             i = self._nx_last if i > self._nx_last else i
@@ -233,8 +240,8 @@ class SurfaceModel:
             return _bicubic_jet(self._cell, x - self._x_nodes[i], y - self._y_nodes[j])
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        outside = ~((self._x_min <= x) & (x <= self._x_max)
-                    & (self._y_min <= y) & (y <= self._y_max))
+        outside = ~((self._x_lo <= x) & (x <= self._x_hi)
+                    & (self._y_lo <= y) & (y <= self._y_hi))
         if outside.any():
             k = np.argmax(outside)
             raise self._out_of_bounds(float(x.flat[k]), float(y.flat[k]))
@@ -247,9 +254,10 @@ class SurfaceModel:
         return _bicubic_jet(c, x - self._xs[i], y - self._ys[j])
 
     def _out_of_bounds(self, x: float, y: float) -> OutOfBoundsError:
+        x_min, x_max, y_min, y_max = self.grid.bounds
         return OutOfBoundsError(
             f"query ({x:.3f}, {y:.3f}) outside grid extent "
-            f"x=[{self._x_min}, {self._x_max}], y=[{self._y_min}, {self._y_max}]"
+            f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]"
         )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from offroad.control import GainConfig
 from offroad.terrain import (
     DRY_SLOPE_LIMIT,
     WET_SLOPE_LIMIT,
@@ -13,9 +14,14 @@ from offroad.terrain import (
     WeatherCondition,
     build_obstacle_mask,
 )
+from offroad.vehicle import VehicleParams
 
 DRY = WeatherCondition("dry", DRY_SLOPE_LIMIT)
 WET = WeatherCondition("wet", WET_SLOPE_LIMIT)
+
+# a car with the actuator limits off, and the case study's controller gains
+FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
+GAINS = GainConfig(k1=10.0, k2=20.0)
 
 
 def grid_from_function(fn, n_cols=30, n_rows=30, cell=1.0, origin=(0.0, 0.0)):

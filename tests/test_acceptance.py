@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from offroad.cli import EXIT_OK, EXIT_UNREACHABLE, main
-from offroad.control import GainConfig, control_step
+from offroad.control import control_step
 from offroad.global_route import (
     build_dp_problem,
     extract_route,
@@ -31,10 +31,12 @@ from offroad.simulate import (
     tracking_metrics,
 )
 from offroad.terrain import SurfaceModel, build_obstacle_mask
-from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
+from offroad.vehicle import VehicleState, frame_and_motion
 
 from conftest import (
     DRY,
+    FREE,
+    GAINS,
     WET,
     dijkstra_costs_to_goal,
     euler_angles,
@@ -49,8 +51,6 @@ from conftest import (
     write_grid_csv,
 )
 
-FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
-GAINS = GainConfig(k1=10.0, k2=20.0)
 SLOW_POLE = 5.0 - math.sqrt(5.0)      # magnitude of the slow closed-loop mode
 
 CASE_WPTS = [(885.0, 418.5), (892.5, 411.0), (885.0, 403.5)]
@@ -147,7 +147,7 @@ def test_criterion_3_route_slope_compliance():
             if mask.blocked[start]:
                 continue
             route = extract_route(vf, problem, start)
-            if not route.reachable or len(route.waypoints) < 2:
+            if route is None or len(route.waypoints) < 2:
                 continue
             assert route.max_slope_deg <= limit_deg + 1e-9
             for a, b in zip(route.waypoints, route.waypoints[1:]):
@@ -256,7 +256,7 @@ def test_criterion_6_tracking_reproduction():
     contact force, straight-segment decay at the slow closed-loop pole."""
     surface, trajectory = case_study()
     t0 = time.perf_counter()
-    log = run_simulation(Scenario(surface=surface, trajectory=trajectory,
+    log = run_simulation(Scenario(trajectory=trajectory,
                                   gains=GAINS, params=FREE, dt=0.01))
     elapsed = time.perf_counter() - t0
     assert log.status == STATUS_COMPLETED
@@ -312,7 +312,7 @@ def test_criterion_7_error_dynamics_identity():
                               initial_speed=3.0)
     trajectory = DesiredTrajectory(geometry, build_speed_profile(geometry, config), surf)
     init = VehicleState(x=5.0, y=40.4, psi=0.0, speed=3.0, steer=0.0)
-    scenario = Scenario(surface=surf, trajectory=trajectory, gains=GAINS,
+    scenario = Scenario(trajectory=trajectory, gains=GAINS,
                         params=FREE, dt=0.01, initial_state=init)
     log = run_simulation(scenario)
     assert log.status == STATUS_COMPLETED
@@ -322,7 +322,7 @@ def test_criterion_7_error_dynamics_identity():
     # and on the case-study run, away from the reference-acceleration jumps
     # at the arc junctions where the identity holds only one-sidedly
     surface, trajectory = case_study()
-    scenario2 = Scenario(surface=surface, trajectory=trajectory,
+    scenario2 = Scenario(trajectory=trajectory,
                          gains=GAINS, params=FREE, dt=0.01)
     log2 = run_simulation(scenario2)
     junctions = [time_at_arc_length(trajectory.profile, s)
@@ -467,7 +467,7 @@ def test_criterion_10_route_800_squared_under_5_s():
     route = extract_route(vf, problem, start)
     elapsed = time.perf_counter() - t0
     assert vf.converged
-    assert route.reachable and route.waypoints[0] == start and route.waypoints[-1] == goal
+    assert route is not None and route.waypoints[0] == start and route.waypoints[-1] == goal
     for a, b in zip(route.waypoints, route.waypoints[1:]):
         assert max(abs(b[0] - a[0]), abs(b[1] - a[1])) == 1
         assert not mask.blocked[b]

@@ -12,7 +12,11 @@ Reads in the class's dunder methods do not count: ``__post_init__`` checks
 and ``__getitem__`` copies touch every field, whether or not anything needs
 it.
 
-Both checks go by name alone, so a use of a name that several classes
+An option, a parameter or record field with a default, counts as set when
+some call in the package passes it: by keyword, by position, or through a
+``*`` or ``**`` spread.  An option no caller sets is a constant.
+
+The checks go by name alone, so a use of a name that several classes
 define counts for each of them; such names are resolved by hand in
 SHARED_NAMES.
 """
@@ -63,8 +67,6 @@ SHARED_NAMES = {
     "duration": {"SpeedProfile": "DesiredTrajectory.duration",
                  "DesiredTrajectory": "Scenario, run_simulation, write_trajectory_csv",
                  "Scenario": "run_simulation"},
-    "reachable": {"ValueFunction": "extract_route",
-                  "PlannedRoute": "cli, write_route_csv"},
     "start": {"RunConfig": "cli.cmd_simulate", "LineSegment": "LineSegment's own methods"},
     "goal": {"RunConfig": "cli.cmd_simulate", "DpProblem": "value_iteration, extract_route"},
     "waypoints": {"RunConfig": "cli.cmd_simulate",
@@ -195,3 +197,91 @@ def test_names_several_owners_define_are_resolved_by_hand():
     # owner's definition, and a new owner of a listed name fails here too
     shared = {name: owners for name, owners in owners_by_name().items() if len(owners) > 1}
     assert shared == {name: set(readers) for name, readers in SHARED_NAMES.items()}
+
+
+# owner(option) -> why the option stays although no call in the package sets it
+ALLOWED_UNSET_OPTIONS = {
+    "main(argv)": "the console script calls main() with no arguments; tests and "
+                  "perfbench pass argv",
+    "build_dp_problem(alpha)": "test_tightening_slope_limit_never_helps needs one set of "
+                               "weights under two slope limits",
+}
+
+
+def _has_default(value: ast.expr) -> bool:
+    """A record field's value gives a default unless it is a ``field(...)``
+    without ``default`` or ``default_factory``."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+            and value.func.id == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+def _parameter_options(owner: str, args: ast.arguments, skip: int):
+    """(owner, parameter, positional index or None) of each parameter with a
+    default; the first ``skip`` positional parameters are bound, not passed."""
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    out = [(owner, arg.arg, k - skip) for k, arg in enumerate(positional)
+           if k >= first_default]
+    out += [(owner, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def options():
+    """(owner, option, positional index or None) of each parameter with a
+    default of a module-level function or a method, and of each record field
+    with a default; a class's ``__init__`` parameters belong to the class, and
+    a method's first parameter is bound, not passed."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                out += _parameter_options(node.name, node.args, 0)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_record(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                out += [(node.name, item.target.id, k) for k, item in enumerate(fields)
+                        if item.value is not None and _has_default(item.value)]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not _is_dunder(item.name)):
+                    out += _parameter_options(node.name if item.name == "__init__"
+                                              else item.name, item.args, 1)
+    return out
+
+
+def calls_by_name():
+    """{called name: [(positional arguments before any ``*`` spread, keyword
+    names, has a ``*`` spread, has a ``**`` spread)]} over the package."""
+    calls = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = [isinstance(arg, ast.Starred) for arg in node.args]
+            calls[name].append((starred.index(True) if any(starred) else len(starred),
+                                {k.arg for k in node.keywords}, any(starred),
+                                any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def unset_options():
+    calls = calls_by_name()
+    return sorted(f"{owner}({name})" for owner, name, index in options()
+                  if not any(name in keywords or double or (index is not None
+                                                            and (index < n or single))
+                             for n, keywords, single, double in calls[owner]))
+
+
+def test_every_option_is_set_by_a_caller_in_the_package():
+    unset = [name for name in unset_options() if name not in ALLOWED_UNSET_OPTIONS]
+    assert unset == [], "options no call in src/offroad sets; make them constants"
+
+
+def test_option_allowlist_is_current():
+    assert set(ALLOWED_UNSET_OPTIONS) <= set(unset_options())

@@ -13,9 +13,7 @@ from offroad.local_path import (
 from offroad.terrain import SurfaceModel, surface_lift
 from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
-from conftest import flat_grid, grid_from_function, time_at_arc_length
-
-FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
+from conftest import FREE, flat_grid, grid_from_function, time_at_arc_length
 
 
 def row(pos, vel, acc):
@@ -105,7 +103,7 @@ def test_vertical_accel_matches_logged_second_difference():
     cfg = TrajectoryConfig(nominal_speed=3.0, turn_radius=4.0, max_yaw_rate=1.0,
                            initial_speed=3.0)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
-    scenario = Scenario(surface=surf, trajectory=traj,
+    scenario = Scenario(trajectory=traj,
                         gains=GainConfig(10.0, 20.0), params=FREE, dt=0.01)
     log = run_simulation(scenario)
     assert log.status == "completed"
@@ -185,7 +183,7 @@ def test_closed_loop_offset_decay_matches_linear_error_dynamics():
     traj = straight_reference(surf, speed=3.0)
     gains = GainConfig(10.0, 20.0)
     init = VehicleState(x=5.0, y=40.5, psi=0.0, speed=3.0, steer=0.0)
-    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=gains,
+    log = run_simulation(Scenario(trajectory=traj, gains=gains,
                                   params=FREE, dt=0.01, initial_state=init))
     assert log.status == "completed"
     lam1, lam2 = 5 - math.sqrt(5), 5 + math.sqrt(5)

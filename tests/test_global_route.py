@@ -280,7 +280,7 @@ def test_bellman_fixed_point_residual():
     assert vf.sweeps == 1
     for r in range(grid.n_rows):
         for c in range(grid.n_cols):
-            if not vf.reachable((r, c)):
+            if not math.isfinite(vf.values[r, c]):
                 continue
             if (r, c) == goal:
                 assert vf.values[r, c] == 0.0
@@ -392,7 +392,7 @@ def test_plan_route_peak_memory_per_node():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert route.reachable and len(route.waypoints) > n
+    assert route is not None and len(route.waypoints) > n
     assert peak / grid.heights.size <= 200
 
 
@@ -438,7 +438,7 @@ def test_weather_reachability_flip():
         problem = build_dp_problem(grid, mask, weather, goal=goal)
         vf = value_iteration(problem)
         route = extract_route(vf, problem, start)
-        assert route.reachable == expect_reachable
+        assert (route is not None) == expect_reachable
         if expect_reachable:
             assert route.max_slope_deg <= math.degrees(math.atan(weather.slope_limit)) + 1e-9
 
@@ -452,7 +452,7 @@ def test_route_slopes_respect_limit():
         vf = value_iteration(problem)
         for r in range(grid.n_rows):
             for c in range(grid.n_cols):
-                if mask.blocked[r, c] or not vf.reachable((r, c)):
+                if mask.blocked[r, c] or not math.isfinite(vf.values[r, c]):
                     continue
                 route = extract_route(vf, problem, (r, c))
                 if route.waypoints:

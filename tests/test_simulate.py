@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from offroad.control import GainConfig
 from offroad.local_path import (
     DesiredTrajectory,
     TrajectoryConfig,
     build_speed_profile,
     plan_geometry,
 )
-from offroad.cli import _read_log_csv
 from offroad.simulate import (
     LOG_COLUMNS,
     STATUS_COMPLETED,
@@ -18,6 +16,7 @@ from offroad.simulate import (
     Scenario,
     TrajectoryLog,
     aligned_initial_state,
+    read_log_csv,
     run_simulation,
     tracking_metrics,
     write_log_csv,
@@ -25,10 +24,7 @@ from offroad.simulate import (
 from offroad.terrain import SurfaceModel
 from offroad.vehicle import VehicleParams, VehicleState, frame_and_motion
 
-from conftest import flat_grid, grid_from_function, time_at_arc_length
-
-FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
-GAINS = GainConfig(k1=10.0, k2=20.0)
+from conftest import FREE, GAINS, flat_grid, grid_from_function, time_at_arc_length
 
 CASE_WPTS = [(885.0, 418.5), (892.5, 411.0), (885.0, 403.5)]
 
@@ -53,7 +49,7 @@ def straight_scenario(initial_state=None, speed=2.0, dt=0.01, n=40, cell=2.0):
     cfg = TrajectoryConfig(nominal_speed=speed, turn_radius=4.0, max_yaw_rate=1.0,
                            initial_speed=speed)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
-    return Scenario(surface=surf, trajectory=traj, gains=GAINS, params=FREE,
+    return Scenario(trajectory=traj, gains=GAINS, params=FREE,
                     dt=dt, initial_state=initial_state)
 
 
@@ -70,7 +66,7 @@ def test_equilibrium_tracking_straight():
 def test_aligned_initial_state_matches_reference_velocity():
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
-    state = aligned_initial_state(traj, surf)
+    state = aligned_initial_state(traj)
     v = np.array(frame_and_motion(surf, *state, FREE)[15:18])
     ref = traj.sample(np.zeros(1)).velocity[0]
     assert np.max(np.abs(v - ref)) < 1e-9
@@ -79,7 +75,7 @@ def test_aligned_initial_state_matches_reference_velocity():
 def test_case_study_scenario_tracks_tightly():
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
-    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+    log = run_simulation(Scenario(trajectory=traj, gains=GAINS,
                                   params=FREE, dt=0.01))
     assert log.status == STATUS_COMPLETED
     m = tracking_metrics(log)
@@ -138,7 +134,7 @@ def hill_crest_scenario(fn_policy="halt"):
     cfg = TrajectoryConfig(nominal_speed=8.0, turn_radius=4.0, max_yaw_rate=3.0,
                            initial_speed=8.0)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
-    return Scenario(surface=surf, trajectory=traj, gains=GAINS, params=FREE,
+    return Scenario(trajectory=traj, gains=GAINS, params=FREE,
                     dt=0.01, fn_policy=fn_policy)
 
 
@@ -168,7 +164,7 @@ def test_straight_run_builds_only_the_spline_columns_it_crosses():
     cfg = TrajectoryConfig(nominal_speed=2.0, turn_radius=2.0, max_yaw_rate=1.0,
                            initial_speed=2.0)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
-    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+    log = run_simulation(Scenario(trajectory=traj, gains=GAINS,
                                   params=FREE, dt=0.01))
     assert log.status == STATUS_COMPLETED
     assert tracking_metrics(log).max_err < 0.01
@@ -184,8 +180,7 @@ def test_leaving_grid_reported():
     cfg = TrajectoryConfig(nominal_speed=3.0, turn_radius=2.0, max_yaw_rate=1.0,
                            initial_speed=3.0)
     traj = DesiredTrajectory(geom, build_speed_profile(geom, cfg), surf)
-    big_surface = SurfaceModel(flat_grid(n=12, cell=2.0))
-    scenario = Scenario(surface=big_surface, trajectory=traj, gains=GAINS,
+    scenario = Scenario(trajectory=traj, gains=GAINS,
                         params=FREE, dt=0.01,
                         initial_state=VehicleState(x=2.0, y=11.0, psi=0.0,
                                                    speed=3.0, steer=0.0))
@@ -199,13 +194,13 @@ def test_leaving_grid_reported():
 def test_scenario_validation():
     scenario = straight_scenario()
     with pytest.raises(ValueError):
-        Scenario(surface=scenario.surface, trajectory=scenario.trajectory,
+        Scenario(trajectory=scenario.trajectory,
                  gains=GAINS, params=FREE, dt=0.0)
     with pytest.raises(ValueError):
-        Scenario(surface=scenario.surface, trajectory=scenario.trajectory,
+        Scenario(trajectory=scenario.trajectory,
                  gains=GAINS, params=FREE, dt=0.01, duration=1.0)
     with pytest.raises(ValueError):
-        Scenario(surface=scenario.surface, trajectory=scenario.trajectory,
+        Scenario(trajectory=scenario.trajectory,
                  gains=GAINS, params=FREE, dt=0.01, fn_policy="ignore")
 
 
@@ -215,9 +210,9 @@ def test_scenario_validation():
 
 def test_identical_scenarios_identical_logs():
     surf = case_study_surface()
-    log_a = run_simulation(Scenario(surface=surf, trajectory=case_study_trajectory(surf),
+    log_a = run_simulation(Scenario(trajectory=case_study_trajectory(surf),
                                     gains=GAINS, params=FREE, dt=0.01))
-    log_b = run_simulation(Scenario(surface=surf, trajectory=case_study_trajectory(surf),
+    log_b = run_simulation(Scenario(trajectory=case_study_trajectory(surf),
                                     gains=GAINS, params=FREE, dt=0.01))
     assert log_a.table.tobytes() == log_b.table.tobytes()
 
@@ -226,9 +221,9 @@ def test_log_csv_deterministic(tmp_path):
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_log_csv(run_simulation(Scenario(surface=surf, trajectory=traj,
+    write_log_csv(run_simulation(Scenario(trajectory=traj,
                                           gains=GAINS, params=FREE, dt=0.01)), str(pa))
-    write_log_csv(run_simulation(Scenario(surface=surf, trajectory=traj,
+    write_log_csv(run_simulation(Scenario(trajectory=traj,
                                           gains=GAINS, params=FREE, dt=0.01)), str(pb))
     assert pa.read_bytes() == pb.read_bytes()
     header = pa.read_text().splitlines()[0]
@@ -242,12 +237,12 @@ def test_log_csv_reads_back_as_the_log_bit_for_bit(tmp_path):
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
     slow_steer = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer_rate=0.3)
-    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+    log = run_simulation(Scenario(trajectory=traj, gains=GAINS,
                                   params=slow_steer, dt=0.01))
     assert log.status == STATUS_COMPLETED and 0 < log["clamped"].sum() < len(log)
     path = tmp_path / "log.csv"
     write_log_csv(log, str(path))
-    read = _read_log_csv(str(path))
+    read = read_log_csv(str(path))
     assert list(read) == LOG_COLUMNS.split(",")
     for name, column in read.items():
         assert column.tobytes() == log[name].tobytes(), name
@@ -259,12 +254,12 @@ def test_dt_refinement_stability():
     # halving dt moves the max error by well under 2 percent
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
-    base = aligned_initial_state(traj, surf)
+    base = aligned_initial_state(traj)
     perturbed = VehicleState(x=base.x, y=base.y, psi=base.psi,
                              speed=base.speed + 0.3, steer=0.0)
     maxes = {}
     for dt in (0.01, 0.005):
-        log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+        log = run_simulation(Scenario(trajectory=traj, gains=GAINS,
                                       params=FREE, dt=dt, initial_state=perturbed))
         maxes[dt] = tracking_metrics(log).max_err
     rel_change = abs(maxes[0.005] - maxes[0.01]) / maxes[0.01]
@@ -281,7 +276,7 @@ def test_case_study_completes_under_default_limits():
     surf = case_study_surface()
     traj = case_study_trajectory(surf)
     params = VehicleParams()
-    log = run_simulation(Scenario(surface=surf, trajectory=traj, gains=GAINS,
+    log = run_simulation(Scenario(trajectory=traj, gains=GAINS,
                                   params=params, dt=0.01))
     assert log.status == STATUS_COMPLETED
     assert len(log) == int(math.floor(traj.duration / 0.01 + 1e-9)) + 1

@@ -280,6 +280,27 @@ def test_eval_array_with_one_point_outside_raises(flat_surface):
         flat_surface.eval(np.array([1.0, 2.0]), np.array([3.0, np.nan]))
 
 
+def test_eval_a_rounding_error_past_an_edge_is_on_the_edge_cell():
+    # a query 1e-12 m past an edge, as a rounded integration stage makes, is
+    # evaluated on the edge cell; 1e-6 cell sizes past the edge is off the grid
+    surf = SurfaceModel(grid_from_function(lambda x, y: np.sin(x) * np.cos(0.7 * y),
+                                           n_cols=12, n_rows=10, cell=1.5, origin=(-3.0, 2.0)))
+    x_min, x_max, y_min, y_max = surf.grid.bounds
+    edges = [(x_min, 5.0, -1, 0), (x_max, 5.0, 1, 0), (0.5, y_min, 0, -1), (0.5, y_max, 0, 1)]
+    for x, y, sx, sy in edges:
+        on_edge = surf.eval(x, y)
+        past = (x + sx * 1e-12, y + sy * 1e-12)
+        jet = surf.eval(*past)
+        assert jet == pytest.approx(on_edge, rel=1e-9, abs=1e-9)
+        arrays = surf.eval(np.array([past[0]]), np.array([past[1]]))
+        assert jet == tuple(float(d[0]) for d in arrays)
+        beyond = (x + sx * 1e-6 * 1.5, y + sy * 1e-6 * 1.5)
+        with pytest.raises(OutOfBoundsError):
+            surf.eval(*beyond)
+        with pytest.raises(OutOfBoundsError):
+            surf.eval(np.array([beyond[0]]), np.array([beyond[1]]))
+
+
 def test_surface_derivatives_match_finite_differences():
     # independent oracle: central differences of the interpolant itself
     rng = np.random.default_rng(42)

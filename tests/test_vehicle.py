@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from offroad.control import GainConfig, HOLD, control_step
+from offroad.control import HOLD, control_step
 from offroad.terrain import SurfaceModel
 from offroad.vehicle import (
     MOTION_FIELDS,
@@ -16,6 +16,8 @@ from offroad.vehicle import (
 )
 
 from conftest import (
+    FREE,
+    GAINS,
     flat_grid,
     grid_from_function,
     normal_with_gradient,
@@ -24,8 +26,6 @@ from conftest import (
 )
 
 PARAMS = VehicleParams()
-FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
-GAINS = GainConfig(k1=10.0, k2=20.0)
 
 
 def motion_at(surf, state, params=PARAMS):
