@@ -66,8 +66,6 @@ class DpProblem:
 
     grid: ElevationGrid
     goal: tuple[int, int]
-    alpha_m: float
-    alpha_d: float
     valid: np.ndarray                 # bool (n_rows, n_cols); True = state
     hop_cost: np.ndarray = field(repr=False)  # (4, n_rows, n_cols); +inf = inadmissible
 
@@ -167,8 +165,7 @@ def build_dp_problem(
     hop_cost[~admissible] = np.inf
     if np.any(hop_cost <= 0):
         raise ValueError("non-positive hop cost; check alpha weights and cell size")
-    return DpProblem(grid=grid, goal=goal, alpha_m=alpha_m, alpha_d=alpha_d,
-                     valid=valid, hop_cost=hop_cost)
+    return DpProblem(grid=grid, goal=goal, valid=valid, hop_cost=hop_cost)
 
 
 def _hop_graph(problem: DpProblem) -> csr_array:

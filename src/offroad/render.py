@@ -52,7 +52,7 @@ class SvgScene:
             f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(w * self.scale)}" '
             f'height="{_fmt(h * self.scale)}" fill="{color}"/>')
 
-    def polyline(self, xs: np.ndarray, ys: np.ndarray, color, width=2.0, dashed=False):
+    def polyline(self, xs: np.ndarray, ys: np.ndarray, color, width, dashed=False):
         px, py = self.to_px(xs, ys)
         pts = " ".join(map("{:.3f},{:.3f}".format, px.tolist(), py.tolist()))
         dash = ' stroke-dasharray="6,4"' if dashed else ""
@@ -122,9 +122,9 @@ def _check_extent(grid: ElevationGrid, xs, ys, layer: str) -> None:
 
 def render_scene(
     grid: ElevationGrid,
-    route: PlannedRoute | None = None,
-    log: dict[str, np.ndarray] | None = None,
-    out_path: str = "scene.svg",
+    route: PlannedRoute | None,
+    log: dict[str, np.ndarray] | None,
+    out_path: str,
 ) -> None:
     """Compose elevation shading, obstacle overlay, and optional route and
     trajectory layers into one SVG file.  ``log`` holds simulation log

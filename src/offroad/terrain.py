@@ -383,9 +383,9 @@ def neighbor_slices(shape: tuple[int, int], dr: int, dc: int):
 
 def build_obstacle_mask(
     grid: ElevationGrid,
+    steep_limit: float,
     water_mask: np.ndarray | None = None,
     foliage_mask: np.ndarray | None = None,
-    steep_limit: float = DRY_SLOPE_LIMIT,
 ) -> ObstacleMask:
     """Mark nodes that cannot be part of a route.
 
@@ -430,19 +430,23 @@ def _parse_header(
     if len(lines) < 4:
         raise GridFormatError(f"{path}: expected a 4-line header, got {len(lines)} lines")
 
-    def field(idx: int, name: str, n_values: int) -> list[str]:
+    def field(idx: int, name: str, n_values: int, parse: type) -> list:
         parts = [p.strip() for p in lines[idx].split(",")]
         if len(parts) != n_values + 1 or parts[0].lower() != name:
             raise GridFormatError(f"{path}:{numbers[idx]}: expected '{name},...' header line")
-        return parts[1:]
+        values = []
+        for token in parts[1:]:
+            try:
+                values.append(parse(token))
+            except ValueError as exc:
+                raise GridFormatError(
+                    f"{path}:{numbers[idx]}: {name}: not a number: {token!r}") from exc
+        return values
 
-    try:
-        n_cols = int(field(0, "ncols", 1)[0])
-        n_rows = int(field(1, "nrows", 1)[0])
-        cell = float(field(2, "cellsize", 1)[0])
-        ox, oy = (float(v) for v in field(3, "origin", 2))
-    except ValueError as exc:
-        raise GridFormatError(f"{path}: malformed header value ({exc})") from exc
+    (n_cols,) = field(0, "ncols", 1, int)
+    (n_rows,) = field(1, "nrows", 1, int)
+    (cell,) = field(2, "cellsize", 1, float)
+    ox, oy = field(3, "origin", 2, float)
     if n_cols < 2 or n_rows < 2:
         raise GridFormatError(f"{path}: grid must be at least 2x2, got {n_rows}x{n_cols}")
     if not cell > 0:

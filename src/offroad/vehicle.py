@@ -171,14 +171,14 @@ def normal_force(motion: tuple, params: VehicleParams) -> float:
 def step_dynamics(
     state: tuple,
     rates: Callable[[tuple, float], tuple],
-    params: VehicleParams, dt: float, k1: tuple | None = None,
+    params: VehicleParams, dt: float, k1: tuple,
 ) -> VehicleState:
     """One classical RK4 step of length dt on (x, y, psi, speed, steer).
 
     ``rates(s, h)`` is the state derivative (x_dot, y_dot, psi_dot,
     speed_dot, steer_dot) at the state tuple s and time offset h in
-    {0, dt/2, dt} from the step start; ``k1`` is its value at (state, 0)
-    when the caller already has it, else None.  Any actuator clamping of the
+    {0, dt/2, dt} from the step start; ``k1`` is its value at (state, 0),
+    which the caller has already evaluated.  Any actuator clamping of the
     inputs belongs in ``rates``.  After the step the steering angle is
     clamped to max_steer and the speed to >= 0.  Height never appears in the
     state: it is re-derived from the surface wherever needed.
@@ -186,8 +186,6 @@ def step_dynamics(
     if not dt > 0:
         raise ValueError("dt must be positive")
     x, y, psi, v, d = state
-    if k1 is None:
-        k1 = rates(state, 0.0)
     h = 0.5 * dt
     x1, y1, p1, v1, d1 = k1
     x2, y2, p2, v2, d2 = rates((x + h * x1, y + h * y1, psi + h * p1,

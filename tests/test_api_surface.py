@@ -14,7 +14,10 @@ it.
 
 An option, a parameter or record field with a default, counts as set when
 some call in the package passes it: by keyword, by position, or through a
-``*`` or ``**`` spread.  An option no caller sets is a constant.
+``*`` or ``**`` spread.  An option no caller sets is a constant.  A default
+that every call in the package overrides, by keyword or by position before
+any spread, is never used: the parameter is required.  A spread may leave
+the default, so it does not override.
 
 The checks go by name alone, so a use of a name that several classes
 define counts for each of them; such names are resolved by hand in
@@ -31,8 +34,9 @@ SRC = Path(offroad.__file__).parent
 
 # name -> why it stays without a caller in the package
 ALLOWED_UNUSED = {
-    "compute_scaling_factors": "the benchmark's own tests (perfbench/test_perfbench.py) "
-                               "import it; it goes when they stop",
+    "compute_scaling_factors": "the tests take the route's scaling factors from it "
+                               "(tests/test_global_route.py and the benchmark's own "
+                               "perfbench/test_perfbench.py)",
     "error": "argparse calls it: cli._Parser overrides ArgumentParser.error so that "
              "usage errors exit 4",
 }
@@ -40,10 +44,6 @@ ALLOWED_UNUSED = {
 
 # Class.field -> why the field stays without a reader in the package
 ALLOWED_UNREAD_FIELDS = {
-    "DpProblem.alpha_m": "the tests' Dijkstra oracle (tests/conftest.py) takes the "
-                         "problem's scaling factors",
-    "DpProblem.alpha_d": "the tests' Dijkstra oracle (tests/conftest.py) takes the "
-                         "problem's scaling factors",
     "ValueFunction.converged": "perfbench reports it as global_route.converged_frac",
     "ValueFunction.sweeps": "perfbench reports it as global_route.sweeps",
     "WeatherCondition.kind": "perfbench constructs WeatherCondition(kind, limit)",
@@ -285,3 +285,30 @@ def test_every_option_is_set_by_a_caller_in_the_package():
 
 def test_option_allowlist_is_current():
     assert set(ALLOWED_UNSET_OPTIONS) <= set(unset_options())
+
+
+# owner(option) -> why the option keeps its default although every call in
+# the package passes it
+ALLOWED_OVERRIDDEN_DEFAULTS = {}
+
+
+def overridden_defaults():
+    """owner(option) of each default that every call in the package
+    overrides, by keyword or by position before any spread; a call that
+    spreads ``*`` or ``**`` may leave the default, and an owner the package
+    never calls is not checked."""
+    calls = calls_by_name()
+    return sorted(f"{owner}({name})" for owner, name, index in options()
+                  if calls[owner] and all(name in keywords or (index is not None
+                                                               and index < n)
+                                          for n, keywords, _, _ in calls[owner]))
+
+
+def test_no_default_is_overridden_by_every_caller():
+    overridden = [name for name in overridden_defaults()
+                  if name not in ALLOWED_OVERRIDDEN_DEFAULTS]
+    assert overridden == [], "defaults every call in src/offroad overrides; make them required"
+
+
+def test_overridden_default_allowlist_is_current():
+    assert set(ALLOWED_OVERRIDDEN_DEFAULTS) <= set(overridden_defaults())

@@ -25,7 +25,7 @@ from offroad.config import ConfigError, load_run_config
 from offroad.global_route import read_route_csv
 from offroad.render import SvgScene
 from offroad.simulate import LOG_COLUMNS
-from offroad.terrain import ElevationGrid, SurfaceModel
+from offroad.terrain import WET_SLOPE_LIMIT, ElevationGrid, SurfaceModel, WeatherCondition
 
 from conftest import flat_grid, grid_from_function, write_grid_csv
 
@@ -115,6 +115,24 @@ def test_route_malformed_grid_names_line(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")])
     assert code == EXIT_INPUT
     assert ":6:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_file", ["grid", "mask"])
+@pytest.mark.parametrize("header, message", [
+    ("nrows,2\nncols,3\ncellsize,1.0\norigin,0,0\n", "1: expected 'ncols,...' header line"),
+    ("ncols,3\nnrows,2\ncellsize,1.0\norigin,0\n", "4: expected 'origin,...' header line"),
+    ("ncols,3\nnrows,2\ncellsize,abc\norigin,0,0\n", "3: cellsize: not a number: 'abc'"),
+], ids=["swapped key", "missing origin value", "non-numeric cellsize"])
+def test_malformed_header_is_reported_once_with_its_line(tmp_path, capsys, bad_file, header,
+                                                         message):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("ncols,3\nnrows,2\ncellsize,1.0\norigin,0,0\n0,0,0\n0,0,0\n")
+    bad.write_text(header + "0,0,0\n0,0,0\n")
+    grid, water = (bad, good) if bad_file == "grid" else (good, bad)
+    argv = ["route", "--grid", str(grid), "--water", str(water), "--start", "0,0",
+            "--goal", "1,1", "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {bad}:{message}\n"
 
 
 @pytest.mark.parametrize("cell, origin", [(10.0, (5.0, 0.0)), (10.0, (0.0, -10.0)),
@@ -774,6 +792,15 @@ def test_config_weather_override(tmp_path):
     assert rc.weather.kind == "wet"
     assert rc.weather.slope_limit == 0.2
     assert rc.steep_limit == 0.2
+
+
+def test_config_weather_kind_alone_sets_both_limits(tmp_path):
+    # the [weather] section of every plan-and-track config: the kind's slope
+    # limit is also the steep-node limit
+    cfg = write_case_config(tmp_path, CASE_CONFIG + "\n[weather]\nkind = wet\n")
+    rc = load_run_config(str(cfg))
+    assert rc.weather == WeatherCondition("wet", WET_SLOPE_LIMIT)
+    assert rc.steep_limit == WET_SLOPE_LIMIT
 
 
 def test_config_malformed_never_crashes(tmp_path):

@@ -45,7 +45,7 @@ from conftest import (
 
 def test_scaling_flat_terrain():
     grid = flat_grid(n=5, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     alpha_m, alpha_d = compute_scaling_factors(grid, mask, DRY)
     # mean slope 0, mean distance d: alpha_d = 1/d, alpha_m = 1 - alpha_d
     dists = []
@@ -98,7 +98,7 @@ def test_scaling_singular_system():
 def test_scaling_example_by_hand():
     # mean_m = 0 (flat), mean_d = 10: alpha_d = 0.1, alpha_m = 0.9
     grid = flat_grid(n=2, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     # drop diagonals from the average by blocking nothing; a 2x2 grid has
     # 4 orthogonal hops of 10 and 4 diagonal hops of 10*sqrt(2) per direction
     alpha_m, alpha_d = compute_scaling_factors(grid, mask, DRY)
@@ -113,8 +113,9 @@ def test_scaling_example_by_hand():
 
 def test_flat_interior_node_has_eight_moves():
     grid = flat_grid(n=3, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
+    alpha = compute_scaling_factors(grid, mask, DRY)
     assert problem.hop_cost.shape == (4, 3, 3)
 
     def hops(node):
@@ -124,8 +125,7 @@ def test_flat_interior_node_has_eight_moves():
 
     center = hops((1, 1))
     assert len(center) == 8 and all(np.isfinite(list(center.values())))
-    assert all(cost == oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, problem.alpha_m,
-                                       problem.alpha_d, (1, 1), b)
+    assert all(cost == oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha, (1, 1), b)
                for b, cost in center.items())
     corner = (0, 0)
     admissible = [b for b, cost in hops(corner).items() if np.isfinite(cost)]
@@ -167,6 +167,7 @@ def test_hop_tables_are_symmetric_bit_for_bit():
     rng = np.random.default_rng(31)
     grid, mask, goal = random_problem(rng, n=13, cell=6.0, obstacle_p=0.2, rough=2.0)
     problem = build_dp_problem(grid, mask, DRY, goal=goal)
+    alpha = compute_scaling_factors(grid, mask, DRY)
     slopes, cost = grid.neighbor_slopes, problem.hop_cost
     assert slopes.shape == cost.shape == (4, 13, 13)
     assert list(NEIGHBOR_OFFSETS[:4]) == FORWARD_OFFSETS
@@ -184,8 +185,7 @@ def test_hop_tables_are_symmetric_bit_for_bit():
             if not in_grid(grid, b):
                 continue
             slope, _ = oracle_hop(grid, a, b)
-            expect = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit,
-                                     problem.alpha_m, problem.alpha_d, a, b)
+            expect = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha, a, b)
             assert bits(table_entry(slopes, a, b)) == bits(slope)
             assert bits(table_entry(cost, a, b)) == bits(expect)
             assert bits(table_entry(cost, b, a)) == bits(expect)
@@ -200,7 +200,7 @@ def test_goal_must_be_a_state():
     grid = flat_grid(n=3)
     water = np.zeros((3, 3), dtype=bool)
     water[1, 1] = True
-    mask = build_obstacle_mask(grid, water_mask=water)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
     with pytest.raises(ValueError, match="obstacle"):
         build_dp_problem(grid, mask, DRY, goal=(1, 1))
     with pytest.raises(ValueError, match="outside"):
@@ -213,7 +213,7 @@ def test_goal_must_be_a_state():
 
 def test_goal_value_zero_policy_stay():
     grid = flat_grid(n=4, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(2, 2))
     vf = value_iteration(problem)
     assert vf.converged
@@ -225,10 +225,11 @@ def test_single_step_bellman_by_hand():
     # 1x2 flat grid is below the 2x2 minimum; use a 2x2 grid and check the
     # one-hop value: west neighbor of the goal costs alpha_d * cell
     grid = flat_grid(n=2, cell=7.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(0, 1))
     vf = value_iteration(problem)
-    assert vf.values[0, 0] == pytest.approx(problem.alpha_d * 7.0, abs=1e-12)
+    _, alpha_d = compute_scaling_factors(grid, mask, DRY)
+    assert vf.values[0, 0] == pytest.approx(alpha_d * 7.0, abs=1e-12)
     assert vf.policy[0, 0] == 1  # East
 
 
@@ -236,7 +237,7 @@ def test_policy_ties_keep_lowest_action_id():
     # from (2, 1) to (0, 0) on flat ground, North-then-Northwest and
     # Northwest-then-North cost the same; the lower id (North = 3) wins
     grid = flat_grid(n=3, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
     vf = value_iteration(problem)
     via_north = problem.hop_cost[3 - 1][2, 1] + vf.values[1, 1]
@@ -252,8 +253,8 @@ def test_values_match_dijkstra_on_random_grids():
         weather = DRY
         problem = build_dp_problem(grid, mask, weather, goal=goal)
         vf = value_iteration(problem)
-        oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit,
-                                        goal, problem.alpha_m, problem.alpha_d)
+        oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
+                                        *compute_scaling_factors(grid, mask, weather))
         for r in range(grid.n_rows):
             for c in range(grid.n_cols):
                 if mask.blocked[r, c]:
@@ -275,6 +276,7 @@ def test_bellman_fixed_point_residual():
     rng = np.random.default_rng(17)
     grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
     problem = build_dp_problem(grid, mask, DRY, goal=goal)
+    alpha = compute_scaling_factors(grid, mask, DRY)
     vf = value_iteration(problem)
     assert vf.converged
     assert vf.sweeps == 1
@@ -287,8 +289,8 @@ def test_bellman_fixed_point_residual():
                 continue
             candidates = {}
             for a, (dr, dc) in MOVES.items():
-                cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, problem.alpha_m,
-                                       problem.alpha_d, (r, c), (r + dr, c + dc))
+                cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha,
+                                       (r, c), (r + dr, c + dc))
                 if math.isfinite(cost):
                     candidates[a] = cost + vf.values[r + dr, c + dc]
             best = min(candidates.values())
@@ -299,9 +301,10 @@ def test_bellman_fixed_point_residual():
 def test_tightening_slope_limit_never_helps():
     rng = np.random.default_rng(77)
     grid, mask, goal = random_problem(rng, n=12, cell=6.0, rough=3.0)
-    loose = build_dp_problem(grid, mask, WeatherCondition("dry", 0.25), goal=goal)
-    tight = build_dp_problem(grid, mask, WeatherCondition("wet", 0.10), goal=goal,
-                             alpha=(loose.alpha_m, loose.alpha_d))
+    dry = WeatherCondition("dry", 0.25)
+    alpha = compute_scaling_factors(grid, mask, dry)
+    loose = build_dp_problem(grid, mask, dry, goal=goal, alpha=alpha)
+    tight = build_dp_problem(grid, mask, WeatherCondition("wet", 0.10), goal=goal, alpha=alpha)
     vf_loose = value_iteration(loose)
     vf_tight = value_iteration(tight)
     finite = np.isfinite(vf_tight.values)
@@ -314,7 +317,7 @@ def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
     # the flag comes from the residual check, not from the solver's say-so
     import offroad.global_route as gr
     grid = flat_grid(n=5, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
     exact = gr.dijkstra
 
@@ -350,8 +353,8 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
     problem = build_dp_problem(grid, mask, weather, goal=goal)
     vf = value_iteration(problem)
     assert vf.converged
-    oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit,
-                                    goal, problem.alpha_m, problem.alpha_d)
+    oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
+                                    *compute_scaling_factors(grid, mask, weather))
     assert np.isfinite(vf.values).sum() == len(oracle)
     for node, expect in oracle.items():
         assert vf.values[node] == pytest.approx(expect, abs=1e-9)
@@ -402,7 +405,7 @@ def test_plan_route_peak_memory_per_node():
 
 def test_route_start_equals_goal():
     grid = flat_grid(n=3, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(1, 1))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (1, 1))
@@ -413,7 +416,7 @@ def test_route_start_equals_goal():
 
 def test_route_diagonal_dominance_on_flat():
     grid = flat_grid(n=5, cell=10.0)
-    mask = build_obstacle_mask(grid)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
     problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (0, 0))

@@ -636,7 +636,7 @@ def test_neighbor_slopes_built_once_and_read_only():
 
 
 def test_obstacle_mask_all_clear_on_flat():
-    mask = build_obstacle_mask(flat_grid(n=5))
+    mask = build_obstacle_mask(flat_grid(n=5), DRY_SLOPE_LIMIT)
     assert not mask.blocked.any()
 
 
@@ -644,7 +644,7 @@ def test_obstacle_mask_single_water_cell():
     grid = flat_grid(n=5)
     water = np.zeros((5, 5), dtype=bool)
     water[2, 3] = True
-    mask = build_obstacle_mask(grid, water_mask=water)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
     assert mask.blocked.sum() == 1
     assert mask.blocked[2, 3]
 
@@ -671,9 +671,11 @@ def test_obstacle_mask_water_on_steep_node_blocks_it_once():
 
 def test_obstacle_mask_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        build_obstacle_mask(flat_grid(n=5), water_mask=np.zeros((4, 4), dtype=bool))
+        build_obstacle_mask(flat_grid(n=5), DRY_SLOPE_LIMIT,
+                            water_mask=np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError, match=r"^foliage mask shape \(5, 4\) != grid shape \(5, 5\)$"):
-        build_obstacle_mask(flat_grid(n=5), foliage_mask=np.zeros((5, 4), dtype=bool))
+        build_obstacle_mask(flat_grid(n=5), DRY_SLOPE_LIMIT,
+                            foliage_mask=np.zeros((5, 4), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

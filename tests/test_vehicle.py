@@ -328,7 +328,8 @@ def test_normal_force_on_45_degree_incline(incline_x_surface):
 def test_step_straight_line_advance(flat_surface):
     state = VehicleState(x=3.0, y=5.0, psi=0.0, speed=2.0, steer=0.0)
     dt = 0.01
-    out = step_dynamics(state, held(0.0, 0.0, flat_surface, PARAMS), PARAMS, dt)
+    rates = held(0.0, 0.0, flat_surface, PARAMS)
+    out = step_dynamics(state, rates, PARAMS, dt, rates(state, 0.0))
     assert out.x == pytest.approx(3.0 + 2.0 * dt, abs=1e-12)
     assert out.y == pytest.approx(5.0, abs=1e-12)
     assert out.psi == pytest.approx(0.0, abs=1e-12)
@@ -351,7 +352,7 @@ def test_step_constant_steer_traces_circle():
     start = np.array([state.x, state.y])
     rates = held(0.0, 0.0, flat_surface, params)
     for _ in range(n):
-        state = step_dynamics(state, rates, params, dt)
+        state = step_dynamics(state, rates, params, dt, rates(state, 0.0))
     closure = np.linalg.norm([state.x - start[0], state.y - start[1]])
     # n*dt may differ from the period by up to dt/2: allow the arc the car
     # covers in that time plus integration error
@@ -361,8 +362,9 @@ def test_step_constant_steer_traces_circle():
 def test_step_speed_magnitude_identity(flat_surface):
     # speed state and velocity norm agree by construction at every sample
     state = VehicleState(x=4.0, y=4.0, psi=0.2, speed=1.5, steer=0.2)
+    rates = held(0.1, 0.05, flat_surface, PARAMS)
     for _ in range(100):
-        state = step_dynamics(state, held(0.1, 0.05, flat_surface, PARAMS), PARAMS, 0.01)
+        state = step_dynamics(state, rates, PARAMS, 0.01, rates(state, 0.0))
         m = motion_at(flat_surface, state)
         v = part(m, "x_dot")
         assert np.linalg.norm(v) == pytest.approx(state.speed, abs=1e-9)
@@ -378,7 +380,7 @@ def test_step_rk4_order(flat_surface):
     def advance(dt, n):
         s = state
         for _ in range(n):
-            s = step_dynamics(s, rates, params, dt)
+            s = step_dynamics(s, rates, params, dt, rates(s, 0.0))
         return np.array(s)
 
     ref = advance(1e-4, 1600)          # effectively exact
@@ -391,7 +393,8 @@ def test_step_rk4_order(flat_surface):
 def test_step_clamps_steering(flat_surface):
     # a held 10 rad/s steering rate drives the angle into its 0.6 rad bound
     state = VehicleState(x=5.0, y=5.0, psi=0.0, speed=2.0, steer=0.59)
-    out = step_dynamics(state, held(0.0, 10.0, flat_surface, PARAMS), PARAMS, 0.01)
+    rates = held(0.0, 10.0, flat_surface, PARAMS)
+    out = step_dynamics(state, rates, PARAMS, 0.01, rates(state, 0.0))
     assert out.steer == PARAMS.max_steer
     # and the controller clamps a demand beyond the 2 rad/s rate bound
     (_, gamma), hit = invert(flat_surface, state, 0.0, 10.0, PARAMS)
@@ -404,11 +407,12 @@ def test_step_braking_never_yields_negative_speed(flat_surface):
     brake = held(-10.0, 0.0, flat_surface, FREE)
     out = state
     for _ in range(5):
-        out = step_dynamics(out, brake, FREE, 0.1)
+        out = step_dynamics(out, brake, FREE, 0.1, brake(out, 0.0))
         assert out.speed == 0.0
     # a braking step that stays above zero is left alone
     gentle = held(-0.5, 0.0, flat_surface, FREE)
-    assert step_dynamics(state, gentle, FREE, 0.1).speed == pytest.approx(0.05, abs=1e-12)
+    out = step_dynamics(state, gentle, FREE, 0.1, gentle(state, 0.0))
+    assert out.speed == pytest.approx(0.05, abs=1e-12)
 
 
 def test_surface_adherence_on_rolling_terrain():
@@ -424,7 +428,7 @@ def test_surface_adherence_on_rolling_terrain():
         assert abs(part(m, "x_dot") @ part(m, "k_bx")) < 1e-9
         if k % 20 == 0:
             assert abs(rear_contact_lateral_speed(surf, state, params)) < 1e-6
-        state = step_dynamics(state, rates, params, 0.01)
+        state = step_dynamics(state, rates, params, 0.01, rates(state, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,7 @@ def test_rear_contact_lateral_velocity_vanishes_on_a_slope():
     rates = held(0.2, -0.1, surf, FREE)
     states = [state]
     for _ in range(1500):
-        states.append(step_dynamics(states[-1], rates, FREE, dt))
+        states.append(step_dynamics(states[-1], rates, FREE, dt, rates(states[-1], 0.0)))
     rear = [np.array([s.x, s.y, surf.eval(s.x, s.y)[0]])
             - FREE.wheelbase * oracle_body_axes(surf, s.x, s.y, s.psi)[0] for s in states]
     worst = 0.0
@@ -472,7 +476,7 @@ def test_positive_steer_turns_left(flat_surface, steer):
     state = VehicleState(x=3.0, y=6.0, psi=0.0, speed=2.0, steer=steer)
     rates = held(0.0, 0.0, flat_surface, FREE)
     for _ in range(100):
-        state = step_dynamics(state, rates, FREE, 0.01)
+        state = step_dynamics(state, rates, FREE, 0.01, rates(state, 0.0))
     # heading east, a left turn raises the yaw and moves the car north
     assert math.copysign(1.0, state.psi) == math.copysign(1.0, steer)
     assert math.copysign(1.0, state.y - 6.0) == math.copysign(1.0, steer)

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Check that the working tree's program writes exactly what a base commit's does.
+
+    python3 tools/same_outputs.py --base HEAD
+
+Extracts the committed files of the base commit as tools/bench_pairs.py does,
+then writes the benchmark's inputs once with perfbench/inputs.py: the
+route-batch queries of seeds 1-2, the plan-and-track scenarios of seeds 1-3
+and track-case-study.  In each tree, every command runs in a fresh process:
+each `route`, then `render --route` of the route it wrote; each `simulate`,
+then `render --grid --log` of the log it wrote.  Each job runs in its own
+directory and writes there, so the two trees' outputs sit side by side.
+
+Stdout, stderr, exit code and every written file are compared byte for byte.
+The tool prints one line per differing artifact and exits 1 on any
+difference; otherwise it prints `identical` and exits 0.  It times nothing,
+so no BENCH_*.json depends on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from bench_pairs import extract_commit  # noqa: E402
+from perfbench import inputs  # noqa: E402
+
+ROUTE_SEEDS = (1, 2)
+PLAN_SEEDS = (1, 2, 3)
+# runs the program of one tree: its src/ comes first on the path
+RUNNER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+          "from offroad.cli import main; sys.exit(main())")
+
+
+def route_jobs(prefix: str, queries: list[inputs.RouteQuery]) -> dict[str, list[list[str]]]:
+    """{job: [argv, ...]}: each route query, then a render of its route."""
+    return {f"{prefix}-{q.name}": [q.argv("route.csv"),
+                                   ["render", "--grid", q.grid, "--route", "route.csv",
+                                    "--out", "route.svg"]]
+            for q in queries}
+
+
+def simulate_job(config: str, grid: str) -> list[list[str]]:
+    """A simulate run, then a render of its log."""
+    return [["simulate", "--config", config, "--out-dir", "."],
+            ["render", "--grid", grid, "--log", "log.csv", "--out", "scene.svg"]]
+
+
+def benchmark_jobs(directory: Path) -> dict[str, list[list[str]]]:
+    """Write the input set into `directory`; its jobs."""
+    jobs = {}
+    for seed in ROUTE_SEEDS:
+        sub = directory / f"route-{seed}"
+        sub.mkdir()
+        jobs |= route_jobs(sub.name, inputs.route_batch(seed, str(sub)))
+    for seed in PLAN_SEEDS:
+        sub = directory / f"plan-{seed}"
+        sub.mkdir()
+        jobs |= {f"{sub.name}-{sc.name}": simulate_job(sc.config, sc.grid)
+                 for sc in inputs.plan_and_track(seed, str(sub))}
+    sub = directory / "case-study"
+    sub.mkdir()
+    jobs["case-study"] = simulate_job(inputs.track_case_study(1, str(sub)),
+                                      str(sub / "case.csv"))
+    return jobs
+
+
+def run_jobs(src: Path, jobs: dict[str, list[list[str]]], out: Path) -> None:
+    """Run every job with the program in `src`, each command in a fresh
+    process in out/<job>, and keep its stdout, stderr and exit code there as
+    <i>-<command>.stdout, .stderr and .exit."""
+    for name, commands in jobs.items():
+        cwd = out / name
+        cwd.mkdir(parents=True)
+        for i, argv in enumerate(commands):
+            proc = subprocess.run([sys.executable, "-c", RUNNER, str(src.resolve()), *argv],
+                                  cwd=cwd, capture_output=True, timeout=600)
+            stem = cwd / f"{i}-{argv[0]}"
+            stem.with_suffix(".stdout").write_bytes(proc.stdout)
+            stem.with_suffix(".stderr").write_bytes(proc.stderr)
+            stem.with_suffix(".exit").write_text(f"{proc.returncode}\n")
+
+
+def differences(base: Path, change: Path) -> list[str]:
+    """One line per file that is in only one of the two trees or differs."""
+    def files(top):
+        return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+
+    base_files, change_files = files(base), files(change)
+    out = []
+    for rel in sorted(base_files | change_files):
+        if rel not in change_files:
+            out.append(f"{rel}: only in base")
+        elif rel not in base_files:
+            out.append(f"{rel}: only in change")
+        else:
+            a, b = (base / rel).read_bytes(), (change / rel).read_bytes()
+            if a == b:
+                continue
+            if rel.suffix == ".exit":
+                out.append(f"{rel}: exit code {a.decode().strip()} -> {b.decode().strip()}")
+            else:
+                at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+                          min(len(a), len(b)))
+                out.append(f"{rel}: differs from byte {at}")
+    return out
+
+
+def compare(base_src: Path, change_src: Path, jobs: dict[str, list[list[str]]],
+            work: Path) -> int:
+    """Run the jobs with both programs under `work`, print the differences
+    or `identical`, and return the exit status."""
+    run_jobs(base_src, jobs, work / "base")
+    run_jobs(change_src, jobs, work / "change")
+    found = differences(work / "base", work / "change")
+    print("\n".join(found) if found else "identical")
+    return 1 if found else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="commit to compare against")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        work = Path(tmp)
+        extract_commit(args.base, work / "tree")
+        (work / "inputs").mkdir()
+        jobs = benchmark_jobs(work / "inputs")
+        return compare(work / "tree" / "src", ROOT / "src", jobs, work)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
