@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--foliage", default=None)
     p_route.add_argument("--start", required=True, metavar="ROW,COL")
     p_route.add_argument("--goal", required=True, metavar="ROW,COL")
-    p_route.add_argument("--weather", choices=tuple(SLOPE_LIMITS))   # default: dry
+    p_route.add_argument("--weather", choices=tuple(SLOPE_LIMITS), default="dry")
     p_route.add_argument("--slope-limit", type=float, default=None)
     p_route.add_argument("--steep-limit", type=float, default=None)
     p_route.add_argument("--out", required=True)

@@ -5,8 +5,8 @@ subsystem.  `_SCHEMA` declares each section's keys, each with the parser
 that checks its value; unknown sections or keys are rejected, and a key
 left out takes the default of the dataclass it sets (`TrajectoryConfig`,
 `VehicleParams`, `GainConfig`, `sim.Scenario`).  Referenced files must
-exist.  Limits accepting "none" mean the corresponding actuator bound is
-removed (the idealized unconstrained case).
+exist.  An actuator limit set to "none", "inf" or "unlimited" is infinite:
+the bound is removed (the idealized unconstrained case).
 
 `resolve_weather` gives the slope limit and the steep-node limit for a
 weather kind and its optional overrides, for the `[weather]` section and
@@ -80,10 +80,10 @@ def _non_negative(label: str, raw: str) -> float:
     return value
 
 
-def _limit(label: str, raw: str) -> float | None:
-    """An actuator bound; "none", "inf" or "unlimited" removes it (None)."""
+def _limit(label: str, raw: str) -> float:
+    """An actuator bound; "none", "inf" or "unlimited" removes it (inf)."""
     if raw.lower() in ("none", "inf", "unlimited"):
-        return None
+        return math.inf
     return _positive(label, raw)
 
 
@@ -144,14 +144,13 @@ _SCHEMA = {
 }
 
 
-def resolve_weather(labels: tuple[str, str], kind: str | None = None,
+def resolve_weather(labels: tuple[str, str], kind: str = "dry",
                     slope_limit: str | float | None = None,
                     steep_limit: str | float | None = None) -> tuple[WeatherCondition, float]:
-    """The weather and the steep-node limit.  ``kind`` None is dry.  The
-    overrides are raw text or numbers, None when not given: the slope limit
-    defaults to the kind's, the steep limit to the slope limit.  ``labels``
-    name the two overrides in error messages."""
-    kind = kind or "dry"
+    """The weather and the steep-node limit.  The overrides are raw text or
+    numbers, None when not given: the slope limit defaults to the kind's,
+    the steep limit to the slope limit.  ``labels`` name the two overrides
+    in error messages."""
     limit = SLOPE_LIMITS[kind] if slope_limit is None else _positive(labels[0], slope_limit)
     steep = limit if steep_limit is None else _positive(labels[1], steep_limit)
     return WeatherCondition(kind, limit), steep

@@ -107,13 +107,10 @@ def control_step(
     gamma = (k_x * (y_dot * e_z - z_dot * e_y) + k_y * (z_dot * e_x - x_dot * e_z)
              + k_z * (x_dot * e_y - y_dot * e_x)) / (v * v)
     # clamp as min(max(value, -bound), bound) does, without the calls
-    a, g = a_t, gamma
-    bound = params.max_accel
-    if bound is not None:
-        a = -bound if a < -bound else a
-        a = bound if a > bound else a
+    bound = params.max_accel   # inf (the default) never clamps
+    a = -bound if a_t < -bound else a_t
+    a = bound if a > bound else a
     bound = params.max_steer_rate
-    if bound is not None:
-        g = -bound if g < -bound else g
-        g = bound if g > bound else g
+    g = -bound if gamma < -bound else gamma
+    g = bound if g > bound else g
     return (a, g), (a != a_t) or (g != gamma)

@@ -329,10 +329,7 @@ def read_route_csv(path: str) -> PlannedRoute:
         where = f"{path}:{numbers[1]}" if len(lines) > 1 else f"{path}"
         raise GridFormatError(f"{where}: expected the column header {ROUTE_COLUMNS!r}")
     n_cols = len(ROUTE_COLUMNS.split(","))
-    if len(lines) > 2:
-        nodes = parse_numeric_rows(lines[2:], n_cols, path, numbers[2:])[:, 1:3]
-    else:
-        nodes = np.empty((0, 2))
+    nodes = parse_numeric_rows(lines[2:], n_cols, path, numbers[2:])[:, 1:3]
     bad = np.flatnonzero(np.any(~np.isfinite(nodes) | (nodes != np.round(nodes)), axis=1))
     if len(bad):
         raise GridFormatError(f"{path}:{numbers[2 + bad[0]]}: node_row and node_col "

@@ -217,22 +217,22 @@ class TrajectoryConfig:
     max_yaw_rate: float = 1.0
     accel: float = 1.0
     decel: float = 1.0
-    initial_speed: float | None = None   # None: start from rest
-    max_lateral_accel: float | None = None  # optional second turn-speed bound
+    initial_speed: float = 0.0            # 0: start from rest
+    max_lateral_accel: float = math.inf   # second turn-speed bound; inf = none
 
     def __post_init__(self):
-        for name in ("nominal_speed", "turn_radius", "max_yaw_rate", "accel", "decel"):
+        for name in ("nominal_speed", "turn_radius", "max_yaw_rate", "accel", "decel",
+                     "max_lateral_accel"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.initial_speed < math.inf:
+            raise ValueError(f"initial_speed must be in [0, inf), got {self.initial_speed}")
 
     def turn_speed(self, radius: float) -> float:
         """Command speed on an arc of this radius: nominal capped by the
-        yaw-rate bound and, when configured, by the lateral-acceleration
-        bound."""
-        v = min(self.nominal_speed, radius * self.max_yaw_rate)
-        if self.max_lateral_accel is not None:
-            v = min(v, math.sqrt(self.max_lateral_accel * radius))
-        return v
+        yaw-rate and lateral-acceleration bounds (an infinite one never caps)."""
+        return min(self.nominal_speed, radius * self.max_yaw_rate,
+                   math.sqrt(self.max_lateral_accel * radius))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,6 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
 
     bounds = geometry.breakpoints
     n = len(commands)
-    v_init = 0.0 if config.initial_speed is None else float(config.initial_speed)
 
     # backward pass: fastest admissible entry speed per boundary
     back = np.empty(n + 1)
@@ -314,14 +313,14 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
         length = bounds[i + 1] - bounds[i]
         # back[n] is inf, and so is the root of inf**2 + x
         back[i] = min(commands[i], math.sqrt(back[i + 1] ** 2 + 2 * config.decel * length))
-    if v_init > back[0] + 1e-9:
+    if config.initial_speed > back[0] + 1e-9:
         raise ProfileError(
-            f"initial speed {v_init} cannot decelerate to the first turn command "
-            f"within {bounds[1]:.3f} m; reduce the nominal or initial speed"
+            f"initial speed {config.initial_speed} cannot decelerate to the first turn "
+            f"command within {bounds[1]:.3f} m; reduce the nominal or initial speed"
         )
 
     s_pts = [0.0]
-    v_pts = [min(v_init, back[0])]
+    v_pts = [min(config.initial_speed, back[0])]
     a_vals = []
 
     for i in range(n):

@@ -47,7 +47,7 @@ class Scenario:
     gains: GainConfig
     params: VehicleParams
     dt: float = 0.01
-    duration: float | None = None          # None: the trajectory duration
+    duration: float | None = None          # None: the trajectory's, set on init
     initial_state: VehicleState | None = None  # None: aligned on the reference
     fn_policy: str = "halt"                # halt | warn on normal-force loss
 
@@ -56,12 +56,13 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.fn_policy not in ("halt", "warn"):
             raise ValueError("fn_policy must be 'halt' or 'warn'")
-        if self.duration is not None and self.duration < self.trajectory.duration - 1e-9:
+        if self.duration is None:
+            self.duration = self.trajectory.duration
+        elif self.duration < self.trajectory.duration - 1e-9:
             raise ValueError(f"duration {self.duration} s is shorter than the trajectory's "
                              f"{self.trajectory.duration:.6g} s")
-        duration = self.trajectory.duration if self.duration is None else self.duration
-        if duration / self.dt > MAX_STEPS:
-            raise ValueError(f"a {duration:.6g} s run at dt {self.dt} s takes more than "
+        if self.duration / self.dt > MAX_STEPS:
+            raise ValueError(f"a {self.duration:.6g} s run at dt {self.dt} s takes more than "
                              f"{MAX_STEPS} steps")
 
 
@@ -130,8 +131,7 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
     params = scenario.params
     gains = scenario.gains
     dt = scenario.dt
-    duration = traj.duration if scenario.duration is None else scenario.duration
-    n_steps = int(math.floor(duration / dt + 1e-9))
+    n_steps = int(math.floor(scenario.duration / dt + 1e-9))
 
     state = scenario.initial_state
     if state is None:
@@ -230,8 +230,5 @@ def read_log_csv(path: str) -> dict[str, np.ndarray]:
     lines, numbers = read_lines(path)
     if not lines or lines[0].strip() != LOG_COLUMNS:
         raise ValueError(f"{path}: not a simulation log CSV")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: empty log")
-    names = LOG_COLUMNS.split(",")
-    data = parse_numeric_rows(lines[1:], len(names), path, numbers[1:])
-    return dict(zip(names, data.T))
+    data = parse_numeric_rows(lines[1:], len(_COLUMN), path, numbers[1:])
+    return dict(zip(_COLUMN, data.T))

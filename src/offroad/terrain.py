@@ -52,8 +52,9 @@ class ElevationGrid:
     def __post_init__(self):
         if self.n_cols < 2 or self.n_rows < 2:
             raise ValueError("grid needs at least 2 rows and 2 columns")
-        if not self.cell_size > 0:
-            raise ValueError("cell_size must be positive")
+        if not (self.cell_size > 0 and np.isfinite([self.cell_size, *self.origin]).all()):
+            raise ValueError(f"cell_size must be positive and finite and origin finite, got "
+                             f"{self.cell_size} and {self.origin}")
         h = np.asarray(self.heights, dtype=float)
         if h.shape != (self.n_rows, self.n_cols):
             raise ValueError(f"heights shape {h.shape} != ({self.n_rows}, {self.n_cols})")
@@ -430,28 +431,34 @@ def _parse_header(
     if len(lines) < 4:
         raise GridFormatError(f"{path}: expected a 4-line header, got {len(lines)} lines")
 
-    def field(idx: int, name: str, n_values: int, parse: type) -> list:
+    def field(idx: int, name: str, n_values: int, whole: bool = False) -> list:
+        where = f"{path}:{numbers[idx]}"
         parts = [p.strip() for p in lines[idx].split(",")]
         if len(parts) != n_values + 1 or parts[0].lower() != name:
-            raise GridFormatError(f"{path}:{numbers[idx]}: expected '{name},...' header line")
+            raise GridFormatError(f"{where}: expected '{name},...' header line")
         values = []
         for token in parts[1:]:
             try:
-                values.append(parse(token))
+                value = float(token)
             except ValueError as exc:
-                raise GridFormatError(
-                    f"{path}:{numbers[idx]}: {name}: not a number: {token!r}") from exc
+                raise GridFormatError(f"{where}: {name}: not a number: {token!r}") from exc
+            if whole and not value.is_integer():
+                raise GridFormatError(f"{where}: {name}: not a whole number: {token!r}")
+            values.append(int(value) if whole else value)
         return values
 
-    (n_cols,) = field(0, "ncols", 1, int)
-    (n_rows,) = field(1, "nrows", 1, int)
-    (cell,) = field(2, "cellsize", 1, float)
-    ox, oy = field(3, "origin", 2, float)
+    (n_cols,) = field(0, "ncols", 1, whole=True)
+    (n_rows,) = field(1, "nrows", 1, whole=True)
+    (cell,) = field(2, "cellsize", 1)
+    origin = tuple(field(3, "origin", 2))
     if n_cols < 2 or n_rows < 2:
         raise GridFormatError(f"{path}: grid must be at least 2x2, got {n_rows}x{n_cols}")
-    if not cell > 0:
-        raise GridFormatError(f"{path}:{numbers[2]}: cellsize must be positive, got {cell}")
-    return n_cols, n_rows, cell, (ox, oy)
+    if not (cell > 0 and math.isfinite(cell)):
+        raise GridFormatError(
+            f"{path}:{numbers[2]}: cellsize must be positive and finite, got {cell}")
+    if not all(map(math.isfinite, origin)):
+        raise GridFormatError(f"{path}:{numbers[3]}: origin must be finite, got {origin}")
+    return n_cols, n_rows, cell, origin
 
 
 def _loadtxt(lines: list[str], **kwargs) -> np.ndarray:
@@ -467,8 +474,11 @@ def parse_numeric_rows(
     Tokens use numpy's float syntax: what ``float()`` accepts except ``_``
     digit separators and non-ASCII digits.  ``numbers[r]`` is the file line
     number of ``lines[r]``; a GridFormatError names the offending line and,
-    for a token that is not a number, its 0-based column.
+    for a token that is not a number, its 0-based column.  No lines give a
+    (0, n_cols) array.
     """
+    if not lines:
+        return np.empty((0, n_cols))
     for line, number in zip(lines, numbers):
         n_values = line.count(",") + 1
         if n_values != n_cols:

@@ -49,16 +49,19 @@ class VehicleParams:
     wheelbase: float = 2.0
     mass: float = 1000.0
     gravity: float = 9.81
-    max_steer: float | None = 0.6        # rad; None = unlimited
-    max_steer_rate: float | None = 2.0   # rad/s; None = unlimited
-    max_accel: float | None = None       # m/s^2; None = unlimited
-    min_ctrl_speed: float = 0.05         # below this the gamma inversion is rejected
+    max_steer: float = 0.6           # rad; inf = unlimited
+    max_steer_rate: float = 2.0      # rad/s; inf = unlimited
+    max_accel: float = math.inf      # m/s^2; inf = unlimited
+    min_ctrl_speed: float = 0.05     # below this the gamma inversion is rejected
 
     def __post_init__(self):
         for name in ("wheelbase", "mass", "gravity", "min_ctrl_speed"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("max_steer", "max_steer_rate", "max_accel"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive or inf, got {getattr(self, name)}")
 
 
 class VehicleState(NamedTuple):
@@ -173,7 +176,7 @@ def step_dynamics(
     rates: Callable[[tuple, float], tuple],
     params: VehicleParams, dt: float, k1: tuple,
 ) -> VehicleState:
-    """One classical RK4 step of length dt on (x, y, psi, speed, steer).
+    """One classical RK4 step of length dt > 0 on (x, y, psi, speed, steer).
 
     ``rates(s, h)`` is the state derivative (x_dot, y_dot, psi_dot,
     speed_dot, steer_dot) at the state tuple s and time offset h in
@@ -183,8 +186,6 @@ def step_dynamics(
     clamped to max_steer and the speed to >= 0.  Height never appears in the
     state: it is re-derived from the surface wherever needed.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     x, y, psi, v, d = state
     h = 0.5 * dt
     x1, y1, p1, v1, d1 = k1
@@ -197,10 +198,9 @@ def step_dynamics(
     w = dt / 6.0
     steer = d + w * (d1 + 2 * d2 + 2 * d3 + d4)
     # clamps as min(max(value, lower), upper) does, without the calls
-    bound = params.max_steer
-    if bound is not None:
-        steer = -bound if steer < -bound else steer
-        steer = bound if steer > bound else steer
+    bound = params.max_steer   # inf never clamps
+    steer = -bound if steer < -bound else steer
+    steer = bound if steer > bound else steer
     speed = v + w * (v1 + 2 * v2 + 2 * v3 + v4)
     return VehicleState(x + w * (x1 + 2 * x2 + 2 * x3 + x4),
                         y + w * (y1 + 2 * y2 + 2 * y3 + y4),

@@ -20,7 +20,7 @@ DRY = WeatherCondition("dry", DRY_SLOPE_LIMIT)
 WET = WeatherCondition("wet", WET_SLOPE_LIMIT)
 
 # a car with the actuator limits off, and the case study's controller gains
-FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
+FREE = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=math.inf, max_steer_rate=math.inf)
 GAINS = GainConfig(k1=10.0, k2=20.0)
 
 

@@ -312,3 +312,44 @@ def test_no_default_is_overridden_by_every_caller():
 
 def test_overridden_default_allowlist_is_current():
     assert set(ALLOWED_OVERRIDDEN_DEFAULTS) <= set(overridden_defaults())
+
+
+# Class.field -> why the field keeps None for a number
+ALLOWED_NONE_NUMBERS = {
+    "Scenario.duration": "None is the trajectory's own duration, which __post_init__ "
+                         "fills in once the trajectory exists",
+}
+
+
+def _union_members(annotation: ast.expr) -> list[str]:
+    """The members of an ``a | b`` or ``Optional[a]`` annotation as text."""
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _union_members(annotation.left) + _union_members(annotation.right)
+    if isinstance(annotation, ast.Subscript) and ast.unparse(annotation.value) == "Optional":
+        return _union_members(annotation.slice) + ["None"]
+    return [ast.unparse(annotation)]
+
+
+def none_numbers():
+    """Class.field of each record field whose annotation admits a number or
+    None: None stands in for a value, so every reader branches on it."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                out += [f"{node.name}.{item.target.id}" for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and "None" in (members := _union_members(item.annotation))
+                        and {"float", "int"} & set(members)]
+    return sorted(out)
+
+
+def test_no_record_field_uses_none_for_a_number():
+    # an unlimited bound is inf and a start from rest is 0.0: the number
+    # itself, which the arithmetic already handles, and no None branch
+    found = [name for name in none_numbers() if name not in ALLOWED_NONE_NUMBERS]
+    assert found == [], "record fields that use None for a number; give the number"
+
+
+def test_none_number_allowlist_is_current():
+    assert set(ALLOWED_NONE_NUMBERS) <= set(none_numbers())

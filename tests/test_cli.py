@@ -122,7 +122,13 @@ def test_route_malformed_grid_names_line(tmp_path, capsys):
     ("nrows,2\nncols,3\ncellsize,1.0\norigin,0,0\n", "1: expected 'ncols,...' header line"),
     ("ncols,3\nnrows,2\ncellsize,1.0\norigin,0\n", "4: expected 'origin,...' header line"),
     ("ncols,3\nnrows,2\ncellsize,abc\norigin,0,0\n", "3: cellsize: not a number: 'abc'"),
-], ids=["swapped key", "missing origin value", "non-numeric cellsize"])
+    ("ncols,3\nnrows,2\ncellsize,inf\norigin,0,0\n",
+     "3: cellsize must be positive and finite, got inf"),
+    ("ncols,3\nnrows,2\ncellsize,1.0\norigin,nan,0\n",
+     "4: origin must be finite, got (nan, 0.0)"),
+    ("ncols,2.5\nnrows,2\ncellsize,1.0\norigin,0,0\n", "1: ncols: not a whole number: '2.5'"),
+], ids=["swapped key", "missing origin value", "non-numeric cellsize", "infinite cellsize",
+        "nan origin", "fractional ncols"])
 def test_malformed_header_is_reported_once_with_its_line(tmp_path, capsys, bad_file, header,
                                                          message):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -238,6 +244,11 @@ def test_simulate_from_rest_stops_at_step_zero(tmp_path, capsys):
     assert code == EXIT_CONSTRAINT
     assert "simulation singular_speed" in capsys.readouterr().out
     assert (out_dir / "log.csv").read_text() == LOG_COLUMNS + "\n"
+    # the header-only log renders as a log without steps: no trace
+    scene = tmp_path / "scene.svg"
+    assert main(["render", "--grid", str(tmp_path / "grid.csv"), "--log",
+                 str(out_dir / "log.csv"), "--out", str(scene)]) == EXIT_OK
+    assert "<polyline" not in scene.read_text()
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -668,6 +679,55 @@ def test_route_malformed_node_names_the_flag(tmp_path, capsys, flag, value, mess
     assert not (tmp_path / "route.csv").exists()
 
 
+def start_outside_grid(tmp_path):
+    argv = route_argv(tmp_path)
+    argv[argv.index("--start") + 1] = "9,9"
+    return argv, "start (9, 9) is outside the grid"
+
+
+def start_on_a_spike(tmp_path):
+    grid = flat_grid(n=7, cell=10.0)
+    grid.heights[6, 3] = 50.0   # every hop from the start (6, 3) is too steep
+    return (["route", "--grid", str(write_fixture_grid(tmp_path, grid)), "--start", "6,3",
+             "--goal", "0,3", "--out", str(tmp_path / "route.csv")],
+            "start (6, 3) is an obstacle node")
+
+
+def config_not_found(tmp_path):
+    path = tmp_path / "missing.cfg"
+    return ["simulate", "--config", str(path)], f"config file not found: {path}"
+
+
+def waypoint_with_three_values(tmp_path):
+    cfg = write_case_config(tmp_path, CASE_CONFIG.replace("892.5,411.0", "892.5,411.0,0"))
+    return (["simulate", "--config", str(cfg)],
+            "path.waypoints: expected 'x,y' pairs, got '892.5,411.0,0'")
+
+
+def neither_waypoints_nor_route(tmp_path):
+    return (simulate_argv(tmp_path, "[terrain]\ngrid = grid.csv\n"),
+            "config needs either path.waypoints or route.start and route.goal")
+
+
+def run_over_max_steps(tmp_path):
+    cfg = write_case_config(tmp_path, CASE_CONFIG.replace("dt = 0.01", "dt = 0.0001\n"
+                                                                       "duration = 200"))
+    return (["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+            f"simulation: a 200 s run at dt 0.0001 s takes more than {simulate.MAX_STEPS} "
+            "steps")
+
+
+@pytest.mark.parametrize("make_case", [
+    start_outside_grid, start_on_a_spike, config_not_found, waypoint_with_three_values,
+    neither_waypoints_nor_route, run_over_max_steps,
+], ids=["start-outside-grid", "start-is-obstacle", "config-not-found",
+        "waypoint-not-a-pair", "no-waypoints-or-route", "over-max-steps"])
+def test_input_error_prints_one_line_and_exits_4(tmp_path, capsys, make_case):
+    argv, message = make_case(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"   # one line, no traceback
+
+
 ROUTE_ARGS = ["route", "--grid", "g.csv", "--start", "0,0", "--goal", "1,1"]
 
 
@@ -779,7 +839,7 @@ def test_config_defaults_loaded(tmp_path):
     rc = load_run_config(str(cfg))
     assert rc.weather.kind == "dry"
     assert rc.weather.slope_limit == pytest.approx(math.tan(math.radians(6.90)))
-    assert rc.vehicle.max_steer is None
+    assert rc.vehicle.max_steer == math.inf
     assert rc.gains.k1 == 10.0
     assert rc.simulation == {"dt": 0.01}
     assert rc.waypoints[0] == (885.0, 418.5)
@@ -901,10 +961,11 @@ def test_left_out_keys_take_the_documented_defaults(tmp_path):
     assert (rc.water_mask_path, rc.foliage_mask_path, rc.waypoints) == (None, None, None)
     path = rc.trajectory
     assert (path.nominal_speed, path.turn_radius, path.max_yaw_rate, path.accel, path.decel,
-            path.initial_speed, path.max_lateral_accel) == (2.0, 4.0, 1.0, 1.0, 1.0, None, None)
+            path.initial_speed, path.max_lateral_accel) == (2.0, 4.0, 1.0, 1.0, 1.0, 0.0,
+                                                            math.inf)
     car = rc.vehicle
     assert (car.wheelbase, car.mass, car.gravity, car.max_steer, car.max_steer_rate,
-            car.max_accel, car.min_ctrl_speed) == (2.0, 1000.0, 9.81, 0.6, 2.0, None, 0.05)
+            car.max_accel, car.min_ctrl_speed) == (2.0, 1000.0, 9.81, 0.6, 2.0, math.inf, 0.05)
     assert (rc.gains.k1, rc.gains.k2) == (10.0, 20.0)
     assert rc.simulation == {}
     scenario = simulate.Scenario.__dataclass_fields__

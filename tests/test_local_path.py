@@ -170,6 +170,17 @@ def test_lateral_accel_option_tightens_turn_speed():
     cfg = base_config(nominal_speed=6.0, max_lateral_accel=1.0)
     # yaw bound allows 4, lateral bound allows sqrt(1 * 4) = 2
     assert cfg.turn_speed(4.0) == pytest.approx(2.0)
+    # the default lateral bound is infinite and leaves the yaw bound's 4
+    assert base_config(nominal_speed=6.0).turn_speed(4.0) == 4.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("initial_speed", -1.0), ("initial_speed", math.nan), ("initial_speed", math.inf),
+    ("max_lateral_accel", 0.0), ("max_lateral_accel", -1.0), ("max_lateral_accel", math.nan),
+])
+def test_config_rejects_a_bad_initial_speed_or_lateral_bound(field, value):
+    with pytest.raises(ValueError, match=field):
+        base_config(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,7 @@ def test_lateral_accel_option_tightens_turn_speed():
 
 def test_profile_all_line_ramps_from_rest():
     geom = plan_geometry([(0.0, 0.0), (40.0, 0.0)], rho=4.0)
-    cfg = base_config(initial_speed=None)
+    cfg = base_config(initial_speed=0.0)
     prof = build_speed_profile(geom, cfg)
     # ramp 0 -> 2 over v^2/(2a) = 2 m, then constant
     t_ramp = 2.0 / 1.0

@@ -287,11 +287,19 @@ def test_inversion_below_the_guard_holds_once_the_reference_has_ended(flat_surfa
     assert a_t == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("field", ["min_ctrl_speed", "wheelbase", "mass", "gravity"])
-@pytest.mark.parametrize("value", [0.0, -0.05, math.nan, math.inf])
+BOUNDS = ("max_steer", "max_steer_rate", "max_accel")
+
+
+@pytest.mark.parametrize("field", ["min_ctrl_speed", "wheelbase", "mass", "gravity", *BOUNDS])
+@pytest.mark.parametrize("value", [0.0, -0.05, -1.0, math.nan, math.inf])
 def test_params_reject_non_positive_or_non_finite(field, value):
+    kwargs = {"wheelbase": 2.0, "mass": 1000.0, field: value}
+    if field in BOUNDS and value == math.inf:
+        # an infinite actuator bound is no bound: it never clamps
+        assert getattr(VehicleParams(**kwargs), field) == math.inf
+        return
     with pytest.raises(ValueError, match=field):
-        VehicleParams(**{"wheelbase": 2.0, "mass": 1000.0, field: value})
+        VehicleParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +351,7 @@ def test_step_constant_steer_traces_circle():
     flat_surface = SurfaceModel(flat_grid(n=30))
     steer = 0.3
     speed = 2.0
-    params = VehicleParams(wheelbase=2.0, mass=1000.0, max_steer=None, max_steer_rate=None)
+    params = FREE
     radius = params.wheelbase / math.sin(steer)
     period = 2 * math.pi * radius / speed
     dt = 1e-3
