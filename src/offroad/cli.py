@@ -21,7 +21,7 @@ import numpy as np
 
 from . import global_route as gr
 from . import simulate as sim
-from .config import SLOPE_LIMITS, load_run_config, parse_node, resolve_weather
+from .config import load_run_config, parse_node, resolve_weather
 from .local_path import (
     DesiredTrajectory,
     build_speed_profile,
@@ -30,6 +30,7 @@ from .local_path import (
 )
 from .render import render_scene
 from .terrain import (
+    SLOPE_LIMITS,
     ElevationGrid,
     SurfaceModel,
     WeatherCondition,

@@ -5,8 +5,9 @@ subsystem.  `_SCHEMA` declares each section's keys, each with the parser
 that checks its value; unknown sections or keys are rejected, and a key
 left out takes the default of the dataclass it sets (`TrajectoryConfig`,
 `VehicleParams`, `GainConfig`, `sim.Scenario`).  Referenced files must
-exist.  An actuator limit set to "none", "inf" or "unlimited" is infinite:
-the bound is removed (the idealized unconstrained case).
+exist.  An actuator limit or `path.max_lateral_accel` set to "none", "inf"
+or "unlimited" is infinite: the bound is removed (the idealized
+unconstrained case).
 
 `resolve_weather` gives the slope limit and the steep-node limit for a
 weather kind and its optional overrides, for the `[weather]` section and
@@ -22,16 +23,8 @@ from dataclasses import dataclass
 
 from .control import GainConfig
 from .local_path import TrajectoryConfig
-from .terrain import DRY_SLOPE_LIMIT, WET_SLOPE_LIMIT, WeatherCondition
+from .terrain import SLOPE_LIMITS, WeatherCondition
 from .vehicle import VehicleParams
-
-
-class ConfigError(ValueError):
-    """Raised for unknown keys, missing files, or invalid parameter values."""
-
-
-# the slope limit (rise/run) of each weather kind, unless it is overridden
-SLOPE_LIMITS = {"dry": DRY_SLOPE_LIMIT, "wet": WET_SLOPE_LIMIT}
 
 
 @dataclass
@@ -53,7 +46,7 @@ class RunConfig:
 
 # Each parser takes the key's label ("section.key", or a flag) and its raw
 # value (config text, or a number argparse parsed), and returns the checked
-# value or raises ConfigError naming the label.
+# value or raises ValueError naming the label.
 
 def _text(label: str, raw: str) -> str:
     return raw
@@ -63,25 +56,25 @@ def _number(label: str, raw: str | float) -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{label}: not a number: {raw!r}") from exc
+        raise ValueError(f"{label}: not a number: {raw!r}") from exc
 
 
 def _positive(label: str, raw: str | float) -> float:
     value = _number(label, raw)
     if not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{label}: must be positive and finite, got {raw}")
+        raise ValueError(f"{label}: must be positive and finite, got {raw}")
     return value
 
 
 def _non_negative(label: str, raw: str) -> float:
     value = _number(label, raw)
     if not 0.0 <= value < math.inf:
-        raise ConfigError(f"{label}: must be finite and non-negative, got {raw}")
+        raise ValueError(f"{label}: must be finite and non-negative, got {raw}")
     return value
 
 
 def _limit(label: str, raw: str) -> float:
-    """An actuator bound; "none", "inf" or "unlimited" removes it (inf)."""
+    """A bound; "none", "inf" or "unlimited" removes it (inf)."""
     if raw.lower() in ("none", "inf", "unlimited"):
         return math.inf
     return _positive(label, raw)
@@ -91,7 +84,7 @@ def _choice(*options: str):
     def parse(label: str, raw: str) -> str:
         value = raw.lower()
         if value not in options:
-            raise ConfigError(f"{label}: must be {' or '.join(options)}, got {value!r}")
+            raise ValueError(f"{label}: must be {' or '.join(options)}, got {value!r}")
         return value
     return parse
 
@@ -100,11 +93,11 @@ def parse_node(label: str, raw: str) -> tuple[int, int]:
     """A grid node from 'row,col' text."""
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
-        raise ConfigError(f"{label}: expected 'row,col', got {raw!r}")
+        raise ValueError(f"{label}: expected 'row,col', got {raw!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"{label}: expected integers, got {raw!r}") from exc
+        raise ValueError(f"{label}: expected integers, got {raw!r}") from exc
 
 
 def _waypoints(label: str, raw: str) -> list[tuple[float, float]]:
@@ -115,13 +108,13 @@ def _waypoints(label: str, raw: str) -> list[tuple[float, float]]:
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise ConfigError(f"{label}: expected 'x,y' pairs, got {chunk!r}")
+            raise ValueError(f"{label}: expected 'x,y' pairs, got {chunk!r}")
         try:
             points.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ConfigError(f"{label}: expected numbers, got {chunk!r}") from exc
+            raise ValueError(f"{label}: expected numbers, got {chunk!r}") from exc
     if len(points) < 2:
-        raise ConfigError(f"{label}: need at least two points")
+        raise ValueError(f"{label}: need at least two points")
     return points
 
 
@@ -133,8 +126,9 @@ _SCHEMA = {
     "route": dict.fromkeys(("start", "goal"), parse_node),
     # every key but waypoints is a TrajectoryConfig field
     "path": {"waypoints": _waypoints, "initial_speed": _non_negative,
+             "max_lateral_accel": _limit,
              **dict.fromkeys(("turn_radius", "nominal_speed", "max_yaw_rate", "accel",
-                              "decel", "max_lateral_accel"), _positive)},
+                              "decel"), _positive)},
     "vehicle": {**dict.fromkeys(("wheelbase", "mass", "gravity", "min_ctrl_speed"), _positive),
                 **dict.fromkeys(("max_steer", "max_steer_rate", "max_accel"), _limit)},
     "controller": dict.fromkeys(("k1", "k2"), _positive),
@@ -158,7 +152,7 @@ def resolve_weather(labels: tuple[str, str], kind: str = "dry",
 
 def load_run_config(path: str) -> RunConfig:
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     # no interpolation: a '%' in a value is a character like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
@@ -166,32 +160,32 @@ def load_run_config(path: str) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
     values = {name: {} for name in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ValueError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
+                raise ValueError(f"unknown key {section}.{key}")
             values[section][key] = _SCHEMA[section][key](f"{section}.{key}", raw)
 
     terrain, route, path_keys = values["terrain"], values["route"], values["path"]
     if "grid" not in terrain:
-        raise ConfigError("terrain.grid is required")
+        raise ValueError("terrain.grid is required")
     base = os.path.dirname(os.path.abspath(path))
     for key, name in terrain.items():
         terrain[key] = os.path.join(base, name)
         if not os.path.exists(terrain[key]):
-            raise ConfigError(f"referenced file does not exist: {name}")
+            raise ValueError(f"referenced file does not exist: {name}")
 
     weather, steep_limit = resolve_weather(("weather.slope_limit", "weather.steep_limit"),
                                            **values["weather"])
 
     waypoints = path_keys.pop("waypoints", None)
     if waypoints is None and not ("start" in route and "goal" in route):
-        raise ConfigError("config needs either path.waypoints or route.start and route.goal")
+        raise ValueError("config needs either path.waypoints or route.start and route.goal")
 
     return RunConfig(
         grid_path=terrain["grid"], water_mask_path=terrain.get("water_mask"),

@@ -41,7 +41,6 @@ from scipy.sparse.csgraph import dijkstra
 from .terrain import (
     NEIGHBOR_OFFSETS,
     ElevationGrid,
-    GridFormatError,
     ObstacleMask,
     WeatherCondition,
     neighbor_slices,
@@ -54,10 +53,6 @@ from .terrain import (
 # and, read at the neighbor, action k + 5.
 MOVES = dict(enumerate(NEIGHBOR_OFFSETS, start=1))
 STAY = 9
-
-
-class ScalingError(ValueError):
-    """Raised when the cost-weight system is singular."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]
     mean_m = _mean_over_moves(grid.neighbor_slopes[admissible])
     mean_d = _mean_over_moves(np.repeat(grid.hop_runs, admissible.sum(axis=(1, 2))))
     if abs(mean_m - mean_d) < 1e-12:
-        raise ScalingError(
+        raise ValueError(
             f"mean slope equals mean distance ({mean_m}); the weight system is "
             "singular: change the slope limit (--slope-limit or weather.slope_limit) "
             "or the grid's cell size"
@@ -149,7 +144,6 @@ def build_dp_problem(
     mask: ObstacleMask,
     weather: WeatherCondition,
     goal: tuple[int, int],
-    alpha: tuple[float, float] | None = None,
 ) -> DpProblem:
     """Assemble the hop cost table for the route solver."""
     if not grid.in_bounds(*goal):
@@ -159,7 +153,7 @@ def build_dp_problem(
 
     valid = ~mask.blocked
     admissible = _admissible(grid, valid, weather.slope_limit)
-    alpha_m, alpha_d = _scaling(grid, admissible) if alpha is None else alpha
+    alpha_m, alpha_d = _scaling(grid, admissible)
     hop_cost = alpha_m * grid.neighbor_slopes
     hop_cost += alpha_d * np.array(grid.hop_runs)[:, None, None]
     hop_cost[~admissible] = np.inf
@@ -245,17 +239,16 @@ def extract_route(
 
     waypoints = [start]
     node = start
-    max_steps = problem.shape[0] * problem.shape[1] + 1
-    for _ in range(max_steps):
-        if node == problem.goal:
-            break
+    # a policy that reaches the goal takes fewer moves than there are nodes,
+    # and stops there: the goal's action is STAY
+    for _ in range(problem.shape[0] * problem.shape[1]):
         action = int(vf.policy[node])
         if action not in MOVES:
-            return None
+            break
         dr, dc = MOVES[action]
         node = (node[0] + dr, node[1] + dc)
         waypoints.append(node)
-    else:
+    if node != problem.goal:
         raise RuntimeError("policy did not reach the goal; value function is inconsistent")
 
     total_dist = 0.0
@@ -310,30 +303,30 @@ ROUTE_SUMMARY_KEYS = ("total_cost", "total_dist_m", "mean_slope_deg", "max_slope
 def read_route_csv(path: str) -> PlannedRoute:
     """Parse a route CSV written by write_route_csv back into a PlannedRoute.
 
-    Raises GridFormatError naming the file and line of the first defect.
+    Raises ValueError naming the file and line of the first defect.
     """
     lines, numbers = read_lines(path)
     if not lines or not lines[0].startswith("#"):
-        raise GridFormatError(f"{path}: missing summary header")
+        raise ValueError(f"{path}: missing summary header")
     summary = {key.strip(): value for key, _, value in
                (item.partition("=") for item in lines[0][1:].split(","))}
     try:
         total_cost, total_dist, mean_slope, max_slope = (
             float(summary[key]) for key in ROUTE_SUMMARY_KEYS)
     except KeyError as exc:
-        raise GridFormatError(f"{path}:{numbers[0]}: summary lacks {exc.args[0]}") from exc
+        raise ValueError(f"{path}:{numbers[0]}: summary lacks {exc.args[0]}") from exc
     except ValueError as exc:
-        raise GridFormatError(f"{path}:{numbers[0]}: summary value is not a number "
-                              f"({exc})") from exc
+        raise ValueError(f"{path}:{numbers[0]}: summary value is not a number "
+                         f"({exc})") from exc
     if len(lines) < 2 or lines[1].strip() != ROUTE_COLUMNS:
         where = f"{path}:{numbers[1]}" if len(lines) > 1 else f"{path}"
-        raise GridFormatError(f"{where}: expected the column header {ROUTE_COLUMNS!r}")
+        raise ValueError(f"{where}: expected the column header {ROUTE_COLUMNS!r}")
     n_cols = len(ROUTE_COLUMNS.split(","))
     nodes = parse_numeric_rows(lines[2:], n_cols, path, numbers[2:])[:, 1:3]
     bad = np.flatnonzero(np.any(~np.isfinite(nodes) | (nodes != np.round(nodes)), axis=1))
     if len(bad):
-        raise GridFormatError(f"{path}:{numbers[2 + bad[0]]}: node_row and node_col "
-                              f"must be whole numbers")
+        raise ValueError(f"{path}:{numbers[2 + bad[0]]}: node_row and node_col "
+                         f"must be whole numbers")
     return PlannedRoute(
         waypoints=[(int(r), int(c)) for r, c in nodes.tolist()],
         total_cost=total_cost,

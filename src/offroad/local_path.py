@@ -22,14 +22,6 @@ from .terrain import SurfaceModel, surface_lift
 COLLINEAR_TOL = 1e-9
 
 
-class GeometryError(ValueError):
-    """Raised when waypoints cannot be joined by tangent fillets."""
-
-
-class ProfileError(ValueError):
-    """Raised when no speed profile satisfies the turn commands."""
-
-
 # ---------------------------------------------------------------------------
 # Path geometry
 # ---------------------------------------------------------------------------
@@ -136,17 +128,17 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
     """Join waypoints with straight lines and radius-rho fillet arcs.
 
     Collinear interior waypoints (same heading within tolerance) are merged.
-    Raises GeometryError for reversals and for corners whose tangent offset
+    Raises ValueError for reversals and for corners whose tangent offset
     does not fit on the adjoining legs.
     """
     pts = [np.asarray(p, dtype=float) for p in waypoints]
     if len(pts) < 2:
-        raise GeometryError("need at least two waypoints")
+        raise ValueError("need at least two waypoints")
     if not rho > 0:
-        raise GeometryError("turn radius must be positive")
+        raise ValueError("turn radius must be positive")
     for a, b in zip(pts, pts[1:]):
         if np.linalg.norm(b - a) < 1e-12:
-            raise GeometryError("consecutive waypoints coincide")
+            raise ValueError("consecutive waypoints coincide")
 
     # merge collinear runs so corners are genuine heading changes
     kept = [pts[0]]
@@ -159,7 +151,7 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
         dot = float(d_in @ d_out)
         if abs(cross) < COLLINEAR_TOL:
             if dot < 0:
-                raise GeometryError(f"reversal at waypoint {k}: no finite fillet exists")
+                raise ValueError(f"reversal at waypoint {k}: no finite fillet exists")
             continue
         kept.append(pts[k])
     kept.append(pts[-1])
@@ -189,7 +181,7 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
         avail_in = len_in - (offsets[k - 1][1] if k > 0 else 0.0)
         avail_out = len_out - (offsets[k + 1][1] if k + 1 < len(offsets) else 0.0)
         if offset > avail_in + 1e-12 or offset > avail_out + 1e-12:
-            raise GeometryError(
+            raise ValueError(
                 f"fillet offset {offset:.4f} m at waypoint {k + 1} exceeds the "
                 "available leg length; reduce the turn radius or respace waypoints"
             )
@@ -260,7 +252,7 @@ class SpeedProfile:
             v0, a = self.v_pts[i], self.a_vals[i]
             if abs(a) < 1e-12:
                 if v0 <= 1e-12:
-                    raise ProfileError("profile stalls: zero speed with zero acceleration")
+                    raise ValueError("profile stalls: zero speed with zero acceleration")
                 dt = ds / v0
             else:
                 v1 = math.sqrt(max(v0 * v0 + 2 * a * ds, 0.0))
@@ -293,7 +285,7 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
     Each segment carries a command speed: nominal on lines, the yaw-rate
     limited turn speed on arcs.  Ramps are placed so arc entry speed already
     satisfies the arc command; if the initial speed cannot be slowed in time
-    for the first constraining arc, a ProfileError suggests a smaller nominal
+    for the first constraining arc, a ValueError suggests a smaller nominal
     or initial speed.
     """
     commands = []
@@ -314,7 +306,7 @@ def build_speed_profile(geometry: PathGeometry, config: TrajectoryConfig) -> Spe
         # back[n] is inf, and so is the root of inf**2 + x
         back[i] = min(commands[i], math.sqrt(back[i + 1] ** 2 + 2 * config.decel * length))
     if config.initial_speed > back[0] + 1e-9:
-        raise ProfileError(
+        raise ValueError(
             f"initial speed {config.initial_speed} cannot decelerate to the first turn "
             f"command within {bounds[1]:.3f} m; reduce the nominal or initial speed"
         )

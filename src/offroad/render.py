@@ -21,10 +21,6 @@ ACTUAL_COLOR = "#111111"
 WIDTH_PX = 800   # the height follows from the extent's aspect ratio
 
 
-class RenderError(ValueError):
-    """Raised when scene layers do not share consistent extents."""
-
-
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
@@ -112,12 +108,12 @@ def _check_extent(grid: ElevationGrid, xs, ys, layer: str) -> None:
     # NaN passes every comparison below: min and max of an array holding one
     # are NaN
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise RenderError(f"{layer} has non-finite coordinates")
+        raise ValueError(f"{layer} has non-finite coordinates")
     pad = grid.cell_size
     x_min, x_max, y_min, y_max = grid.bounds
     if (np.min(xs) < x_min - pad or np.max(xs) > x_max + pad
             or np.min(ys) < y_min - pad or np.max(ys) > y_max + pad):
-        raise RenderError(f"{layer} extent is inconsistent with the grid extent")
+        raise ValueError(f"{layer} extent is inconsistent with the grid extent")
 
 
 def render_scene(
@@ -141,7 +137,7 @@ def render_scene(
     if route is not None and route.waypoints:
         for r, c in route.waypoints:
             if not grid.in_bounds(r, c):
-                raise RenderError(
+                raise ValueError(
                     f"route extent is inconsistent with the grid extent: "
                     f"node ({r}, {c}) outside a {grid.n_rows}x{grid.n_cols} grid")
         scene.polyline(*grid.node_position(*np.array(route.waypoints).T),

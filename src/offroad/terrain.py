@@ -24,15 +24,13 @@ from scipy.linalg import solve, solve_banded
 # Slope limits for the two supported weather regimes (rise/run).
 DRY_SLOPE_LIMIT = math.tan(math.radians(6.90))
 WET_SLOPE_LIMIT = math.tan(math.radians(2.77))
+# the slope limit of each weather kind, unless it is overridden
+SLOPE_LIMITS = {"dry": DRY_SLOPE_LIMIT, "wet": WET_SLOPE_LIMIT}
 
 # 8-connected neighborhood offsets as (drow, dcol).
 NEIGHBOR_OFFSETS = (
     (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1),
 )
-
-
-class GridFormatError(ValueError):
-    """Raised when an elevation, mask or other numeric CSV is malformed."""
 
 
 class OutOfBoundsError(ValueError):
@@ -121,11 +119,11 @@ class ElevationGrid:
 class WeatherCondition:
     """Driving regime plus the slope bound it imposes (rise/run)."""
 
-    kind: str  # "dry" or "wet"
+    kind: str  # a key of SLOPE_LIMITS
     slope_limit: float
 
     def __post_init__(self):
-        if self.kind not in ("dry", "wet"):
+        if self.kind not in SLOPE_LIMITS:
             raise ValueError(f"unknown weather kind {self.kind!r}")
         if not self.slope_limit > 0:
             raise ValueError("slope_limit must be positive")
@@ -157,6 +155,9 @@ class SurfaceModel:
     grid.  Each cell also keeps the constant multiples its jet needs, so a
     query returns f and all partials to second order by Horner evaluation on
     the cell's flat 28-float record (see ``_bicubic_jet``).
+
+    Not safe to share between threads: queries build columns and cache the
+    last cell's record, so each concurrent run needs its own surface.
     """
 
     def __init__(self, grid: ElevationGrid):
@@ -429,21 +430,21 @@ def _parse_header(
     lines: list[str], numbers: list[int], path: str
 ) -> tuple[int, int, float, tuple[float, float]]:
     if len(lines) < 4:
-        raise GridFormatError(f"{path}: expected a 4-line header, got {len(lines)} lines")
+        raise ValueError(f"{path}: expected a 4-line header, got {len(lines)} lines")
 
     def field(idx: int, name: str, n_values: int, whole: bool = False) -> list:
         where = f"{path}:{numbers[idx]}"
         parts = [p.strip() for p in lines[idx].split(",")]
         if len(parts) != n_values + 1 or parts[0].lower() != name:
-            raise GridFormatError(f"{where}: expected '{name},...' header line")
+            raise ValueError(f"{where}: expected '{name},...' header line")
         values = []
         for token in parts[1:]:
             try:
                 value = float(token)
             except ValueError as exc:
-                raise GridFormatError(f"{where}: {name}: not a number: {token!r}") from exc
+                raise ValueError(f"{where}: {name}: not a number: {token!r}") from exc
             if whole and not value.is_integer():
-                raise GridFormatError(f"{where}: {name}: not a whole number: {token!r}")
+                raise ValueError(f"{where}: {name}: not a whole number: {token!r}")
             values.append(int(value) if whole else value)
         return values
 
@@ -452,12 +453,11 @@ def _parse_header(
     (cell,) = field(2, "cellsize", 1)
     origin = tuple(field(3, "origin", 2))
     if n_cols < 2 or n_rows < 2:
-        raise GridFormatError(f"{path}: grid must be at least 2x2, got {n_rows}x{n_cols}")
+        raise ValueError(f"{path}: grid must be at least 2x2, got {n_rows}x{n_cols}")
     if not (cell > 0 and math.isfinite(cell)):
-        raise GridFormatError(
-            f"{path}:{numbers[2]}: cellsize must be positive and finite, got {cell}")
+        raise ValueError(f"{path}:{numbers[2]}: cellsize must be positive and finite, got {cell}")
     if not all(map(math.isfinite, origin)):
-        raise GridFormatError(f"{path}:{numbers[3]}: origin must be finite, got {origin}")
+        raise ValueError(f"{path}:{numbers[3]}: origin must be finite, got {origin}")
     return n_cols, n_rows, cell, origin
 
 
@@ -473,7 +473,7 @@ def parse_numeric_rows(
 
     Tokens use numpy's float syntax: what ``float()`` accepts except ``_``
     digit separators and non-ASCII digits.  ``numbers[r]`` is the file line
-    number of ``lines[r]``; a GridFormatError names the offending line and,
+    number of ``lines[r]``; a ValueError names the offending line and,
     for a token that is not a number, its 0-based column.  No lines give a
     (0, n_cols) array.
     """
@@ -482,9 +482,7 @@ def parse_numeric_rows(
     for line, number in zip(lines, numbers):
         n_values = line.count(",") + 1
         if n_values != n_cols:
-            raise GridFormatError(
-                f"{path}:{number}: expected {n_cols} values, found {n_values}"
-            )
+            raise ValueError(f"{path}:{number}: expected {n_cols} values, found {n_values}")
     try:
         return _loadtxt(lines)
     except ValueError:
@@ -498,25 +496,23 @@ def parse_numeric_rows(
                 try:
                     _loadtxt([line], usecols=[c])
                 except ValueError as exc:
-                    raise GridFormatError(
+                    raise ValueError(
                         f"{path}:{number}: column {c}: not a number: {token.strip()!r}"
                     ) from exc
-    raise GridFormatError(f"{path}: malformed numeric data")
+    raise ValueError(f"{path}: malformed numeric data")
 
 
 def _parse_data_rows(
     lines: list[str], numbers: list[int], n_cols: int, n_rows: int, path: str
 ) -> np.ndarray:
     if len(lines) - 4 != n_rows:
-        raise GridFormatError(
-            f"{path}: header declares {n_rows} data rows, found {len(lines) - 4}"
-        )
+        raise ValueError(f"{path}: header declares {n_rows} data rows, found {len(lines) - 4}")
     data = parse_numeric_rows(lines[4:], n_cols, path, numbers[4:])
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         r, c = bad[0]
         token = lines[4 + r].split(",")[c]
-        raise GridFormatError(
+        raise ValueError(
             f"{path}:{numbers[4 + r]}: column {c}: non-finite height {token.strip()!r}"
         )
     return data
@@ -524,7 +520,7 @@ def _parse_data_rows(
 
 def read_lines(path: str) -> tuple[list[str], list[int]]:
     """Non-blank lines of a text file (newline stripped) and their 1-based
-    line numbers in the file, blank lines counted.  GridFormatError if the
+    line numbers in the file, blank lines counted.  ValueError if the
     file is not UTF-8 text."""
     lines, numbers = [], []
     try:
@@ -534,12 +530,12 @@ def read_lines(path: str) -> tuple[list[str], list[int]]:
                     lines.append(line.rstrip("\n"))
                     numbers.append(number)
     except UnicodeDecodeError as exc:
-        raise GridFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     return lines, numbers
 
 
 def load_elevation_grid(path: str) -> ElevationGrid:
-    """Parse a grid CSV file; raises GridFormatError naming the offending line."""
+    """Parse a grid CSV file; raises ValueError naming the offending line."""
     lines, numbers = read_lines(path)
     n_cols, n_rows, cell, origin = _parse_header(lines, numbers, str(path))
     heights = _parse_data_rows(lines, numbers, n_cols, n_rows, str(path))
@@ -551,17 +547,17 @@ def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
     lines, numbers = read_lines(path)
     n_cols, n_rows, cell, origin = _parse_header(lines, numbers, str(path))
     if (n_cols, n_rows) != (grid.n_cols, grid.n_rows):
-        raise GridFormatError(
+        raise ValueError(
             f"{path}: mask shape {n_rows}x{n_cols} does not match grid "
             f"{grid.n_rows}x{grid.n_cols}"
         )
     if (cell, origin) != (grid.cell_size, tuple(grid.origin)):
-        raise GridFormatError(
+        raise ValueError(
             f"{path}: mask cellsize {cell!r} and origin {origin!r} do not match grid "
             f"cellsize {grid.cell_size!r} and origin {tuple(grid.origin)!r}"
         )
     data = _parse_data_rows(lines, numbers, n_cols, n_rows, str(path))
     if not np.all(np.isin(data, (0.0, 1.0))):
-        raise GridFormatError(f"{path}: mask cells must be 0 or 1")
+        raise ValueError(f"{path}: mask cells must be 0 or 1")
     return data.astype(bool)
 

@@ -14,6 +14,7 @@ from offroad.cli import EXIT_OK, EXIT_UNREACHABLE, main
 from offroad.control import control_step
 from offroad.global_route import (
     build_dp_problem,
+    compute_scaling_factors,
     extract_route,
     value_iteration,
 )
@@ -88,12 +89,11 @@ def test_criterion_1_value_iteration_matches_dijkstra():
         grid, mask, goal = random_problem(rng, n=n, cell=10.0,
                                           obstacle_p=0.12, rough=8.0)
         weather = DRY if trial % 2 == 0 else WET
-        problem = build_dp_problem(grid, mask, weather, goal=goal,
-                                   alpha=(0.9, 0.1))
+        problem = build_dp_problem(grid, mask, weather, goal=goal)
         vf = value_iteration(problem)
         assert vf.converged
-        oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit,
-                                        goal, 0.9, 0.1)
+        oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
+                                        *compute_scaling_factors(grid, mask, weather))
         for (r, c), expect in oracle.items():
             diff = abs(vf.values[r, c] - expect)
             worst = max(worst, diff)
@@ -139,7 +139,7 @@ def test_criterion_3_route_slope_compliance():
         grid, mask, goal = random_problem(rng, n=n, cell=10.0,
                                           obstacle_p=0.1, rough=6.0)
         weather = DRY if trial % 2 == 0 else WET
-        problem = build_dp_problem(grid, mask, weather, goal=goal, alpha=(0.9, 0.1))
+        problem = build_dp_problem(grid, mask, weather, goal=goal)
         vf = value_iteration(problem)
         limit_deg = math.degrees(math.atan(weather.slope_limit))
         for _ in range(6):

@@ -25,6 +25,7 @@ SHARED_NAMES.
 """
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -203,8 +204,6 @@ def test_names_several_owners_define_are_resolved_by_hand():
 ALLOWED_UNSET_OPTIONS = {
     "main(argv)": "the console script calls main() with no arguments; tests and "
                   "perfbench pass argv",
-    "build_dp_problem(alpha)": "test_tightening_slope_limit_never_helps needs one set of "
-                               "weights under two slope limits",
 }
 
 
@@ -353,3 +352,40 @@ def test_no_record_field_uses_none_for_a_number():
 
 def test_none_number_allowlist_is_current():
     assert set(ALLOWED_NONE_NUMBERS) <= set(none_numbers())
+
+
+def error_types():
+    """{name: "file:line"} of each exception class the package defines."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        classes = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.ClassDef)]
+        if not classes:
+            continue
+        module = importlib.import_module(f"offroad.{path.stem}")
+        out.update((node.name, f"{path.name}:{node.lineno}") for node in classes
+                   if issubclass(getattr(module, node.name), BaseException))
+    return out
+
+
+def untold_error_types():
+    """file:line: name of each exception class that the package only
+    defines, imports and constructs: nothing catches it, maps it or checks
+    it by type, so nothing tells it apart from its base."""
+    errors = error_types()
+    told = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        made = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        made |= {id(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in errors and id(node) not in made:
+                told.add(name)
+    return sorted(f"{where}: {name}" for name, where in errors.items() if name not in told)
+
+
+def test_every_error_type_is_told_apart():
+    # cli.main turns every ValueError into exit 4, so a subclass that no
+    # code tells apart is a second name for ValueError: raise ValueError
+    assert untold_error_types() == [], "error types nothing in src/offroad tells apart"

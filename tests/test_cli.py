@@ -21,7 +21,7 @@ from offroad.cli import (
     EXIT_UNREACHABLE,
     main,
 )
-from offroad.config import ConfigError, load_run_config
+from offroad.config import load_run_config
 from offroad.global_route import read_route_csv
 from offroad.render import SvgScene
 from offroad.simulate import LOG_COLUMNS
@@ -824,13 +824,13 @@ def test_config_unknown_key_rejected(tmp_path):
     cfg = write_case_config(tmp_path, CASE_CONFIG + "\n[simulation]\nwarp = 9\n")
     # configparser raises duplicate section; write a clean variant instead
     cfg.write_text(CASE_CONFIG.replace("dt = 0.01", "dt = 0.01\nwarp = 9"))
-    with pytest.raises(ConfigError, match="unknown key simulation.warp"):
+    with pytest.raises(ValueError, match="unknown key simulation.warp"):
         load_run_config(str(cfg))
 
 
 def test_config_unknown_section_rejected(tmp_path):
     cfg = write_case_config(tmp_path, CASE_CONFIG + "\n[telemetry]\nfoo = 1\n")
-    with pytest.raises(ConfigError, match=r"unknown section \[telemetry\]"):
+    with pytest.raises(ValueError, match=r"unknown section \[telemetry\]"):
         load_run_config(str(cfg))
 
 
@@ -863,24 +863,51 @@ def test_config_weather_kind_alone_sets_both_limits(tmp_path):
     assert rc.steep_limit == WET_SLOPE_LIMIT
 
 
+def lateral_accel_config(tmp_path, raw):
+    return write_case_config(tmp_path, CASE_CONFIG.replace(
+        "initial_speed = 2.0", f"initial_speed = 2.0\nmax_lateral_accel = {raw}"))
+
+
+@pytest.mark.parametrize("raw", ["none", "inf", "Unlimited"])
+def test_config_max_lateral_accel_can_be_unlimited(tmp_path, raw):
+    # the default is inf, and a config can say so as the vehicle bounds do
+    rc = load_run_config(str(lateral_accel_config(tmp_path, raw)))
+    assert rc.trajectory.max_lateral_accel == math.inf
+
+
+def test_config_zero_max_lateral_accel_exits_4(tmp_path, capsys):
+    argv = ["simulate", "--config", str(lateral_accel_config(tmp_path, "0"))]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: path.max_lateral_accel: must be positive and finite, got 0\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_malformed_never_crashes(tmp_path):
+    # (config text, the start of the message naming its defect); {cfg} is
+    # the config's own path
     fixtures = [
-        "[terrain]\n",                             # missing grid
-        "[terrain]\ngrid = nothere.csv\n",         # missing file
-        "[terrain]\ngrid = grid.csv\n[controller]\nk1 = -2\n",
-        "[terrain]\ngrid = grid.csv\n[route]\nstart = 1\n",
-        "[terrain]\ngrid = grid.csv\n[path]\nwaypoints = 1,2\n",
-        "[terrain]\ngrid = grid.csv\n[simulation]\nfn_policy = sometimes\n",
-        "not an ini file at all\n",
-        "[terrain]\ngrid = grid.csv\n[route]\nstart = 1,1\ngoal = 2,2\n"
-        "[weather]\nsteep_limit =\n",
-        "[terrain]\ngrid = grid.csv\n[route]\nstart = 1%,1\ngoal = 2,2\n",
+        ("[terrain]\n", "terrain.grid is required"),
+        ("[terrain]\ngrid = nothere.csv\n", "referenced file does not exist: nothere.csv"),
+        ("[terrain]\ngrid = grid.csv\n[controller]\nk1 = -2\n",
+         "controller.k1: must be positive and finite, got -2"),
+        ("[terrain]\ngrid = grid.csv\n[route]\nstart = 1\n",
+         "route.start: expected 'row,col', got '1'"),
+        ("[terrain]\ngrid = grid.csv\n[path]\nwaypoints = 1,2\n",
+         "path.waypoints: need at least two points"),
+        ("[terrain]\ngrid = grid.csv\n[simulation]\nfn_policy = sometimes\n",
+         "simulation.fn_policy: must be halt or warn, got 'sometimes'"),
+        ("not an ini file at all\n", "{cfg}: File contains no section headers."),
+        ("[terrain]\ngrid = grid.csv\n[route]\nstart = 1,1\ngoal = 2,2\n"
+         "[weather]\nsteep_limit =\n", "weather.steep_limit: not a number: ''"),
+        ("[terrain]\ngrid = grid.csv\n[route]\nstart = 1%,1\ngoal = 2,2\n",
+         "route.start: expected integers, got '1%,1'"),
     ]
     write_fixture_grid(tmp_path, flat_grid(n=4))
-    for i, text in enumerate(fixtures):
+    for i, (text, message) in enumerate(fixtures):
         cfg = tmp_path / f"bad{i}.cfg"
         cfg.write_text(text)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^" + re.escape(message.format(cfg=cfg))):
             load_run_config(str(cfg))
 
 
@@ -1097,6 +1124,25 @@ def test_render_rejects_non_finite_trace_coordinates(tmp_path, capsys, column, l
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and layer in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value, layer", [("x", "70.5", "actual trajectory"),
+                                                  ("yd", "-10.5", "desired trajectory")])
+def test_render_rejects_a_trace_beyond_the_grid(tmp_path, capsys, column, value, layer):
+    # the 7x7 grid's nodes span 0..60 m; a trace may reach one 10 m cell
+    # beyond them, and this one goes further
+    grid_path = write_fixture_grid(tmp_path, ridge_grid())
+    names = LOG_COLUMNS.split(",")
+    rows = [["10.0"] * len(names) for _ in range(3)]
+    rows[1][names.index(column)] = value
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(LOG_COLUMNS + "\n" + "".join(",".join(r) + "\n" for r in rows))
+    out = tmp_path / "scene.svg"
+    code = main(["render", "--grid", str(grid_path), "--log", str(log_path), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {layer} extent is inconsistent with the grid extent\n")
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,6 @@ import pytest
 from offroad.global_route import (
     STAY,
     PlannedRoute,
-    ScalingError,
     build_dp_problem,
     compute_scaling_factors,
     extract_route,
@@ -91,7 +91,7 @@ def test_scaling_singular_system():
     grid = flat_grid(n=2, cell=1.0)
     grid.heights[0, :] = 2.0
     mask = build_obstacle_mask(grid, steep_limit=100.0)
-    with pytest.raises(ScalingError, match="change the slope limit"):
+    with pytest.raises(ValueError, match="change the slope limit"):
         compute_scaling_factors(grid, mask, WeatherCondition("dry", 100.0))
 
 
@@ -301,10 +301,10 @@ def test_bellman_fixed_point_residual():
 def test_tightening_slope_limit_never_helps():
     rng = np.random.default_rng(77)
     grid, mask, goal = random_problem(rng, n=12, cell=6.0, rough=3.0)
-    dry = WeatherCondition("dry", 0.25)
-    alpha = compute_scaling_factors(grid, mask, dry)
-    loose = build_dp_problem(grid, mask, dry, goal=goal, alpha=alpha)
-    tight = build_dp_problem(grid, mask, WeatherCondition("wet", 0.10), goal=goal, alpha=alpha)
+    loose = build_dp_problem(grid, mask, WeatherCondition("dry", 0.25), goal=goal)
+    # the same weights with the slope limit tightened to 0.10
+    tight = dataclasses.replace(loose, hop_cost=np.where(grid.neighbor_slopes <= 0.10,
+                                                         loose.hop_cost, np.inf))
     vf_loose = value_iteration(loose)
     vf_tight = value_iteration(tight)
     finite = np.isfinite(vf_tight.values)
@@ -329,6 +329,28 @@ def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
     monkeypatch.setattr(gr, "dijkstra", off_by_one_state)
     vf = value_iteration(problem)
     assert not vf.converged
+
+
+def test_a_policy_that_stops_short_of_the_goal_is_a_fault(monkeypatch):
+    # a finite value whose every neighbour is unreachable leaves the start
+    # without an action: the value function is inconsistent, not the goal
+    # unreachable
+    import offroad.global_route as gr
+    grid = flat_grid(n=5, cell=10.0)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
+    problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
+
+    def isolated_start(graph, indices, **kwargs):
+        values = np.full(graph.shape[0], np.inf)
+        values[indices] = 0.0
+        values[0] = 1.0
+        return values
+
+    monkeypatch.setattr(gr, "dijkstra", isolated_start)
+    vf = value_iteration(problem)
+    assert np.isfinite(vf.values[0, 0]) and vf.policy[0, 0] == 0
+    with pytest.raises(RuntimeError, match="value function is inconsistent"):
+        extract_route(vf, problem, (0, 0))
 
 
 def serpentine_walls(n):

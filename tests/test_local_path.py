@@ -6,9 +6,7 @@ import pytest
 from offroad.local_path import (
     ArcSegment,
     DesiredTrajectory,
-    GeometryError,
     LineSegment,
-    ProfileError,
     TrajectoryConfig,
     build_speed_profile,
     plan_geometry,
@@ -81,12 +79,12 @@ def test_turn_fixture_tangency_oracle():
 
 
 def test_oversized_fillet_rejected():
-    with pytest.raises(GeometryError, match="fillet offset"):
+    with pytest.raises(ValueError, match="fillet offset"):
         plan_geometry([(0.0, 0.0), (3.0, 0.0), (3.0, 3.0)], rho=5.0)
 
 
 def test_reversal_rejected():
-    with pytest.raises(GeometryError, match="reversal"):
+    with pytest.raises(ValueError, match="reversal"):
         plan_geometry([(0.0, 0.0), (5.0, 0.0), (1.0, 0.0)], rho=1.0)
 
 
@@ -95,7 +93,7 @@ def test_adjacent_corners_share_leg():
     geom = plan_geometry([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (20.0, 10.0)],
                          rho=2.0)
     assert sum(isinstance(s, ArcSegment) for s in geom.segments) == 2
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValueError, match="fillet offset 6.0000 m at waypoint 1 exceeds"):
         plan_geometry([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (20.0, 10.0)], rho=6.0)
 
 
@@ -242,7 +240,7 @@ def test_profile_piece_times_match_root_finding():
 def test_profile_infeasible_deceleration_raises():
     geom = plan_geometry([(0.0, 0.0), (5.0, 0.0), (5.0, 5.0)], rho=2.0)
     cfg = base_config(nominal_speed=8.0, initial_speed=8.0, decel=1.0)
-    with pytest.raises(ProfileError, match="reduce the nominal"):
+    with pytest.raises(ValueError, match="reduce the nominal"):
         build_speed_profile(geom, cfg)
 
 

@@ -11,7 +11,6 @@ from offroad.terrain import (
     DRY_SLOPE_LIMIT,
     WET_SLOPE_LIMIT,
     ElevationGrid,
-    GridFormatError,
     OutOfBoundsError,
     SurfaceModel,
     WeatherCondition,
@@ -59,7 +58,7 @@ def test_load_rejects_nan_cell(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0,0",
                     "0,nan", "0,0"])
-    with pytest.raises(GridFormatError, match=r":5: column 1"):
+    with pytest.raises(ValueError, match=r":5: column 1"):
         load_elevation_grid(str(p))
 
 
@@ -67,7 +66,7 @@ def test_load_rejects_row_length_mismatch(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["ncols,3", "nrows,2", "cellsize,1.0", "origin,0,0",
                     "0,0,0", "0,0"])
-    with pytest.raises(GridFormatError, match=r":6: expected 3 values"):
+    with pytest.raises(ValueError, match=r":6: expected 3 values"):
         load_elevation_grid(str(p))
 
 
@@ -75,7 +74,7 @@ def test_load_rejects_bad_header(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["ncols,2", "cellsize,1.0", "nrows,2", "origin,0,0",
                     "0,0", "0,0"])
-    with pytest.raises(GridFormatError, match=r":2"):
+    with pytest.raises(ValueError, match=r":2"):
         load_elevation_grid(str(p))
 
 
@@ -84,7 +83,7 @@ def test_error_line_number_counts_blank_lines(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0,0",
                     "", "0,0", "0,zz"])
-    with pytest.raises(GridFormatError, match=r"g\.csv:7: column 1: not a number: 'zz'"):
+    with pytest.raises(ValueError, match=r"g\.csv:7: column 1: not a number: 'zz'"):
         load_elevation_grid(str(p))
 
 
@@ -124,7 +123,7 @@ def test_load_rejects_comment_marker_in_cell(tmp_path):
     p = tmp_path / "g.csv"
     write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0,0",
                     "0,0", "0,1#2"])
-    with pytest.raises(GridFormatError, match=r":6: column 1: not a number: '1#2'"):
+    with pytest.raises(ValueError, match=r":6: column 1: not a number: '1#2'"):
         load_elevation_grid(str(p))
 
 
@@ -139,7 +138,7 @@ def test_mask_cell_values(tmp_path, cell, ok):
         assert mask.dtype == bool
         assert mask.tolist() == [[False, cell == "1.0"], [True, False]]
     else:
-        with pytest.raises(GridFormatError, match="must be 0 or 1"):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
             load_mask(str(p), grid)
 
 
@@ -188,7 +187,7 @@ def test_one_defect_is_named_by_line_and_column(tmp_path_factory, heights, defec
         expected = rf":{line}: column {c}: non-finite height '{defect}'$"
     else:
         expected = rf":{line}: column {c}: not a number: '{defect}'$"
-    with pytest.raises(GridFormatError, match=expected):
+    with pytest.raises(ValueError, match=expected):
         load_elevation_grid(str(p))
 
 
@@ -197,7 +196,7 @@ def test_mask_shape_mismatch_rejected(tmp_path):
     p = tmp_path / "m.csv"
     write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0,0",
                     "0,0", "0,1"])
-    with pytest.raises(GridFormatError, match="does not match grid"):
+    with pytest.raises(ValueError, match="does not match grid"):
         load_mask(str(p), grid)
 
 
