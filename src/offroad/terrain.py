@@ -502,20 +502,46 @@ def parse_numeric_rows(
     raise ValueError(f"{path}: malformed numeric data")
 
 
-def _parse_data_rows(
-    lines: list[str], numbers: list[int], n_cols: int, n_rows: int, path: str
-) -> np.ndarray:
+def _data_rows(
+    lines: list[str], numbers: list[int], n_rows: int, path: str
+) -> tuple[list[str], list[int]]:
+    """The lines after the 4-line header and their line numbers; ValueError
+    unless there are ``n_rows`` of them."""
     if len(lines) - 4 != n_rows:
         raise ValueError(f"{path}: header declares {n_rows} data rows, found {len(lines) - 4}")
-    data = parse_numeric_rows(lines[4:], n_cols, path, numbers[4:])
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):
-        r, c = bad[0]
-        token = lines[4 + r].split(",")[c]
-        raise ValueError(
-            f"{path}:{numbers[4 + r]}: column {c}: non-finite height {token.strip()!r}"
-        )
-    return data
+    return lines[4:], numbers[4:]
+
+
+def _reject_cells(
+    bad: np.ndarray, rows: list[str], numbers: list[int], path: str, problem: str
+) -> None:
+    """ValueError naming the line, 0-based column and token of the first
+    cell, in file order, where ``bad`` is True."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        r, c = hits[0]
+        token = rows[r].split(",")[c].strip()
+        raise ValueError(f"{path}:{numbers[r]}: column {c}: {problem} {token!r}")
+
+
+def _bare_bits(rows: list[str], n_cols: int) -> np.ndarray | None:
+    """The cells of rows that are each ``n_cols`` bare ``0``/``1`` tokens
+    joined by commas, decoded from their bytes; None for any other text.
+
+    Such rows are what the float parser would read as 0.0 and 1.0, so the
+    result is the one it gives, without turning every cell into a float.
+    """
+    raw = ("\n".join(rows) + "\n").encode()
+    if len(raw) != 2 * n_cols * len(rows):
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), 2 * n_cols)
+    # a byte below '0' wraps round past 1
+    bits = chars[:, ::2] - np.uint8(ord("0"))
+    # each cell is followed by a comma, the row's last by its newline
+    ends = np.frombuffer(b"," * (n_cols - 1) + b"\n", dtype=np.uint8)
+    if not ((bits <= 1).all() and (chars[:, 1::2] == ends).all()):
+        return None
+    return bits == 1
 
 
 def read_lines(path: str) -> tuple[list[str], list[int]]:
@@ -538,12 +564,18 @@ def load_elevation_grid(path: str) -> ElevationGrid:
     """Parse a grid CSV file; raises ValueError naming the offending line."""
     lines, numbers = read_lines(path)
     n_cols, n_rows, cell, origin = _parse_header(lines, numbers, str(path))
-    heights = _parse_data_rows(lines, numbers, n_cols, n_rows, str(path))
+    rows, row_numbers = _data_rows(lines, numbers, n_rows, str(path))
+    heights = parse_numeric_rows(rows, n_cols, str(path), row_numbers)
+    _reject_cells(~np.isfinite(heights), rows, row_numbers, str(path), "non-finite height")
     return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=cell, origin=origin, heights=heights)
 
 
 def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
-    """Parse a 0/1 mask CSV; must match the grid's shape and cell layout."""
+    """Parse a 0/1 mask CSV; must match the grid's shape and cell layout.
+
+    Rows of bare ``0``/``1`` cells are decoded from their bytes; any other
+    spelling goes through ``parse_numeric_rows`` with the same result.
+    """
     lines, numbers = read_lines(path)
     n_cols, n_rows, cell, origin = _parse_header(lines, numbers, str(path))
     if (n_cols, n_rows) != (grid.n_cols, grid.n_rows):
@@ -556,8 +588,13 @@ def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:
             f"{path}: mask cellsize {cell!r} and origin {origin!r} do not match grid "
             f"cellsize {grid.cell_size!r} and origin {tuple(grid.origin)!r}"
         )
-    data = _parse_data_rows(lines, numbers, n_cols, n_rows, str(path))
-    if not np.all(np.isin(data, (0.0, 1.0))):
-        raise ValueError(f"{path}: mask cells must be 0 or 1")
-    return data.astype(bool)
+    rows, row_numbers = _data_rows(lines, numbers, n_rows, str(path))
+    bits = _bare_bits(rows, n_cols)
+    if bits is not None:
+        return bits
+    data = parse_numeric_rows(rows, n_cols, str(path), row_numbers)
+    # NaN equals neither, so a non-finite cell is reported here too
+    _reject_cells((data != 0) & (data != 1), rows, row_numbers, str(path),
+                  "mask cell must be 0 or 1, got")
+    return data == 1
 

@@ -141,6 +141,20 @@ def test_malformed_header_is_reported_once_with_its_line(tmp_path, capsys, bad_f
     assert capsys.readouterr().err == f"error: {bad}:{message}\n"
 
 
+@pytest.mark.parametrize("cell", ["2", "nan", "inf"])
+def test_route_mask_cell_not_0_or_1_names_its_line(tmp_path, capsys, cell):
+    grid, water = tmp_path / "grid.csv", tmp_path / "m.csv"
+    grid.write_text("ncols,2\nnrows,2\ncellsize,1.0\norigin,0,0\n0,0\n0,0\n")
+    water.write_text(f"ncols,2\nnrows,2\ncellsize,1.0\norigin,0,0\n0,{cell}\n0,0\n")
+    out = tmp_path / "route.csv"
+    code = main(["route", "--grid", str(grid), "--water", str(water), "--start", "0,0",
+                 "--goal", "1,0", "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {water}:5: column 1: mask cell must be 0 or 1, got '{cell}'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell, origin", [(10.0, (5.0, 0.0)), (10.0, (0.0, -10.0)),
                                           (5.0, (0.0, 0.0))])
 def test_route_mask_with_other_cell_layout_rejected(tmp_path, capsys, cell, origin):

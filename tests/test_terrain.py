@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from offroad import terrain
 from offroad.terrain import (
     DRY_SLOPE_LIMIT,
     WET_SLOPE_LIMIT,
@@ -127,7 +128,8 @@ def test_load_rejects_comment_marker_in_cell(tmp_path):
         load_elevation_grid(str(p))
 
 
-@pytest.mark.parametrize("cell, ok", [("0.0", True), ("1.0", True), ("2", False)])
+@pytest.mark.parametrize("cell, ok", [("0.0", True), ("1.0", True), ("2", False),
+                                      ("nan", False), ("inf", False)])
 def test_mask_cell_values(tmp_path, cell, ok):
     p = tmp_path / "m.csv"
     write_lines(p, ["ncols,2", "nrows,2", "cellsize,1.0", "origin,0.0,0.0",
@@ -138,8 +140,38 @@ def test_mask_cell_values(tmp_path, cell, ok):
         assert mask.dtype == bool
         assert mask.tolist() == [[False, cell == "1.0"], [True, False]]
     else:
-        with pytest.raises(ValueError, match="must be 0 or 1"):
+        with pytest.raises(ValueError,
+                           match=rf"m\.csv:5: column 1: mask cell must be 0 or 1, got '{cell}'$"):
             load_mask(str(p), grid)
+
+
+def zero_grid(n_rows, n_cols):
+    """A flat grid with unit cells and origin (0, 0), the layout of the mask files here."""
+    return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=1.0, origin=(0.0, 0.0),
+                         heights=np.zeros((n_rows, n_cols)))
+
+
+def test_mask_row_widths_are_checked_row_by_row(tmp_path):
+    # the two rows hold 2 x 3 bare cells between them, 4 and 2 per row
+    p = tmp_path / "m.csv"
+    write_lines(p, ["ncols,3", "nrows,2", "cellsize,1.0", "origin,0,0", "0,1,1,0", "0,1"])
+    with pytest.raises(ValueError, match=r"m\.csv:5: expected 3 values, found 4$"):
+        load_mask(str(p), zero_grid(2, 3))
+
+
+def test_bare_mask_is_not_parsed_as_floats(tmp_path, monkeypatch):
+    # rows of bare 0/1 cells are decoded from their bytes: the float parser
+    # is for the other spellings only
+    def no_float_parser(*args, **kwargs):
+        raise AssertionError("bare 0/1 mask cells went through the float parser")
+
+    p = tmp_path / "m.csv"
+    write_lines(p, ["ncols,3", "nrows,3", "cellsize,1.0", "origin,0,0",
+                    "0,1,1", "1,0,0", "0,0,1"])
+    monkeypatch.setattr(terrain, "_loadtxt", no_float_parser)
+    mask = load_mask(str(p), flat_grid(n=3))
+    assert mask.dtype == bool
+    assert mask.tolist() == [[False, True, True], [True, False, False], [False, False, True]]
 
 
 small_grids = st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(
@@ -198,6 +230,97 @@ def test_mask_shape_mismatch_rejected(tmp_path):
                     "0,0", "0,1"])
     with pytest.raises(ValueError, match="does not match grid"):
         load_mask(str(p), grid)
+
+
+small_masks = st.tuples(st.integers(2, 8), st.integers(2, 8)).flatmap(
+    lambda shape: st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1])
+    .map(lambda cells: np.array(cells).reshape(shape)))
+# how a mask file may spell the same cells; the bare spelling is all False
+spellings = st.fixed_dictionaries({"floats": st.booleans(), "pad": st.booleans(),
+                                   "crlf": st.booleans(), "blank": st.booleans()})
+MASK_DEFECTS = ("short", "merged", "long", "missing", "extra", "2", "nan", "zz", "01", "")
+
+
+def write_mask(path, rows, n_cols, n_rows, floats=False, pad=False, crlf=False, blank=False):
+    """Write mask rows, lists of bools or of raw tokens.  ``floats`` spells
+    True/False as 1.0/0.0 instead of 1/0, ``pad`` puts a space on each side
+    of every token, ``crlf`` ends lines with CRLF and ``blank`` adds a blank
+    line after every data row.  Returns each row's line number."""
+    eol = "\r\n" if crlf else "\n"
+    cells = {True: "1.0" if floats else "1", False: "0.0" if floats else "0"}
+    text = eol.join([f"ncols,{n_cols}", f"nrows,{n_rows}", "cellsize,1.0", "origin,0,0"]) + eol
+    for row in rows:
+        tokens = [cells[v] if isinstance(v, (bool, np.bool_)) else v for v in row]
+        text += ",".join(f" {t} " if pad else t for t in tokens) + eol + (eol if blank else "")
+    path.write_bytes(text.encode())
+    return [5 + r * (2 if blank else 1) for r in range(len(rows))]
+
+
+def load_outcome(path, grid):
+    """The cells load_mask reads from path as a list, or its error message."""
+    try:
+        return load_mask(str(path), grid).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=small_masks, spelling=spellings)
+def test_mask_spellings_load_alike(tmp_path_factory, cells, spelling):
+    n_rows, n_cols = cells.shape
+    grid = zero_grid(n_rows, n_cols)
+    bare, spelled = (tmp_path_factory.mktemp("mask") / "m.csv" for _ in range(2))
+    write_mask(bare, cells.tolist(), n_cols, n_rows)
+    write_mask(spelled, cells.tolist(), n_cols, n_rows, **spelling)
+    mask = load_mask(str(bare), grid)
+    assert mask.dtype == bool and np.array_equal(mask, cells)
+    assert np.array_equal(load_mask(str(spelled), grid), cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=small_masks, spelling=spellings, defect=st.sampled_from(MASK_DEFECTS),
+       data=st.data())
+def test_mask_defect_is_reported_alike_in_every_spelling(tmp_path_factory, cells, spelling,
+                                                         defect, data):
+    # the byte decoding of bare 0/1 rows accepts no file that the float
+    # parser rejects: one defect reads the same in the bare spelling and in
+    # any other, up to the line numbers blank lines shift
+    n_rows, n_cols = cells.shape
+    r = data.draw(st.integers(0, n_rows - 1), label="row")
+    c = data.draw(st.integers(0, n_cols - 1), label="col")
+    grid = zero_grid(n_rows, n_cols)
+    rows = cells.tolist()
+    if defect == "short":
+        del rows[r][c]
+    elif defect == "merged":
+        # a short row as long as a whole one: a decimal point for a comma
+        k = min(c, n_cols - 2)
+        rows[r][k:k + 2] = [f"{int(rows[r][k])}.{int(rows[r][k + 1])}"]
+    elif defect == "long":
+        rows[r].insert(c, False)
+    elif defect == "missing":
+        del rows[r]
+    elif defect == "extra":
+        rows.insert(r, list(rows[r]))
+    else:
+        rows[r][c] = defect
+    for style in ({}, spelling):
+        p = tmp_path_factory.mktemp("mask") / "m.csv"
+        numbers = write_mask(p, rows, n_cols, n_rows, **style)
+        if defect in ("short", "merged", "long"):
+            expected = f"{p}:{numbers[r]}: expected {n_cols} values, found {len(rows[r])}"
+        elif defect in ("missing", "extra"):
+            expected = f"{p}: header declares {n_rows} data rows, found {len(rows)}"
+        elif defect in ("2", "nan"):
+            expected = f"{p}:{numbers[r]}: column {c}: mask cell must be 0 or 1, got '{defect}'"
+        elif defect == "01":
+            # a number, and 1: only the byte decoding could misread it
+            expected = cells.tolist()
+            expected[r][c] = True
+        else:
+            expected = f"{p}:{numbers[r]}: column {c}: not a number: '{defect}'"
+        assert load_outcome(p, grid) == expected
 
 
 # ---------------------------------------------------------------------------
