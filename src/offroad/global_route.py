@@ -102,20 +102,12 @@ def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> n
     return ends
 
 
-def _mean_over_moves(forward: np.ndarray) -> float:
-    """Mean over every admissible move of a hop quantity given per admissible
-    forward hop in table order.  The moves are taken in the order of an
-    (8, n_rows, n_cols) table, whose reverse half repeats the forward half
-    (a shift keeps row-major order), so the sum rounds as it does over
-    such a table."""
-    return float(np.concatenate((forward, forward)).mean())
-
-
 def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]:
     if not admissible.any():
         raise ValueError("no admissible transition exists")
-    mean_m = _mean_over_moves(grid.neighbor_slopes[admissible])
-    mean_d = _mean_over_moves(np.repeat(grid.hop_runs, admissible.sum(axis=(1, 2))))
+    mean_m = float(grid.neighbor_slopes[admissible].mean())
+    counts = admissible.sum(axis=(1, 2))
+    mean_d = float(np.dot(counts, grid.hop_runs) / counts.sum())
     if abs(mean_m - mean_d) < 1e-12:
         raise ValueError(
             f"mean slope equals mean distance ({mean_m}); the weight system is "
@@ -132,7 +124,7 @@ def compute_scaling_factors(
     """Solve the 2x2 system that balances slope and distance in the hop cost.
 
     With mean_m and mean_d the averages of slope and distance over all
-    admissible moves:
+    admissible hops, each counted once (a hop's two moves share both):
 
         [[mean_m, mean_d], [1, 1]] @ [alpha_m, alpha_d] = [1, 1]
     """

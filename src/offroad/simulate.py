@@ -33,6 +33,7 @@ STATUS_COMPLETED = "completed"
 STATUS_NORMAL_FORCE = "normal_force_violation"
 STATUS_LEFT_GRID = "left_grid"
 STATUS_SINGULAR_SPEED = "singular_speed"
+STATUS_OVERFLOW = "overflow"
 
 # Longest run accepted.  The log holds about 0.13 KB per step until it is
 # written (peak RSS growth of completed case-study runs between dt 1e-3 and
@@ -122,7 +123,9 @@ def aligned_initial_state(trajectory: DesiredTrajectory) -> VehicleState:
 
 
 # The statuses of the errors that stop a run before its end.
-_STOP_STATUS = {OutOfBoundsError: STATUS_LEFT_GRID, SingularSpeedError: STATUS_SINGULAR_SPEED}
+# A float ``**`` raises OverflowError where ``*`` would return inf.
+_STOP_STATUS = {OutOfBoundsError: STATUS_LEFT_GRID, SingularSpeedError: STATUS_SINGULAR_SPEED,
+                OverflowError: STATUS_OVERFLOW}
 
 
 def run_simulation(scenario: Scenario) -> TrajectoryLog:

@@ -567,6 +567,10 @@ def load_elevation_grid(path: str) -> ElevationGrid:
     rows, row_numbers = _data_rows(lines, numbers, n_rows, str(path))
     heights = parse_numeric_rows(rows, n_cols, str(path), row_numbers)
     _reject_cells(~np.isfinite(heights), rows, row_numbers, str(path), "non-finite height")
+    # Python floats, so an overflowing range is inf without a numpy warning
+    low, high = float(heights.min()), float(heights.max())
+    if not math.isfinite(high - low):
+        raise ValueError(f"{path}: height range {low!r} to {high!r} overflows float64")
     return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=cell, origin=origin, heights=heights)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,59 @@ def test_simulate_from_rest_stops_at_step_zero(tmp_path, capsys):
     assert main(["render", "--grid", str(tmp_path / "grid.csv"), "--log",
                  str(out_dir / "log.csv"), "--out", str(scene)]) == EXIT_OK
     assert "<polyline" not in scene.read_text()
+
+
+@pytest.mark.parametrize("config_text", [
+    CASE_CONFIG.replace("k1 = 10.0", "k1 = 1e300"),
+    # the contact force is lost at step 0; warn runs on to the overflow
+    CASE_CONFIG.replace("wheelbase = 2.0", "wheelbase = 1e-300") + "fn_policy = warn\n",
+], ids=["k1-1e300", "wheelbase-1e-300"])
+def test_simulate_float_overflow_stops_with_its_log(tmp_path, capsys, config_text):
+    # the surface lift squares a speed with a float **, which raises
+    # OverflowError where * would give inf: the run stops at that step with
+    # status overflow, exit 3, and writes the log it has
+    cfg = write_case_config(tmp_path, config_text)
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONSTRAINT
+    assert captured.out.startswith("simulation overflow: 1 steps, ")
+    assert captured.err == ""
+    assert not caught
+    log = simulate.read_log_csv(str(out_dir / "log.csv"))
+    assert len(log["t_s"]) == 1 and log["t_s"][0] == 0.0
+
+
+def overflowing_range_argv(tmp_path, command):
+    # every height is finite, but highest minus lowest is not
+    heights = np.full((8, 8), 1.7e308)
+    heights[1::2] = -1.7e308
+    grid_path = write_fixture_grid(tmp_path, ElevationGrid(
+        n_cols=8, n_rows=8, cell_size=10.0, origin=(0.0, 0.0), heights=heights))
+    (tmp_path / "run.cfg").write_text(ROUTED_CONFIG.format(grid=grid_path.name, extra=""))
+    return {
+        "route": ["route", "--grid", str(grid_path), "--start", "6,3", "--goal", "0,3",
+                  "--out", str(tmp_path / "route.csv")],
+        "render": ["render", "--grid", str(grid_path), "--out", str(tmp_path / "scene.svg")],
+        "simulate": ["simulate", "--config", str(tmp_path / "run.cfg"),
+                     "--out-dir", str(tmp_path / "o")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["route", "render", "simulate"])
+def test_grid_with_overflowing_height_range_exits_4(tmp_path, capsys, command):
+    argv = overflowing_range_argv(tmp_path, command)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err == (f"error: {tmp_path / 'grid.csv'}: height range -1.7e+308 to "
+                   "1.7e+308 overflows float64\n")
+    assert not caught
+    assert not (tmp_path / "route.csv").exists() and not (tmp_path / "scene.svg").exists()
 
 
 @pytest.mark.parametrize("edit, message", [

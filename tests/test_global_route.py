@@ -396,13 +396,9 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
     assert read_route_csv(str(out)).waypoints == route.waypoints
 
 
-def test_plan_route_peak_memory_per_node():
-    # each hop's slope and cost is stored once and the solve makes no
-    # (8, rows, cols) temporary: from the mask to the extracted route, one
-    # corner-to-corner query on a fresh 300 x 300 grid (its slopes not yet
-    # built) peaks within 200 traced bytes per node.  Storing each hop twice
-    # and solving through 8-plane candidates peaked at 274 here
-    n = 300
+def rolling_grid_with_water(n):
+    """A fresh n x n rolling grid (its slopes not yet built) and a water mask
+    with about 5 % of the nodes set, the corners clear."""
     rng = np.random.default_rng(300)
     y, x = np.mgrid[0:n, 0:n] * 5.0
     heights = (3.0 * np.sin(x / 40.0) * np.cos(y / 55.0)
@@ -411,6 +407,17 @@ def test_plan_route_peak_memory_per_node():
                          heights=heights)
     water = rng.random((n, n)) < 0.05
     water[0, 0] = water[-1, -1] = False
+    return grid, water
+
+
+def test_plan_route_peak_memory_per_node():
+    # each hop's slope and cost is stored once and the solve makes no
+    # (8, rows, cols) temporary: from the mask to the extracted route, one
+    # corner-to-corner query on a fresh 300 x 300 grid (its slopes not yet
+    # built) peaks within 200 traced bytes per node.  Storing each hop twice
+    # and solving through 8-plane candidates peaked at 274 here
+    n = 300
+    grid, water = rolling_grid_with_water(n)
     tracemalloc.start()
     try:
         route = plan_route(grid, water, None, DRY_SLOPE_LIMIT, DRY, (0, 0), (n - 1, n - 1))
@@ -419,6 +426,25 @@ def test_plan_route_peak_memory_per_node():
         tracemalloc.stop()
     assert route is not None and len(route.waypoints) > n
     assert peak / grid.heights.size <= 200
+
+
+def test_route_tables_make_no_per_move_temporary():
+    # the tables keep 33 bytes per node (4 float64 cost planes and the bool
+    # state flags); the admissible planes add 4 more while they are built.
+    # With the grid's slopes already built, build_dp_problem peaks within 48
+    # traced bytes per node.  Gathering every admissible hop twice, and one
+    # hop length per move, for the scaling means peaked at 91 here
+    n = 300
+    grid, water = rolling_grid_with_water(n)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
+    tracemalloc.start()
+    try:
+        problem = build_dp_problem(grid, mask, DRY, goal=(n - 1, n - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(problem.hop_cost).any()
+    assert peak / grid.heights.size <= 48
 
 
 # ---------------------------------------------------------------------------

@@ -41,5 +41,5 @@ def test_a_changed_byte_and_exit_code_are_both_reported(tmp_path):
     (tmp_path / "change" / "job" / "route.csv").write_bytes(b"row,col\n1,3\n")
     assert same_outputs.differences(tmp_path / "base", tmp_path / "change") == [
         "job/0-route.exit: exit code 0 -> 2",
-        "job/route.csv: differs from byte 10",
+        "job/route.csv: differs from byte 10, line 2",
     ]

@@ -12,9 +12,10 @@ then `render --grid --log` of the log it wrote.  Each job runs in its own
 directory and writes there, so the two trees' outputs sit side by side.
 
 Stdout, stderr, exit code and every written file are compared byte for byte.
-The tool prints one line per differing artifact and exits 1 on any
-difference; otherwise it prints `identical` and exits 0.  It times nothing,
-so no BENCH_*.json depends on it.
+The tool prints one line per differing artifact, with the byte offset and
+the 1-based line of the first difference, and exits 1 on any difference;
+otherwise it prints `identical` and exits 0.  It times nothing, so no
+BENCH_*.json depends on it.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def differences(base: Path, change: Path) -> list[str]:
             else:
                 at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
                           min(len(a), len(b)))
-                out.append(f"{rel}: differs from byte {at}")
+                line = a.count(b"\n", 0, at) + 1
+                out.append(f"{rel}: differs from byte {at}, line {line}")
     return out
 
 
