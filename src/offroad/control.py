@@ -54,7 +54,6 @@ def reference_rows(sample: DesiredSample, ended: np.ndarray) -> list[list[float]
     trajectory is over: the row keeps the sampled (end) position and has zero
     velocity and acceleration.
     """
-    ended = np.asarray(ended, dtype=bool)
     moving = ~ended[:, None]
     return np.column_stack([
         sample.position,

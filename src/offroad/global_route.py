@@ -105,7 +105,10 @@ def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> n
 def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]:
     if not admissible.any():
         raise ValueError("no admissible transition exists")
-    mean_m = float(grid.neighbor_slopes[admissible].mean())
+    slopes = grid.neighbor_slopes[admissible]
+    if 2 * slopes.size * float(slopes.max()) == math.inf:   # the mean's sum would overflow
+        raise ValueError(f"grid hop slopes up to {slopes.max():.6g} sum past float64")
+    mean_m = float(slopes.mean())
     counts = admissible.sum(axis=(1, 2))
     mean_d = float(np.dot(counts, grid.hop_runs) / counts.sum())
     if abs(mean_m - mean_d) < 1e-12:

@@ -156,9 +156,6 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
         kept.append(pts[k])
     kept.append(pts[-1])
 
-    if len(kept) == 2:
-        return PathGeometry(segments=[LineSegment(start=kept[0], end=kept[1])])
-
     segments = []
     cursor = kept[0]           # where the pending line currently starts
     # per-corner tangent offsets must also fit together on shared legs
@@ -219,6 +216,9 @@ class TrajectoryConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.initial_speed < math.inf:
             raise ValueError(f"initial_speed must be in [0, inf), got {self.initial_speed}")
+        fastest = max(self.nominal_speed, self.initial_speed)
+        if (self.accel + self.decel) * fastest * fastest == math.inf:   # the profile's largest sum
+            raise ValueError(f"a speed of {fastest} m/s overflows float64 in the speed profile")
 
     def turn_speed(self, radius: float) -> float:
         """Command speed on an arc of this radius: nominal capped by the

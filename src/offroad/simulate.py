@@ -136,44 +136,32 @@ def run_simulation(scenario: Scenario) -> TrajectoryLog:
     dt = scenario.dt
     n_steps = int(math.floor(scenario.duration / dt + 1e-9))
 
-    state = scenario.initial_state
-    if state is None:
-        state = aligned_initial_state(traj)
+    state = scenario.initial_state or aligned_initial_state(traj)
 
     rows_out = array("d")   # the log's rows, end to end
     status = STATUS_COMPLETED
 
-    # The reference is open-loop, so it is sampled ahead, one block of steps
-    # per call: rows 3j, 3j+1, 3j+2 of a block hold the step-start, mid-step
-    # and step-end times of its j-th step.  Past the trajectory end a row
-    # holds the end point at rest (see reference_rows); the same 1e-9 dt
-    # slack as n_steps keeps a run of the trajectory's own duration clear of
-    # it.  From step k_end on, all three times are past the end, so later
-    # steps reuse the rows of step k_end.
-    t_end = traj.duration
-    k_end = min(n_steps, int(math.ceil(t_end / dt)) + 1)
-    block_steps = SAMPLE_BLOCK // 3
-    stage = {0.0: 0, 0.5 * dt: 1, dt: 2}   # RK4 offset h -> row offset
-
-    def sample_block(k0: int) -> list[list[float]]:
-        start = np.arange(k0, min(k0 + block_steps, k_end + 1)) * dt
-        times = np.column_stack([start, start + 0.5 * dt, start + dt]).ravel()
-        return reference_rows(traj.sample(np.minimum(times, t_end)),
-                              times > t_end + 1e-9 * dt)
+    def reference_steps():
+        # The reference is open-loop, so it is sampled ahead, one block of steps
+        # per call, at each step's start, middle and end.  Past the trajectory
+        # end a row holds the end point at rest (see reference_rows); the 1e-9 dt
+        # slack of n_steps keeps a run of the trajectory's own length clear of it.
+        for k0 in range(0, n_steps + 1, SAMPLE_BLOCK // 3):
+            start = np.arange(k0, min(k0 + SAMPLE_BLOCK // 3, n_steps + 1)) * dt
+            times = np.column_stack([start, start + 0.5 * dt, start + dt]).ravel()
+            rows = reference_rows(traj.sample(np.minimum(times, traj.duration)),
+                                  times > traj.duration + 1e-9 * dt)
+            yield from zip(rows[::3], rows[1::3], rows[2::3])
 
     def rates(s: tuple, h: float) -> tuple:
         # the closed loop at time t + h of the current step; one surface query
         # per stage, shared by the control law and the dynamics
         motion = frame_and_motion(surface, *s, params)
-        (a_t, gamma), _ = control_step(motion, s, reference[row + stage[h]], gains, params)
+        (a_t, gamma), _ = control_step(motion, s, mid if h < dt else end, gains, params)
         # x_dot, y_dot and psi_dot (see vehicle.MOTION_FIELDS), then the inputs
         return motion[15], motion[16], motion[21], a_t, gamma
 
-    for k in range(n_steps + 1):
-        if k <= k_end and k % block_steps == 0:
-            reference = sample_block(k)
-        row = 3 * (min(k, k_end) % block_steps)
-        desired = reference[row]
+    for k, (desired, mid, end) in enumerate(reference_steps()):
         try:
             motion = frame_and_motion(surface, *state, params)
             (a_t, gamma), clamped = control_step(motion, state, desired, gains, params)

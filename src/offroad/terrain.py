@@ -96,7 +96,7 @@ class ElevationGrid:
     @cached_property
     def neighbor_slopes(self) -> np.ndarray:
         """Slope of each hop along the forward offsets NEIGHBOR_OFFSETS[:4]
-        for every node; NaN where the neighbor is off-grid.
+        for every node, inf past float64; NaN where the neighbor is off-grid.
 
         Shape (4, n_rows, n_cols), plane k for offset k.  Offset k + 4 is
         offset k reversed, with the same slope, so each hop is stored once:
@@ -110,7 +110,10 @@ class ElevationGrid:
         out = np.full((4, self.n_rows, self.n_cols), np.nan)
         for k, ((dr, dc), run) in enumerate(zip(NEIGHBOR_OFFSETS[:4], self.hop_runs)):
             src, dst = neighbor_slices(h.shape, dr, dc)
-            out[(k,) + src] = np.abs(h[dst] - h[src]) / run
+            rise = np.abs(h[dst] - h[src])
+            steep = rise >= run * 2.0 ** 1023   # numpy warns where the quotient overflows
+            np.divide(rise, run, out=out[(k,) + src], where=~steep)
+            out[(k,) + src][steep] = [r / run for r in rise[steep].tolist()]   # inf, no warning
         out.flags.writeable = False
         return out
 
@@ -161,6 +164,12 @@ class SurfaceModel:
     """
 
     def __init__(self, grid: ElevationGrid):
+        # coefficients reach ~2**11 spread / cell**6, sums ~2**11 max(spread, cell) * cell
+        low, high = float(grid.heights.min()), float(grid.heights.max())
+        e = math.log2(grid.cell_size)
+        if math.log2(max(high - low, grid.cell_size)) + 11 + max(e, -6 * e) >= 1024:
+            raise ValueError(f"grid heights {low!r} to {high!r} on {grid.cell_size!r} m cells "
+                             "overflow float64 in the surface spline")
         self.grid = grid
         xs = grid.x_axis
         ys = grid.y_axis

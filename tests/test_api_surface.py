@@ -13,11 +13,13 @@ and ``__getitem__`` copies touch every field, whether or not anything needs
 it.
 
 An option, a parameter or record field with a default, counts as set when
-some call in the package passes it: by keyword, by position, or through a
-``*`` or ``**`` spread.  An option no caller sets is a constant.  A default
-that every call in the package overrides, by keyword or by position before
-any spread, is never used: the parameter is required.  A spread may leave
-the default, so it does not override.
+some call in the package passes it: by keyword, by position, through a ``*``
+spread, or through a ``**`` spread whose keys may name it.  Every ``**``
+spread in the package passes values of the run configuration, so it may
+name only a key of some ``config._SCHEMA`` section.  An option no caller
+sets is a constant.  A default that every call in the package overrides, by
+keyword or by position before any spread, is never used: the parameter is
+required.  A spread may leave the default, so it does not override.
 
 The checks go by name alone, so a use of a name that several classes
 define counts for each of them; such names are resolved by hand in
@@ -30,8 +32,11 @@ from collections import defaultdict
 from pathlib import Path
 
 import offroad
+from offroad.config import _SCHEMA
 
 SRC = Path(offroad.__file__).parent
+# the names a ``**`` spread may set: the keys of the run configuration
+SPREAD_KEYS = {key for section in _SCHEMA.values() for key in section}
 
 # name -> why it stays without a caller in the package
 ALLOWED_UNUSED = {
@@ -204,6 +209,9 @@ def test_names_several_owners_define_are_resolved_by_hand():
 ALLOWED_UNSET_OPTIONS = {
     "main(argv)": "the console script calls main() with no arguments; tests and "
                   "perfbench pass argv",
+    "Scenario(initial_state)": "the offset-start tests (acceptance criterion 7, "
+                               "tests/test_control.py, tests/test_simulate.py) start the "
+                               "car off the reference",
 }
 
 
@@ -254,7 +262,8 @@ def options():
 
 def calls_by_name():
     """{called name: [(positional arguments before any ``*`` spread, keyword
-    names, has a ``*`` spread, has a ``**`` spread)]} over the package."""
+    names, has a ``*`` spread, the names a ``**`` spread may set)]} over the
+    package."""
     calls = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -265,16 +274,17 @@ def calls_by_name():
             starred = [isinstance(arg, ast.Starred) for arg in node.args]
             calls[name].append((starred.index(True) if any(starred) else len(starred),
                                 {k.arg for k in node.keywords}, any(starred),
-                                any(k.arg is None for k in node.keywords)))
+                                SPREAD_KEYS if any(k.arg is None for k in node.keywords)
+                                else set()))
     return calls
 
 
 def unset_options():
     calls = calls_by_name()
     return sorted(f"{owner}({name})" for owner, name, index in options()
-                  if not any(name in keywords or double or (index is not None
-                                                            and (index < n or single))
-                             for n, keywords, single, double in calls[owner]))
+                  if not any(name in keywords or name in spread
+                             or (index is not None and (index < n or single))
+                             for n, keywords, single, spread in calls[owner]))
 
 
 def test_every_option_is_set_by_a_caller_in_the_package():

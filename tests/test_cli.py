@@ -319,6 +319,90 @@ def test_grid_with_overflowing_height_range_exits_4(tmp_path, capsys, command):
     assert not (tmp_path / "route.csv").exists() and not (tmp_path / "scene.svg").exists()
 
 
+def main_recording_warnings(argv):
+    """main(argv) with every warning recorded: (exit code, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught]
+
+
+def write_float_range_grid(tmp_path, heights, cell):
+    return write_fixture_grid(tmp_path, ElevationGrid(
+        n_cols=heights.shape[1], n_rows=heights.shape[0], cell_size=cell, origin=(0.0, 0.0),
+        heights=heights))
+
+
+def test_hop_slopes_past_float64_are_infinite_without_a_warning(tmp_path, capsys):
+    # a rise of up to 2e150 over a 1e-300 m run: every slope is inf, so every
+    # node is steep, and render draws them all as obstacles
+    heights = np.random.default_rng(0).uniform(-1e150, 1e150, (12, 12))
+    grid_path = write_float_range_grid(tmp_path, heights, 1e-300)
+    code, caught = main_recording_warnings(
+        ["route", "--grid", str(grid_path), "--start", "0,0", "--goal", "11,11",
+         "--out", str(tmp_path / "route.csv")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == "error: goal (11, 11) is an obstacle node\n"
+    code, caught = main_recording_warnings(
+        ["render", "--grid", str(grid_path), "--out", str(tmp_path / "scene.svg")])
+    assert (code, caught) == (EXIT_OK, [])
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "scene.svg").read_text().count('fill="#7987a6"') == 144
+
+
+def test_nominal_speed_whose_square_overflows_exits_4(tmp_path, capsys):
+    write_fixture_grid(tmp_path, flat_grid(n=20))
+    (tmp_path / "run.cfg").write_text(
+        "[terrain]\ngrid = grid.csv\n[path]\nwaypoints = 2,2; 15,2; 15,15\n"
+        "turn_radius = 2\nnominal_speed = 1e300\n")
+    code, caught = main_recording_warnings(
+        ["simulate", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == (
+        "error: a speed of 1e+300 m/s overflows float64 in the speed profile\n")
+
+
+def alternating_rows(value, n=8):
+    heights = np.full((n, n), value)
+    heights[1::2] = -value
+    return heights
+
+
+@pytest.mark.parametrize("heights, cell, message", [
+    # rows alternating ±8e307 on 5 m cells: the range fits float64, but the
+    # spline's sums of six rises do not
+    (alternating_rows(8e307), 5.0,
+     "grid heights -8e+307 to 8e+307 on 5.0 m cells overflow float64 in the surface spline"),
+    # a flat grid whose cell size squared overflows
+    (np.zeros((8, 8)), 1e300,
+     "grid heights 0.0 to 0.0 on 1e+300 m cells overflow float64 in the surface spline"),
+], ids=["heights-8e307", "cells-1e300"])
+def test_simulate_on_a_grid_the_spline_cannot_hold_exits_4(tmp_path, capsys, heights, cell,
+                                                           message):
+    write_float_range_grid(tmp_path, heights, cell)
+    (tmp_path / "run.cfg").write_text(
+        f"[terrain]\ngrid = grid.csv\n[path]\nwaypoints = {cell!r},{cell!r}; "
+        f"{6 * cell!r},{cell!r}\n")
+    code, caught = main_recording_warnings(
+        ["simulate", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_route_whose_mean_slope_overflows_exits_4(tmp_path, capsys):
+    # every hop of rows alternating ±8e307 on 5 m cells is admissible under
+    # these limits, and 210 slopes of up to 3.2e307 sum past float64: the
+    # slope weight would come out 0 and drop the slope term from the cost
+    grid_path = write_float_range_grid(tmp_path, alternating_rows(8e307), 5.0)
+    code, caught = main_recording_warnings(
+        ["route", "--grid", str(grid_path), "--start", "0,0", "--goal", "7,7",
+         "--slope-limit", "1e308", "--steep-limit", "1e308", "--out", str(tmp_path / "r.csv")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == "error: grid hop slopes up to 3.2e+307 sum past float64\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (("mass = 1000.0", "mass = inf"), "vehicle.mass"),
     (("892.5,411.0", "x,411.0"), "path.waypoints"),

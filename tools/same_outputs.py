@@ -5,8 +5,9 @@
 
 Extracts the committed files of the base commit as tools/bench_pairs.py does,
 then writes the benchmark's inputs once with perfbench/inputs.py: the
-route-batch queries of seeds 1-2, the plan-and-track scenarios of seeds 1-3
-and track-case-study.  In each tree, every command runs in a fresh process:
+route-batch queries of seeds 1-2, the plan-and-track scenarios of seeds 1-3,
+track-case-study, and track-case-study run 15 s past its trajectory's end.
+In each tree, every command runs in a fresh process:
 each `route`, then `render --route` of the route it wrote; each `simulate`,
 then `render --grid --log` of the log it wrote.  Each job runs in its own
 directory and writes there, so the two trees' outputs sit side by side.
@@ -67,8 +68,14 @@ def benchmark_jobs(directory: Path) -> dict[str, list[list[str]]]:
                  for sc in inputs.plan_and_track(seed, str(sub))}
     sub = directory / "case-study"
     sub.mkdir()
-    jobs["case-study"] = simulate_job(inputs.track_case_study(1, str(sub)),
-                                      str(sub / "case.csv"))
+    config = Path(inputs.track_case_study(1, str(sub)))
+    jobs["case-study"] = simulate_job(str(config), str(sub / "case.csv"))
+    # the case study held on for 15 s past its 9.75 s trajectory: more than
+    # one sample block of steps whose reference rows are all past the end
+    past_end = sub / "case-past-end.cfg"
+    past_end.write_text(config.read_text().replace("[simulation]\n",
+                                                   "[simulation]\nduration = 25.0\n"))
+    jobs["case-study-past-end"] = simulate_job(str(past_end), str(sub / "case.csv"))
     return jobs
 
 
