@@ -156,28 +156,24 @@ def plan_geometry(waypoints, rho: float) -> PathGeometry:
         kept.append(pts[k])
     kept.append(pts[-1])
 
+    legs = [b - a for a, b in zip(kept[:-1], kept[1:])]
+    lengths = [np.linalg.norm(leg) for leg in legs]
+    units = [leg / length for leg, length in zip(legs, lengths)]
+    turns = []   # the signed heading change at each corner
+    for d_in, d_out in zip(units[:-1], units[1:]):
+        cross = d_in[0] * d_out[1] - d_in[1] * d_out[0]
+        turns.append(math.atan2(cross, float(np.clip(d_in @ d_out, -1.0, 1.0))))
+    # each corner's tangent offset, padded with 0.0 at both ends: the offsets
+    # on a leg must fit together, offsets[k] on leg k's start, offsets[k + 1]
+    # on its end
+    offsets = [0.0] + [rho * math.tan(abs(turn) / 2.0) for turn in turns] + [0.0]
+
     segments = []
     cursor = kept[0]           # where the pending line currently starts
-    # per-corner tangent offsets must also fit together on shared legs
-    offsets = []
-    for k in range(1, len(kept) - 1):
-        d_in = kept[k] - kept[k - 1]
-        d_out = kept[k + 1] - kept[k]
-        len_in = np.linalg.norm(d_in)
-        len_out = np.linalg.norm(d_out)
-        d_in = d_in / len_in
-        d_out = d_out / len_out
-        cross = d_in[0] * d_out[1] - d_in[1] * d_out[0]
-        dot = float(np.clip(d_in @ d_out, -1.0, 1.0))
-        turn = math.atan2(cross, dot)  # signed heading change
-        offset = rho * math.tan(abs(turn) / 2.0)
-        offsets.append((turn, offset, d_in, d_out, len_in, len_out))
-
-    for k, (turn, offset, d_in, d_out, len_in, len_out) in enumerate(offsets):
-        corner = kept[k + 1]
-        avail_in = len_in - (offsets[k - 1][1] if k > 0 else 0.0)
-        avail_out = len_out - (offsets[k + 1][1] if k + 1 < len(offsets) else 0.0)
-        if offset > avail_in + 1e-12 or offset > avail_out + 1e-12:
+    for k, turn in enumerate(turns):
+        corner, offset, d_in, d_out = kept[k + 1], offsets[k + 1], units[k], units[k + 1]
+        if (offset > lengths[k] - offsets[k] + 1e-12
+                or offset > lengths[k + 1] - offsets[k + 2] + 1e-12):
             raise ValueError(
                 f"fillet offset {offset:.4f} m at waypoint {k + 1} exceeds the "
                 "available leg length; reduce the turn radius or respace waypoints"

@@ -177,13 +177,8 @@ class SurfaceModel:
         values = np.flipud(grid.heights).T
         # c shape (4, nx-1, ny): the x-splines through every grid row
         self._cx = _not_a_knot_coeffs(xs, values)
-        nx_cells, ny_cells = grid.n_cols - 1, grid.n_rows - 1
-        # the records of built x-cell column i are _records[_slot[i]], one
-        # flat jet record per cell; -1 marks a column not built yet.  Only
-        # the first _n_built slots hold records: the array doubles as it fills
-        self._slot = np.full(nx_cells, -1)
-        self._records = np.empty((0, ny_cells, 28))
-        self._n_built = 0
+        # {i: the records of built x-cell column i}, one flat jet record per cell
+        self._columns = {}
         self._xs = xs
         self._ys = ys
         self._x_nodes = xs.tolist()
@@ -196,24 +191,20 @@ class SurfaceModel:
         self._x_lo, self._x_hi = self._x_min - slack, x_max + slack
         self._y_lo, self._y_hi = self._y_min - slack, y_max + slack
         self._inv_cell = 1.0 / grid.cell_size
-        self._nx_last = nx_cells - 1
-        self._ny_last = ny_cells - 1
+        self._nx_last = grid.n_cols - 2
+        self._ny_last = grid.n_rows - 2
         self._ci = -1
         self._cj = -1
         self._cell = None
 
-    def _build_columns(self, columns: list[int]) -> None:
-        """Spline each x-cell column's x-coefficients along y into the next
-        free slot of the records."""
-        n = self._n_built + len(columns)
-        if n > len(self._records):
-            grown = np.empty((max(n, 2 * len(self._records)),) + self._records.shape[1:])
-            grown[:self._n_built] = self._records[:self._n_built]
-            self._records = grown
-        for slot, i in enumerate(columns, start=self._n_built):
+    def _column(self, i: int) -> np.ndarray:
+        """The (ny-1, 28) records of x-cell column i; its x-coefficients are
+        splined along y on the first call."""
+        records = self._columns.get(i)
+        if records is None:
             # c shape (4, ny-1, 4): c[3 - q, j, 3 - p] multiplies u**p v**q
             c = _not_a_knot_coeffs(self._ys, self._cx[:, i, :].T)
-            records = self._records[slot]
+            records = self._columns[i] = np.empty((c.shape[1], 28))
             # coeffs[j, p, q] multiplies (x - xs[i])**p * (y - ys[j])**q: a
             # view of the first 16 floats of each cell's record
             coeffs = records[:, :16].reshape(-1, 4, 4)
@@ -221,8 +212,7 @@ class SurfaceModel:
             records[:, 16:20] = 2.0 * coeffs[:, :, 2]
             records[:, 20:24] = 3.0 * coeffs[:, :, 3]
             records[:, 24:28] = 6.0 * coeffs[:, :, 3]
-            self._slot[i] = slot
-        self._n_built = n
+        return records
 
     def eval(self, x, y):
         """Evaluate the interpolant: returns the jet (f, f_x, f_y, f_xx, f_yy, f_xy).
@@ -243,11 +233,9 @@ class SurfaceModel:
             # a moving car queries one cell many times in a row: keep the
             # last cell's record as floats
             if i != self._ci or j != self._cj:
-                if self._slot[i] < 0:
-                    self._build_columns([i])
                 self._ci = i
                 self._cj = j
-                self._cell = self._records[self._slot[i], j].tolist()
+                self._cell = self._column(i)[j].tolist()
             return _bicubic_jet(self._cell, x - self._x_nodes[i], y - self._y_nodes[j])
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -259,9 +247,11 @@ class SurfaceModel:
         i = np.clip(((x - self._x_min) * self._inv_cell).astype(int), 0, self._nx_last)
         j = np.clip(((y - self._y_min) * self._inv_cell).astype(int), 0, self._ny_last)
         columns = np.unique(i)
-        self._build_columns(columns[self._slot[columns] < 0].tolist())
+        records = np.empty((len(columns), self._ny_last + 1, 28))
+        for k, col in enumerate(columns.tolist()):
+            records[k] = self._column(col)
         # (28, ...) so that c[k] is the array of record entry k
-        c = np.moveaxis(self._records[self._slot[i], j], -1, 0)
+        c = np.moveaxis(records[np.searchsorted(columns, i), j], -1, 0)
         return _bicubic_jet(c, x - self._xs[i], y - self._ys[j])
 
     def _out_of_bounds(self, x: float, y: float) -> OutOfBoundsError:

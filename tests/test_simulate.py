@@ -159,7 +159,7 @@ def test_straight_run_builds_only_the_spline_columns_it_crosses():
     grid = grid_from_function(lambda x, y: 0.2 * np.sin(x / 7.0) * np.cos(y / 5.0),
                               n_cols=200, n_rows=20, cell=1.0)
     surf = SurfaceModel(grid)
-    assert (surf._slot == -1).all()
+    assert not surf._columns
     geom = plan_geometry([(50.5, 9.5), (60.5, 9.5)], rho=2.0)
     cfg = TrajectoryConfig(nominal_speed=2.0, turn_radius=2.0, max_yaw_rate=1.0,
                            initial_speed=2.0)
@@ -168,8 +168,9 @@ def test_straight_run_builds_only_the_spline_columns_it_crosses():
                                   params=FREE, dt=0.01))
     assert log.status == STATUS_COMPLETED
     assert tracking_metrics(log).max_err < 0.01
-    assert np.flatnonzero(surf._slot >= 0).tolist() == list(range(50, 61))
-    assert len(surf._records) < 2 * 11  # records for the built columns only
+    assert sorted(surf._columns) == list(range(50, 61))
+    # records for the built columns only: 19 cells of 28 floats each
+    assert sum(r.nbytes for r in surf._columns.values()) == 11 * 19 * 28 * 8
 
 
 def test_leaving_grid_reported():

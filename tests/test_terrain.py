@@ -521,9 +521,10 @@ def test_surface_coefficients_match_the_cubic_spline_tensor(n_rows, n_cols):
         else:
             for x, y in zip(xs.tolist(), ys.tolist()):
                 surf.eval(x, y)
-    # every column holds a slot of its own, in the order it was built
-    assert surf._slot[order].tolist() == list(range(n_cols - 1))
-    got = surf._records[surf._slot][:, :, :16].reshape(n_cols - 1, n_rows - 1, 4, 4)
+    # every column holds records of its own, kept in the order it was built
+    assert list(surf._columns) == order.tolist()
+    got = np.stack([surf._columns[i] for i in range(n_cols - 1)])
+    got = got[:, :, :16].reshape(n_cols - 1, n_rows - 1, 4, 4)
     assert got.shape == want.shape == (n_cols - 1, n_rows - 1, 4, 4)
     assert got.tobytes() == want.tobytes()
 
@@ -543,7 +544,7 @@ def test_partly_built_surface_gives_the_fully_built_jets(n_rows, n_cols):
         # a random half of the columns is built before the probes
         some = rng.permutation(n_cols - 1)[:(n_cols - 1) // 2]
         partial.eval(*cell_centres(grid, some))
-        assert np.flatnonzero(partial._slot >= 0).tolist() == sorted(some.tolist())
+        assert sorted(partial._columns) == sorted(some.tolist())
         if path == "array":
             got = np.array(partial.eval(xs, ys))
         else:
@@ -564,7 +565,7 @@ def test_surface_keeps_records_only_for_the_columns_it_builds():
     finally:
         tracemalloc.stop()
     assert peak < 199 * 199 * 28 * 8
-    assert np.flatnonzero(surf._slot >= 0).tolist() == [125]
+    assert list(surf._columns) == [125]
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(2, 2), (2, 6), (6, 2)])
