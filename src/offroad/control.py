@@ -27,8 +27,9 @@ from .vehicle import SingularSpeedError, VehicleParams, frame_and_motion
 
 __all__ = ["GainConfig", "HOLD", "control_step", "frame_and_motion", "reference_rows"]
 
-# Inputs that hold the car once the reference has ended and the speed is
-# below the control guard: no acceleration, no steering.
+# The inputs once the reference has ended and the speed is below the control
+# guard: no acceleration, no steering.  They do not stop the car: it rolls on
+# at the speed it has and drifts from the end point (ROADMAP item 11).
 HOLD = (0.0, 0.0)
 
 

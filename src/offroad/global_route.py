@@ -106,8 +106,11 @@ def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]
     if not admissible.any():
         raise ValueError("no admissible transition exists")
     slopes = grid.neighbor_slopes[admissible]
-    if 2 * slopes.size * float(slopes.max()) == math.inf:   # the mean's sum would overflow
+    # the means' sums would overflow
+    if 2 * slopes.size * float(slopes.max()) == math.inf:
         raise ValueError(f"grid hop slopes up to {slopes.max():.6g} sum past float64")
+    if 2 * slopes.size * float(max(grid.hop_runs)) == math.inf:
+        raise ValueError(f"grid hop runs up to {max(grid.hop_runs):.6g} m sum past float64")
     mean_m = float(slopes.mean())
     counts = admissible.sum(axis=(1, 2))
     mean_d = float(np.dot(counts, grid.hop_runs) / counts.sum())

@@ -53,6 +53,14 @@ class ElevationGrid:
         if not (self.cell_size > 0 and np.isfinite([self.cell_size, *self.origin]).all()):
             raise ValueError(f"cell_size must be positive and finite and origin finite, got "
                              f"{self.cell_size} and {self.origin}")
+        cell = float(self.cell_size)
+        for name, start, n in (("x", float(self.origin[0]), self.n_cols),
+                               ("y", float(self.origin[1]), self.n_rows)):
+            # the last node in Python floats first: inf past float64, without a warning
+            nodes = start + np.arange(n) * cell if math.isfinite(start + (n - 1) * cell) else None
+            if nodes is None or not (nodes[1:] > nodes[:-1]).all():
+                raise ValueError(f"grid {name} nodes {start!r} + k * {cell!r} m for k < {n} "
+                                 "overflow float64 or do not increase")
         h = np.asarray(self.heights, dtype=float)
         if h.shape != (self.n_rows, self.n_cols):
             raise ValueError(f"heights shape {h.shape} != ({self.n_rows}, {self.n_cols})")
@@ -165,14 +173,27 @@ class SurfaceModel:
 
     def __init__(self, grid: ElevationGrid):
         # coefficients reach ~2**11 spread / cell**6, sums ~2**11 max(spread, cell) * cell
+        # and slopes ~2**11 spread / cell, whose squares the car's frame adds
         low, high = float(grid.heights.min()), float(grid.heights.max())
         e = math.log2(grid.cell_size)
-        if math.log2(max(high - low, grid.cell_size)) + 11 + max(e, -6 * e) >= 1024:
+        s = math.log2(max(high - low, grid.cell_size)) + 11
+        if s + max(e, -6 * e) >= 1024:
             raise ValueError(f"grid heights {low!r} to {high!r} on {grid.cell_size!r} m cells "
                              "overflow float64 in the surface spline")
+        if s - e >= 511:
+            raise ValueError(f"grid heights {low!r} to {high!r} on {grid.cell_size!r} m cells "
+                             "give surface slopes whose squares overflow float64")
         self.grid = grid
         xs = grid.x_axis
         ys = grid.y_axis
+        for axis in (xs, ys):
+            # scipy's dense solve of a 3-node axis warns that the system is
+            # ill-conditioned for spacings of about 2**-50 m and less or 2**47 m
+            # and more
+            dx = np.diff(axis)
+            if len(axis) == 3 and not (2.0 ** -49 <= dx.min() and dx.max() <= 2.0 ** 46):
+                raise ValueError(f"grid spacing {grid.cell_size!r} m on a 3-node axis is outside "
+                                 "the 2**-49 to 2**46 m the surface spline solves")
         # values[i, j] = height at (xs[i], ys[j]); row 0 of the raster is north.
         values = np.flipud(grid.heights).T
         # c shape (4, nx-1, ny): the x-splines through every grid row
@@ -570,7 +591,11 @@ def load_elevation_grid(path: str) -> ElevationGrid:
     low, high = float(heights.min()), float(heights.max())
     if not math.isfinite(high - low):
         raise ValueError(f"{path}: height range {low!r} to {high!r} overflows float64")
-    return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=cell, origin=origin, heights=heights)
+    try:
+        return ElevationGrid(n_cols=n_cols, n_rows=n_rows, cell_size=cell, origin=origin,
+                             heights=heights)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_mask(path: str, grid: ElevationGrid) -> np.ndarray:

@@ -7,6 +7,7 @@ import re
 import shutil
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,9 +328,10 @@ def main_recording_warnings(argv):
     return code, [f"{w.filename}:{w.lineno}: {w.message}" for w in caught]
 
 
-def write_float_range_grid(tmp_path, heights, cell):
-    return write_fixture_grid(tmp_path, ElevationGrid(
-        n_cols=heights.shape[1], n_rows=heights.shape[0], cell_size=cell, origin=(0.0, 0.0),
+def write_float_range_grid(tmp_path, heights, cell, origin=(0.0, 0.0)):
+    # a namespace, not an ElevationGrid: the file may hold a grid it rejects
+    return write_fixture_grid(tmp_path, SimpleNamespace(
+        n_cols=heights.shape[1], n_rows=heights.shape[0], cell_size=cell, origin=origin,
         heights=heights))
 
 
@@ -400,6 +402,85 @@ def test_route_whose_mean_slope_overflows_exits_4(tmp_path, capsys):
          "--slope-limit", "1e308", "--steep-limit", "1e308", "--out", str(tmp_path / "r.csv")])
     assert (code, caught) == (EXIT_INPUT, [])
     assert capsys.readouterr().err == "error: grid hop slopes up to 3.2e+307 sum past float64\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("cell, relief", [(1.0, 1e300), (1e-12, 1e150)])
+def test_simulate_on_a_grid_whose_slopes_square_past_float64_exits_4(tmp_path, capsys, cell,
+                                                                      relief):
+    # the spline holds these heights, but the squares of its slopes, which
+    # the car's frame adds, overflow: the normal would have no z part
+    heights = np.random.default_rng(0).uniform(-relief, relief, (12, 12))
+    write_float_range_grid(tmp_path, heights, cell)
+    (tmp_path / "run.cfg").write_text(
+        f"[terrain]\ngrid = grid.csv\n[path]\nwaypoints = {2 * cell!r},{5 * cell!r}; "
+        f"{8 * cell!r},{5 * cell!r}\ninitial_speed = 2.0\n")
+    code, caught = main_recording_warnings(
+        ["simulate", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    low, high = float(heights.min()), float(heights.max())
+    assert capsys.readouterr().err == (
+        f"error: grid heights {low!r} to {high!r} on {cell!r} m cells give surface slopes "
+        "whose squares overflow float64\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_cols, cell", [(3, 1e15), (5, 1e15), (3, 2.0 ** -51)])
+def test_simulate_on_a_3_node_axis_the_spline_cannot_solve_exits_4(tmp_path, capsys, n_cols,
+                                                                   cell):
+    # scipy's dense solve of a 3-node axis finds these spacings ill-conditioned
+    heights = np.random.default_rng(n_cols).uniform(-1.0, 1.0, (3, n_cols))
+    write_float_range_grid(tmp_path, heights, cell)
+    (tmp_path / "run.cfg").write_text(
+        f"[terrain]\ngrid = grid.csv\n[path]\nwaypoints = {0.2 * cell!r},{cell!r}; "
+        f"{(n_cols - 1.2) * cell!r},{cell!r}\nnominal_speed = 1e12\naccel = 1e12\n"
+        "decel = 1e12\ninitial_speed = 1.0\n")
+    code, caught = main_recording_warnings(
+        ["simulate", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == (
+        f"error: grid spacing {cell!r} m on a 3-node axis is outside the 2**-49 to 2**46 m "
+        "the surface spline solves\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n, cell, origin, message", [
+    # the nodes' offsets overflow, with or without the origin added
+    (6, 1e308, (0.0, 0.0), "grid x nodes 0.0 + k * 1e+308 m for k < 6"),
+    (6, 5e307, (-1e308, -1e308), "grid x nodes -1e+308 + k * 5e+307 m for k < 6"),
+    # the offsets vanish in the sum: every column has the same x
+    (6, 5.0, (1.7e308, 0.0), "grid x nodes 1.7e+308 + k * 5.0 m for k < 6"),
+], ids=["cells-1e308", "origin-minus-1e308", "origin-1.7e308"])
+@pytest.mark.parametrize("command", ["route", "render", "simulate"])
+def test_grid_whose_nodes_overflow_or_repeat_exits_4(tmp_path, capsys, n, cell, origin, message,
+                                                     command):
+    grid_path = write_float_range_grid(tmp_path, np.zeros((n, n)), cell, origin)
+    (tmp_path / "run.cfg").write_text(
+        f"[terrain]\ngrid = grid.csv\n[weather]\nslope_limit = 1e300\nsteep_limit = 1e300\n"
+        f"[route]\nstart = 0,0\ngoal = {n - 1},{n - 1}\n")
+    argv = {"route": ["route", "--grid", str(grid_path), "--start", "0,0",
+                      "--goal", f"{n - 1},{n - 1}", "--slope-limit", "1e300",
+                      "--steep-limit", "1e300", "--out", str(tmp_path / "route.csv")],
+            "render": ["render", "--grid", str(grid_path), "--out", str(tmp_path / "g.svg")],
+            "simulate": ["simulate", "--config", str(tmp_path / "run.cfg"),
+                         "--out-dir", str(tmp_path / "o")]}[command]
+    code, caught = main_recording_warnings(argv)
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == (
+        f"error: {grid_path}: {message} overflow float64 or do not increase\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "run.cfg"]
+
+
+def test_route_whose_mean_hop_run_overflows_exits_4(tmp_path, capsys):
+    # the nodes 0 and 1e308 fit float64, but the six hops of a 2x2 grid,
+    # up to 1.41e308 m each, sum past it
+    grid_path = write_float_range_grid(tmp_path, np.zeros((2, 2)), 1e308)
+    code, caught = main_recording_warnings(
+        ["route", "--grid", str(grid_path), "--start", "0,0", "--goal", "1,1",
+         "--slope-limit", "1e300", "--steep-limit", "1e300", "--out", str(tmp_path / "r.csv")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    assert capsys.readouterr().err == (
+        "error: grid hop runs up to 1.41421e+308 m sum past float64\n")
     assert not (tmp_path / "r.csv").exists()
 
 
