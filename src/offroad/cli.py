@@ -48,32 +48,33 @@ EXIT_INPUT = 4
 def plan_route(
     grid: ElevationGrid, water: np.ndarray | None, foliage: np.ndarray | None,
     steep_limit: float, weather: WeatherCondition,
-    start: tuple[int, int], goal: tuple[int, int],
+    start: tuple[int, int], goal: tuple[int, int], windowed: bool = False,
 ) -> gr.PlannedRoute | None:
     """Obstacle mask, route tables, exact solve and route extraction for one
-    start/goal query; None when no admissible path exists.  Raises
-    ValueError on bad nodes or an unsolvable table."""
+    start/goal query; None when no admissible path exists.  ``windowed``
+    solves only the nodes the route can use (`gr.route_in_window`), with the
+    same result.  Raises ValueError on bad nodes or an unsolvable table."""
     mask = build_obstacle_mask(grid, water_mask=water, foliage_mask=foliage,
                                steep_limit=steep_limit)
+    if windowed:
+        return gr.route_in_window(grid, mask, weather, start, goal)
     problem = gr.build_dp_problem(grid, mask, weather, goal=goal)
     vf = gr.value_iteration(problem)
     return gr.extract_route(vf, problem, start)
 
 
-def _route_with_masks(
+def _read_masks(
     grid: ElevationGrid, water_path: str | None, foliage_path: str | None,
-    steep_limit: float, weather: WeatherCondition,
-    start: tuple[int, int], goal: tuple[int, int],
-) -> gr.PlannedRoute | None:
-    """`plan_route` with the masks read from their files; prints the
-    UNREACHABLE line when no admissible path exists."""
-    water = load_mask(water_path, grid) if water_path else None
-    foliage = load_mask(foliage_path, grid) if foliage_path else None
-    route = plan_route(grid, water, foliage, steep_limit, weather, start, goal)
-    if route is None:
-        print(f"UNREACHABLE: no admissible path from {start} to {goal} "
-              f"under slope limit {weather.slope_limit:.4f}")
-    return route
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The water and foliage masks of the files given."""
+    return tuple(load_mask(path, grid) if path else None for path in (water_path, foliage_path))
+
+
+def _unreachable(weather: WeatherCondition, start: tuple[int, int],
+                 goal: tuple[int, int]) -> int:
+    print(f"UNREACHABLE: no admissible path from {start} to {goal} "
+          f"under slope limit {weather.slope_limit:.4f}")
+    return EXIT_UNREACHABLE
 
 
 def cmd_route(args) -> int:
@@ -82,10 +83,10 @@ def cmd_route(args) -> int:
     weather, steep_limit = resolve_weather(("--slope-limit", "--steep-limit"), args.weather,
                                            args.slope_limit, args.steep_limit)
     grid = load_elevation_grid(args.grid)
-    route = _route_with_masks(grid, args.water, args.foliage, steep_limit, weather,
-                              start, goal)
+    route = plan_route(grid, *_read_masks(grid, args.water, args.foliage), steep_limit,
+                       weather, start, goal)
     if route is None:
-        return EXIT_UNREACHABLE
+        return _unreachable(weather, start, goal)
     gr.write_route_csv(route, grid, args.out)
     print(f"route written to {args.out}: {len(route.waypoints)} waypoints, "
           f"dist {route.total_distance:.2f} m, mean slope "
@@ -105,11 +106,14 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"path.waypoints: {outside[0]} lies outside the grid extent "
                              f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]")
     else:
-        route = _route_with_masks(grid, config.water_mask_path, config.foliage_mask_path,
-                                  config.steep_limit, config.weather, config.start,
-                                  config.goal)
+        # simulate needs this one route, so it solves only the window the
+        # route can use; route keeps the whole-grid solve
+        route = plan_route(grid, *_read_masks(grid, config.water_mask_path,
+                                              config.foliage_mask_path),
+                           config.steep_limit, config.weather, config.start, config.goal,
+                           windowed=True)
         if route is None:
-            return EXIT_UNREACHABLE
+            return _unreachable(config.weather, config.start, config.goal)
         waypoints = [grid.node_position(*node) for node in route.waypoints]
 
     # built after the route, whose tables plan_route has freed on return

@@ -27,6 +27,36 @@ query from such a start returns None.  ``value_iteration`` reaches it in
 one label-setting (Dijkstra) pass from the goal over the undirected hop
 graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming
 and Optimal Control*, Vol. 1, label-setting methods).
+
+Windows.  ``simulate`` needs one start -> goal route, so ``route_in_window``
+solves only the nodes that route can use.  Let c be the least admissible
+hop cost per metre, from alpha and each plane's least and largest
+admissible slope, shrunk by a relative 1e-9 against rounding; then
+h(v, w) = c * octile distance(v, w) is a lower bound on the cost of any
+route between v and w (the admissible heuristic of A*: Hart, Nilsson &
+Raphael, IEEE Trans. SSC 1968).  Every node v of a path of cost at most B
+has h(s, v) + h(v, g) <= B, so every such path lies in
+
+    W_B = {v : h(s, v) + h(v, g) <= B}.
+
+The window's table is the whole grid's, cropped to W_B's bounding box, with
+every hop that has an end outside W_B inadmissible.  If the start's cost V
+found there is at most B, it is the whole grid's cost, bit for bit: the
+float Dijkstra value is the least float path sum, and the least path lies
+in W_B.  The route is the whole grid's too.  At each node of it, an action
+that ties for the minimum in the whole grid starts an optimal path, which
+lies in W_B, so its candidate has the same value in the window; an action
+that ties in the window ties in the whole grid, whose values are never
+larger.  The tied sets are equal, so the first minimum picks the same action.
+
+The first bound is B = 1.05 h(s, g).  A finite V > B makes B = V, and the
+next round is final; an infinite V makes B 1.5 times larger, and the start
+is unreachable only once W_B holds the whole grid.  ``converged`` is then
+checked over the reachable states of the window's table.  ``offroad route``
+keeps the whole-grid solve: in wet weather the benchmark's corner-to-corner
+queries cost so much more than their lower bound that their windows grow
+to most of the grid over two or three rounds, and the route-batch queries
+ran slower windowed than whole.
 """
 
 from __future__ import annotations
@@ -53,16 +83,20 @@ from .terrain import (
 # and, read at the neighbor, action k + 5.
 MOVES = dict(enumerate(NEIGHBOR_OFFSETS, start=1))
 STAY = 9
+NON_POSITIVE_COST = "non-positive hop cost; check alpha weights and cell size"
 
 
 @dataclass(frozen=True)
 class DpProblem:
-    """Immutable transition/cost tables for one grid, mask, and weather."""
+    """Immutable transition/cost tables for one grid, mask, and weather, over
+    the whole grid or over a window's bounding box."""
 
     grid: ElevationGrid
-    goal: tuple[int, int]
-    valid: np.ndarray                 # bool (n_rows, n_cols); True = state
-    hop_cost: np.ndarray = field(repr=False)  # (4, n_rows, n_cols); +inf = inadmissible
+    goal: tuple[int, int]             # grid node
+    valid: np.ndarray                 # bool (rows, cols) of the table; True = state
+    hop_cost: np.ndarray = field(repr=False)  # (4, rows, cols); +inf = inadmissible
+    offset: tuple[int, int]           # grid node at the table's [0, 0]
+    bound: float                      # every path of cost <= bound lies in the table
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -73,7 +107,7 @@ class DpProblem:
 class ValueFunction:
     """Per-state cost-to-goal plus the minimizing action at each state."""
 
-    values: np.ndarray  # float (n_rows, n_cols); inf = unreachable / non-state
+    values: np.ndarray  # float, the problem's table shape; inf = unreachable / non-state
     policy: np.ndarray  # int action ids; 0 where no action applies
     converged: bool     # Bellman residual is exactly 0 on every reachable state
     sweeps: int         # Bellman passes over the grid
@@ -90,15 +124,16 @@ class PlannedRoute:
     max_slope_deg: float
 
 
-def _admissible(grid: ElevationGrid, valid: np.ndarray, slope_limit: float) -> np.ndarray:
-    """(4, n_rows, n_cols) bool, laid out like ``grid.neighbor_slopes``: both
-    ends of the hop are states and its slope is within the limit (an
-    off-grid hop's NaN slope never is)."""
-    ends = np.zeros(grid.neighbor_slopes.shape, dtype=bool)
+def _admissible(slopes: np.ndarray, valid: np.ndarray, slope_limit: float) -> np.ndarray:
+    """(4, rows, cols) bool over ``slopes``, a block of
+    ``grid.neighbor_slopes``, and ``valid``, the same block's states: both
+    ends of the hop are states in the block and its slope is within the
+    limit (an off-grid hop's NaN slope never is)."""
+    ends = np.zeros(slopes.shape, dtype=bool)
     for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
         src, dst = neighbor_slices(valid.shape, dr, dc)
         ends[k][src] = valid[src] & valid[dst]
-    ends &= grid.neighbor_slopes <= slope_limit
+    ends &= slopes <= slope_limit
     return ends
 
 
@@ -134,7 +169,89 @@ def compute_scaling_factors(
 
         [[mean_m, mean_d], [1, 1]] @ [alpha_m, alpha_d] = [1, 1]
     """
-    return _scaling(grid, _admissible(grid, ~mask.blocked, weather.slope_limit))
+    return _scaling(grid, _admissible(grid.neighbor_slopes, ~mask.blocked, weather.slope_limit))
+
+
+def _check_node(role: str, node: tuple[int, int], grid: ElevationGrid, valid: np.ndarray,
+                offset: tuple[int, int] = (0, 0)) -> None:
+    """Raise ValueError unless ``node`` is on the grid and a state of
+    ``valid``, a table whose [0, 0] is grid node ``offset``."""
+    if not grid.in_bounds(*node):
+        raise ValueError(f"{role} {node} is outside the grid")
+    if not valid[node[0] - offset[0], node[1] - offset[1]]:
+        raise ValueError(f"{role} {node} is an obstacle node")
+
+
+def _lower_bound(grid: ElevationGrid, per_metre: float, node: tuple[int, int],
+                 rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) lower bounds on the cost of any route between
+    ``node`` and each node (rows[i], cols[j]): ``per_metre`` times the
+    octile distance, the length of the shortest 8-connected walk."""
+    dr = np.abs(rows - node[0])[:, None]
+    dc = np.abs(cols - node[1])[None, :]
+    diagonal = np.minimum(dr, dc)
+    return per_metre * (grid.hop_runs[1] * diagonal
+                        + grid.hop_runs[0] * (np.maximum(dr, dc) - diagonal))
+
+
+def _per_metre(grid: ElevationGrid, admissible: np.ndarray, alpha_m: float,
+               alpha_d: float) -> float:
+    """A lower bound on every admissible hop's cost per metre; raises
+    ValueError when some admissible hop's cost is not positive.
+
+    A plane's hop cost alpha_m * slope + alpha_d * run rises with the slope
+    when alpha_m >= 0 and falls otherwise, in floats too, so its least cost
+    is at the plane's least or largest admissible slope; no cost table is
+    needed.  The bound is shrunk by a relative 1e-9 so that rounding cannot
+    lift a lower bound above the float sum of a path's hop costs; where
+    every admissible hop's cost overflows it is 0, whose windows are the
+    whole grid."""
+    per_metre = math.inf
+    for slopes, ends, run in zip(grid.neighbor_slopes, admissible, grid.hop_runs):
+        hops = slopes[ends]
+        if hops.size:
+            least = alpha_m * float(hops.min() if alpha_m >= 0 else hops.max()) + alpha_d * run
+            if least <= 0:
+                raise ValueError(NON_POSITIVE_COST)
+            per_metre = min(per_metre, least / run)
+    per_metre *= 1.0 - 1e-9
+    return per_metre if math.isfinite(per_metre) else 0.0
+
+
+def _window(
+    grid: ElevationGrid, per_metre: float, start: tuple[int, int], goal: tuple[int, int],
+    bound: float,
+) -> tuple[tuple[slice, slice], np.ndarray | None, float]:
+    """(box, inside, bound) of W_B = {v : h(start, v) + h(v, goal) <= B}, h
+    the lower bound of ``_lower_bound``, B the larger of ``bound`` and
+    1.05 h(start, goal): its bounding box, which nodes of the box it holds,
+    and B.  A window that holds every grid node is the whole grid, with
+    inside None and B = inf."""
+    shape = (grid.n_rows, grid.n_cols)
+    ends = np.array([start[0], goal[0]]), np.array([start[1], goal[1]])
+    bound = max(bound, 1.05 * float(_lower_bound(grid, per_metre, start, *ends)[1, 1]))
+    corners = np.array([0, shape[0] - 1]), np.array([0, shape[1] - 1])
+    # W_B is convex, so its sum of bounds peaks over the grid at a corner
+    if np.all(_lower_bound(grid, per_metre, start, *corners)
+              + _lower_bound(grid, per_metre, goal, *corners) <= bound):
+        return (slice(0, shape[0]), slice(0, shape[1])), None, math.inf
+    # an octile walk is at least cell_size long per row or column it
+    # crosses, so W_B lies within `reach` rows and columns of start and goal
+    # together; its exact test below runs on that box only
+    scale = per_metre * grid.cell_size
+    reach = bound / scale * (1.0 + 1e-12) if scale > 0 else math.inf
+    axes = []
+    for a, b, n in zip(start, goal, shape):
+        index = np.arange(n)
+        axes.append(index[np.abs(index - a) + np.abs(index - b) <= reach])
+    rows, cols = axes
+    inside = (_lower_bound(grid, per_metre, start, rows, cols)
+              + _lower_bound(grid, per_metre, goal, rows, cols) <= bound)
+    r = np.flatnonzero(inside.any(axis=1))
+    c = np.flatnonzero(inside.any(axis=0))
+    inside = inside[r[0]:r[-1] + 1, c[0]:c[-1] + 1]
+    r0, c0 = int(rows[r[0]]), int(cols[c[0]])
+    return (slice(r0, r0 + inside.shape[0]), slice(c0, c0 + inside.shape[1])), inside, bound
 
 
 def build_dp_problem(
@@ -142,22 +259,38 @@ def build_dp_problem(
     mask: ObstacleMask,
     weather: WeatherCondition,
     goal: tuple[int, int],
+    window: tuple[tuple[int, int], float] | None = None,
 ) -> DpProblem:
-    """Assemble the hop cost table for the route solver."""
-    if not grid.in_bounds(*goal):
-        raise ValueError(f"goal {goal} is outside the grid")
-    if mask.blocked[goal]:
-        raise ValueError(f"goal {goal} is an obstacle node")
+    """Assemble the hop cost table for the route solver.
 
+    Without ``window`` the table covers the whole grid.  With ``window =
+    (start, bound)`` it covers the bounding box of W_B (see ``_window``),
+    and every hop with an end outside W_B is inadmissible; the problem's
+    ``bound`` is B.  Either way the scaling weights come from the whole
+    grid, so each table entry is the whole grid's entry for that hop.
+    """
     valid = ~mask.blocked
-    admissible = _admissible(grid, valid, weather.slope_limit)
+    _check_node("goal", goal, grid, valid)
+    admissible = _admissible(grid.neighbor_slopes, valid, weather.slope_limit)
     alpha_m, alpha_d = _scaling(grid, admissible)
-    hop_cost = alpha_m * grid.neighbor_slopes
+    box, bound = (slice(None), slice(None)), math.inf
+    if window is not None:
+        # checks every hop cost over the whole grid, as the whole table does below
+        per_metre = _per_metre(grid, admissible, alpha_m, alpha_d)
+        start, bound = window
+        _check_node("start", start, grid, valid)
+        box, inside, bound = _window(grid, per_metre, start, goal, bound)
+        valid = valid[box] if inside is None else valid[box] & inside
+        admissible = _admissible(grid.neighbor_slopes[(slice(None),) + box], valid,
+                                 weather.slope_limit)
+    hop_cost = alpha_m * grid.neighbor_slopes[(slice(None),) + box]
     hop_cost += alpha_d * np.array(grid.hop_runs)[:, None, None]
     hop_cost[~admissible] = np.inf
-    if np.any(hop_cost <= 0):
-        raise ValueError("non-positive hop cost; check alpha weights and cell size")
-    return DpProblem(grid=grid, goal=goal, valid=valid, hop_cost=hop_cost)
+    if window is None and np.any(hop_cost <= 0):
+        raise ValueError(NON_POSITIVE_COST)
+    offset = (box[0].start or 0, box[1].start or 0)
+    return DpProblem(grid=grid, goal=goal, valid=valid, hop_cost=hop_cost, offset=offset,
+                     bound=bound)
 
 
 def _hop_graph(problem: DpProblem) -> csr_array:
@@ -187,9 +320,9 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
     is exactly 0 on every reachable state, which sets ``converged``.
     """
     shape = problem.shape
-    goal_index = problem.goal[0] * shape[1] + problem.goal[1]
+    goal = (problem.goal[0] - problem.offset[0], problem.goal[1] - problem.offset[1])
     values = dijkstra(_hop_graph(problem), directed=False,
-                      indices=goal_index).reshape(shape)
+                      indices=goal[0] * shape[1] + goal[1]).reshape(shape)
 
     best = np.full(shape, np.inf)
     policy = np.zeros(shape, dtype=np.int8)
@@ -204,8 +337,8 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
     # a state with a finite candidate is reachable, so the policy stays 0 on
     # exactly the unreachable ones
     reachable = np.isfinite(values)
-    policy[problem.goal] = STAY
-    reachable[problem.goal] = False
+    policy[goal] = STAY
+    reachable[goal] = False
     converged = bool(np.array_equal(best[reachable], values[reachable]))
 
     return ValueFunction(values=values, policy=policy, converged=converged, sweeps=1)
@@ -226,13 +359,12 @@ def extract_route(
     vf: ValueFunction, problem: DpProblem, start: tuple[int, int]
 ) -> PlannedRoute | None:
     """Follow the policy from start to goal and summarize the hops; None
-    when the goal is unreachable from start."""
+    when the goal is unreachable from start.  A window's table holds the
+    start it was built for."""
     grid = problem.grid
-    if not grid.in_bounds(*start):
-        raise ValueError(f"start {start} is outside the grid")
-    if not problem.valid[start]:
-        raise ValueError(f"start {start} is an obstacle node")
-    if not math.isfinite(vf.values[start]):
+    r0, c0 = problem.offset
+    _check_node("start", start, grid, problem.valid, problem.offset)
+    if not math.isfinite(vf.values[start[0] - r0, start[1] - c0]):
         return None
 
     waypoints = [start]
@@ -240,7 +372,7 @@ def extract_route(
     # a policy that reaches the goal takes fewer moves than there are nodes,
     # and stops there: the goal's action is STAY
     for _ in range(problem.shape[0] * problem.shape[1]):
-        action = int(vf.policy[node])
+        action = int(vf.policy[node[0] - r0, node[1] - c0])
         if action not in MOVES:
             break
         dr, dc = MOVES[action]
@@ -258,11 +390,34 @@ def extract_route(
 
     return PlannedRoute(
         waypoints=waypoints,
-        total_cost=float(vf.values[start]),
+        total_cost=float(vf.values[start[0] - r0, start[1] - c0]),
         total_distance=total_dist,
         mean_slope_deg=float(np.mean(slopes_deg)) if slopes_deg else 0.0,
         max_slope_deg=float(np.max(slopes_deg)) if slopes_deg else 0.0,
     )
+
+
+def route_in_window(
+    grid: ElevationGrid, mask: ObstacleMask, weather: WeatherCondition,
+    start: tuple[int, int], goal: tuple[int, int],
+) -> PlannedRoute | None:
+    """The route that the whole grid's table gives from start to goal, solved
+    on windows only (see the module docstring).
+
+    The first window holds every path of cost up to 1.05 times the lower
+    bound from start to goal.  A start cost within the window's bound is
+    exact; a larger finite one becomes the next bound; an unreachable start
+    grows the bound by 1.5, until the window is the whole grid.
+    """
+    bound = 0.0
+    while True:
+        problem = build_dp_problem(grid, mask, weather, goal, window=(start, bound))
+        vf = value_iteration(problem)
+        cost = vf.values[start[0] - problem.offset[0], start[1] - problem.offset[1]]
+        if cost <= problem.bound:
+            return extract_route(vf, problem, start)
+        # a lower bound that underflows to 0 leaves a bound of 0, which no factor grows
+        bound = cost if math.isfinite(cost) else 1.5 * problem.bound or math.inf
 
 
 # ---------------------------------------------------------------------------

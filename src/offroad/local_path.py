@@ -377,6 +377,7 @@ class DesiredTrajectory:
                  surface: SurfaceModel):
         if abs(geometry.total_length - profile.total_length) > 1e-6:
             raise ValueError("profile and geometry lengths disagree")
+        surface.check_speed(float(profile.v_pts.max()))
         self.geometry = geometry
         self.profile = profile
         self.surface = surface

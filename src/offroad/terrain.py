@@ -183,6 +183,8 @@ class SurfaceModel:
         if s - e >= 511:
             raise ValueError(f"grid heights {low!r} to {high!r} on {grid.cell_size!r} m cells "
                              "give surface slopes whose squares overflow float64")
+        # log2 bounds on the surface's slopes and curvatures
+        self._slope_log2, self._curvature_log2 = s - e, s - 2 * e
         self.grid = grid
         xs = grid.x_axis
         ys = grid.y_axis
@@ -217,6 +219,17 @@ class SurfaceModel:
         self._ci = -1
         self._cj = -1
         self._cell = None
+
+    def check_speed(self, speed: float) -> None:
+        """Raise ValueError when a car at up to ``speed`` m/s lifts vertical
+        speeds (slope x speed) whose squares, or vertical accelerations
+        (curvature x speed**2), overflow float64 (see ``surface_lift``)."""
+        v = math.log2(speed) if speed > 0 else -math.inf
+        if self._slope_log2 + v >= 511 or self._curvature_log2 + 2 * v >= 1021:
+            low, high = float(self.grid.heights.min()), float(self.grid.heights.max())
+            raise ValueError(f"a speed of {speed!r} m/s over grid heights {low!r} to {high!r} "
+                             f"on {self.grid.cell_size!r} m cells overflows float64 in the "
+                             "surface lift")
 
     def _column(self, i: int) -> np.ndarray:
         """The (ny-1, 28) records of x-cell column i; its x-coefficients are

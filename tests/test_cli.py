@@ -425,6 +425,26 @@ def test_simulate_on_a_grid_whose_slopes_square_past_float64_exits_4(tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("relief, speed", [(1e100, 1e110), (1e10, 1e150)])
+def test_simulate_too_fast_for_its_surface_exits_4(tmp_path, capsys, relief, speed):
+    # the spline holds these heights and the profile holds the speed, but
+    # the vertical speed slope x speed squares past float64 in the reference
+    # and the aligned start, which left a nan contact force and exit 0
+    heights = np.random.default_rng(0).uniform(-relief, relief, (12, 12))
+    write_float_range_grid(tmp_path, heights, 1.0)
+    (tmp_path / "run.cfg").write_text(
+        f"[terrain]\ngrid = grid.csv\n[path]\nwaypoints = 2,2; 9,2\n"
+        f"nominal_speed = {speed!r}\ninitial_speed = {speed!r}\n")
+    code, caught = main_recording_warnings(
+        ["simulate", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")])
+    assert (code, caught) == (EXIT_INPUT, [])
+    low, high = float(heights.min()), float(heights.max())
+    assert capsys.readouterr().err == (
+        f"error: a speed of {speed!r} m/s over grid heights {low!r} to {high!r} on 1.0 m "
+        "cells overflows float64 in the surface lift\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n_cols, cell", [(3, 1e15), (5, 1e15), (3, 2.0 ** -51)])
 def test_simulate_on_a_3_node_axis_the_spline_cannot_solve_exits_4(tmp_path, capsys, n_cols,
                                                                    cell):

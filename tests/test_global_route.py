@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from offroad.global_route import (
     value_iteration,
     write_route_csv,
 )
+from offroad import global_route as gr
 from offroad.cli import EXIT_OK, main, plan_route
 from offroad.terrain import (
     DRY_SLOPE_LIMIT,
@@ -445,6 +447,193 @@ def test_route_tables_make_no_per_move_temporary():
         tracemalloc.stop()
     assert np.isfinite(problem.hop_cost).any()
     assert peak / grid.heights.size <= 48
+
+
+# ---------------------------------------------------------------------------
+# Windowed solve: simulate's route, solved on the nodes it can use
+# ---------------------------------------------------------------------------
+
+def rolling_site(seed, n, water_p=0.08):
+    """A seeded n x n rolling grid on 5 m cells and a water mask."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:n, 0:n] * 5.0
+    heights = (2.0 * np.sin(x / 23.0 + rng.uniform(0, 6)) * np.cos(y / 31.0)
+               + rng.normal(scale=0.08, size=(n, n)))
+    grid = ElevationGrid(n_cols=n, n_rows=n, cell_size=5.0, origin=(0.0, 0.0),
+                         heights=heights)
+    return grid, rng.random((n, n)) < water_p
+
+
+def oracle_route_cost(grid, blocked, slope_limit, alpha, start, goal):
+    """Least start -> goal cost by a plain heapq Dijkstra over the 8-neighbor
+    hops, each costed from the heights by conftest's oracle; inf when the
+    goal cannot be reached."""
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node == goal:
+            return d
+        if d > dist[node]:
+            continue
+        for dr, dc in EIGHT_NEIGHBORS:
+            nxt = (node[0] + dr, node[1] + dc)
+            cost = oracle_hop_cost(grid, blocked, slope_limit, *alpha, node, nxt)
+            if d + cost < dist.get(nxt, math.inf):
+                dist[nxt] = d + cost
+                heapq.heappush(heap, (d + cost, nxt))
+    return math.inf
+
+
+def windowed_and_full(monkeypatch, grid, water, weather, start, goal):
+    """(windowed route, full route, the windowed solve's tables in order)."""
+    tables = []
+    build = gr.build_dp_problem
+
+    def recorded(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gr, "build_dp_problem", recorded)
+        windowed = plan_route(grid, water, None, weather.slope_limit, weather, start, goal,
+                              windowed=True)
+    full = plan_route(grid, water, None, weather.slope_limit, weather, start, goal)
+    return windowed, full, tables
+
+
+def free_node(blocked, near):
+    """The unblocked node nearest `near`, in grid order among ties."""
+    free = np.argwhere(~blocked)
+    return tuple(int(v) for v in free[np.argmin(np.abs(free - near).sum(axis=1))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("weather", [DRY, WET], ids=["dry", "wet"])
+def test_windowed_route_is_the_full_route(monkeypatch, seed, weather):
+    # near and far pairs on seeded rolling grids with water: the windowed
+    # route has the full solve's waypoints and its total_cost bit for bit,
+    # and that cost is the least path cost an independent Dijkstra finds
+    n = 40
+    grid, water = rolling_site(seed, n)
+    mask = build_obstacle_mask(grid, weather.slope_limit, water_mask=water)
+    alpha = compute_scaling_factors(grid, mask, weather)
+    rng = np.random.default_rng(seed)
+    pairs = [((20, 20), (12, 36)), ((n - 1, 0), (0, n - 1)), ((30, 5), (5, 30))]
+    pairs += [(tuple(rng.integers(0, n, 2)), tuple(rng.integers(0, n, 2))) for _ in range(3)]
+    reached = 0
+    for a, b in pairs:
+        start, goal = free_node(mask.blocked, a), free_node(mask.blocked, b)
+        windowed, full, tables = windowed_and_full(monkeypatch, grid, water, weather,
+                                                   start, goal)
+        expect = oracle_route_cost(grid, mask.blocked, weather.slope_limit, alpha, start, goal)
+        if full is None:
+            assert windowed is None and expect == math.inf
+            # unreachable only once the window is the whole grid
+            assert tables[-1].bound == math.inf and tables[-1].shape == (n, n)
+            continue
+        reached += 1
+        assert windowed.waypoints == full.waypoints
+        assert np.float64(windowed.total_cost).tobytes() == np.float64(full.total_cost).tobytes()
+        assert dataclasses.astuple(windowed) == dataclasses.astuple(full)
+        assert windowed.total_cost == pytest.approx(expect, rel=1e-12)
+        assert all(t.offset[0] <= r < t.offset[0] + t.shape[0]
+                   and t.offset[1] <= c < t.offset[1] + t.shape[1]
+                   for r, c in windowed.waypoints for t in tables[-1:])
+    assert reached >= 3
+
+
+def test_windowed_route_takes_a_second_round_for_a_detour(monkeypatch):
+    # a water wall between start and goal, open at its west end: the
+    # 1.05 x lower-bound window holds no path, so the bound grows, and the
+    # detour found is still the full solve's route
+    n = 30
+    grid = flat_grid(n=n, cell=5.0)
+    water = np.zeros((n, n), dtype=bool)
+    water[15, 1:] = True
+    windowed, full, tables = windowed_and_full(monkeypatch, grid, water, DRY,
+                                               (25, 20), (5, 20))
+    assert len(tables) >= 2
+    assert tables[0].shape[0] * tables[0].shape[1] < n * n / 4
+    assert windowed.waypoints == full.waypoints
+    assert (15, 0) in windowed.waypoints
+    assert np.float64(windowed.total_cost).tobytes() == np.float64(full.total_cost).tobytes()
+
+
+def test_windowed_route_from_the_goal_is_one_node(monkeypatch):
+    grid, water = rolling_site(7, 20)
+    water[10, 10] = False
+    windowed, full, tables = windowed_and_full(monkeypatch, grid, water, DRY,
+                                               (10, 10), (10, 10))
+    assert windowed.waypoints == full.waypoints == [(10, 10)]
+    assert windowed.total_cost == full.total_cost == 0.0
+    assert [t.shape for t in tables] == [(1, 1)]
+
+
+def test_windowed_route_from_a_walled_in_start_is_none(monkeypatch):
+    # a ring of water around the start: None, and only from a table that
+    # holds the whole grid
+    n = 24
+    grid, water = rolling_site(3, n, water_p=0.0)
+    water[4:9, 4:9] = True
+    water[5:8, 5:8] = False
+    windowed, full, tables = windowed_and_full(monkeypatch, grid, water, DRY, (6, 6), (18, 18))
+    assert windowed is None and full is None
+    assert len(tables) >= 2
+    assert all(t.bound < math.inf for t in tables[:-1])
+    assert tables[-1].bound == math.inf and tables[-1].shape == (n, n)
+    assert tables[-1].offset == (0, 0)
+
+
+def test_windowed_route_checks_its_nodes_as_the_full_solve_does():
+    grid, water = rolling_site(2, 12, water_p=0.0)
+    water[3, 3] = True
+    for start, goal, message in (((3, 3), (8, 8), "start \\(3, 3\\) is an obstacle node"),
+                                 ((8, 8), (3, 3), "goal \\(3, 3\\) is an obstacle node"),
+                                 ((12, 0), (8, 8), "start \\(12, 0\\) is outside the grid"),
+                                 ((8, 8), (0, -1), "goal \\(0, -1\\) is outside the grid")):
+        for windowed in (False, True):
+            with pytest.raises(ValueError, match=message):
+                plan_route(grid, water, None, DRY.slope_limit, DRY, start, goal,
+                           windowed=windowed)
+
+
+def test_plan_shaped_window_tables_only_its_bounding_box(monkeypatch):
+    # a plan-and-track query (goal 8 rows north, 16 columns east) on a fresh
+    # 300 x 300 grid: its one table covers the bounding box of W_B, the
+    # nodes v with h(s, v) + h(v, g) <= B, not the grid.  The box is rebuilt
+    # here from the least hop cost per metre over every admissible hop
+    n = 300
+    grid, water = rolling_grid_with_water(n)
+    start, goal = (150, 150), (142, 166)
+    water[start] = water[goal] = False
+    windowed, full, tables = windowed_and_full(monkeypatch, grid, water, DRY, start, goal)
+    assert windowed.waypoints == full.waypoints
+    (table,) = tables
+    assert table.hop_cost.shape[1:] == table.shape
+    assert table.shape[0] * table.shape[1] < n * n / 100
+
+    mask = build_obstacle_mask(grid, DRY.slope_limit, water_mask=water)
+    alpha_m, alpha_d = compute_scaling_factors(grid, mask, DRY)
+    per_metre = math.inf
+    for (dr, dc), slopes in zip(FORWARD_OFFSETS, grid.neighbor_slopes):
+        run = 5.0 * math.hypot(dr, dc)
+        src = ~mask.blocked[max(0, -dr):n - max(0, dr), max(0, -dc):n - max(0, dc)]
+        dst = ~mask.blocked[max(0, dr):n + min(0, dr), max(0, dc):n + min(0, dc)]
+        hop = slopes[max(0, -dr):n - max(0, dr), max(0, -dc):n - max(0, dc)]
+        ok = src & dst & (hop <= DRY.slope_limit)
+        per_metre = min(per_metre, float(((alpha_m * hop[ok] + alpha_d * run) / run).min()))
+
+    def octile(a, rows, cols):
+        dr, dc = np.abs(rows - a[0]), np.abs(cols - a[1])
+        return 5.0 * (np.maximum(dr, dc) + (math.sqrt(2) - 1) * np.minimum(dr, dc))
+
+    rows, cols = np.mgrid[0:n, 0:n]
+    bound = 1.05 * per_metre * octile(start, *map(np.array, goal))
+    inside = per_metre * (octile(start, rows, cols) + octile(goal, rows, cols)) <= bound
+    r, c = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
+    assert table.offset == (r[0], c[0])
+    assert table.shape == (r[-1] - r[0] + 1, c[-1] - c[0] + 1)
 
 
 # ---------------------------------------------------------------------------

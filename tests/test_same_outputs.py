@@ -43,3 +43,21 @@ def test_a_changed_byte_and_exit_code_are_both_reported(tmp_path):
         "job/0-route.exit: exit code 0 -> 2",
         "job/route.csv: differs from byte 10, line 2",
     ]
+
+
+def test_the_plan_variants_grow_the_window_and_give_up(tmp_path, capsys):
+    # seed 1's plan0 with its goal ringed by water exits 2 with the
+    # UNREACHABLE line, and its wet variant is a config of wet weather
+    directory = tmp_path / "plan-1"
+    directory.mkdir()
+    scenario = inputs.plan_and_track(1, str(directory), scenarios=1)[0]
+    jobs = same_outputs.plan_variant_jobs(directory, scenario)
+    assert sorted(jobs) == ["plan-1-plan0-walled", "plan-1-plan0-wet"]
+    assert "kind = wet" in (directory / "plan0-wet.cfg").read_text()
+    walled = {"plan-1-plan0-walled": jobs["plan-1-plan0-walled"]}
+    src = ROOT / "src"
+    assert same_outputs.compare(src, src, walled, tmp_path) == 0
+    assert capsys.readouterr().out == "identical\n"
+    out = tmp_path / "change" / "plan-1-plan0-walled"
+    assert (out / "0-simulate.exit").read_text() == "2\n"
+    assert (out / "0-simulate.stdout").read_text().startswith("UNREACHABLE: no admissible path")

@@ -7,6 +7,9 @@ Extracts the committed files of the base commit as tools/bench_pairs.py does,
 then writes the benchmark's inputs once with perfbench/inputs.py: the
 route-batch queries of seeds 1-2, the plan-and-track scenarios of seeds 1-3,
 track-case-study, and track-case-study run 15 s past its trajectory's end.
+Two variants of seed 1's `plan0` cover the routed simulate's harder paths:
+in wet weather, whose route costs more than its first window holds, and
+with its goal ringed by water, which no route reaches (exit 2).
 In each tree, every command runs in a fresh process:
 each `route`, then `render --route` of the route it wrote; each `simulate`,
 then `render --grid --log` of the log it wrote.  Each job runs in its own
@@ -26,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -54,6 +59,27 @@ def simulate_job(config: str, grid: str) -> list[list[str]]:
             ["render", "--grid", grid, "--log", "log.csv", "--out", "scene.svg"]]
 
 
+def plan_variant_jobs(directory: Path, scenario: inputs.PlanScenario) -> dict[str, list[list[str]]]:
+    """The scenario in wet weather, and with its goal ringed by water."""
+    name = scenario.name
+    text = Path(scenario.config).read_text()
+    (directory / f"{name}-wet.cfg").write_text(text.replace("kind = dry", "kind = wet"))
+    r, c = (int(v) for v in text.split("\ngoal = ")[1].split("\n")[0].split(","))
+    lines = (directory / f"{name}_water.csv").read_text().splitlines()
+    water = np.array([row.split(",") for row in lines[4:]])
+    water[r - 2:r + 3, c - 2:c + 3] = "1"
+    water[r - 1:r + 2, c - 1:c + 2] = "0"
+    (directory / f"{name}_walled.csv").write_text(
+        "\n".join(lines[:4] + [",".join(row) for row in water]) + "\n")
+    (directory / f"{name}-walled.cfg").write_text(
+        text.replace(f"water_mask = {name}_water.csv", f"water_mask = {name}_walled.csv"))
+    return {f"{directory.name}-{name}-wet":
+                simulate_job(str(directory / f"{name}-wet.cfg"), scenario.grid),
+            # it writes no log to render
+            f"{directory.name}-{name}-walled":
+                simulate_job(str(directory / f"{name}-walled.cfg"), scenario.grid)[:1]}
+
+
 def benchmark_jobs(directory: Path) -> dict[str, list[list[str]]]:
     """Write the input set into `directory`; its jobs."""
     jobs = {}
@@ -64,8 +90,11 @@ def benchmark_jobs(directory: Path) -> dict[str, list[list[str]]]:
     for seed in PLAN_SEEDS:
         sub = directory / f"plan-{seed}"
         sub.mkdir()
+        scenarios = inputs.plan_and_track(seed, str(sub))
         jobs |= {f"{sub.name}-{sc.name}": simulate_job(sc.config, sc.grid)
-                 for sc in inputs.plan_and_track(seed, str(sub))}
+                 for sc in scenarios}
+        if seed == PLAN_SEEDS[0]:
+            jobs |= plan_variant_jobs(sub, scenarios[0])
     sub = directory / "case-study"
     sub.mkdir()
     config = Path(inputs.track_case_study(1, str(sub)))
