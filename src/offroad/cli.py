@@ -47,20 +47,14 @@ EXIT_INPUT = 4
 
 def plan_route(
     grid: ElevationGrid, water: np.ndarray | None, foliage: np.ndarray | None,
-    steep_limit: float, weather: WeatherCondition,
-    start: tuple[int, int], goal: tuple[int, int], windowed: bool = False,
+    steep_limit: float, weather: WeatherCondition, start: tuple[int, int], goal: tuple[int, int],
 ) -> gr.PlannedRoute | None:
-    """Obstacle mask, route tables, exact solve and route extraction for one
-    start/goal query; None when no admissible path exists.  ``windowed``
-    solves only the nodes the route can use (`gr.route_in_window`), with the
-    same result.  Raises ValueError on bad nodes or an unsolvable table."""
+    """Obstacle mask and exact route solve (`gr.route_in_window`) for one
+    start/goal query; None when no admissible path exists.  Raises
+    ValueError on bad nodes or an unsolvable table."""
     mask = build_obstacle_mask(grid, water_mask=water, foliage_mask=foliage,
                                steep_limit=steep_limit)
-    if windowed:
-        return gr.route_in_window(grid, mask, weather, start, goal)
-    problem = gr.build_dp_problem(grid, mask, weather, goal=goal)
-    vf = gr.value_iteration(problem)
-    return gr.extract_route(vf, problem, start)
+    return gr.route_in_window(grid, mask, weather, start, goal)
 
 
 def _read_masks(
@@ -106,12 +100,9 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"path.waypoints: {outside[0]} lies outside the grid extent "
                              f"x=[{x_min}, {x_max}], y=[{y_min}, {y_max}]")
     else:
-        # simulate needs this one route, so it solves only the window the
-        # route can use; route keeps the whole-grid solve
         route = plan_route(grid, *_read_masks(grid, config.water_mask_path,
                                               config.foliage_mask_path),
-                           config.steep_limit, config.weather, config.start, config.goal,
-                           windowed=True)
+                           config.steep_limit, config.weather, config.start, config.goal)
         if route is None:
             return _unreachable(config.weather, config.start, config.goal)
         waypoints = [grid.node_position(*node) for node in route.waypoints]

@@ -28,10 +28,11 @@ one label-setting (Dijkstra) pass from the goal over the undirected hop
 graph instead of repeated Bellman sweeps (Bertsekas, *Dynamic Programming
 and Optimal Control*, Vol. 1, label-setting methods).
 
-Windows.  ``simulate`` needs one start -> goal route, so ``route_in_window``
-solves only the nodes that route can use.  Let c be the least admissible
-hop cost per metre, from alpha and each plane's least and largest
-admissible slope, shrunk by a relative 1e-9 against rounding; then
+Windows.  ``route_in_window``, the solve of ``route`` and ``simulate``,
+tables only the nodes a start -> goal route can use, cropped from the
+whole grid's weights (``route_weights``, once per query).  Let c be the
+least admissible hop cost per metre, from alpha and each plane's least and
+largest admissible slope, shrunk by a relative 1e-9 against rounding; then
 h(v, w) = c * octile distance(v, w) is a lower bound on the cost of any
 route between v and w (the admissible heuristic of A*: Hart, Nilsson &
 Raphael, IEEE Trans. SSC 1968).  Every node v of a path of cost at most B
@@ -50,13 +51,13 @@ that ties in the window ties in the whole grid, whose values are never
 larger.  The tied sets are equal, so the first minimum picks the same action.
 
 The first bound is B = 1.05 h(s, g).  A finite V > B makes B = V, and the
-next round is final; an infinite V makes B 1.5 times larger, and the start
-is unreachable only once W_B holds the whole grid.  ``converged`` is then
-checked over the reachable states of the window's table.  ``offroad route``
-keeps the whole-grid solve: in wet weather the benchmark's corner-to-corner
-queries cost so much more than their lower bound that their windows grow
-to most of the grid over two or three rounds, and the route-batch queries
-ran slower windowed than whole.
+next round is final; an infinite V makes B 1.5 times larger.  A window
+whose bounding box is the whole grid is solved as the whole grid, with
+B = inf, so no round follows it, and only there is a start unreachable.
+``converged`` is checked over the reachable states of the window's table.
+On the 36 route-batch queries of seeds 1-4 this took 412 ms in all and a
+solve of the whole grid's table 511 ms (in process, each query's median of
+7 calls, x86_64 guest with 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from .terrain import (
 # and, read at the neighbor, action k + 5.
 MOVES = dict(enumerate(NEIGHBOR_OFFSETS, start=1))
 STAY = 9
-NON_POSITIVE_COST = "non-positive hop cost; check alpha weights and cell size"
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,17 @@ class DpProblem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.valid.shape
+
+
+@dataclass(frozen=True)
+class RouteWeights:
+    """What every table of one route query crops from the whole grid."""
+
+    grid: ElevationGrid
+    valid: np.ndarray = field(repr=False)       # bool (n_rows, n_cols); True = state
+    admissible: np.ndarray = field(repr=False)  # bool (4, n_rows, n_cols), hop_cost's layout
+    alpha: tuple[float, float]                  # (alpha_m, alpha_d)
+    per_metre: float                            # lower bound on any hop's cost per metre
 
 
 @dataclass
@@ -124,20 +135,23 @@ class PlannedRoute:
     max_slope_deg: float
 
 
-def _admissible(slopes: np.ndarray, valid: np.ndarray, slope_limit: float) -> np.ndarray:
-    """(4, rows, cols) bool over ``slopes``, a block of
-    ``grid.neighbor_slopes``, and ``valid``, the same block's states: both
-    ends of the hop are states in the block and its slope is within the
-    limit (an off-grid hop's NaN slope never is)."""
-    ends = np.zeros(slopes.shape, dtype=bool)
+def _both_ends(valid: np.ndarray) -> np.ndarray:
+    """(4, rows, cols) bool: both ends of each hop are states of ``valid``."""
+    ends = np.zeros((4,) + valid.shape, dtype=bool)
     for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS[:4]):
         src, dst = neighbor_slices(valid.shape, dr, dc)
         ends[k][src] = valid[src] & valid[dst]
-    ends &= slopes <= slope_limit
     return ends
 
 
-def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]:
+def route_weights(
+    grid: ElevationGrid, mask: ObstacleMask, weather: WeatherCondition
+) -> RouteWeights:
+    """One query's whole-grid weights: a hop is admissible when both its ends
+    are states and its slope is within the limit.  Raises ValueError when
+    alpha cannot be solved or some admissible hop's cost is not positive."""
+    valid = ~mask.blocked
+    admissible = _both_ends(valid) & (grid.neighbor_slopes <= weather.slope_limit)
     if not admissible.any():
         raise ValueError("no admissible transition exists")
     slopes = grid.neighbor_slopes[admissible]
@@ -147,6 +161,7 @@ def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]
     if 2 * slopes.size * float(max(grid.hop_runs)) == math.inf:
         raise ValueError(f"grid hop runs up to {max(grid.hop_runs):.6g} m sum past float64")
     mean_m = float(slopes.mean())
+    del slopes  # up to 4 floats a node: freed before _per_metre gathers its own
     counts = admissible.sum(axis=(1, 2))
     mean_d = float(np.dot(counts, grid.hop_runs) / counts.sum())
     if abs(mean_m - mean_d) < 1e-12:
@@ -155,8 +170,9 @@ def _scaling(grid: ElevationGrid, admissible: np.ndarray) -> tuple[float, float]
             "singular: change the slope limit (--slope-limit or weather.slope_limit) "
             "or the grid's cell size"
         )
-    alpha = np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]), np.array([1.0, 1.0]))
-    return float(alpha[0]), float(alpha[1])
+    alpha = tuple(np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]),
+                                  np.array([1.0, 1.0])).tolist())
+    return RouteWeights(grid, valid, admissible, alpha, _per_metre(grid, admissible, *alpha))
 
 
 def compute_scaling_factors(
@@ -169,7 +185,7 @@ def compute_scaling_factors(
 
         [[mean_m, mean_d], [1, 1]] @ [alpha_m, alpha_d] = [1, 1]
     """
-    return _scaling(grid, _admissible(grid.neighbor_slopes, ~mask.blocked, weather.slope_limit))
+    return route_weights(grid, mask, weather).alpha
 
 
 def _check_node(role: str, node: tuple[int, int], grid: ElevationGrid, valid: np.ndarray,
@@ -212,7 +228,7 @@ def _per_metre(grid: ElevationGrid, admissible: np.ndarray, alpha_m: float,
         if hops.size:
             least = alpha_m * float(hops.min() if alpha_m >= 0 else hops.max()) + alpha_d * run
             if least <= 0:
-                raise ValueError(NON_POSITIVE_COST)
+                raise ValueError("non-positive hop cost; check alpha weights and cell size")
             per_metre = min(per_metre, least / run)
     per_metre *= 1.0 - 1e-9
     return per_metre if math.isfinite(per_metre) else 0.0
@@ -225,16 +241,11 @@ def _window(
     """(box, inside, bound) of W_B = {v : h(start, v) + h(v, goal) <= B}, h
     the lower bound of ``_lower_bound``, B the larger of ``bound`` and
     1.05 h(start, goal): its bounding box, which nodes of the box it holds,
-    and B.  A window that holds every grid node is the whole grid, with
-    inside None and B = inf."""
+    and B.  A window whose bounding box is the whole grid is the whole grid,
+    with inside None and B = inf."""
     shape = (grid.n_rows, grid.n_cols)
     ends = np.array([start[0], goal[0]]), np.array([start[1], goal[1]])
     bound = max(bound, 1.05 * float(_lower_bound(grid, per_metre, start, *ends)[1, 1]))
-    corners = np.array([0, shape[0] - 1]), np.array([0, shape[1] - 1])
-    # W_B is convex, so its sum of bounds peaks over the grid at a corner
-    if np.all(_lower_bound(grid, per_metre, start, *corners)
-              + _lower_bound(grid, per_metre, goal, *corners) <= bound):
-        return (slice(0, shape[0]), slice(0, shape[1])), None, math.inf
     # an octile walk is at least cell_size long per row or column it
     # crosses, so W_B lies within `reach` rows and columns of start and goal
     # together; its exact test below runs on that box only
@@ -250,44 +261,38 @@ def _window(
     r = np.flatnonzero(inside.any(axis=1))
     c = np.flatnonzero(inside.any(axis=0))
     inside = inside[r[0]:r[-1] + 1, c[0]:c[-1] + 1]
+    if inside.shape == shape:
+        return (slice(None), slice(None)), None, math.inf
     r0, c0 = int(rows[r[0]]), int(cols[c[0]])
     return (slice(r0, r0 + inside.shape[0]), slice(c0, c0 + inside.shape[1])), inside, bound
 
 
 def build_dp_problem(
-    grid: ElevationGrid,
-    mask: ObstacleMask,
-    weather: WeatherCondition,
-    goal: tuple[int, int],
-    window: tuple[tuple[int, int], float] | None = None,
+    weights: RouteWeights, goal: tuple[int, int], window: tuple[tuple[int, int], float] | None,
 ) -> DpProblem:
-    """Assemble the hop cost table for the route solver.
+    """Assemble the hop cost table for the route solver from ``weights``.
 
-    Without ``window`` the table covers the whole grid.  With ``window =
+    With ``window`` None the table covers the whole grid.  With ``window =
     (start, bound)`` it covers the bounding box of W_B (see ``_window``),
     and every hop with an end outside W_B is inadmissible; the problem's
-    ``bound`` is B.  Either way the scaling weights come from the whole
-    grid, so each table entry is the whole grid's entry for that hop.
+    ``bound`` is B.  Either way the table is cropped from ``weights``, so
+    each entry is the whole grid's entry for that hop.
     """
-    valid = ~mask.blocked
-    _check_node("goal", goal, grid, valid)
-    admissible = _admissible(grid.neighbor_slopes, valid, weather.slope_limit)
-    alpha_m, alpha_d = _scaling(grid, admissible)
-    box, bound = (slice(None), slice(None)), math.inf
+    grid = weights.grid
+    _check_node("goal", goal, grid, weights.valid)
+    box, inside, bound = (slice(None), slice(None)), None, math.inf
     if window is not None:
-        # checks every hop cost over the whole grid, as the whole table does below
-        per_metre = _per_metre(grid, admissible, alpha_m, alpha_d)
         start, bound = window
-        _check_node("start", start, grid, valid)
-        box, inside, bound = _window(grid, per_metre, start, goal, bound)
-        valid = valid[box] if inside is None else valid[box] & inside
-        admissible = _admissible(grid.neighbor_slopes[(slice(None),) + box], valid,
-                                 weather.slope_limit)
+        _check_node("start", start, grid, weights.valid)
+        box, inside, bound = _window(grid, weights.per_metre, start, goal, bound)
+    valid, admissible = weights.valid[box], weights.admissible[(slice(None),) + box]
+    if inside is not None:
+        valid = valid & inside
+        admissible = admissible & _both_ends(valid)
+    alpha_m, alpha_d = weights.alpha
     hop_cost = alpha_m * grid.neighbor_slopes[(slice(None),) + box]
     hop_cost += alpha_d * np.array(grid.hop_runs)[:, None, None]
     hop_cost[~admissible] = np.inf
-    if window is None and np.any(hop_cost <= 0):
-        raise ValueError(NON_POSITIVE_COST)
     offset = (box[0].start or 0, box[1].start or 0)
     return DpProblem(grid=grid, goal=goal, valid=valid, hop_cost=hop_cost, offset=offset,
                      bound=bound)
@@ -409,9 +414,12 @@ def route_in_window(
     exact; a larger finite one becomes the next bound; an unreachable start
     grows the bound by 1.5, until the window is the whole grid.
     """
+    # a blocked goal is named before any error of the weights
+    _check_node("goal", goal, grid, ~mask.blocked)
+    weights = route_weights(grid, mask, weather)
     bound = 0.0
     while True:
-        problem = build_dp_problem(grid, mask, weather, goal, window=(start, bound))
+        problem = build_dp_problem(weights, goal, (start, bound))
         vf = value_iteration(problem)
         cost = vf.values[start[0] - problem.offset[0], start[1] - problem.offset[1]]
         if cost <= problem.bound:

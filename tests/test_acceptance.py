@@ -10,12 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from offroad import global_route
 from offroad.cli import EXIT_OK, EXIT_UNREACHABLE, main
 from offroad.control import control_step
 from offroad.global_route import (
     build_dp_problem,
     compute_scaling_factors,
     extract_route,
+    route_weights,
     value_iteration,
 )
 from offroad.local_path import (
@@ -89,7 +91,7 @@ def test_criterion_1_value_iteration_matches_dijkstra():
         grid, mask, goal = random_problem(rng, n=n, cell=10.0,
                                           obstacle_p=0.12, rough=8.0)
         weather = DRY if trial % 2 == 0 else WET
-        problem = build_dp_problem(grid, mask, weather, goal=goal)
+        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
         vf = value_iteration(problem)
         assert vf.converged
         oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
@@ -139,7 +141,7 @@ def test_criterion_3_route_slope_compliance():
         grid, mask, goal = random_problem(rng, n=n, cell=10.0,
                                           obstacle_p=0.1, rough=6.0)
         weather = DRY if trial % 2 == 0 else WET
-        problem = build_dp_problem(grid, mask, weather, goal=goal)
+        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
         vf = value_iteration(problem)
         limit_deg = math.degrees(math.atan(weather.slope_limit))
         for _ in range(6):
@@ -454,19 +456,27 @@ def rolling_grid(rng, n, cell):
     return grid_from_function(height, n_cols=n, n_rows=n, cell=cell)
 
 
-def test_criterion_10_route_800_squared_under_5_s():
-    """Tables, exact solve and route extraction on a seeded rolling 800x800
-    grid in under 5 s; every hop respects the slope limit."""
+def test_criterion_10_route_800_squared_under_5_s(monkeypatch):
+    """The route solve `offroad route` runs (whole-grid weights, window
+    tables, exact solves and route extraction) on a seeded rolling 800x800
+    grid in under 5 s; every solve converged and every hop respects the
+    slope limit."""
     n = 800
     grid = rolling_grid(np.random.default_rng(800), n, cell=5.0)
     mask = build_obstacle_mask(grid, steep_limit=DRY.slope_limit)
     start, goal = (n - 1 - n // 10, n - 1 - n // 10), (n // 10, n // 10)
+    solved = []
+    solve = global_route.value_iteration
+
+    def recorded(problem):
+        solved.append(solve(problem))
+        return solved[-1]
+
+    monkeypatch.setattr(global_route, "value_iteration", recorded)
     t0 = time.perf_counter()
-    problem = build_dp_problem(grid, mask, DRY, goal=goal)
-    vf = value_iteration(problem)
-    route = extract_route(vf, problem, start)
+    route = global_route.route_in_window(grid, mask, DRY, start, goal)
     elapsed = time.perf_counter() - t0
-    assert vf.converged
+    assert solved and all(vf.converged for vf in solved)
     assert route is not None and route.waypoints[0] == start and route.waypoints[-1] == goal
     for a, b in zip(route.waypoints, route.waypoints[1:]):
         assert max(abs(b[0] - a[0]), abs(b[1] - a[1])) == 1
@@ -475,4 +485,4 @@ def test_criterion_10_route_800_squared_under_5_s():
         assert abs(grid.heights[b] - grid.heights[a]) / run <= DRY.slope_limit
     assert elapsed < 5.0
     report(10, f"{n}x{n}: {len(route.waypoints)} waypoints, max slope "
-               f"{route.max_slope_deg:.2f} deg, {elapsed:.2f}s")
+               f"{route.max_slope_deg:.2f} deg, {len(solved)} tables, {elapsed:.2f}s")

@@ -12,6 +12,7 @@ from offroad.global_route import (
     build_dp_problem,
     compute_scaling_factors,
     extract_route,
+    route_weights,
     read_route_csv,
     value_iteration,
     write_route_csv,
@@ -23,7 +24,10 @@ from offroad.terrain import (
     ElevationGrid,
     WeatherCondition,
     build_obstacle_mask,
+    load_elevation_grid,
+    load_mask,
 )
+from perfbench import inputs
 
 from conftest import (
     DRY,
@@ -116,7 +120,7 @@ def test_scaling_example_by_hand():
 def test_flat_interior_node_has_eight_moves():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
     alpha = compute_scaling_factors(grid, mask, DRY)
     assert problem.hop_cost.shape == (4, 3, 3)
 
@@ -144,8 +148,8 @@ def test_steep_hop_inadmissible_under_both_weathers():
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 2.0
     mask = build_obstacle_mask(grid, steep_limit=10.0)
-    wet = build_dp_problem(grid, mask, WET, goal=(0, 0))
-    dry = build_dp_problem(grid, mask, DRY, goal=(0, 0))
+    wet = build_dp_problem(route_weights(grid, mask, WET), goal=(0, 0), window=None)
+    dry = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
     east = 1
     assert 0.2 > WET.slope_limit
     assert not np.isfinite(wet.hop_cost[east - 1][1, 1])
@@ -155,8 +159,8 @@ def test_steep_hop_inadmissible_under_both_weathers():
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 0.8   # slope 0.08
     mask = build_obstacle_mask(grid, steep_limit=10.0)
-    wet = build_dp_problem(grid, mask, WET, goal=(0, 0))
-    dry = build_dp_problem(grid, mask, DRY, goal=(0, 0))
+    wet = build_dp_problem(route_weights(grid, mask, WET), goal=(0, 0), window=None)
+    dry = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
     assert np.isfinite(dry.hop_cost[east - 1][1, 1])
     assert not np.isfinite(wet.hop_cost[east - 1][1, 1])
 
@@ -168,7 +172,7 @@ def test_hop_tables_are_symmetric_bit_for_bit():
     from offroad.terrain import NEIGHBOR_OFFSETS
     rng = np.random.default_rng(31)
     grid, mask, goal = random_problem(rng, n=13, cell=6.0, obstacle_p=0.2, rough=2.0)
-    problem = build_dp_problem(grid, mask, DRY, goal=goal)
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=goal, window=None)
     alpha = compute_scaling_factors(grid, mask, DRY)
     slopes, cost = grid.neighbor_slopes, problem.hop_cost
     assert slopes.shape == cost.shape == (4, 13, 13)
@@ -204,9 +208,9 @@ def test_goal_must_be_a_state():
     water[1, 1] = True
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
     with pytest.raises(ValueError, match="obstacle"):
-        build_dp_problem(grid, mask, DRY, goal=(1, 1))
+        build_dp_problem(route_weights(grid, mask, DRY), goal=(1, 1), window=None)
     with pytest.raises(ValueError, match="outside"):
-        build_dp_problem(grid, mask, DRY, goal=(5, 5))
+        build_dp_problem(route_weights(grid, mask, DRY), goal=(5, 5), window=None)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,7 @@ def test_goal_must_be_a_state():
 def test_goal_value_zero_policy_stay():
     grid = flat_grid(n=4, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(2, 2))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(2, 2), window=None)
     vf = value_iteration(problem)
     assert vf.converged
     assert vf.values[2, 2] == 0.0
@@ -228,7 +232,7 @@ def test_single_step_bellman_by_hand():
     # one-hop value: west neighbor of the goal costs alpha_d * cell
     grid = flat_grid(n=2, cell=7.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(0, 1))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 1), window=None)
     vf = value_iteration(problem)
     _, alpha_d = compute_scaling_factors(grid, mask, DRY)
     assert vf.values[0, 0] == pytest.approx(alpha_d * 7.0, abs=1e-12)
@@ -240,7 +244,7 @@ def test_policy_ties_keep_lowest_action_id():
     # Northwest-then-North cost the same; the lower id (North = 3) wins
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(0, 0))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
     vf = value_iteration(problem)
     via_north = problem.hop_cost[3 - 1][2, 1] + vf.values[1, 1]
     via_northwest = problem.hop_cost[4 - 1][2, 1] + vf.values[1, 0]
@@ -253,7 +257,7 @@ def test_values_match_dijkstra_on_random_grids():
     for _ in range(10):
         grid, mask, goal = random_problem(rng, n=14, cell=6.0, rough=2.0)
         weather = DRY
-        problem = build_dp_problem(grid, mask, weather, goal=goal)
+        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
         vf = value_iteration(problem)
         oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
                                         *compute_scaling_factors(grid, mask, weather))
@@ -277,7 +281,7 @@ def test_bellman_fixed_point_residual():
     from offroad.global_route import MOVES
     rng = np.random.default_rng(17)
     grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
-    problem = build_dp_problem(grid, mask, DRY, goal=goal)
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=goal, window=None)
     alpha = compute_scaling_factors(grid, mask, DRY)
     vf = value_iteration(problem)
     assert vf.converged
@@ -303,7 +307,8 @@ def test_bellman_fixed_point_residual():
 def test_tightening_slope_limit_never_helps():
     rng = np.random.default_rng(77)
     grid, mask, goal = random_problem(rng, n=12, cell=6.0, rough=3.0)
-    loose = build_dp_problem(grid, mask, WeatherCondition("dry", 0.25), goal=goal)
+    loose = build_dp_problem(route_weights(grid, mask, WeatherCondition("dry", 0.25)),
+                             goal=goal, window=None)
     # the same weights with the slope limit tightened to 0.10
     tight = dataclasses.replace(loose, hop_cost=np.where(grid.neighbor_slopes <= 0.10,
                                                          loose.hop_cost, np.inf))
@@ -320,7 +325,7 @@ def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
     import offroad.global_route as gr
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(4, 4), window=None)
     exact = gr.dijkstra
 
     def off_by_one_state(graph, indices, **kwargs):
@@ -340,7 +345,7 @@ def test_a_policy_that_stops_short_of_the_goal_is_a_fault(monkeypatch):
     import offroad.global_route as gr
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(4, 4), window=None)
 
     def isolated_start(graph, indices, **kwargs):
         values = np.full(graph.shape[0], np.inf)
@@ -374,7 +379,7 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
     weather = DRY
     mask = build_obstacle_mask(grid, water_mask=walls, steep_limit=weather.slope_limit)
     start, goal = (n - 1, n - 1), (0, 0)
-    problem = build_dp_problem(grid, mask, weather, goal=goal)
+    problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
     vf = value_iteration(problem)
     assert vf.converged
     oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
@@ -441,7 +446,8 @@ def test_route_tables_make_no_per_move_temporary():
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
     tracemalloc.start()
     try:
-        problem = build_dp_problem(grid, mask, DRY, goal=(n - 1, n - 1))
+        problem = build_dp_problem(route_weights(grid, mask, DRY),
+                                   goal=(n - 1, n - 1), window=None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -485,8 +491,16 @@ def oracle_route_cost(grid, blocked, slope_limit, alpha, start, goal):
     return math.inf
 
 
-def windowed_and_full(monkeypatch, grid, water, weather, start, goal):
-    """(windowed route, full route, the windowed solve's tables in order)."""
+def full_route(grid, water, weather, start, goal):
+    """The route that the whole grid's table gives, the windowed solve's
+    reference."""
+    mask = build_obstacle_mask(grid, weather.slope_limit, water_mask=water)
+    problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+    return extract_route(value_iteration(problem), problem, start)
+
+
+def windowed_route(monkeypatch, grid, water, weather, start, goal):
+    """(route, the tables its solve built, in order)."""
     tables = []
     build = gr.build_dp_problem
 
@@ -496,10 +510,14 @@ def windowed_and_full(monkeypatch, grid, water, weather, start, goal):
 
     with monkeypatch.context() as patch:
         patch.setattr(gr, "build_dp_problem", recorded)
-        windowed = plan_route(grid, water, None, weather.slope_limit, weather, start, goal,
-                              windowed=True)
-    full = plan_route(grid, water, None, weather.slope_limit, weather, start, goal)
-    return windowed, full, tables
+        route = plan_route(grid, water, None, weather.slope_limit, weather, start, goal)
+    return route, tables
+
+
+def windowed_and_full(monkeypatch, grid, water, weather, start, goal):
+    """(windowed route, full route, the windowed solve's tables in order)."""
+    windowed, tables = windowed_route(monkeypatch, grid, water, weather, start, goal)
+    return windowed, full_route(grid, water, weather, start, goal), tables
 
 
 def free_node(blocked, near):
@@ -513,13 +531,17 @@ def free_node(blocked, near):
 def test_windowed_route_is_the_full_route(monkeypatch, seed, weather):
     # near and far pairs on seeded rolling grids with water: the windowed
     # route has the full solve's waypoints and its total_cost bit for bit,
-    # and that cost is the least path cost an independent Dijkstra finds
+    # and that cost is the least path cost an independent Dijkstra finds.
+    # The fourth and fifth pairs are placed as route-batch places its
+    # queries: the start near the southeast corner, the goal near the
+    # northwest one
     n = 40
     grid, water = rolling_site(seed, n)
     mask = build_obstacle_mask(grid, weather.slope_limit, water_mask=water)
     alpha = compute_scaling_factors(grid, mask, weather)
     rng = np.random.default_rng(seed)
-    pairs = [((20, 20), (12, 36)), ((n - 1, 0), (0, n - 1)), ((30, 5), (5, 30))]
+    pairs = [((20, 20), (12, 36)), ((n - 1, 0), (0, n - 1)), ((30, 5), (5, 30)),
+             ((33, 35), (6, 8)), ((31, 33), (9, 5))]
     pairs += [(tuple(rng.integers(0, n, 2)), tuple(rng.integers(0, n, 2))) for _ in range(3)]
     reached = 0
     for a, b in pairs:
@@ -592,10 +614,39 @@ def test_windowed_route_checks_its_nodes_as_the_full_solve_does():
                                  ((8, 8), (3, 3), "goal \\(3, 3\\) is an obstacle node"),
                                  ((12, 0), (8, 8), "start \\(12, 0\\) is outside the grid"),
                                  ((8, 8), (0, -1), "goal \\(0, -1\\) is outside the grid")):
-        for windowed in (False, True):
-            with pytest.raises(ValueError, match=message):
-                plan_route(grid, water, None, DRY.slope_limit, DRY, start, goal,
-                           windowed=windowed)
+        with pytest.raises(ValueError, match=message):
+            plan_route(grid, water, None, DRY.slope_limit, DRY, start, goal)
+        with pytest.raises(ValueError, match=message):
+            full_route(grid, water, DRY, start, goal)
+
+
+def test_a_window_whose_box_is_the_whole_grid_is_the_last(monkeypatch, tmp_path):
+    # a window whose bounding box is the whole grid is solved as the whole
+    # grid, with bound inf, so no round follows it.  The 41 x 41 serpentine
+    # maze queried from corner to corner builds one table, since every
+    # window's box holds both corners; route-batch seed 1's terrain0-wet
+    # query builds two, the second on the whole grid.  Cutting such a
+    # window to W_B took one more table in each
+    n = 41
+    route, tables = windowed_route(monkeypatch, flat_grid(n=n, cell=5.0), serpentine_walls(n),
+                                   DRY, (n - 1, n - 1), (0, 0))
+    assert route is not None and len(route.waypoints) - 1 > 4 * (n + n)
+    assert [(t.shape, t.offset, t.bound) for t in tables] == [((n, n), (0, 0), math.inf)]
+
+    (query,) = [q for q in inputs.route_batch(1, str(tmp_path), terrains=1)
+                if q.name == "terrain0-wet"]
+    grid = load_elevation_grid(query.grid)
+    water = load_mask(query.water, grid) | load_mask(query.foliage, grid)
+    weighed = []
+    weights = gr.route_weights
+    monkeypatch.setattr(gr, "route_weights", lambda *args: weighed.append(args) or weights(*args))
+    route, tables = windowed_route(monkeypatch, grid, water, WET, query.start, query.goal)
+    monkeypatch.undo()
+    assert route == full_route(grid, water, WET, query.start, query.goal)
+    # both rounds crop the one query's whole-grid weights
+    assert len(weighed) == 1 and len(tables) == 2
+    assert tables[0].bound < math.inf and tables[0].shape != (grid.n_rows, grid.n_cols)
+    assert tables[1].bound == math.inf and tables[1].shape == (grid.n_rows, grid.n_cols)
 
 
 def test_plan_shaped_window_tables_only_its_bounding_box(monkeypatch):
@@ -643,7 +694,7 @@ def test_plan_shaped_window_tables_only_its_bounding_box(monkeypatch):
 def test_route_start_equals_goal():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(1, 1))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(1, 1), window=None)
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (1, 1))
     assert route.waypoints == [(1, 1)]
@@ -654,7 +705,7 @@ def test_route_start_equals_goal():
 def test_route_diagonal_dominance_on_flat():
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(grid, mask, DRY, goal=(4, 4))
+    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(4, 4), window=None)
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (0, 0))
     assert len(route.waypoints) == 5  # 4 diagonal hops
@@ -675,7 +726,7 @@ def test_weather_reachability_flip():
     start, goal = (6, 3), (0, 3)
     for weather, expect_reachable in ((dry, True), (wet, False)):
         mask = build_obstacle_mask(grid, steep_limit=weather.slope_limit)
-        problem = build_dp_problem(grid, mask, weather, goal=goal)
+        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
         vf = value_iteration(problem)
         route = extract_route(vf, problem, start)
         assert (route is not None) == expect_reachable
@@ -688,7 +739,7 @@ def test_route_slopes_respect_limit():
     for _ in range(5):
         grid, mask, goal = random_problem(rng, n=12, cell=8.0, rough=1.5)
         weather = WET
-        problem = build_dp_problem(grid, mask, weather, goal=goal)
+        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
         vf = value_iteration(problem)
         for r in range(grid.n_rows):
             for c in range(grid.n_cols):
@@ -704,8 +755,8 @@ def test_policy_determinism():
     rng = np.random.default_rng(55)
     grid, mask, goal = random_problem(rng, n=10, cell=7.0)
     weather = DRY
-    p1 = build_dp_problem(grid, mask, weather, goal=goal)
-    p2 = build_dp_problem(grid, mask, weather, goal=goal)
+    p1 = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+    p2 = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
     v1 = value_iteration(p1)
     v2 = value_iteration(p2)
     assert np.array_equal(v1.policy, v2.policy)
@@ -722,7 +773,7 @@ def test_route_csv_round_trip(tmp_path):
     grid = ridge_fixture()
     weather = DRY
     mask = build_obstacle_mask(grid, steep_limit=weather.slope_limit)
-    problem = build_dp_problem(grid, mask, weather, goal=(0, 3))
+    problem = build_dp_problem(route_weights(grid, mask, weather), goal=(0, 3), window=None)
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (6, 3))
     p = tmp_path / "route.csv"
@@ -740,7 +791,8 @@ def test_route_csv_hop_slopes_match_node_heights(tmp_path):
     # written node positions and heights, not from the grid's slope table
     rng = np.random.default_rng(8)
     grid, mask, goal = random_problem(rng, n=12, cell=5.0, obstacle_p=0.1)
-    problem = build_dp_problem(grid, mask, WeatherCondition("dry", 10.0), goal=goal)
+    problem = build_dp_problem(route_weights(grid, mask, WeatherCondition("dry", 10.0)),
+                               goal=goal, window=None)
     free = np.argwhere(~mask.blocked)
     start = tuple(int(v) for v in free[np.argmax(np.abs(free - goal).max(axis=1))])
     route = extract_route(value_iteration(problem), problem, start)

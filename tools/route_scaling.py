@@ -16,8 +16,9 @@ and side it runs, `--reps` times each:
 - `offroad route` in a fresh interpreter, timed from its start to its exit,
   with that process's peak RSS (`os.wait4`);
 - the same query in a fresh interpreter whose layers are wrapped in timers:
-  load, mask, tables, graph (`_hop_graph`), Dijkstra, policy (the rest of
-  `value_iteration`), extract and write;
+  load, mask, tables (`build_dp_problem`, plus the once-per-query
+  `route_weights` in a tree that has it), graph (`_hop_graph`), Dijkstra,
+  policy (the rest of `value_iteration`), extract and write;
 - `offroad simulate` on the config, timed and measured as the cold route.
 
 The base side is the committed files of `--base`, extracted as
@@ -127,6 +128,10 @@ def timed_route(src: str, argv: list[str]) -> None:
             (gr, "dijkstra", "dijkstra"), (gr, "value_iteration", "solve"),
             (gr, "extract_route", "extract"), (gr, "write_route_csv", "write")):
         wrap(owner, attr, layer)
+    # the whole-grid weights that each table is cropped from; a base tree
+    # without them computes the same work inside build_dp_problem
+    if hasattr(gr, "route_weights"):
+        wrap(gr, "route_weights", "tables")
     with redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
     seconds["policy"] = seconds.pop("solve") - seconds["graph"] - seconds["dijkstra"]
