@@ -414,8 +414,10 @@ def route_in_window(
     exact; a larger finite one becomes the next bound; an unreachable start
     grows the bound by 1.5, until the window is the whole grid.
     """
-    # a blocked goal is named before any error of the weights
-    _check_node("goal", goal, grid, ~mask.blocked)
+    # a blocked goal, then a blocked start, is named before any error of the
+    # weights; no node array outlives the check into the solve
+    for role, node in (("goal", goal), ("start", start)):
+        _check_node(role, node, grid, ~mask.blocked)
     weights = route_weights(grid, mask, weather)
     bound = 0.0
     while True:

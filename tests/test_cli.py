@@ -946,6 +946,20 @@ def start_on_a_spike(tmp_path):
             "start (6, 3) is an obstacle node")
 
 
+def start_on_water_where_no_hop_is_admissible(tmp_path):
+    # the weights cannot be solved, but the start is named first, as a goal is
+    heights = np.random.default_rng(0).uniform(0, 1, (8, 8))
+    water = np.zeros((8, 8))
+    water[6, 3] = 1.0
+    grid, water = (write_fixture_grid(tmp_path, ElevationGrid(
+        n_cols=8, n_rows=8, cell_size=1.0, origin=(0.0, 0.0), heights=values), name=name)
+        for values, name in ((heights, "grid.csv"), (water, "water.csv")))
+    return (["route", "--grid", str(grid), "--water", str(water), "--start", "6,3",
+             "--goal", "0,3", "--slope-limit", "1e-9", "--steep-limit", "10",
+             "--out", str(tmp_path / "route.csv")],
+            "start (6, 3) is an obstacle node")
+
+
 def config_not_found(tmp_path):
     path = tmp_path / "missing.cfg"
     return ["simulate", "--config", str(path)], f"config file not found: {path}"
@@ -971,10 +985,11 @@ def run_over_max_steps(tmp_path):
 
 
 @pytest.mark.parametrize("make_case", [
-    start_outside_grid, start_on_a_spike, config_not_found, waypoint_with_three_values,
-    neither_waypoints_nor_route, run_over_max_steps,
-], ids=["start-outside-grid", "start-is-obstacle", "config-not-found",
-        "waypoint-not-a-pair", "no-waypoints-or-route", "over-max-steps"])
+    start_outside_grid, start_on_a_spike, start_on_water_where_no_hop_is_admissible,
+    config_not_found, waypoint_with_three_values, neither_waypoints_nor_route,
+    run_over_max_steps,
+], ids=["start-outside-grid", "start-is-obstacle", "start-on-water-no-weights",
+        "config-not-found", "waypoint-not-a-pair", "no-waypoints-or-route", "over-max-steps"])
 def test_input_error_prints_one_line_and_exits_4(tmp_path, capsys, make_case):
     argv, message = make_case(tmp_path)
     assert main(argv) == EXIT_INPUT

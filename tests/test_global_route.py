@@ -687,6 +687,48 @@ def test_plan_shaped_window_tables_only_its_bounding_box(monkeypatch):
     assert table.shape == (r[-1] - r[0] + 1, c[-1] - c[0] + 1)
 
 
+def finite_hops_off_the_table(table):
+    """How many finite entries of the table's forward planes hop to a
+    neighbour that lies off the table."""
+    n_rows, n_cols = table.shape
+    rows, cols = np.mgrid[0:n_rows, 0:n_cols]
+    return sum(int(np.isfinite(plane[(rows + dr < 0) | (rows + dr >= n_rows)
+                                     | (cols + dc < 0) | (cols + dc >= n_cols)]).sum())
+               for (dr, dc), plane in zip(FORWARD_OFFSETS, table.hop_cost))
+
+
+def test_no_table_has_a_finite_hop_that_leaves_it(monkeypatch, tmp_path):
+    # scipy's dijkstra does not check the CSR's indices, so a finite hop off
+    # a table's edge reads past the graph: windows cropped without the
+    # both-ends trim crashed the interpreter on the route-batch queries.
+    # Each table is checked before it is solved, so such a table fails here
+    solve = gr.value_iteration
+
+    def checked(problem):
+        assert finite_hops_off_the_table(problem) == 0, (problem.offset, problem.shape)
+        return solve(problem)
+
+    monkeypatch.setattr(gr, "value_iteration", checked)
+    tables = []
+    for query in inputs.route_batch(1, str(tmp_path), terrains=1):
+        grid = load_elevation_grid(query.grid)
+        water = load_mask(query.water, grid)
+        if query.foliage:
+            water |= load_mask(query.foliage, grid)
+        weather = {"dry": DRY, "wet": WET}[query.weather]
+        tables += windowed_route(monkeypatch, grid, water, weather, query.start, query.goal)[1]
+    # plan-and-track's shape: the goal 8 rows north and 16 columns east
+    grid, water = rolling_grid_with_water(300)
+    start, goal = (150, 150), (142, 166)
+    water[start] = water[goal] = False
+    tables += windowed_route(monkeypatch, grid, water, DRY, start, goal)[1]
+    assert sum(t.bound < math.inf for t in tables) >= 3
+
+    mask = build_obstacle_mask(grid, DRY.slope_limit, water_mask=water)
+    whole = build_dp_problem(route_weights(grid, mask, DRY), goal=goal, window=None)
+    assert finite_hops_off_the_table(whole) == 0
+
+
 # ---------------------------------------------------------------------------
 # Route extraction
 # ---------------------------------------------------------------------------

@@ -48,11 +48,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RAW_LINE = re.compile(r"(route_s|simulate_s|render_s|sim_steps_per_s) (\S+) ")
 SNIPPET = re.compile(r"^work_per_s .*the snippet took median (\S+) ms")
+# `python -c` code that runs the program of one tree, its src/ first on the
+# path: `python -c RUNNER <src> <offroad argv...>`
+RUNNER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+          "from offroad.cli import main; sys.exit(main())")
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def header(base: str) -> dict:
+    """The opening entries of a comparison's report: the base commit, the
+    working tree it is compared with, and the host."""
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return {
+        "base": git("rev-parse", base),
+        "change": f"working tree on {git('rev-parse', 'HEAD')}"
+                  + (" with uncommitted changes" if dirty else ""),
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version()},
+    }
 
 
 def extract_commit(rev: str, dest: Path) -> None:
@@ -141,22 +158,15 @@ def main() -> None:
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    base_sha = git("rev-parse", args.base)
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-
     report = {
-        "base": base_sha,
-        "change": f"working tree on {git('rev-parse', 'HEAD')}"
-                  + (" with uncommitted changes" if dirty else ""),
-        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version()},
+        **header(args.base),
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": seeds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_tree = Path(tmp)
-        extract_commit(base_sha, base_tree)
+        extract_commit(report["base"], base_tree)
         for workload in workloads:
             pairs = []
             for i, seed in enumerate(seeds):

@@ -15,10 +15,12 @@ and side it runs, `--reps` times each:
 
 - `offroad route` in a fresh interpreter, timed from its start to its exit,
   with that process's peak RSS (`os.wait4`);
-- the same query in a fresh interpreter whose layers are wrapped in timers:
-  load, mask, tables (`build_dp_problem`, plus the once-per-query
-  `route_weights` in a tree that has it), graph (`_hop_graph`), Dijkstra,
-  policy (the rest of `value_iteration`), extract and write;
+- the same query in a fresh interpreter whose layers are traced by
+  perfbench's span tracer (`perfbench/spans.py`): load, mask, tables
+  (`build_dp_problem`, plus the once-per-query `route_weights` in a tree
+  that has it), graph (`_hop_graph`), Dijkstra, policy (`value_iteration`),
+  extract and write, each timed by its self time, the rule of perfbench's
+  `*_s` metrics: policy is `value_iteration` less its graph and Dijkstra;
 - `offroad simulate` on the config, timed and measured as the cold route.
 
 The base side is the committed files of `--base`, extracted as
@@ -35,18 +37,19 @@ import argparse
 import io
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from bench_pairs import ROOT, extract_commit, git
+from bench_pairs import ROOT, RUNNER, extract_commit, header
+
+sys.path.insert(0, str(ROOT))
+from perfbench.spans import Tracer  # noqa: E402
 
 TOOLS = Path(__file__).resolve().parent
 SIZES = (200, 400, 800, 1600)
@@ -61,7 +64,6 @@ def write_site(size: int, seed: int, directory: str) -> None:
     process must not grow by building a grid."""
     import numpy as np
 
-    sys.path.insert(0, str(ROOT))
     from perfbench.inputs import (CELL_M, PLAN_CFG, PLAN_OFFSET, RELIEF_M, _clear_node,
                                   fractal_field, write_raster)
     from perfbench.oracle import DRY_LIMIT, hop_slopes, steep_nodes
@@ -103,39 +105,26 @@ def site_argv(size: int, seed: int, directory: Path) -> dict[str, list[str]]:
 
 def timed_route(src: str, argv: list[str]) -> None:
     """Run `offroad route` from the package under `src` with its layers
-    timed; print the exit code and the seconds per layer as JSON."""
+    traced; print the exit code and each layer's self seconds as JSON."""
     sys.path.insert(0, src)
     from offroad import cli
     from offroad import global_route as gr
 
-    seconds = defaultdict(float)
-
-    def wrap(owner, attr: str, layer: str) -> None:
-        fn = getattr(owner, attr)
-
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                seconds[layer] += time.perf_counter() - t0
-
-        setattr(owner, attr, timed)
-
+    tracer = Tracer()
     for owner, attr, layer in (
             (cli, "load_elevation_grid", "load"), (cli, "build_obstacle_mask", "mask"),
             (gr, "build_dp_problem", "tables"), (gr, "_hop_graph", "graph"),
-            (gr, "dijkstra", "dijkstra"), (gr, "value_iteration", "solve"),
+            (gr, "dijkstra", "dijkstra"), (gr, "value_iteration", "policy"),
             (gr, "extract_route", "extract"), (gr, "write_route_csv", "write")):
-        wrap(owner, attr, layer)
+        tracer.patch(owner, attr, layer)
     # the whole-grid weights that each table is cropped from; a base tree
     # without them computes the same work inside build_dp_problem
     if hasattr(gr, "route_weights"):
-        wrap(gr, "route_weights", "tables")
+        tracer.patch(gr, "route_weights", "tables")
     with redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    seconds["policy"] = seconds.pop("solve") - seconds["graph"] - seconds["dijkstra"]
-    print(json.dumps({"rc": rc, "layers_s": {k: seconds[k] for k in LAYERS}}))
+    spans = tracer.per_op()[tracer.op]
+    print(json.dumps({"rc": rc, "layers_s": {k: spans[k][2] for k in LAYERS}}))
 
 
 def run_child(args: list[str], out: Path) -> dict:
@@ -153,13 +142,11 @@ def run_child(args: list[str], out: Path) -> dict:
 
 
 def cold_run(tree: Path, argv: list[str], out: Path) -> dict:
-    code = (f"import sys; sys.path.insert(0, {str(tree / 'src')!r}); "
-            "from offroad.cli import main; sys.exit(main())")
     if argv[0] == "simulate":
         argv = [*argv, "--out-dir", str(out.with_suffix(""))]
     else:
         argv = [*argv, "--out", str(out.with_suffix(".csv"))]
-    return run_child(["-c", code, *argv], out)
+    return run_child(["-c", RUNNER, str(tree / "src"), *argv], out)
 
 
 def layered_run(tree: Path, argv: list[str], out: Path) -> dict:
@@ -194,14 +181,8 @@ def main() -> None:
     parser.add_argument("--out", required=True, help="BENCH_<n>_scaling.json to write")
     args = parser.parse_args()
 
-    base_sha = git("rev-parse", args.base)
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     report = {
-        "base": base_sha,
-        "change": f"working tree on {git('rev-parse', 'HEAD')}"
-                  + (" with uncommitted changes" if dirty else ""),
-        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
-                 "python": platform.python_version()},
+        **header(args.base),
         "jobs": args.jobs,
         "seed": args.seed,
         "sizes": {},
@@ -209,7 +190,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="route-scaling-") as tmp:
         tmp = Path(tmp)
         trees = {"base": tmp / "base", "change": ROOT}
-        extract_commit(base_sha, trees["base"])
+        extract_commit(report["base"], trees["base"])
         tasks = []
         for size in args.sizes:
             argv = site_argv(size, args.seed, tmp)

@@ -35,14 +35,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from bench_pairs import extract_commit  # noqa: E402
+from bench_pairs import RUNNER, extract_commit  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 ROUTE_SEEDS = (1, 2)
 PLAN_SEEDS = (1, 2, 3)
-# runs the program of one tree: its src/ comes first on the path
-RUNNER = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
-          "from offroad.cli import main; sys.exit(main())")
 
 
 def route_jobs(prefix: str, queries: list[inputs.RouteQuery]) -> dict[str, list[list[str]]]:
