@@ -54,6 +54,8 @@ The first bound is B = 1.05 h(s, g).  A finite V > B makes B = V, and the
 next round is final; an infinite V makes B 1.5 times larger.  A window
 whose bounding box is the whole grid is solved as the whole grid, with
 B = inf, so no round follows it, and only there is a start unreachable.
+W_inf is the whole grid, so B = inf tables the whole grid from any start.
+The start and goal are checked once, against the mask, before any table.
 ``converged`` is checked over the reachable states of the window's table.
 On the 36 route-batch queries of seeds 1-4 this took 412 ms in all and a
 solve of the whole grid's table 511 ms (in process, each query's median of
@@ -89,18 +91,17 @@ STAY = 9
 @dataclass(frozen=True)
 class DpProblem:
     """Immutable transition/cost tables for one grid, mask, and weather, over
-    the whole grid or over a window's bounding box."""
+    a window's bounding box, which is the whole grid when the bound is inf."""
 
     grid: ElevationGrid
     goal: tuple[int, int]             # grid node
-    valid: np.ndarray                 # bool (rows, cols) of the table; True = state
     hop_cost: np.ndarray = field(repr=False)  # (4, rows, cols); +inf = inadmissible
     offset: tuple[int, int]           # grid node at the table's [0, 0]
     bound: float                      # every path of cost <= bound lies in the table
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.valid.shape
+        return self.hop_cost.shape[1:]
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,6 @@ class RouteWeights:
     """What every table of one route query crops from the whole grid."""
 
     grid: ElevationGrid
-    valid: np.ndarray = field(repr=False)       # bool (n_rows, n_cols); True = state
     admissible: np.ndarray = field(repr=False)  # bool (4, n_rows, n_cols), hop_cost's layout
     alpha: tuple[float, float]                  # (alpha_m, alpha_d)
     per_metre: float                            # lower bound on any hop's cost per metre
@@ -150,8 +150,7 @@ def route_weights(
     """One query's whole-grid weights: a hop is admissible when both its ends
     are states and its slope is within the limit.  Raises ValueError when
     alpha cannot be solved or some admissible hop's cost is not positive."""
-    valid = ~mask.blocked
-    admissible = _both_ends(valid) & (grid.neighbor_slopes <= weather.slope_limit)
+    admissible = _both_ends(~mask.blocked) & (grid.neighbor_slopes <= weather.slope_limit)
     if not admissible.any():
         raise ValueError("no admissible transition exists")
     slopes = grid.neighbor_slopes[admissible]
@@ -172,7 +171,7 @@ def route_weights(
         )
     alpha = tuple(np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]),
                                   np.array([1.0, 1.0])).tolist())
-    return RouteWeights(grid, valid, admissible, alpha, _per_metre(grid, admissible, *alpha))
+    return RouteWeights(grid, admissible, alpha, _per_metre(grid, admissible, *alpha))
 
 
 def compute_scaling_factors(
@@ -188,13 +187,12 @@ def compute_scaling_factors(
     return route_weights(grid, mask, weather).alpha
 
 
-def _check_node(role: str, node: tuple[int, int], grid: ElevationGrid, valid: np.ndarray,
-                offset: tuple[int, int] = (0, 0)) -> None:
-    """Raise ValueError unless ``node`` is on the grid and a state of
-    ``valid``, a table whose [0, 0] is grid node ``offset``."""
+def _check_node(role: str, node: tuple[int, int], grid: ElevationGrid,
+                blocked: np.ndarray) -> None:
+    """Raise ValueError unless ``node`` is on the grid and not ``blocked``."""
     if not grid.in_bounds(*node):
         raise ValueError(f"{role} {node} is outside the grid")
-    if not valid[node[0] - offset[0], node[1] - offset[1]]:
+    if blocked[node]:
         raise ValueError(f"{role} {node} is an obstacle node")
 
 
@@ -268,34 +266,28 @@ def _window(
 
 
 def build_dp_problem(
-    weights: RouteWeights, goal: tuple[int, int], window: tuple[tuple[int, int], float] | None,
+    weights: RouteWeights, start: tuple[int, int], goal: tuple[int, int], bound: float,
 ) -> DpProblem:
     """Assemble the hop cost table for the route solver from ``weights``.
 
-    With ``window`` None the table covers the whole grid.  With ``window =
-    (start, bound)`` it covers the bounding box of W_B (see ``_window``),
-    and every hop with an end outside W_B is inadmissible; the problem's
-    ``bound`` is B.  Either way the table is cropped from ``weights``, so
-    each entry is the whole grid's entry for that hop.
+    The table covers the bounding box of W_B (see ``_window``), and every
+    hop with an end outside W_B is inadmissible; the problem's ``bound`` is
+    B.  A bound of inf gives the whole grid.  The table is cropped from
+    ``weights``, so each entry is the whole grid's entry for that hop.
     """
     grid = weights.grid
-    _check_node("goal", goal, grid, weights.valid)
-    box, inside, bound = (slice(None), slice(None)), None, math.inf
-    if window is not None:
-        start, bound = window
-        _check_node("start", start, grid, weights.valid)
-        box, inside, bound = _window(grid, weights.per_metre, start, goal, bound)
-    valid, admissible = weights.valid[box], weights.admissible[(slice(None),) + box]
+    box, inside, bound = _window(grid, weights.per_metre, start, goal, bound)
+    admissible = weights.admissible[(slice(None),) + box]
     if inside is not None:
-        valid = valid & inside
-        admissible = admissible & _both_ends(valid)
+        # an admissible hop's ends are states; this also drops every hop
+        # that leaves the box, whose CSR index scipy would not check
+        admissible = admissible & _both_ends(inside)
     alpha_m, alpha_d = weights.alpha
     hop_cost = alpha_m * grid.neighbor_slopes[(slice(None),) + box]
     hop_cost += alpha_d * np.array(grid.hop_runs)[:, None, None]
     hop_cost[~admissible] = np.inf
     offset = (box[0].start or 0, box[1].start or 0)
-    return DpProblem(grid=grid, goal=goal, valid=valid, hop_cost=hop_cost, offset=offset,
-                     bound=bound)
+    return DpProblem(grid=grid, goal=goal, hop_cost=hop_cost, offset=offset, bound=bound)
 
 
 def _hop_graph(problem: DpProblem) -> csr_array:
@@ -364,11 +356,10 @@ def extract_route(
     vf: ValueFunction, problem: DpProblem, start: tuple[int, int]
 ) -> PlannedRoute | None:
     """Follow the policy from start to goal and summarize the hops; None
-    when the goal is unreachable from start.  A window's table holds the
-    start it was built for."""
+    when the goal is unreachable from start.  ``start`` must be a node of
+    the table, as the start a window was built for is."""
     grid = problem.grid
     r0, c0 = problem.offset
-    _check_node("start", start, grid, problem.valid, problem.offset)
     if not math.isfinite(vf.values[start[0] - r0, start[1] - c0]):
         return None
 
@@ -415,13 +406,13 @@ def route_in_window(
     grows the bound by 1.5, until the window is the whole grid.
     """
     # a blocked goal, then a blocked start, is named before any error of the
-    # weights; no node array outlives the check into the solve
+    # weights; no table checks them again
     for role, node in (("goal", goal), ("start", start)):
-        _check_node(role, node, grid, ~mask.blocked)
+        _check_node(role, node, grid, mask.blocked)
     weights = route_weights(grid, mask, weather)
     bound = 0.0
     while True:
-        problem = build_dp_problem(weights, goal, (start, bound))
+        problem = build_dp_problem(weights, start, goal, bound)
         vf = value_iteration(problem)
         cost = vf.values[start[0] - problem.offset[0], start[1] - problem.offset[1]]
         if cost <= problem.bound:

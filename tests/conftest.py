@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from offroad import global_route as gr
 from offroad.control import GainConfig
 from offroad.terrain import (
     DRY_SLOPE_LIMIT,
@@ -37,6 +38,42 @@ def grid_from_function(fn, n_cols=30, n_rows=30, cell=1.0, origin=(0.0, 0.0)):
 def flat_grid(height=0.0, n=10, cell=1.0, origin=(0.0, 0.0)):
     return grid_from_function(lambda x, y: np.full_like(x, float(height)),
                               n_cols=n, n_rows=n, cell=cell, origin=origin)
+
+
+# A route query's window loop ends after a few tables; one that never
+# accepts its cost builds them forever.  Every query in the tests fails once
+# it builds more than this many, so such a loop fails the suite, not stalls it
+MAX_TABLES_PER_QUERY = 16
+
+
+@pytest.fixture(autouse=True)
+def window_loop_ends(monkeypatch):
+    solve, build = gr.route_in_window, gr.build_dp_problem
+    built = []  # the tables of each query being solved
+
+    def counted_solve(*args, **kwargs):
+        built.append(0)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            built.pop()
+
+    def counted_build(*args, **kwargs):
+        if built:
+            built[-1] += 1
+            if built[-1] > MAX_TABLES_PER_QUERY:
+                raise AssertionError(f"a route query built more than "
+                                     f"{MAX_TABLES_PER_QUERY} tables")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "route_in_window", counted_solve)
+    monkeypatch.setattr(gr, "build_dp_problem", counted_build)
+
+
+def whole_grid_table(grid, mask, weather, goal):
+    """The route solver's table over the whole grid: a window with bound inf,
+    the reference of the windowed solve."""
+    return gr.build_dp_problem(gr.route_weights(grid, mask, weather), goal, goal, math.inf)
 
 
 def write_grid_csv(grid, path):

@@ -14,10 +14,8 @@ from offroad import global_route
 from offroad.cli import EXIT_OK, EXIT_UNREACHABLE, main
 from offroad.control import control_step
 from offroad.global_route import (
-    build_dp_problem,
     compute_scaling_factors,
     extract_route,
-    route_weights,
     value_iteration,
 )
 from offroad.local_path import (
@@ -51,6 +49,7 @@ from conftest import (
     random_problem,
     rotation_from_angles,
     time_at_arc_length,
+    whole_grid_table,
     write_grid_csv,
 )
 
@@ -91,7 +90,7 @@ def test_criterion_1_value_iteration_matches_dijkstra():
         grid, mask, goal = random_problem(rng, n=n, cell=10.0,
                                           obstacle_p=0.12, rough=8.0)
         weather = DRY if trial % 2 == 0 else WET
-        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+        problem = whole_grid_table(grid, mask, weather, goal)
         vf = value_iteration(problem)
         assert vf.converged
         oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
@@ -141,7 +140,7 @@ def test_criterion_3_route_slope_compliance():
         grid, mask, goal = random_problem(rng, n=n, cell=10.0,
                                           obstacle_p=0.1, rough=6.0)
         weather = DRY if trial % 2 == 0 else WET
-        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+        problem = whole_grid_table(grid, mask, weather, goal)
         vf = value_iteration(problem)
         limit_deg = math.degrees(math.atan(weather.slope_limit))
         for _ in range(6):

@@ -76,7 +76,6 @@ SHARED_NAMES = {
     "start": {"RunConfig": "cli.cmd_simulate", "LineSegment": "LineSegment's own methods"},
     "goal": {"RunConfig": "cli.cmd_simulate", "DpProblem": "value_iteration, extract_route"},
     "grid": {"DpProblem": "extract_route", "RouteWeights": "build_dp_problem"},
-    "valid": {"DpProblem": "DpProblem.shape, extract_route", "RouteWeights": "build_dp_problem"},
     "waypoints": {"RunConfig": "cli.cmd_simulate",
                   "PlannedRoute": "cli, render_scene, write_route_csv"},
     **{name: {"RunConfig": "cli.cmd_simulate", "Scenario": "run_simulation"}

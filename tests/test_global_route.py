@@ -9,10 +9,8 @@ import pytest
 from offroad.global_route import (
     STAY,
     PlannedRoute,
-    build_dp_problem,
     compute_scaling_factors,
     extract_route,
-    route_weights,
     read_route_csv,
     value_iteration,
     write_route_csv,
@@ -36,11 +34,13 @@ from conftest import (
     WET,
     dijkstra_costs_to_goal,
     flat_grid,
+    grid_from_function,
     in_grid,
     oracle_hop,
     oracle_hop_cost,
     random_problem,
     table_entry,
+    whole_grid_table,
     write_grid_csv,
 )
 
@@ -120,7 +120,7 @@ def test_scaling_example_by_hand():
 def test_flat_interior_node_has_eight_moves():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (0, 0))
     alpha = compute_scaling_factors(grid, mask, DRY)
     assert problem.hop_cost.shape == (4, 3, 3)
 
@@ -148,8 +148,8 @@ def test_steep_hop_inadmissible_under_both_weathers():
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 2.0
     mask = build_obstacle_mask(grid, steep_limit=10.0)
-    wet = build_dp_problem(route_weights(grid, mask, WET), goal=(0, 0), window=None)
-    dry = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
+    wet = whole_grid_table(grid, mask, WET, (0, 0))
+    dry = whole_grid_table(grid, mask, DRY, (0, 0))
     east = 1
     assert 0.2 > WET.slope_limit
     assert not np.isfinite(wet.hop_cost[east - 1][1, 1])
@@ -159,10 +159,25 @@ def test_steep_hop_inadmissible_under_both_weathers():
     grid = flat_grid(n=3, cell=10.0)
     grid.heights[1, 2] = 0.8   # slope 0.08
     mask = build_obstacle_mask(grid, steep_limit=10.0)
-    wet = build_dp_problem(route_weights(grid, mask, WET), goal=(0, 0), window=None)
-    dry = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
+    wet = whole_grid_table(grid, mask, WET, (0, 0))
+    dry = whole_grid_table(grid, mask, DRY, (0, 0))
     assert np.isfinite(dry.hop_cost[east - 1][1, 1])
     assert not np.isfinite(wet.hop_cost[east - 1][1, 1])
+
+
+def test_a_hop_at_the_slope_limit_is_admissible_and_its_node_not_steep():
+    # 1 m over 10 m cells: each orthogonal hop's slope is the float 0.1 and
+    # each diagonal one's is steeper, so at a limit of 0.1 the corners' and
+    # the centre's least hop slope equals the limit
+    grid = flat_grid(n=3, cell=10.0)
+    grid.heights[:] = [[2.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 2.0]]
+    limit = 0.1
+    assert 1.0 / 10.0 == limit
+    assert not build_obstacle_mask(grid, limit).blocked.any()
+    assert build_obstacle_mask(grid, np.nextafter(limit, 0.0)).blocked.sum() == 5
+    route = plan_route(grid, None, None, limit, WeatherCondition("dry", limit), (1, 1), (1, 2))
+    assert route.waypoints == [(1, 1), (1, 2)]
+    assert route.max_slope_deg == math.degrees(math.atan(limit))
 
 
 def test_hop_tables_are_symmetric_bit_for_bit():
@@ -172,7 +187,7 @@ def test_hop_tables_are_symmetric_bit_for_bit():
     from offroad.terrain import NEIGHBOR_OFFSETS
     rng = np.random.default_rng(31)
     grid, mask, goal = random_problem(rng, n=13, cell=6.0, obstacle_p=0.2, rough=2.0)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=goal, window=None)
+    problem = whole_grid_table(grid, mask, DRY, goal)
     alpha = compute_scaling_factors(grid, mask, DRY)
     slopes, cost = grid.neighbor_slopes, problem.hop_cost
     assert slopes.shape == cost.shape == (4, 13, 13)
@@ -208,9 +223,9 @@ def test_goal_must_be_a_state():
     water[1, 1] = True
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
     with pytest.raises(ValueError, match="obstacle"):
-        build_dp_problem(route_weights(grid, mask, DRY), goal=(1, 1), window=None)
+        gr.route_in_window(grid, mask, DRY, (0, 0), (1, 1))
     with pytest.raises(ValueError, match="outside"):
-        build_dp_problem(route_weights(grid, mask, DRY), goal=(5, 5), window=None)
+        gr.route_in_window(grid, mask, DRY, (0, 0), (5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +235,7 @@ def test_goal_must_be_a_state():
 def test_goal_value_zero_policy_stay():
     grid = flat_grid(n=4, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(2, 2), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (2, 2))
     vf = value_iteration(problem)
     assert vf.converged
     assert vf.values[2, 2] == 0.0
@@ -232,7 +247,7 @@ def test_single_step_bellman_by_hand():
     # one-hop value: west neighbor of the goal costs alpha_d * cell
     grid = flat_grid(n=2, cell=7.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 1), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (0, 1))
     vf = value_iteration(problem)
     _, alpha_d = compute_scaling_factors(grid, mask, DRY)
     assert vf.values[0, 0] == pytest.approx(alpha_d * 7.0, abs=1e-12)
@@ -244,7 +259,7 @@ def test_policy_ties_keep_lowest_action_id():
     # Northwest-then-North cost the same; the lower id (North = 3) wins
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(0, 0), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (0, 0))
     vf = value_iteration(problem)
     via_north = problem.hop_cost[3 - 1][2, 1] + vf.values[1, 1]
     via_northwest = problem.hop_cost[4 - 1][2, 1] + vf.values[1, 0]
@@ -257,7 +272,7 @@ def test_values_match_dijkstra_on_random_grids():
     for _ in range(10):
         grid, mask, goal = random_problem(rng, n=14, cell=6.0, rough=2.0)
         weather = DRY
-        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+        problem = whole_grid_table(grid, mask, weather, goal)
         vf = value_iteration(problem)
         oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
                                         *compute_scaling_factors(grid, mask, weather))
@@ -281,7 +296,7 @@ def test_bellman_fixed_point_residual():
     from offroad.global_route import MOVES
     rng = np.random.default_rng(17)
     grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=goal, window=None)
+    problem = whole_grid_table(grid, mask, DRY, goal)
     alpha = compute_scaling_factors(grid, mask, DRY)
     vf = value_iteration(problem)
     assert vf.converged
@@ -307,8 +322,7 @@ def test_bellman_fixed_point_residual():
 def test_tightening_slope_limit_never_helps():
     rng = np.random.default_rng(77)
     grid, mask, goal = random_problem(rng, n=12, cell=6.0, rough=3.0)
-    loose = build_dp_problem(route_weights(grid, mask, WeatherCondition("dry", 0.25)),
-                             goal=goal, window=None)
+    loose = whole_grid_table(grid, mask, WeatherCondition("dry", 0.25), goal)
     # the same weights with the slope limit tightened to 0.10
     tight = dataclasses.replace(loose, hop_cost=np.where(grid.neighbor_slopes <= 0.10,
                                                          loose.hop_cost, np.inf))
@@ -325,7 +339,7 @@ def test_converged_false_when_a_value_breaks_bellman(monkeypatch):
     import offroad.global_route as gr
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(4, 4), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (4, 4))
     exact = gr.dijkstra
 
     def off_by_one_state(graph, indices, **kwargs):
@@ -345,7 +359,7 @@ def test_a_policy_that_stops_short_of_the_goal_is_a_fault(monkeypatch):
     import offroad.global_route as gr
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(4, 4), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (4, 4))
 
     def isolated_start(graph, indices, **kwargs):
         values = np.full(graph.shape[0], np.inf)
@@ -379,7 +393,7 @@ def test_serpentine_maze_longer_than_rows_plus_cols(tmp_path):
     weather = DRY
     mask = build_obstacle_mask(grid, water_mask=walls, steep_limit=weather.slope_limit)
     start, goal = (n - 1, n - 1), (0, 0)
-    problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+    problem = whole_grid_table(grid, mask, weather, goal)
     vf = value_iteration(problem)
     assert vf.converged
     oracle = dijkstra_costs_to_goal(grid, mask.blocked, weather.slope_limit, goal,
@@ -436,9 +450,9 @@ def test_plan_route_peak_memory_per_node():
 
 
 def test_route_tables_make_no_per_move_temporary():
-    # the tables keep 33 bytes per node (4 float64 cost planes and the bool
-    # state flags); the admissible planes add 4 more while they are built.
-    # With the grid's slopes already built, build_dp_problem peaks within 48
+    # the tables keep 32 bytes per node (4 float64 cost planes); the
+    # admissible planes add 4 more while they are built.  With the grid's
+    # slopes already built, the whole grid's table peaks within 48
     # traced bytes per node.  Gathering every admissible hop twice, and one
     # hop length per move, for the scaling means peaked at 91 here
     n = 300
@@ -446,8 +460,7 @@ def test_route_tables_make_no_per_move_temporary():
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT, water_mask=water)
     tracemalloc.start()
     try:
-        problem = build_dp_problem(route_weights(grid, mask, DRY),
-                                   goal=(n - 1, n - 1), window=None)
+        problem = whole_grid_table(grid, mask, DRY, (n - 1, n - 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,7 +508,7 @@ def full_route(grid, water, weather, start, goal):
     """The route that the whole grid's table gives, the windowed solve's
     reference."""
     mask = build_obstacle_mask(grid, weather.slope_limit, water_mask=water)
-    problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+    problem = whole_grid_table(grid, mask, weather, goal)
     return extract_route(value_iteration(problem), problem, start)
 
 
@@ -568,18 +581,69 @@ def test_windowed_route_is_the_full_route(monkeypatch, seed, weather):
 def test_windowed_route_takes_a_second_round_for_a_detour(monkeypatch):
     # a water wall between start and goal, open at its west end: the
     # 1.05 x lower-bound window holds no path, so the bound grows, and the
-    # detour found is still the full solve's route
+    # detour found is still the full solve's route.  Three windows hold no
+    # path; the fourth is the whole grid
     n = 30
     grid = flat_grid(n=n, cell=5.0)
     water = np.zeros((n, n), dtype=bool)
     water[15, 1:] = True
     windowed, full, tables = windowed_and_full(monkeypatch, grid, water, DRY,
                                                (25, 20), (5, 20))
-    assert len(tables) >= 2
+    assert [t.bound < math.inf for t in tables] == [True, True, True, False]
     assert tables[0].shape[0] * tables[0].shape[1] < n * n / 4
     assert windowed.waypoints == full.waypoints
     assert (15, 0) in windowed.waypoints
     assert np.float64(windowed.total_cost).tobytes() == np.float64(full.total_cost).tobytes()
+
+
+def route_batch_queries(directory, terrains=inputs.ROUTE_TERRAINS):
+    """(query, grid, water, weather) of each route-batch query of seed 1,
+    its foliage folded into the water."""
+    for query in inputs.route_batch(1, str(directory), terrains=terrains):
+        grid = load_elevation_grid(query.grid)
+        water = load_mask(query.water, grid)
+        if query.foliage:
+            water |= load_mask(query.foliage, grid)
+        yield query, grid, water, {"dry": DRY, "wet": WET}[query.weather]
+
+
+def test_the_window_loop_ends_within_two_tables(monkeypatch, tmp_path):
+    # up a uniform incline the straight route costs more than 1.05 times the
+    # flat lower bound, so the first round's cost exceeds its bound.  That
+    # cost is the least, so the second round, whose bound it is, finds it
+    # again and must accept a cost equal to its bound; a loop that does not
+    # builds tables until conftest's window_loop_ends fails the query
+    grid = grid_from_function(lambda x, y: 0.05 * x, n_cols=9, n_rows=9, cell=10.0)
+    route, tables = windowed_route(monkeypatch, grid, None, DRY, (4, 0), (4, 8))
+    assert len(tables) == 2 and tables[1].bound == route.total_cost
+    assert route.waypoints == [(4, c) for c in range(9)]
+    # every route-batch query of seed 1 builds one table or two
+    counts = [len(windowed_route(monkeypatch, grid, water, weather, query.start, query.goal)[1])
+              for query, grid, water, weather in route_batch_queries(tmp_path)]
+    assert len(counts) == 2 * inputs.ROUTE_TERRAINS + 1
+    assert set(counts) == {1, 2}
+
+
+def test_windows_stay_exact_when_alpha_m_is_negative():
+    # on 0.25 m cells the mean hop run, below 1 m and above the mean slope,
+    # makes alpha_m = (1 - mean_d) / (mean_m - mean_d) < 0, so a plane's
+    # cheapest hop per metre is its steepest admissible one: a lower bound
+    # taken at the least slope would be too large, and a window could miss
+    # the optimal path.  The 5 m rolling site of seed 4, shrunk 20 times,
+    # keeps its slopes; its far pairs are costed by the independent oracle
+    n = 40
+    site, water = rolling_site(4, n)
+    grid = ElevationGrid(n_cols=n, n_rows=n, cell_size=0.25, origin=(0.0, 0.0),
+                         heights=site.heights / 20.0)
+    mask = build_obstacle_mask(grid, WET.slope_limit, water_mask=water)
+    alpha = compute_scaling_factors(grid, mask, WET)
+    assert alpha[0] < 0
+    goal = free_node(mask.blocked, (0, 0))
+    oracle = dijkstra_costs_to_goal(grid, mask.blocked, WET.slope_limit, goal, *alpha)
+    for near in ((n - 1, 0), (n - 1, n - 1), (0, n - 1)):
+        start = free_node(mask.blocked, near)
+        route = plan_route(grid, water, None, WET.slope_limit, WET, start, goal)
+        assert route.total_cost == pytest.approx(oracle[start], rel=1e-12)
 
 
 def test_windowed_route_from_the_goal_is_one_node(monkeypatch):
@@ -607,17 +671,20 @@ def test_windowed_route_from_a_walled_in_start_is_none(monkeypatch):
     assert tables[-1].offset == (0, 0)
 
 
-def test_windowed_route_checks_its_nodes_as_the_full_solve_does():
+def test_windowed_route_checks_the_goal_then_the_start(monkeypatch):
+    # each node is checked once, before any table: a query with both nodes
+    # bad names the goal
     grid, water = rolling_site(2, 12, water_p=0.0)
     water[3, 3] = True
+    monkeypatch.setattr(gr, "build_dp_problem", None)
     for start, goal, message in (((3, 3), (8, 8), "start \\(3, 3\\) is an obstacle node"),
                                  ((8, 8), (3, 3), "goal \\(3, 3\\) is an obstacle node"),
                                  ((12, 0), (8, 8), "start \\(12, 0\\) is outside the grid"),
-                                 ((8, 8), (0, -1), "goal \\(0, -1\\) is outside the grid")):
+                                 ((8, 8), (0, -1), "goal \\(0, -1\\) is outside the grid"),
+                                 ((3, 3), (0, -1), "goal \\(0, -1\\) is outside the grid"),
+                                 ((12, 0), (3, 3), "goal \\(3, 3\\) is an obstacle node")):
         with pytest.raises(ValueError, match=message):
             plan_route(grid, water, None, DRY.slope_limit, DRY, start, goal)
-        with pytest.raises(ValueError, match=message):
-            full_route(grid, water, DRY, start, goal)
 
 
 def test_a_window_whose_box_is_the_whole_grid_is_the_last(monkeypatch, tmp_path):
@@ -710,12 +777,7 @@ def test_no_table_has_a_finite_hop_that_leaves_it(monkeypatch, tmp_path):
 
     monkeypatch.setattr(gr, "value_iteration", checked)
     tables = []
-    for query in inputs.route_batch(1, str(tmp_path), terrains=1):
-        grid = load_elevation_grid(query.grid)
-        water = load_mask(query.water, grid)
-        if query.foliage:
-            water |= load_mask(query.foliage, grid)
-        weather = {"dry": DRY, "wet": WET}[query.weather]
+    for query, grid, water, weather in route_batch_queries(tmp_path, terrains=1):
         tables += windowed_route(monkeypatch, grid, water, weather, query.start, query.goal)[1]
     # plan-and-track's shape: the goal 8 rows north and 16 columns east
     grid, water = rolling_grid_with_water(300)
@@ -725,7 +787,7 @@ def test_no_table_has_a_finite_hop_that_leaves_it(monkeypatch, tmp_path):
     assert sum(t.bound < math.inf for t in tables) >= 3
 
     mask = build_obstacle_mask(grid, DRY.slope_limit, water_mask=water)
-    whole = build_dp_problem(route_weights(grid, mask, DRY), goal=goal, window=None)
+    whole = whole_grid_table(grid, mask, DRY, goal)
     assert finite_hops_off_the_table(whole) == 0
 
 
@@ -736,7 +798,7 @@ def test_no_table_has_a_finite_hop_that_leaves_it(monkeypatch, tmp_path):
 def test_route_start_equals_goal():
     grid = flat_grid(n=3, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(1, 1), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (1, 1))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (1, 1))
     assert route.waypoints == [(1, 1)]
@@ -747,7 +809,7 @@ def test_route_start_equals_goal():
 def test_route_diagonal_dominance_on_flat():
     grid = flat_grid(n=5, cell=10.0)
     mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    problem = build_dp_problem(route_weights(grid, mask, DRY), goal=(4, 4), window=None)
+    problem = whole_grid_table(grid, mask, DRY, (4, 4))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (0, 0))
     assert len(route.waypoints) == 5  # 4 diagonal hops
@@ -768,7 +830,7 @@ def test_weather_reachability_flip():
     start, goal = (6, 3), (0, 3)
     for weather, expect_reachable in ((dry, True), (wet, False)):
         mask = build_obstacle_mask(grid, steep_limit=weather.slope_limit)
-        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+        problem = whole_grid_table(grid, mask, weather, goal)
         vf = value_iteration(problem)
         route = extract_route(vf, problem, start)
         assert (route is not None) == expect_reachable
@@ -781,7 +843,7 @@ def test_route_slopes_respect_limit():
     for _ in range(5):
         grid, mask, goal = random_problem(rng, n=12, cell=8.0, rough=1.5)
         weather = WET
-        problem = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+        problem = whole_grid_table(grid, mask, weather, goal)
         vf = value_iteration(problem)
         for r in range(grid.n_rows):
             for c in range(grid.n_cols):
@@ -797,8 +859,8 @@ def test_policy_determinism():
     rng = np.random.default_rng(55)
     grid, mask, goal = random_problem(rng, n=10, cell=7.0)
     weather = DRY
-    p1 = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
-    p2 = build_dp_problem(route_weights(grid, mask, weather), goal=goal, window=None)
+    p1 = whole_grid_table(grid, mask, weather, goal)
+    p2 = whole_grid_table(grid, mask, weather, goal)
     v1 = value_iteration(p1)
     v2 = value_iteration(p2)
     assert np.array_equal(v1.policy, v2.policy)
@@ -815,7 +877,7 @@ def test_route_csv_round_trip(tmp_path):
     grid = ridge_fixture()
     weather = DRY
     mask = build_obstacle_mask(grid, steep_limit=weather.slope_limit)
-    problem = build_dp_problem(route_weights(grid, mask, weather), goal=(0, 3), window=None)
+    problem = whole_grid_table(grid, mask, weather, (0, 3))
     vf = value_iteration(problem)
     route = extract_route(vf, problem, (6, 3))
     p = tmp_path / "route.csv"
@@ -833,8 +895,7 @@ def test_route_csv_hop_slopes_match_node_heights(tmp_path):
     # written node positions and heights, not from the grid's slope table
     rng = np.random.default_rng(8)
     grid, mask, goal = random_problem(rng, n=12, cell=5.0, obstacle_p=0.1)
-    problem = build_dp_problem(route_weights(grid, mask, WeatherCondition("dry", 10.0)),
-                               goal=goal, window=None)
+    problem = whole_grid_table(grid, mask, WeatherCondition("dry", 10.0), goal)
     free = np.argwhere(~mask.blocked)
     start = tuple(int(v) for v in free[np.argmax(np.abs(free - goal).max(axis=1))])
     route = extract_route(value_iteration(problem), problem, start)
