@@ -56,10 +56,10 @@ whose bounding box is the whole grid is solved as the whole grid, with
 B = inf, so no round follows it, and only there is a start unreachable.
 W_inf is the whole grid, so B = inf tables the whole grid from any start.
 The start and goal are checked once, against the mask, before any table.
-``converged`` is checked over the reachable states of the window's table.
-On the 36 route-batch queries of seeds 1-4 this took 412 ms in all and a
-solve of the whole grid's table 511 ms (in process, each query's median of
-7 calls, x86_64 guest with 2 vCPUs).
+``converged`` is checked over every state of the window's table.  On the 36
+route-batch queries of seeds 1-4 this took 426 ms in all, mask included,
+and a solve of the whole grid's table 557 ms (in process, each query's
+median of 7 calls, median of 6 such sums, x86_64 guest with 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class ValueFunction:
 
     values: np.ndarray  # float, the problem's table shape; inf = unreachable / non-state
     policy: np.ndarray  # int action ids; 0 where no action applies
-    converged: bool     # Bellman residual is exactly 0 on every reachable state
+    converged: bool     # Bellman residual is exactly 0 on every state
     sweeps: int         # Bellman passes over the grid
 
 
@@ -153,6 +153,8 @@ def route_weights(
     admissible = _both_ends(~mask.blocked) & (grid.neighbor_slopes <= weather.slope_limit)
     if not admissible.any():
         raise ValueError("no admissible transition exists")
+    # every admissible slope, plane by plane: gathered once for the mean and
+    # for _per_metre, which reads each plane's piece
     slopes = grid.neighbor_slopes[admissible]
     # the means' sums would overflow
     if 2 * slopes.size * float(slopes.max()) == math.inf:
@@ -160,7 +162,6 @@ def route_weights(
     if 2 * slopes.size * float(max(grid.hop_runs)) == math.inf:
         raise ValueError(f"grid hop runs up to {max(grid.hop_runs):.6g} m sum past float64")
     mean_m = float(slopes.mean())
-    del slopes  # up to 4 floats a node: freed before _per_metre gathers its own
     counts = admissible.sum(axis=(1, 2))
     mean_d = float(np.dot(counts, grid.hop_runs) / counts.sum())
     if abs(mean_m - mean_d) < 1e-12:
@@ -171,7 +172,8 @@ def route_weights(
         )
     alpha = tuple(np.linalg.solve(np.array([[mean_m, mean_d], [1.0, 1.0]]),
                                   np.array([1.0, 1.0])).tolist())
-    return RouteWeights(grid, admissible, alpha, _per_metre(grid, admissible, *alpha))
+    per_metre = _per_metre(grid, np.split(slopes, np.cumsum(counts)[:-1]), *alpha)
+    return RouteWeights(grid, admissible, alpha, per_metre)
 
 
 def compute_scaling_factors(
@@ -208,10 +210,11 @@ def _lower_bound(grid: ElevationGrid, per_metre: float, node: tuple[int, int],
                         + grid.hop_runs[0] * (np.maximum(dr, dc) - diagonal))
 
 
-def _per_metre(grid: ElevationGrid, admissible: np.ndarray, alpha_m: float,
+def _per_metre(grid: ElevationGrid, slopes: list[np.ndarray], alpha_m: float,
                alpha_d: float) -> float:
-    """A lower bound on every admissible hop's cost per metre; raises
-    ValueError when some admissible hop's cost is not positive.
+    """A lower bound on every admissible hop's cost per metre, from
+    ``slopes[k]``, the admissible slopes of plane k; raises ValueError when
+    some admissible hop's cost is not positive.
 
     A plane's hop cost alpha_m * slope + alpha_d * run rises with the slope
     when alpha_m >= 0 and falls otherwise, in floats too, so its least cost
@@ -221,8 +224,7 @@ def _per_metre(grid: ElevationGrid, admissible: np.ndarray, alpha_m: float,
     every admissible hop's cost overflows it is 0, whose windows are the
     whole grid."""
     per_metre = math.inf
-    for slopes, ends, run in zip(grid.neighbor_slopes, admissible, grid.hop_runs):
-        hops = slopes[ends]
+    for hops, run in zip(slopes, grid.hop_runs):
         if hops.size:
             least = alpha_m * float(hops.min() if alpha_m >= 0 else hops.max()) + alpha_d * run
             if least <= 0:
@@ -254,13 +256,21 @@ def _window(
         index = np.arange(n)
         axes.append(index[np.abs(index - a) + np.abs(index - b) <= reach])
     rows, cols = axes
-    inside = (_lower_bound(grid, per_metre, start, rows, cols)
-              + _lower_bound(grid, per_metre, goal, rows, cols) <= bound)
+
+    def holds(r, c):
+        return (_lower_bound(grid, per_metre, start, r, c)
+                + _lower_bound(grid, per_metre, goal, r, c) <= bound)
+
+    # the bounding box is the whole grid exactly when W_B holds a node on
+    # each of the grid's four edges, so those 4n nodes decide it
+    if (len(rows), len(cols)) == shape and all(
+            holds(r, c).any() for r, c in ((rows[:1], cols), (rows[-1:], cols),
+                                           (rows, cols[:1]), (rows, cols[-1:]))):
+        return (slice(None), slice(None)), None, math.inf
+    inside = holds(rows, cols)
     r = np.flatnonzero(inside.any(axis=1))
     c = np.flatnonzero(inside.any(axis=0))
     inside = inside[r[0]:r[-1] + 1, c[0]:c[-1] + 1]
-    if inside.shape == shape:
-        return (slice(None), slice(None)), None, math.inf
     r0, c0 = int(rows[r[0]]), int(cols[c[0]])
     return (slice(r0, r0 + inside.shape[0]), slice(c0, c0 + inside.shape[1])), inside, bound
 
@@ -290,6 +300,11 @@ def build_dp_problem(
     return DpProblem(grid=grid, goal=goal, hop_cost=hop_cost, offset=offset, bound=bound)
 
 
+# nodes per block in _hop_graph: its node-major buffer stays in cache and
+# takes 128 kB on every grid
+_GRAPH_BLOCK = 4096
+
+
 def _hop_graph(problem: DpProblem) -> csr_array:
     """CSR matrix over flat node indices of the admissible hops along offsets
     0-3, weighted by their cost.  Offset k + 4 is the same hop reversed at the
@@ -297,14 +312,26 @@ def _hop_graph(problem: DpProblem) -> csr_array:
     n_rows, n_cols = problem.shape
     n = n_rows * n_cols
     # offsets 3, 2, 1, 0 step to ascending flat indices, so every row comes
-    # sorted; a node-major view of the cost planes, not a copy
-    weight = problem.hop_cost[3::-1].transpose(1, 2, 0)
-    step = np.array([dr * n_cols + dc for dr, dc in NEIGHBOR_OFFSETS[3::-1]], dtype=np.int32)
-    target = np.arange(n, dtype=np.int32).reshape(n_rows, n_cols, 1) + step
-    edge = np.isfinite(weight)
+    # sorted; (4, n) views of the cost planes in that order
+    weight = problem.hop_cost.reshape(4, n)[::-1]
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(edge.sum(axis=2, dtype=np.int32), out=indptr[1:])
-    return csr_array((weight[edge], target[edge], indptr), shape=(n, n))
+    np.cumsum(np.isfinite(weight).sum(axis=0, dtype=np.int32), out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    # each block of nodes is copied node-major into one reused buffer, whose
+    # finite entries, in order, are the block's CSR entries
+    m = min(n, _GRAPH_BLOCK)
+    block = np.empty((m, 4))
+    step = np.array([dr * n_cols + dc for dr, dc in NEIGHBOR_OFFSETS[3::-1]], dtype=np.int32)
+    targets = np.arange(m, dtype=np.int32)[:, None] + step
+    for lo in range(0, n, m):
+        k = min(m, n - lo)
+        np.copyto(block[:k], weight[:, lo:lo + k].T)
+        finite = np.isfinite(block[:k]).ravel()
+        out = slice(indptr[lo], indptr[lo + k])
+        data[out] = block[:k].ravel()[finite]
+        indices[out] = (targets[:k] + lo).ravel()[finite]
+    return csr_array((data, indices, indptr), shape=(n, n))
 
 
 def value_iteration(problem: DpProblem) -> ValueFunction:
@@ -314,7 +341,7 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
     state's cost-to-goal; states left at +inf are unreachable.  A single
     Bellman pass over the 8 actions then picks the policy (a running first
     minimum, so ties keep the lowest action id) and checks that the residual
-    is exactly 0 on every reachable state, which sets ``converged``.
+    is exactly 0 on every state, which sets ``converged``.
     """
     shape = problem.shape
     goal = (problem.goal[0] - problem.offset[0], problem.goal[1] - problem.offset[1])
@@ -323,33 +350,50 @@ def value_iteration(problem: DpProblem) -> ValueFunction:
 
     best = np.full(shape, np.inf)
     policy = np.zeros(shape, dtype=np.int8)
+    # one candidate and one flag buffer serve all 8 actions, each viewed
+    # contiguous in the shape of the action's slice
+    candidates, flags = np.empty(values.size), np.empty(values.size, dtype=bool)
     for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         src, dst = neighbor_slices(shape, dr, dc)
         # action k + 5 is the hop of plane k from the neighbor, reversed
         cost = problem.hop_cost[k][src] if k < 4 else problem.hop_cost[k - 4][dst]
-        candidate = cost + values[dst]
-        better = candidate < best[src]
-        np.copyto(best[src], candidate, where=better)
-        np.copyto(policy[src], k + 1, where=better)
+        candidate = np.add(cost, values[dst], out=candidates[:cost.size].reshape(cost.shape))
+        running = best[src]
+        better = np.less(candidate, running, out=flags[:cost.size].reshape(cost.shape))
+        # fmin, like `<`, passes over a NaN candidate
+        np.fmin(running, candidate, out=running)
+        policy[src][better] = k + 1
     # a state with a finite candidate is reachable, so the policy stays 0 on
-    # exactly the unreachable ones
-    reachable = np.isfinite(values)
+    # exactly the unreachable ones, whose best stays inf; Stay makes the
+    # goal's Bellman value 0
     policy[goal] = STAY
-    reachable[goal] = False
-    converged = bool(np.array_equal(best[reachable], values[reachable]))
+    best[goal] = 0.0
+    converged = bool(np.array_equal(best, values))
 
     return ValueFunction(values=values, policy=policy, converged=converged, sweeps=1)
 
 
-def _hop_run_and_slope(
-    grid: ElevationGrid, a: tuple[int, int], b: tuple[int, int]
-) -> tuple[float, float]:
-    """Planar length and rise/run of the hop from node a to its 8-neighbor b,
-    the slope read from ``grid.neighbor_slopes`` (at b for a reverse offset)."""
-    dr, dc = b[0] - a[0], b[1] - a[1]
-    k = NEIGHBOR_OFFSETS.index((dr, dc))
-    slope = grid.neighbor_slopes[k][a] if k < 4 else grid.neighbor_slopes[k - 4][b]
-    return grid.hop_runs[k % 4], float(slope)
+# (drow + 1, dcol + 1) of a move -> its index k in NEIGHBOR_OFFSETS
+_MOVE_INDEX = np.zeros((3, 3), dtype=np.intp)
+_MOVE_INDEX[tuple(np.array(NEIGHBOR_OFFSETS).T + 1)] = np.arange(len(NEIGHBOR_OFFSETS))
+
+
+def _hops(grid: ElevationGrid, nodes: np.ndarray) -> tuple[list[float], list[float]]:
+    """(distance from the first node after each hop, each hop's slope in
+    degrees) of a walk between 8-neighbors, ``nodes`` its (m, 2) node array.
+    A hop's run is its offset's, and its slope is read from
+    ``grid.neighbor_slopes``: plane k at the hop's start for offset k < 4,
+    plane k - 4 at its end for the reverse offsets."""
+    step = np.diff(nodes, axis=0)
+    if np.any(np.abs(step).max(axis=1, initial=0) != 1):
+        raise ValueError("a route hop does not join 8-neighbors")
+    k = _MOVE_INDEX[step[:, 0] + 1, step[:, 1] + 1]
+    at = np.where((k < 4)[:, None], nodes[:-1], nodes[1:])
+    slopes = grid.neighbor_slopes[k % 4, at[:, 0], at[:, 1]]
+    # math's atan and degrees per hop: numpy's arctan may differ in the last bit
+    degrees = [math.degrees(math.atan(slope)) for slope in slopes.tolist()]
+    # cumsum adds in order, as a running Python sum does
+    return np.cumsum(np.array(grid.hop_runs)[k % 4]).tolist(), degrees
 
 
 def extract_route(
@@ -358,7 +402,6 @@ def extract_route(
     """Follow the policy from start to goal and summarize the hops; None
     when the goal is unreachable from start.  ``start`` must be a node of
     the table, as the start a window was built for is."""
-    grid = problem.grid
     r0, c0 = problem.offset
     if not math.isfinite(vf.values[start[0] - r0, start[1] - c0]):
         return None
@@ -377,17 +420,11 @@ def extract_route(
     if node != problem.goal:
         raise RuntimeError("policy did not reach the goal; value function is inconsistent")
 
-    total_dist = 0.0
-    slopes_deg = []
-    for a, b in zip(waypoints, waypoints[1:]):
-        run, slope = _hop_run_and_slope(grid, a, b)
-        total_dist += run
-        slopes_deg.append(math.degrees(math.atan(slope)))
-
+    distances, slopes_deg = _hops(problem.grid, np.array(waypoints))
     return PlannedRoute(
         waypoints=waypoints,
         total_cost=float(vf.values[start[0] - r0, start[1] - c0]),
-        total_distance=total_dist,
+        total_distance=distances[-1] if distances else 0.0,
         mean_slope_deg=float(np.mean(slopes_deg)) if slopes_deg else 0.0,
         max_slope_deg=float(np.max(slopes_deg)) if slopes_deg else 0.0,
     )
@@ -435,18 +472,14 @@ def write_route_csv(route: PlannedRoute, grid: ElevationGrid, path: str) -> None
         f"mean_slope_deg={route.mean_slope_deg!r},max_slope_deg={route.max_slope_deg!r}",
         ROUTE_COLUMNS,
     ]
-    cum = 0.0
-    prev = None
-    for idx, node in enumerate(route.waypoints):
-        x, y = grid.node_position(*node)
-        z = grid.node_height(*node)
-        hop_deg = 0.0
-        if prev is not None:
-            run, slope = _hop_run_and_slope(grid, prev, node)
-            cum += run
-            hop_deg = math.degrees(math.atan(slope))
-        lines.append(f"{idx},{node[0]},{node[1]},{x!r},{y!r},{z!r},{hop_deg!r},{cum!r}")
-        prev = node
+    nodes = np.array(route.waypoints).reshape(-1, 2)
+    rows, cols = nodes.T
+    xs, ys = grid.node_position(rows, cols)
+    distances, slopes_deg = _hops(grid, nodes)
+    for idx, (r, c, x, y, z, hop_deg, cum) in enumerate(zip(
+            rows.tolist(), cols.tolist(), xs.tolist(), ys.tolist(),
+            grid.heights[rows, cols].tolist(), [0.0] + slopes_deg, [0.0] + distances)):
+        lines.append(f"{idx},{r},{c},{x!r},{y!r},{z!r},{hop_deg!r},{cum!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -89,9 +89,6 @@ class ElevationGrid:
             self.origin[1] + (self.n_rows - 1 - row) * self.cell_size,
         )
 
-    def node_height(self, row: int, col: int) -> float:
-        return float(self.heights[row, col])
-
     def in_bounds(self, row: int, col: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.n_cols
 

@@ -217,6 +217,61 @@ def test_hop_tables_are_symmetric_bit_for_bit():
                 assert np.isnan(slopes[k][a]) and np.isinf(cost[k][a])
 
 
+def oracle_hop_graph(hop_cost):
+    """(indptr, indices, data) of the hop graph of a (4, n_rows, n_cols) cost
+    table, by a loop over every node and forward offset: an edge from each
+    node to each neighbour its finite entry reaches, a row's edges sorted by
+    the neighbour's flat index."""
+    _, n_rows, n_cols = hop_cost.shape
+    indptr, indices, data = [0], [], []
+    for r in range(n_rows):
+        for c in range(n_cols):
+            row = []
+            for k, (dr, dc) in enumerate(FORWARD_OFFSETS):
+                cost = float(hop_cost[k, r, c])
+                if math.isfinite(cost):
+                    assert 0 <= r + dr < n_rows and 0 <= c + dc < n_cols
+                    row.append(((r + dr) * n_cols + c + dc, cost))
+            row.sort()
+            indices += [target for target, _ in row]
+            data += [cost for _, cost in row]
+            indptr.append(len(indices))
+    return indptr, indices, data
+
+
+def test_hop_graph_holds_each_finite_forward_hop_once():
+    # the CSR graph that the solve hands to scipy holds one edge per finite
+    # forward entry, to the neighbour it names, at that entry's cost bit for
+    # bit, each row's indices sorted and on the table.  Cases: a grid with
+    # blocked nodes, a window cropped from it, and that window with one
+    # admissible hop's cost overflowed to inf
+    rng = np.random.default_rng(41)
+    grid, mask, _ = random_problem(rng, n=17, cell=5.0, obstacle_p=0.2)
+    assert mask.blocked.any()
+    free = [tuple(int(v) for v in node) for node in np.argwhere(~mask.blocked)]
+    start, goal = free[len(free) // 3], free[-len(free) // 3]
+    weights = gr.route_weights(grid, mask, DRY)
+    whole = gr.build_dp_problem(weights, start, goal, math.inf)
+    window = gr.build_dp_problem(weights, start, goal, 0.0)
+    assert window.offset != (0, 0)
+    assert window.shape[0] * window.shape[1] < whole.shape[0] * whole.shape[1]
+    overflowed = window.hop_cost.copy()
+    overflowed[tuple(np.argwhere(np.isfinite(overflowed))[0])] = np.inf
+    cases = [whole, window, dataclasses.replace(window, hop_cost=overflowed)]
+    for problem in cases:
+        graph = gr._hop_graph(problem)
+        indptr, indices, data = oracle_hop_graph(problem.hop_cost)
+        n = problem.shape[0] * problem.shape[1]
+        assert graph.shape == (n, n) and len(indices) > 0
+        assert graph.indptr.tolist() == indptr
+        assert graph.indices.tolist() == indices
+        assert graph.data.tobytes() == np.array(data).tobytes()
+        assert np.all((graph.indices >= 0) & (graph.indices < n))
+        for i in range(n):
+            assert np.all(np.diff(graph.indices[graph.indptr[i]:graph.indptr[i + 1]]) > 0)
+    assert len(gr._hop_graph(cases[2]).data) == len(gr._hop_graph(window).data) - 1
+
+
 def test_goal_must_be_a_state():
     grid = flat_grid(n=3)
     water = np.zeros((3, 3), dtype=bool)
@@ -317,6 +372,36 @@ def test_bellman_fixed_point_residual():
             best = min(candidates.values())
             assert vf.values[r, c] - best == 0.0
             assert vf.policy[r, c] == min(a for a, v in candidates.items() if v == best)
+
+
+def test_policy_takes_the_first_minimum_where_actions_tie():
+    # on a flat grid a state's straight and diagonal moves often lead to
+    # equal values, which the rough grid above rarely does: there the policy
+    # must still take the lowest action id among the tied minima
+    from offroad.global_route import MOVES
+    n, goal = 15, (7, 4)
+    grid = flat_grid(n=n, cell=5.0)
+    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
+    alpha = compute_scaling_factors(grid, mask, DRY)
+    vf = value_iteration(whole_grid_table(grid, mask, DRY, goal))
+    assert vf.converged and vf.policy[goal] == STAY
+    ties = 0
+    for r in range(n):
+        for c in range(n):
+            if (r, c) == goal:
+                continue
+            candidates = {}
+            for a, (dr, dc) in MOVES.items():
+                cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha,
+                                       (r, c), (r + dr, c + dc))
+                if math.isfinite(cost):
+                    candidates[a] = cost + vf.values[r + dr, c + dc]
+            best = min(candidates.values())
+            tied = [a for a, v in candidates.items() if v == best]
+            ties += len(tied) > 1
+            assert vf.values[r, c] == best
+            assert vf.policy[r, c] == tied[0]
+    assert ties > (n * n) // 2
 
 
 def test_tightening_slope_limit_never_helps():
@@ -576,6 +661,62 @@ def test_windowed_route_is_the_full_route(monkeypatch, seed, weather):
                    and t.offset[1] <= c < t.offset[1] + t.shape[1]
                    for r, c in windowed.waypoints for t in tables[-1:])
     assert reached >= 3
+
+
+def brute_force_window(grid, per_metre, start, goal, bound):
+    """_window's (box, inside, bound) rebuilt by a loop over every node of
+    the grid: W_B = {v : h(start, v) + h(v, goal) <= B}, h = per_metre times
+    the octile distance, B at least 1.05 h(start, goal); a bounding box that
+    is the whole grid gives the whole grid with B = inf."""
+    straight, diagonal = grid.hop_runs[0], grid.hop_runs[1]
+
+    def h(a, b):
+        dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
+        return per_metre * (diagonal * min(dr, dc) + straight * (max(dr, dc) - min(dr, dc)))
+
+    bound = max(bound, 1.05 * h(start, goal))
+    held = [(r, c) for r in range(grid.n_rows) for c in range(grid.n_cols)
+            if h(start, (r, c)) + h((r, c), goal) <= bound]
+    r0, r1 = min(r for r, _ in held), max(r for r, _ in held)
+    c0, c1 = min(c for _, c in held), max(c for _, c in held)
+    if (r0, c0, r1, c1) == (0, 0, grid.n_rows - 1, grid.n_cols - 1):
+        return (slice(None), slice(None)), None, math.inf
+    inside = np.zeros((r1 - r0 + 1, c1 - c0 + 1), dtype=bool)
+    for r, c in held:
+        inside[r - r0, c - c0] = True
+    return (slice(r0, r1 + 1), slice(c0, c1 + 1)), inside, bound
+
+
+def test_window_is_the_brute_force_bounding_box_of_w_b():
+    # on small random grids, starts, goals and bounds, _window's box, nodes
+    # and bound are the brute-force ones, whether or not its whole-box rule,
+    # decided on the grid's four edges, or its reach pre-box applies
+    rng = np.random.default_rng(29)
+    whole = cropped = spanning = 0
+    for _ in range(300):
+        n_rows, n_cols = (int(v) for v in rng.integers(2, 13, size=2))
+        grid = ElevationGrid(n_cols=n_cols, n_rows=n_rows,
+                             cell_size=float(rng.choice([0.5, 5.0, 7.3])),
+                             origin=(0.0, 0.0), heights=np.zeros((n_rows, n_cols)))
+        per_metre = float(rng.choice([0.0, 0.02, 0.37, 1.0]))
+        start, goal = ((int(rng.integers(n_rows)), int(rng.integers(n_cols)))
+                       for _ in range(2))
+        if rng.random() < 0.5:
+            # from the first row to the last: W_B reaches two of the edges
+            start, goal = (0, start[1]), (n_rows - 1, goal[1])
+        bound = float(rng.choice([0.0, rng.uniform(0, 30), rng.uniform(0, 300), math.inf]))
+        box, inside, got = gr._window(grid, per_metre, start, goal, bound)
+        expect_box, expect_inside, expect = brute_force_window(grid, per_metre, start, goal,
+                                                               bound)
+        assert box == expect_box and got == expect
+        if expect_inside is None:
+            assert inside is None
+            whole += 1
+        else:
+            assert np.array_equal(inside, expect_inside)
+            cropped += 1
+            spanning += inside.shape[0] == n_rows
+    assert whole >= 50 and cropped >= 50 and spanning >= 20
 
 
 def test_windowed_route_takes_a_second_round_for_a_detour(monkeypatch):
@@ -913,6 +1054,16 @@ def test_route_csv_hop_slopes_match_node_heights(tmp_path):
     assert route.mean_slope_deg == pytest.approx(slope_deg.mean(), rel=1e-12)
     assert route.max_slope_deg == pytest.approx(slope_deg.max(), rel=1e-12)
 
+
+def test_route_csv_rejects_a_hop_between_non_neighbours(tmp_path):
+    # a hop's slope and run are read by its offset, which only 8-neighbours
+    # have: a stay, a two-row jump up or down is refused, not misread
+    grid = flat_grid(n=4, cell=10.0)
+    for waypoints in ([(1, 1), (1, 1)], [(0, 0), (2, 0)], [(3, 3), (1, 3)]):
+        route = PlannedRoute(waypoints=waypoints, total_cost=1.0, total_distance=20.0,
+                             mean_slope_deg=0.0, max_slope_deg=0.0)
+        with pytest.raises(ValueError, match="does not join 8-neighbors"):
+            write_route_csv(route, grid, str(tmp_path / "route.csv"))
 
 def test_route_planar_waypoints():
     # simulate turns a planned route's nodes into planar waypoints with

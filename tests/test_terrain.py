@@ -464,7 +464,7 @@ def test_surface_interpolates_grid_nodes():
     for row in range(grid.n_rows):
         for col in range(grid.n_cols):
             x, y = grid.node_position(row, col)
-            assert surf.eval(x, y)[0] == pytest.approx(grid.node_height(row, col), abs=1e-10)
+            assert surf.eval(x, y)[0] == pytest.approx(grid.heights[row, col], abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 41, 250])
