@@ -239,12 +239,16 @@ def oracle_hop_graph(hop_cost):
     return indptr, indices, data
 
 
-def test_hop_graph_holds_each_finite_forward_hop_once():
+@pytest.mark.parametrize("block", [gr._GRAPH_BLOCK, 5])
+def test_hop_graph_holds_each_finite_forward_hop_once(monkeypatch, block):
     # the CSR graph that the solve hands to scipy holds one edge per finite
     # forward entry, to the neighbour it names, at that entry's cost bit for
     # bit, each row's indices sorted and on the table.  Cases: a grid with
     # blocked nodes, a window cropped from it, and that window with one
-    # admissible hop's cost overflowed to inf
+    # admissible hop's cost overflowed to inf.  A block of 5 nodes divides
+    # none of their node counts, so the graph is built from many blocks that
+    # split grid rows and end on a short one
+    monkeypatch.setattr(gr, "_GRAPH_BLOCK", block)
     rng = np.random.default_rng(41)
     grid, mask, _ = random_problem(rng, n=17, cell=5.0, obstacle_p=0.2)
     assert mask.blocked.any()
@@ -259,9 +263,10 @@ def test_hop_graph_holds_each_finite_forward_hop_once():
     overflowed[tuple(np.argwhere(np.isfinite(overflowed))[0])] = np.inf
     cases = [whole, window, dataclasses.replace(window, hop_cost=overflowed)]
     for problem in cases:
+        n = problem.shape[0] * problem.shape[1]
+        assert n % 5 != 0
         graph = gr._hop_graph(problem)
         indptr, indices, data = oracle_hop_graph(problem.hop_cost)
-        n = problem.shape[0] * problem.shape[1]
         assert graph.shape == (n, n) and len(indices) > 0
         assert graph.indptr.tolist() == indptr
         assert graph.indices.tolist() == indices
@@ -347,61 +352,38 @@ def test_bellman_fixed_point_residual():
     # the solved values are an exact fixed point: every reachable state's
     # value equals the best one-hop cost plus successor value, bit for bit,
     # with the hop costs taken from the oracle; the policy takes the lowest
-    # action id that attains it
+    # action id that attains it.  On the rough grid actions rarely tie; on
+    # the flat one most states tie between a straight and a diagonal move
     from offroad.global_route import MOVES
-    rng = np.random.default_rng(17)
-    grid, mask, goal = random_problem(rng, n=15, cell=6.0, rough=2.0)
-    problem = whole_grid_table(grid, mask, DRY, goal)
-    alpha = compute_scaling_factors(grid, mask, DRY)
-    vf = value_iteration(problem)
-    assert vf.converged
-    assert vf.sweeps == 1
-    for r in range(grid.n_rows):
-        for c in range(grid.n_cols):
-            if not math.isfinite(vf.values[r, c]):
-                continue
-            if (r, c) == goal:
-                assert vf.values[r, c] == 0.0
-                continue
-            candidates = {}
-            for a, (dr, dc) in MOVES.items():
-                cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha,
-                                       (r, c), (r + dr, c + dc))
-                if math.isfinite(cost):
-                    candidates[a] = cost + vf.values[r + dr, c + dc]
-            best = min(candidates.values())
-            assert vf.values[r, c] - best == 0.0
-            assert vf.policy[r, c] == min(a for a, v in candidates.items() if v == best)
-
-
-def test_policy_takes_the_first_minimum_where_actions_tie():
-    # on a flat grid a state's straight and diagonal moves often lead to
-    # equal values, which the rough grid above rarely does: there the policy
-    # must still take the lowest action id among the tied minima
-    from offroad.global_route import MOVES
-    n, goal = 15, (7, 4)
-    grid = flat_grid(n=n, cell=5.0)
-    mask = build_obstacle_mask(grid, DRY_SLOPE_LIMIT)
-    alpha = compute_scaling_factors(grid, mask, DRY)
-    vf = value_iteration(whole_grid_table(grid, mask, DRY, goal))
-    assert vf.converged and vf.policy[goal] == STAY
-    ties = 0
-    for r in range(n):
-        for c in range(n):
-            if (r, c) == goal:
-                continue
-            candidates = {}
-            for a, (dr, dc) in MOVES.items():
-                cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha,
-                                       (r, c), (r + dr, c + dc))
-                if math.isfinite(cost):
-                    candidates[a] = cost + vf.values[r + dr, c + dc]
-            best = min(candidates.values())
-            tied = [a for a, v in candidates.items() if v == best]
-            ties += len(tied) > 1
-            assert vf.values[r, c] == best
-            assert vf.policy[r, c] == tied[0]
-    assert ties > (n * n) // 2
+    rough = random_problem(np.random.default_rng(17), n=15, cell=6.0, rough=2.0)
+    flat = flat_grid(n=15, cell=5.0)
+    flat = (flat, build_obstacle_mask(flat, DRY_SLOPE_LIMIT), (7, 4))
+    for grid, mask, goal in (rough, flat):
+        problem = whole_grid_table(grid, mask, DRY, goal)
+        alpha = compute_scaling_factors(grid, mask, DRY)
+        vf = value_iteration(problem)
+        assert vf.converged
+        assert vf.sweeps == 1
+        ties = 0
+        for r in range(grid.n_rows):
+            for c in range(grid.n_cols):
+                if not math.isfinite(vf.values[r, c]):
+                    continue
+                if (r, c) == goal:
+                    assert vf.values[r, c] == 0.0 and vf.policy[r, c] == STAY
+                    continue
+                candidates = {}
+                for a, (dr, dc) in MOVES.items():
+                    cost = oracle_hop_cost(grid, mask.blocked, DRY.slope_limit, *alpha,
+                                           (r, c), (r + dr, c + dc))
+                    if math.isfinite(cost):
+                        candidates[a] = cost + vf.values[r + dr, c + dc]
+                best = min(candidates.values())
+                tied = [a for a, v in candidates.items() if v == best]
+                ties += len(tied) > 1
+                assert vf.values[r, c] - best == 0.0
+                assert vf.policy[r, c] == min(tied)
+    assert ties > (grid.n_rows * grid.n_cols) // 2
 
 
 def test_tightening_slope_limit_never_helps():
@@ -1064,6 +1046,7 @@ def test_route_csv_rejects_a_hop_between_non_neighbours(tmp_path):
                              mean_slope_deg=0.0, max_slope_deg=0.0)
         with pytest.raises(ValueError, match="does not join 8-neighbors"):
             write_route_csv(route, grid, str(tmp_path / "route.csv"))
+
 
 def test_route_planar_waypoints():
     # simulate turns a planned route's nodes into planar waypoints with

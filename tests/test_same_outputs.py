@@ -12,11 +12,6 @@ sys.path.insert(0, str(ROOT / "tools"))
 import same_outputs  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
-# Seconds each command of these small jobs may take: each ends in a few
-# seconds, and a route loop that never ends fails the test at this limit
-# instead of at the tool's 600 s one.
-CHILD_TIMEOUT = 30
-
 
 def test_the_working_tree_is_identical_to_itself(tmp_path, capsys):
     (tmp_path / "inputs").mkdir()
@@ -26,7 +21,7 @@ def test_the_working_tree_is_identical_to_itself(tmp_path, capsys):
         inputs.track_case_study(1, str(tmp_path / "inputs")),
         str(tmp_path / "inputs" / "case.csv"))
     src = ROOT / "src"
-    assert same_outputs.compare(src, src, jobs, tmp_path, CHILD_TIMEOUT) == 0
+    assert same_outputs.compare(src, src, jobs, tmp_path) == 0
     assert capsys.readouterr().out == "identical\n"
     # every command ran and wrote its files
     assert sorted(p.name for p in (tmp_path / "change" / "case-study").iterdir()) == [
@@ -61,7 +56,7 @@ def test_the_plan_variants_grow_the_window_and_give_up(tmp_path, capsys):
     assert "kind = wet" in (directory / "plan0-wet.cfg").read_text()
     walled = {"plan-1-plan0-walled": jobs["plan-1-plan0-walled"]}
     src = ROOT / "src"
-    assert same_outputs.compare(src, src, walled, tmp_path, CHILD_TIMEOUT) == 0
+    assert same_outputs.compare(src, src, walled, tmp_path) == 0
     assert capsys.readouterr().out == "identical\n"
     out = tmp_path / "change" / "plan-1-plan0-walled"
     assert (out / "0-simulate.exit").read_text() == "2\n"

@@ -105,18 +105,18 @@ def benchmark_jobs(directory: Path) -> dict[str, list[list[str]]]:
     return jobs
 
 
-def run_jobs(src: Path, jobs: dict[str, list[list[str]]], out: Path,
-             timeout: float = 600) -> None:
+def run_jobs(src: Path, jobs: dict[str, list[list[str]]], out: Path) -> None:
     """Run every job with the program in `src`, each command in a fresh
     process in out/<job>, and keep its stdout, stderr and exit code there as
-    <i>-<command>.stdout, .stderr and .exit.  A command still running after
-    `timeout` seconds raises subprocess.TimeoutExpired."""
+    <i>-<command>.stdout, .stderr and .exit.  Each command ends in a few
+    seconds, so one still running after 60 s (a route loop that never ends)
+    raises subprocess.TimeoutExpired."""
     for name, commands in jobs.items():
         cwd = out / name
         cwd.mkdir(parents=True)
         for i, argv in enumerate(commands):
             proc = subprocess.run([sys.executable, "-c", RUNNER, str(src.resolve()), *argv],
-                                  cwd=cwd, capture_output=True, timeout=timeout)
+                                  cwd=cwd, capture_output=True, timeout=60)
             stem = cwd / f"{i}-{argv[0]}"
             stem.with_suffix(".stdout").write_bytes(proc.stdout)
             stem.with_suffix(".stderr").write_bytes(proc.stderr)
@@ -150,12 +150,11 @@ def differences(base: Path, change: Path) -> list[str]:
 
 
 def compare(base_src: Path, change_src: Path, jobs: dict[str, list[list[str]]],
-            work: Path, timeout: float = 600) -> int:
-    """Run the jobs with both programs under `work`, each command within
-    `timeout` seconds, print the differences or `identical`, and return the
-    exit status."""
-    run_jobs(base_src, jobs, work / "base", timeout)
-    run_jobs(change_src, jobs, work / "change", timeout)
+            work: Path) -> int:
+    """Run the jobs with both programs under `work`, print the differences
+    or `identical`, and return the exit status."""
+    run_jobs(base_src, jobs, work / "base")
+    run_jobs(change_src, jobs, work / "change")
     found = differences(work / "base", work / "change")
     print("\n".join(found) if found else "identical")
     return 1 if found else 0
